@@ -46,6 +46,7 @@ from .structure import (
     RLCTree,
     build_rlc_tree,
     defect_sets,
+    eligible_rewirings,
     i_type,
     is_flat_edge,
     negatively_dominant,

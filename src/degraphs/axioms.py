@@ -12,11 +12,12 @@ conditions is a genuine cross-check of two code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
-from .combinatorics import Partition, sig_from_str
+from .combinatorics import Partition, Signature, sig_from_str
 from .graph import ComponentView, SignedColoredGraph
-from .symfunc import expand_in_schur, is_schur_positive, is_single_schur
+from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
 @dataclass
@@ -186,7 +187,6 @@ def _supernodes(G: SignedColoredGraph, comp: ComponentView, i: int):
         if v in seen:
             continue
         piece = G.component_vertices(v, lower)
-        piece = tuple(x for x in piece if x in set(comp.vertices))
         for x in piece:
             node_of[x] = len(sub)
         seen.update(piece)
@@ -264,6 +264,17 @@ def check_lsf(G: SignedColoredGraph, m: int) -> AxiomReport:
     return AxiomReport.from_witnesses(f"LSF{m}", witnesses())
 
 
+@lru_cache(maxsize=None)
+def _window_violation(degree: int, counts: tuple[tuple[Signature, int], ...]) -> str | None:
+    """Why the window function with these (signature, count) pairs is not
+    Schur positive, or None when it is.
+
+    The pairs are the whole function, so the key is exact: two windows with
+    the same key have the same expansion, whatever graph they come from.
+    """
+    return is_schur_positive(QSym(degree, dict(counts))).violation
+
+
 def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
     """Schur positive for degree m."""
     if m not in (4, 5, 6):
@@ -272,9 +283,10 @@ def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
     def witnesses():
         for i, colors, window in _degree_windows(G, m):
             for comp in G.components(colors):
-                rep = is_schur_positive(comp.generating_function(window))
-                if not rep.positive:
-                    yield (i, comp.min_vertex(), rep.violation)
+                f = comp.generating_function(window)
+                violation = _window_violation(f.degree, tuple(sorted(f.coeffs.items())))
+                if violation is not None:
+                    yield (i, comp.min_vertex(), violation)
 
     return AxiomReport.from_witnesses(f"LSP{m}", witnesses())
 

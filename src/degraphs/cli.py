@@ -37,9 +37,15 @@ from .symfunc import expand_in_schur
 from .transform import Policy, TransformLog, full_pipeline, replay
 
 
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_graph(path: str) -> SignedColoredGraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return SignedColoredGraph.from_text(text)
+    return SignedColoredGraph.from_text(_read_text(path))
 
 
 def _write(path: str | None, text: str):
@@ -118,7 +124,7 @@ def _cmd_transform(args) -> int:
             print("replay requires the input graph", file=sys.stderr)
             return 2
         G = _read_graph(args.graph)
-        log = TransformLog.from_text(open(args.replay).read())
+        log = TransformLog.from_text(_read_text(args.replay))
         result = replay(G, log)
         _write(args.out, result.to_text())
         return 0

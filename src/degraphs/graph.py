@@ -226,19 +226,35 @@ class SignedColoredGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise GraphFormatError(f"not valid JSON: {e}") from None
-        for key in ("n", "N", "vertices", "edges"):
-            if key not in doc:
-                raise GraphFormatError(f"missing field {key!r}")
+        n = _field(doc, "n", int, "top level")
+        N = _field(doc, "N", int, "top level")
+        vertices = _field(doc, "vertices", list, "top level")
+        edges = _field(doc, "edges", list, "top level")
         sigma = {}
         stats = {}
-        for entry in doc["vertices"]:
-            sigma[entry["id"]] = sig_from_str(entry["sigma"])
+        for k, entry in enumerate(vertices):
+            where = f"vertex entry {k}"
+            v = _field(entry, "id", str, where)
+            if v in sigma:
+                raise GraphFormatError(f"{where}: duplicate vertex id {v!r}")
+            sig_text = _field(entry, "sigma", str, where)
+            try:
+                sigma[v] = sig_from_str(sig_text)
+            except ValueError as e:
+                raise GraphFormatError(f"{where}: {e}") from None
             if "stat" in entry:
-                stats[entry["id"]] = int(entry["stat"])
-        triples = [(e["color"], e["u"], e["v"]) for e in doc["edges"]]
-        return SignedColoredGraph(
-            doc["n"], doc["N"], sigma, triples, stats or None
-        )
+                stats[v] = _field(entry, "stat", int, where)
+        triples = []
+        for k, entry in enumerate(edges):
+            where = f"edge entry {k}"
+            triples.append(
+                (
+                    _field(entry, "color", int, where),
+                    _field(entry, "u", str, where),
+                    _field(entry, "v", str, where),
+                )
+            )
+        return SignedColoredGraph(n, N, sigma, triples, stats or None)
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -249,6 +265,29 @@ class SignedColoredGraph:
             lines.append(f'  "{u}" -- "{w}" [label="{c}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _excerpt(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _field(entry, key: str, kind: type, where: str):
+    """entry[key] from a parsed JSON object, checked to be of type ``kind``
+    (a JSON boolean is not an integer)."""
+    if not isinstance(entry, dict):
+        raise GraphFormatError(f"{where}: expected a JSON object, got {_excerpt(entry)}")
+    if key not in entry:
+        raise GraphFormatError(f"{where}: missing field {key!r}")
+    value = entry[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise GraphFormatError(
+            f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, got {_excerpt(value)}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

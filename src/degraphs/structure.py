@@ -265,26 +265,29 @@ def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
 # transform eligibility
 
 
-def set_U(G: SignedColoredGraph, i: int) -> list[tuple[str, str]]:
-    """Vertices of W_i0 / C_i0 whose rewiring keeps the graph locally Schur
-    positive, tagged 'phi' or 'psi'."""
+def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
+    """Yield (anchor, kind, H) for each vertex of U_i: the phi anchors of
+    W_i0, then the psi anchors of C_i0, each in id order.  H is the rewired
+    graph, already checked locally Schur positive.  ``sets`` must be
+    ``defect_sets(G, i)``.  Anchors are tried lazily, so a caller that takes
+    the first one pays for no others."""
     from .axioms import is_locally_schur_positive
     from .transform import TransformError, apply_phi, apply_psi
 
-    sets = defect_sets(G, i)
-    out: list[tuple[str, str]] = []
-    for kind, anchors in (("phi", sorted(sets.W0)), ("psi", sorted(sets.C0))):
-        for v in anchors:
+    for kind, apply, anchors in (("phi", apply_phi, sets.W0), ("psi", apply_psi, sets.C0)):
+        for v in sorted(anchors):
             try:
-                if kind == "phi":
-                    H = apply_phi(G, v, i)
-                else:
-                    H = apply_psi(G, v, i)
+                H = apply(G, v, i)
             except TransformError:
                 continue
             if is_locally_schur_positive(H).holds:
-                out.append((v, kind))
-    return out
+                yield v, kind, H
+
+
+def set_U(G: SignedColoredGraph, i: int) -> list[tuple[str, str]]:
+    """Vertices of W_i0 / C_i0 whose rewiring keeps the graph locally Schur
+    positive, tagged 'phi' or 'psi'."""
+    return [(v, kind) for v, kind, _ in eligible_rewirings(G, i, defect_sets(G, i))]
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,13 @@ class SchurExpansion:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _elimination_order(n: int) -> tuple[tuple[Partition, Signature], ...]:
+    """Partitions of n in descending lex order, each with its superstandard
+    signature."""
+    return tuple((lam, superstandard_signature(lam)) for lam in enumerate_partitions(n))
+
+
 def expand_in_schur(f: QSym) -> SchurExpansion:
     """Triangular solve against the Schur basis.
 
@@ -162,8 +169,8 @@ def expand_in_schur(f: QSym) -> SchurExpansion:
     """
     remaining = f
     coeffs: dict[Partition, int] = {}
-    for lam in enumerate_partitions(f.degree):
-        c = remaining.coefficient(superstandard_signature(lam))
+    for lam, key in _elimination_order(f.degree):
+        c = remaining.coefficient(key)
         if c != 0:
             coeffs[lam] = c
             remaining = remaining - schur_to_fundamental(lam).scale(c)

@@ -28,12 +28,12 @@ from .standard import identify_component
 from .structure import (
     StructureError,
     defect_sets,
+    eligible_rewirings,
     has_type_w,
     is_flat_edge,
     negatively_dominant,
     nonflat_chain_through,
     psi_target,
-    set_U,
 )
 from .symfunc import SchurExpansion, expand_in_schur
 
@@ -450,24 +450,6 @@ def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
     return (len(chain) - 4) // 2
 
 
-def _candidate_steps(G: SignedColoredGraph, i: int, policy: Policy):
-    eligible = set_U(G, i)
-    sets = defect_sets(G, i)
-    ordered = sorted(eligible, key=lambda vk: (vk[1] != "phi", vk[0]))
-    for anchor, kind in ordered:
-        if kind == "phi" and policy.prefer_long:
-            r = _long_r(G, anchor, i, sets.W0)
-            if r > 0:
-                step = TransformStep("phi", i, anchor, r)
-                try:
-                    H = apply_step(G, step)
-                except TransformError:
-                    H = None
-                if H is not None and defect_sets(H, i).W < sets.W:
-                    yield step
-        yield TransformStep(kind, i, anchor, 0)
-
-
 def _try_step(G: SignedColoredGraph, step: TransformStep):
     try:
         H = apply_step(G, step)
@@ -485,26 +467,50 @@ class PipelineAbort(Exception):
         self.component = component
 
 
+def _defect_step(G, i, policy, sets):
+    """The step committed at the first vertex of U_i, with its result and the
+    result's defect sets; None when U_i is empty.
+
+    The long phi variant is taken when it strictly shrinks W_i and keeps
+    local Schur positivity; otherwise the short rewiring, already checked by
+    the search, is committed as it is.
+    """
+    first = next(eligible_rewirings(G, i, sets), None)
+    if first is None:
+        return None
+    anchor, kind, H = first
+    if kind == "phi" and policy.prefer_long:
+        r = _long_r(G, anchor, i, sets.W0)
+        if r > 0:
+            try:
+                L = apply_phi(G, anchor, i, r)
+            except TransformError:
+                L = None
+            if L is not None:
+                L_sets = defect_sets(L, i)
+                if L_sets.W < sets.W and is_locally_schur_positive(L).holds:
+                    return TransformStep("phi", i, anchor, r), L, L_sets
+    return TransformStep(kind, i, anchor, 0), H, defect_sets(H, i)
+
+
 def _resolve_defects(G, i, policy, log, budget) -> SignedColoredGraph:
     """Drain W_i and C_i, interposing gamma when nothing is eligible."""
-    seen_hashes: set[str] = set()
-    while not defect_sets(G, i).all_empty():
+    # every step here rewires color i only, so the i-matching identifies a
+    # graph state
+    seen_matchings: set[frozenset] = set()
+    sets = defect_sets(G, i)
+    while not sets.all_empty():
         if budget[0] <= 0:
             raise PipelineAbort(f"step budget exhausted at color {i}", G)
-        committed = False
-        for step in _candidate_steps(G, i, policy):
-            H = _try_step(G, step)
-            if H is not None:
-                log.record(
-                    step,
-                    f"defect step at color {i}; |W|={len(defect_sets(H, i).W)} "
-                    f"|C|={len(defect_sets(H, i).C)}; locally Schur positive",
-                )
-                G = H
-                budget[0] -= 1
-                committed = True
-                break
-        if committed:
+        found = _defect_step(G, i, policy, sets)
+        if found is not None:
+            step, G, sets = found
+            log.record(
+                step,
+                f"defect step at color {i}; |W|={len(sets.W)} "
+                f"|C|={len(sets.C)}; locally Schur positive",
+            )
+            budget[0] -= 1
             continue
         # nothing eligible: try gamma to grow the eligible set
         gamma_done = False
@@ -520,19 +526,18 @@ def _resolve_defects(G, i, policy, log, budget) -> SignedColoredGraph:
                 H = apply_gamma(G, z, i)
             except TransformError:
                 continue
-            if not is_locally_schur_positive(H).holds:
+            key = frozenset(H.matching(i).items())
+            if key in seen_matchings or not is_locally_schur_positive(H).holds:
                 continue
-            key = H.to_text()
-            if key in seen_hashes:
-                continue
-            seen_hashes.add(key)
+            seen_matchings.add(key)
             log.record(step, f"gamma unblocking at color {i}; locally Schur positive")
             G = H
+            sets = defect_sets(G, i)
             budget[0] -= 1
             gamma_done = True
             break
         if not gamma_done:
-            bad = min(defect_sets(G, i).W | defect_sets(G, i).C)
+            bad = min(sets.W | sets.C)
             comp = G.component_of(bad, (i - 2, i - 1, i) if i >= 4 else (i - 1, i))
             raise PipelineAbort(
                 f"color {i}: defects remain but no eligible rewiring preserves "

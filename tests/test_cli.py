@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from degraphs.cli import main
 from degraphs.fixtures import fixture
 from degraphs.graph import SignedColoredGraph
@@ -59,6 +61,38 @@ class TestCheck:
         )
         assert code == 1
         assert "LSP4: PASS" in out and "LSP6: FAIL" in out and "4a: FAIL" in out
+
+
+class TestBadInput:
+    """Malformed graph files are usage errors (exit 2) with a message naming
+    the field, never a traceback or a check verdict."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "error: top level: expected a JSON object, got 5"),
+            ('{"n": "x", "N": 3, "vertices": [], "edges": []}',
+             "error: top level: field 'n' must be an integer"),
+            ('{"n": 3, "N": 3, "vertices": [{"id": "a"}], "edges": []}',
+             "error: vertex entry 0: missing field 'sigma'"),
+            ('{"n": 3, "N": 3, "vertices": [{"id": "a", "sigma": "++"}, '
+             '{"id": "a", "sigma": "++"}], "edges": []}',
+             "error: vertex entry 1: duplicate vertex id 'a'"),
+        ],
+    )
+    def test_check_rejects(self, capsys, monkeypatch, text, message):
+        code, out, err = run(capsys, ["check", "-"], text, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+    def test_replay_log_missing(self, capsys, tmp_path):
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(fixture("fig4c").to_text())
+        code, _, err = run(
+            capsys, ["transform", str(graph_path), "--replay", str(tmp_path / "none.json")]
+        )
+        assert code == 2 and "error:" in err and "none.json" in err
 
 
 class TestExpand:

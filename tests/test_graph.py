@@ -1,5 +1,7 @@
 """The signed colored graph container and its searches."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +219,48 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(GraphFormatError):
             SignedColoredGraph.from_text("{}")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "top level: expected a JSON object, got 5"),
+            ([], "top level: expected a JSON object, got []"),
+            ({"n": "3"}, "top level: field 'n' must be an integer, got \"3\""),
+            ({"n": 3, "N": 3.0}, "top level: field 'N' must be an integer, got 3.0"),
+            ({"n": True, "N": 3}, "top level: field 'n' must be an integer, got true"),
+            ({"vertices": None}, "top level: missing field 'vertices'"),
+            ({"vertices": [{"sigma": "+-"}]}, "vertex entry 0: missing field 'id'"),
+            ({"vertices": [{"id": "a"}]}, "vertex entry 0: missing field 'sigma'"),
+            ({"vertices": [{"id": 1, "sigma": "+-"}]}, "vertex entry 0: field 'id' must be a string"),
+            ({"vertices": ["a"]}, "vertex entry 0: expected a JSON object, got \"a\""),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-"}, {"id": "a", "sigma": "-+"}]},
+                "vertex entry 1: duplicate vertex id 'a'",
+            ),
+            ({"vertices": [{"id": "a", "sigma": "+x"}]}, "vertex entry 0: bad signature character"),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-", "stat": 2.5}]},
+                "vertex entry 0: field 'stat' must be an integer, got 2.5",
+            ),
+            ({"edges": [{"u": "a", "v": "b"}]}, "edge entry 0: missing field 'color'"),
+            ({"edges": [{"color": 2, "v": "b"}]}, "edge entry 0: missing field 'u'"),
+            ({"edges": [{"color": 2, "u": "a"}]}, "edge entry 0: missing field 'v'"),
+            ({"edges": [{"color": "2", "u": "a", "v": "b"}]}, "edge entry 0: field 'color'"),
+        ],
+    )
+    def test_rejects_bad_input_naming_the_entry(self, doc, message):
+        if isinstance(doc, dict):
+            # overrides of a valid two-vertex graph; None drops the field
+            base = {
+                "n": 3,
+                "N": 3,
+                "vertices": [{"id": "a", "sigma": "+-"}, {"id": "b", "sigma": "-+"}],
+                "edges": [],
+            }
+            doc = {k: v for k, v in {**base, **doc}.items() if v is not None}
+        with pytest.raises(GraphFormatError) as info:
+            SignedColoredGraph.from_text(json.dumps(doc))
+        assert str(info.value).startswith(message)
 
     def test_stats_round_trip(self):
         G = SignedColoredGraph(
