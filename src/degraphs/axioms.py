@@ -2,21 +2,22 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Axiom 4 is checked by matching components against hard-coded template graphs
-(the allowed two- and three-color components), with signs verified up to a
-global flip.  This keeps the axiom checkers independent of the symmetric
-function code, so agreement between axiom 4/6 and the multiplicity-free
-conditions is a genuine cross-check of two code paths.
+Axiom 4 is checked by seeded forced extension against small template graphs
+(the allowed two- and three-color components): from a component's least
+vertex the map to each template vertex is forced along the colors, with the
+template's signs as listed or globally flipped.  This keeps the axiom
+checkers independent of the symmetric function code, so agreement between
+axiom 4/6 and the multiplicity-free conditions is a genuine cross-check of
+two code paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 
 from .combinatorics import Partition, Signature, sig_from_str
-from .graph import ComponentView, SignedColoredGraph
+from .graph import ComponentView, SignedColoredGraph, _forced_extension
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -50,24 +51,42 @@ class AxiomReport:
 # double edges at both ends, six-vertex cycle with two pendant edges.
 # Signs listed for one global assignment; the flip is tried during matching.
 
-_TWO_COLOR_TEMPLATES = [
-    ([], ["+++"]),
-    ([(0, 1, "a"), (1, 2, "b")], ["-++", "+-+", "++-"]),
-    ([(0, 1, "a"), (0, 1, "b")], ["+-+", "-+-"]),
-]
+_TWO_COLOR_TEMPLATES = (
+    ((), ("+++",)),
+    (((0, 1, "a"), (1, 2, "b")), ("-++", "+-+", "++-")),
+    (((0, 1, "a"), (0, 1, "b")), ("+-+", "-+-")),
+)
 
-_THREE_COLOR_TEMPLATES = [
-    ([], ["++++"]),
-    ([(0, 1, "a"), (1, 2, "b"), (2, 3, "c")], ["-+++", "+-++", "++-+", "+++-"]),
+_THREE_COLOR_TEMPLATES = (
+    ((), ("++++",)),
+    (((0, 1, "a"), (1, 2, "b"), (2, 3, "c")), ("-+++", "+-++", "++-+", "+++-")),
     (
-        [(0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (2, 3, "a"), (3, 4, "b"), (3, 4, "c")],
-        ["+-++", "-+-+", "-++-", "+-+-", "++-+"],
+        ((0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (2, 3, "a"), (3, 4, "b"), (3, 4, "c")),
+        ("+-++", "-+-+", "-++-", "+-+-", "++-+"),
     ),
     (
-        [(0, 1, "b"), (1, 2, "a"), (1, 3, "c"), (2, 4, "c"), (3, 4, "a"), (4, 5, "b")],
-        ["++--", "+-+-", "-++-", "+--+", "-+-+", "--++"],
+        ((0, 1, "b"), (1, 2, "a"), (1, 3, "c"), (2, 4, "c"), (3, 4, "a"), (4, 5, "b")),
+        ("++--", "+-+-", "-++-", "+--+", "-+-+", "--++"),
     ),
-]
+)
+
+
+@lru_cache(maxsize=None)
+def _template_graphs(templates, roles: tuple[tuple[int, str], ...], window) -> tuple:
+    """Each template as a graph at the real colors, with its signs at the
+    window positions (plus below them), once as listed and once flipped."""
+    lo, hi = window
+    color_of = {role: c for c, role in roles}
+    graphs = []
+    for t_edges, t_sigs in templates:
+        triples = [(color_of[role], f"t{a}", f"t{b}") for a, b, role in t_edges]
+        for flip in (1, -1):
+            sigma = {
+                f"t{k}": (1,) * (lo - 1) + tuple(flip * x for x in sig_from_str(s))
+                for k, s in enumerate(t_sigs)
+            }
+            graphs.append(SignedColoredGraph(hi + 1, hi + 1, sigma, triples))
+    return tuple(graphs)
 
 
 def _component_matches_template(
@@ -77,37 +96,23 @@ def _component_matches_template(
     window: tuple[int, int],
     templates,
 ) -> bool:
-    """Exact match of an extracted component against one template, allowing
-    any vertex bijection and the global sign flip."""
+    """Exact match of an extracted component against one template: the map
+    forced from the component's least vertex to some template vertex, with
+    the template's signs as listed or globally flipped, is a bijection onto
+    the template."""
     lo, hi = window
-    edges = set()
-    for c, role in color_roles.items():
-        m = G._adj.get(c, {})
-        for u in vertices:
-            w = m.get(u)
-            if w is not None and u < w:
-                edges.add((u, w, role))
-    sigs = {v: G.sigma[v][lo - 1 : hi] for v in vertices}
-    k = len(vertices)
-    for t_edges, t_sigs in templates:
-        if len(t_sigs) != k or len(t_edges) != len(edges):
+    if lo < 1:  # a window reaching below position 1 matches no template
+        return False
+    anchor = min(vertices)
+    positions = range(lo, hi + 1)
+    roles = tuple(sorted(color_roles.items()))
+    for T in _template_graphs(templates, roles, window):
+        if len(T.sigma) != len(vertices):
             continue
-        t_sig_tuples = [sig_from_str(s) for s in t_sigs]
-        for perm in permutations(range(k)):
-            # vertices[j] plays template role perm[j]
-            for flip in (1, -1):
-                if any(
-                    tuple(flip * x for x in sigs[vertices[j]]) != t_sig_tuples[perm[j]]
-                    for j in range(k)
-                ):
-                    continue
-                mapped = set()
-                for u, w, role in edges:
-                    a = perm[vertices.index(u)]
-                    b = perm[vertices.index(w)]
-                    mapped.add((min(a, b), max(a, b), role))
-                if mapped == {(min(a, b), max(a, b), r) for a, b, r in t_edges}:
-                    return True
+        for t in T.sigma:
+            m = _forced_extension(G, T, {anchor: t}, color_roles, positions)
+            if m is not None and set(m) == set(vertices):
+                return True
     return False
 
 
@@ -177,27 +182,10 @@ def _check_axiom5(G: SignedColoredGraph):
                     yield (i, j, v, "colors do not commute")
 
 
-def _supernodes(G: SignedColoredGraph, comp: ComponentView, i: int):
-    """Partition a component of colors 2..i into components of colors 2..i-1."""
-    sub: list[tuple[str, ...]] = []
-    node_of: dict[str, int] = {}
-    seen: set[str] = set()
-    lower = range(2, i)
-    for v in comp.vertices:
-        if v in seen:
-            continue
-        piece = G.component_vertices(v, lower)
-        for x in piece:
-            node_of[x] = len(sub)
-        seen.update(piece)
-        sub.append(piece)
-    return sub, node_of
-
-
 def _check_axiom6(G: SignedColoredGraph):
     for i in G.colors():
         for comp in G.components(range(2, i + 1)):
-            sub, node_of = _supernodes(G, comp, i)
+            sub, node_of = G.refine(comp.vertices, range(2, i))
             if len(sub) <= 1:
                 continue
             adjacent: set[tuple[int, int]] = set()

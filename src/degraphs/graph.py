@@ -185,6 +185,22 @@ class SignedColoredGraph:
         colors = frozenset(colors)
         return ComponentView(self, colors, self.component_vertices(v, colors))
 
+    def refine(self, vertices, colors) -> tuple[list[tuple[str, ...]], dict[str, int]]:
+        """Split a vertex set into its components under ``colors``: the
+        pieces in min-vertex order, and each vertex's piece index.
+
+        Pieces are not cut back to ``vertices``; callers pass a component
+        of a larger color set, which holds each of its pieces whole.
+        """
+        pieces: list[tuple[str, ...]] = []
+        piece_of: dict[str, int] = {}
+        for v in sorted(vertices):
+            if v not in piece_of:
+                piece = self.component_vertices(v, colors)
+                piece_of.update(dict.fromkeys(piece, len(pieces)))
+                pieces.append(piece)
+        return pieces, piece_of
+
     # -- generating functions -------------------------------------------------
 
     def full_window(self) -> Window:
@@ -275,16 +291,16 @@ def _excerpt(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _field(entry, key: str, kind: type, where: str):
+def _field(entry, key: str, kind: type, where: str, error: type = GraphFormatError):
     """entry[key] from a parsed JSON object, checked to be of type ``kind``
-    (a JSON boolean is not an integer)."""
+    (a JSON boolean is not an integer); ``error`` is raised otherwise."""
     if not isinstance(entry, dict):
-        raise GraphFormatError(f"{where}: expected a JSON object, got {_excerpt(entry)}")
+        raise error(f"{where}: expected a JSON object, got {_excerpt(entry)}")
     if key not in entry:
-        raise GraphFormatError(f"{where}: missing field {key!r}")
+        raise error(f"{where}: missing field {key!r}")
     value = entry[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise GraphFormatError(
+        raise error(
             f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, got {_excerpt(value)}"
         )
     return value
@@ -371,8 +387,7 @@ def seeded_isomorphism(
         colors = set(G.colors()) | set(H.colors())
     if positions is None:
         positions = range(1, min(G.N, H.N))
-    seed_map = dict(seeds) if not isinstance(seeds, dict) else dict(seeds)
-    return _forced_extension(G, H, seed_map, colors, positions)
+    return _forced_extension(G, H, dict(seeds), colors, positions)
 
 
 def find_isomorphism(
@@ -473,8 +488,7 @@ def i_package(G: SignedColoredGraph, v: str, i: int) -> ComponentView:
     """Component of v under all colors except i-2 .. i+2."""
     if not 1 < i < G.n:
         raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
-    colors = frozenset(c for c in G.colors() if c <= i - 3 or c >= i + 3)
-    return G.component_of(v, colors)
+    return G.component_of(v, package_colors(G, i))
 
 
 def package_colors(G: SignedColoredGraph, i: int) -> frozenset[int]:

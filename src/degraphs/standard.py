@@ -26,7 +26,6 @@ from .graph import (
     ComponentView,
     SignedColoredGraph,
     count_component_isomorphisms,
-    seeded_isomorphism,
 )
 
 
@@ -159,15 +158,11 @@ def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] 
         target = build_standard_deg(lam)
         if sorted(target.sigma.values()) != sigs:
             continue
-        anchor = comp.min_vertex()
-        for w in target.vertices():
-            if target.sigma[w] != G.sigma[anchor]:
-                continue
-            mapping = seeded_isomorphism(
-                G, target, {anchor: w}, colors=range(2, n), positions=range(1, n)
-            )
-            if mapping is not None and set(mapping) == set(comp.vertices):
-                return lam, mapping
+        found = count_component_isomorphisms(
+            G, comp.vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
+        )
+        if found:
+            return lam, found[0]
     return None
 
 

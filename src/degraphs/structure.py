@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import Partition, sig_str
+from .combinatorics import Partition, dominance_ge, sig_str
 from .graph import (
     ComponentView,
     SignedColoredGraph,
@@ -99,46 +99,57 @@ def nonflat_chain_through(G: SignedColoredGraph, v: str, i: int) -> tuple[str, .
     w = G.neighbor(v, i)
     if w is None:
         return ()
-    chain = [v, w]
     used = {v, w}
-    while True:  # forward from w
-        nxt = G.neighbor(chain[-1], i - 1)
-        if nxt is None or nxt in used:
-            break
-        pair = G.neighbor(nxt, i)
-        if pair is None or pair in used:
-            break
-        chain.extend([nxt, pair])
-        used.update((nxt, pair))
-    while True:  # backward from v
-        nxt = G.neighbor(chain[0], i - 1)
-        if nxt is None or nxt in used:
-            break
-        pair = G.neighbor(nxt, i)
-        if pair is None or pair in used:
-            break
-        chain[:0] = [pair, nxt]
-        used.update((nxt, pair))
+    ahead = extend_nonflat_chain(G, w, i, used)
+    behind = extend_nonflat_chain(G, v, i, used)
+    chain = behind[::-1] + [v, w] + ahead
     if chain[-1] < chain[0]:
         chain.reverse()
     return tuple(chain)
 
 
-def _flat_hop(G: SignedColoredGraph, v: str, i: int) -> str | None:
-    """Next odd-position vertex of a flat chain: follow i-2 with the smallest
-    number of i-1/i-2 detours landing clear of type W one color down."""
-    y = v
-    seen = set()
+def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]) -> list[str]:
+    """The vertices E_{i-1}(y), E_i E_{i-1}(y), ... met growing a non-flat
+    chain one way from its end y; growth stops when a link is missing or
+    would revisit a vertex.  ``used`` gains the new vertices."""
+    grown: list[str] = []
+    while True:
+        nxt = G.neighbor(end, i - 1)
+        if nxt is None or nxt in used:
+            return grown
+        end = G.neighbor(nxt, i)
+        if end is None or end in used:
+            return grown
+        grown.extend((nxt, end))
+        used.update((nxt, end))
+
+
+def _w_detour(G: SignedColoredGraph, start: str, i: int) -> list[str] | None:
+    """The vertices E_{i-2}(y), E_{i-1}E_{i-2}(y), ... stepped through from
+    y = start while y has type W one color down; None when a step is
+    missing or revisits a vertex."""
+    detour: list[str] = []
+    seen = {start}
+    y = start
     while has_type_w(G, y, i - 1):
         y2 = G.neighbor(y, i - 2)
         if y2 is None:
             return None
-        y3 = G.neighbor(y2, i - 1)
-        if y3 is None or y3 in seen or y3 == v:
+        y = G.neighbor(y2, i - 1)
+        if y is None or y in seen:
             return None
-        seen.add(y3)
-        y = y3
-    return G.neighbor(y, i - 2)
+        detour.extend((y2, y))
+        seen.add(y)
+    return detour
+
+
+def _flat_hop(G: SignedColoredGraph, v: str, i: int) -> str | None:
+    """Next odd-position vertex of a flat chain: follow i-2 with the smallest
+    number of i-1/i-2 detours landing clear of type W one color down."""
+    detour = _w_detour(G, v, i)
+    if detour is None:
+        return None
+    return G.neighbor(detour[-1] if detour else v, i - 2)
 
 
 def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[str, ...]:
@@ -223,20 +234,10 @@ def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
     w = G.neighbor(x, i)
     if w is None:
         return None
-    path = [x, w]
-    y = w
-    seen = {w}
-    while has_type_w(G, y, i - 1):
-        y2 = G.neighbor(y, i - 2)
-        if y2 is None:
-            return None
-        y3 = G.neighbor(y2, i - 1)
-        if y3 is None or y3 in seen:
-            return None
-        path.extend([y2, y3])
-        seen.add(y3)
-        y = y3
-    return tuple(path)
+    detour = _w_detour(G, w, i)
+    if detour is None:
+        return None
+    return (x, w, *detour)
 
 
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
@@ -272,12 +273,12 @@ def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
     ``defect_sets(G, i)``.  Anchors are tried lazily, so a caller that takes
     the first one pays for no others."""
     from .axioms import is_locally_schur_positive
-    from .transform import TransformError, apply_phi, apply_psi
+    from .transform import TransformError, _phi, _psi
 
-    for kind, apply, anchors in (("phi", apply_phi, sets.W0), ("psi", apply_psi, sets.C0)):
+    for kind, apply, anchors in (("phi", _phi, sets.W0), ("psi", _psi, sets.C0)):
         for v in sorted(anchors):
             try:
-                H = apply(G, v, i)
+                H = apply(G, v, i, 0, sets)
             except TransformError:
                 continue
             if is_locally_schur_positive(H).holds:
@@ -315,34 +316,23 @@ def negatively_dominant(
     maximal shape, or the overall dominance maximum when every sign is plus.
     """
     H_set = set(H_vertices)
-    comps = [
-        c
-        for c in G.components(range(2, i))
-        if c.min_vertex() in H_set
-    ]
-    comps = [c for c in comps if set(c.vertices) <= H_set]
+    lower = frozenset(range(2, i))
+    pieces, _ = G.refine(H_set, lower)
     slice_graph = G.restrict_full(i)
-    labeled: list[tuple[ComponentView, Partition, int]] = []
-    for c in comps:
-        ident = identify_component(
-            ComponentView(slice_graph, frozenset(range(2, i)), c.vertices)
-        )
+    labeled: list[tuple[tuple[str, ...], Partition, int]] = []
+    for piece in pieces:
+        if not H_set.issuperset(piece):
+            continue
+        ident = identify_component(ComponentView(slice_graph, lower, piece))
         if ident is None:
-            raise StructureError(
-                f"restricted component at {c.min_vertex()!r} is not standard"
-            )
-        sign = _component_sign(G, c.vertices, i + 1)
-        labeled.append((c, ident[0], sign))
+            raise StructureError(f"restricted component at {piece[0]!r} is not standard")
+        labeled.append((piece, ident[0], _component_sign(G, piece, i + 1)))
     minus = [t for t in labeled if t[2] == -1]
     pool = minus if minus else labeled
-    from .combinatorics import dominance_ge
-
-    best = None
-    for c, lam, _sign in sorted(pool, key=lambda t: t[0].min_vertex()):
+    for piece, lam, _sign in pool:
         if all(dominance_ge(lam, other) for _, other, _ in pool):
-            best = ComponentView(G, frozenset(range(2, i)), c.vertices)
-            break
-    return best
+            return ComponentView(G, lower, piece)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +407,7 @@ def build_rlc_tree(G: SignedColoredGraph, comp: ComponentView, i: int) -> RLCTre
     """
     if i < 4:
         raise ValueError("tree analysis needs i >= 4")
-    pieces: list[tuple[str, ...]] = []
-    node_of: dict[str, int] = {}
-    seen: set[str] = set()
-    comp_set = set(comp.vertices)
-    for v in comp.vertices:
-        if v in seen:
-            continue
-        piece = tuple(
-            x for x in G.component_vertices(v, (i - 2, i - 1)) if x in comp_set
-        )
-        for x in piece:
-            node_of[x] = len(pieces)
-        seen.update(piece)
-        pieces.append(piece)
+    pieces, node_of = G.refine(comp.vertices, (i - 2, i - 1))
 
     # root vertex: no i-2-neighbor, double edge in colors i-1 and i
     roots = [

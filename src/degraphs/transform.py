@@ -18,6 +18,7 @@ from .axioms import check_axiom, is_locally_schur_positive
 from .graph import (
     ComponentView,
     SignedColoredGraph,
+    _field,
     count_component_isomorphisms,
     i_package,
     package_colors,
@@ -29,6 +30,7 @@ from .structure import (
     StructureError,
     defect_sets,
     eligible_rewirings,
+    extend_nonflat_chain,
     has_type_w,
     is_flat_edge,
     negatively_dominant,
@@ -66,17 +68,22 @@ def package_isomorphism(
 
 
 def _rewire(
-    G: SignedColoredGraph,
-    i: int,
-    phi: dict[str, str],
-    through_edge: bool,
+    G: SignedColoredGraph, i: int, a: str, b: str, through_edge: bool
 ) -> SignedColoredGraph:
-    """Replace the i-matching using a package bijection phi.
+    """Replace the i-matching using the isomorphism of the i-packages of a
+    and b, made an involution phi by adding its inverse unless the packages
+    overlap.
 
     ``through_edge`` False pairs v with phi(v) on the packages (the phi/psi
     pattern); True pairs v with the old i-neighbor of phi(v) (the gamma
     pattern).  Off-package edges follow so the result stays a matching.
     """
+    phi = package_isomorphism(G, a, b, i)
+    if phi is None:
+        raise TransformError(f"packages of {a!r} and {b!r} are not isomorphic")
+    back = {v: k for k, v in phi.items()}
+    if not set(back) & set(phi):
+        phi.update(back)
     old = G.matching(i)
     domain = set(phi)
     new: dict[str, str] = {}
@@ -128,10 +135,22 @@ def phi_partner(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> str:
     return u
 
 
+def _check_anchor(G: SignedColoredGraph, v: str, r: int = 0):
+    if v not in G.sigma:
+        raise TransformError(f"anchor {v!r} is not a vertex")
+    if r < 0:
+        raise TransformError(f"variant r={r} is negative")
+
+
 def apply_phi(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> SignedColoredGraph:
     """Rewire so the overlong non-flat chain through w closes into a double
     edge at w, swapping the i-edges of two isomorphic packages."""
-    sets = defect_sets(G, i)
+    _check_anchor(G, w, r)
+    return _phi(G, w, i, r, defect_sets(G, i))
+
+
+def _phi(G: SignedColoredGraph, w: str, i: int, r: int, sets) -> SignedColoredGraph:
+    """apply_phi given ``sets = defect_sets(G, i)``."""
     if w not in sets.W0:
         if w in sets.W:
             raise TransformError(f"{w!r} is in W_{i} but fails the package filter")
@@ -145,21 +164,18 @@ def apply_phi(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> SignedColore
             between = set(chain[a : b + 1])
         if not between or not between <= (sets.W0 | {w, u}):
             raise TransformError(f"long variant r={r} leaves the eligible chain")
-    phi = package_isomorphism(G, w, u, i)
-    if phi is None:
-        raise TransformError(f"packages of {w!r} and {u!r} are not isomorphic")
-    back = {v: k for k, v in phi.items()}
-    if set(back) & set(phi):
-        full = dict(phi)
-    else:
-        full = {**phi, **back}
-    return _rewire(G, i, full, through_edge=False)
+    return _rewire(G, i, w, u, through_edge=False)
 
 
 def apply_psi(G: SignedColoredGraph, x: str, i: int, r: int = 0) -> SignedColoredGraph:
     """Rewire so the overlong flat chain through x shortens, swapping i-edges
     across the i-2-edges at x and at the first clear vertex past E_i(x)."""
-    sets = defect_sets(G, i)
+    _check_anchor(G, x, r)
+    return _psi(G, x, i, r, defect_sets(G, i))
+
+
+def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGraph:
+    """apply_psi given ``sets = defect_sets(G, i)``."""
     if x not in sets.C0:
         if x in sets.C:
             raise TransformError(f"{x!r} is in C_{i} but fails the package filter")
@@ -182,12 +198,7 @@ def apply_psi(G: SignedColoredGraph, x: str, i: int, r: int = 0) -> SignedColore
     b = G.neighbor(u, i - 2)
     if a is None or b is None:
         raise TransformError("chain endpoints lack their lower edges")
-    phi = package_isomorphism(G, a, b, i)
-    if phi is None:
-        raise TransformError(f"packages of {a!r} and {b!r} are not isomorphic")
-    back = {v: k for k, v in phi.items()}
-    full = dict(phi) if set(back) & set(phi) else {**phi, **back}
-    return _rewire(G, i, full, through_edge=False)
+    return _rewire(G, i, a, b, through_edge=False)
 
 
 def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
@@ -221,14 +232,7 @@ def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
     if G.neighbor(z, i - 2) is None or not is_flat_edge(G, z, i - 2):
         raise TransformError(f"{z!r} lacks a flat {i - 2}-edge")
     u = gamma_partner(G, z, i)
-    a = G.neighbor(z, i - 2)
-    b = G.neighbor(u, i - 2)
-    phi = package_isomorphism(G, a, b, i)
-    if phi is None:
-        raise TransformError(f"packages of {a!r} and {b!r} are not isomorphic")
-    back = {v: k for k, v in phi.items()}
-    full = dict(phi) if set(back) & set(phi) else {**phi, **back}
-    return _rewire(G, i, full, through_edge=True)
+    return _rewire(G, i, G.neighbor(z, i - 2), G.neighbor(u, i - 2), through_edge=True)
 
 
 def theta_pivot(G: SignedColoredGraph, i: int, H_vertices) -> ComponentView:
@@ -244,13 +248,9 @@ def apply_theta(
     """Split an axiom-6 violating component: i-edges between the components
     adjacent to the pivot and their isomorphic copies are swapped so the
     pivot's neighborhood closes up."""
-    H = set(G.component_of(pivot.min_vertex(), range(2, i + 1)).vertices)
+    H = G.component_vertices(pivot.min_vertex(), range(2, i + 1))
     lower = tuple(range(2, i))
-    comps = [c for c in G.components(lower) if set(c.vertices) <= H]
-    comp_of: dict[str, int] = {}
-    for k, c in enumerate(comps):
-        for v in c.vertices:
-            comp_of[v] = k
+    comps, comp_of = G.refine(H, lower)
     pivot_idx = comp_of[pivot.min_vertex()]
 
     old = G.matching(i)
@@ -261,41 +261,39 @@ def apply_theta(
                 adjacent.add(comp_of[w])
     if not adjacent:
         raise TransformError("pivot component has no outgoing i-edges")
-    ring = set().union(*(set(comps[k].vertices) for k in adjacent))
+    ring = set().union(*(comps[k] for k in adjacent))
 
     # components needing an isomorphism into the ring
     need: set[int] = set()
     for u, w in old.items():
         if u in ring and w in comp_of and comp_of[w] not in adjacent | {pivot_idx}:
             need.add(comp_of[w])
-    maps: dict[int, dict[str, str]] = {k: {v: v for v in comps[k].vertices} for k in adjacent}
+    maps: dict[int, dict[str, str]] = {k: {v: v for v in comps[k]} for k in adjacent}
     positions = range(1, G.N)
     for k in sorted(need):
         source = comps[k]
         found: list[tuple[int, dict[str, str]]] = []
         for t in sorted(adjacent):
             target = comps[t]
-            if sorted(G.sigma[v] for v in source.vertices) != sorted(
-                G.sigma[v] for v in target.vertices
-            ):
+            if sorted(G.sigma[v] for v in source) != sorted(G.sigma[v] for v in target):
                 continue
             isos = count_component_isomorphisms(
-                G, source.vertices, G, target.vertices, lower, positions, limit=2
+                G, source, G, target, lower, positions, limit=2
             )
             for m in isos:
                 found.append((t, m))
         if not found:
             raise TransformError(
-                f"component at {source.min_vertex()!r} matches nothing adjacent to the pivot"
+                f"component at {source[0]!r} matches nothing adjacent to the pivot"
             )
         targets = {t for t, _ in found}
         if len(targets) > 1:
             raise TransformError(
-                f"component at {source.min_vertex()!r} matches several adjacent components"
+                f"component at {source[0]!r} matches several adjacent components"
             )
         if len(found) > 1:
             raise TransformError(
-                f"component at {source.min_vertex()!r} has a non-unique isomorphism"
+                f"component at {source[0]!r} has a non-unique isomorphism"
             )
         maps[k] = found[0][1]
 
@@ -357,7 +355,29 @@ class TransformStep:
 
     @staticmethod
     def from_dict(d: dict) -> "TransformStep":
-        return TransformStep(d["kind"], d["color"], d["anchor"], d.get("variant", 0))
+        return _parse_step(d, "step")
+
+
+_STEP_KINDS = ("phi", "psi", "gamma", "theta")
+
+
+class LogFormatError(ValueError):
+    """A step log that cannot be read."""
+
+
+def _parse_step(entry, where: str) -> TransformStep:
+    """A step record checked field by field; ``variant`` may be omitted."""
+    kind = _field(entry, "kind", str, where, LogFormatError)
+    if kind not in _STEP_KINDS:
+        raise LogFormatError(f"{where}: unknown kind {kind!r}")
+    color = _field(entry, "color", int, where, LogFormatError)
+    anchor = _field(entry, "anchor", str, where, LogFormatError)
+    variant = 0
+    if "variant" in entry:
+        variant = _field(entry, "variant", int, where, LogFormatError)
+    if variant < 0:
+        raise LogFormatError(f"{where}: field 'variant' must not be negative, got {variant}")
+    return TransformStep(kind, color, anchor, variant)
 
 
 @dataclass
@@ -385,10 +405,17 @@ class TransformLog:
 
     @staticmethod
     def from_text(text: str) -> "TransformLog":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise LogFormatError(f"log is not valid JSON: {e}") from None
+        steps = _field(doc, "steps", list, "log", LogFormatError)
+        checkpoints = []
+        if "checkpoints" in doc:
+            checkpoints = _field(doc, "checkpoints", list, "log", LogFormatError)
         log = TransformLog(
-            steps=[TransformStep.from_dict(d) for d in doc["steps"]],
-            checkpoints=list(doc.get("checkpoints", [])),
+            steps=[_parse_step(d, f"log step {k}") for k, d in enumerate(steps)],
+            checkpoints=list(checkpoints),
             policy=doc.get("policy", "default"),
             aborted=doc.get("aborted", False),
             diagnostic=doc.get("diagnostic"),
@@ -397,6 +424,7 @@ class TransformLog:
 
 
 def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph:
+    _check_anchor(G, step.anchor, step.variant)
     if step.kind == "phi":
         return apply_phi(G, step.anchor, step.color, step.variant)
     if step.kind == "psi":
@@ -422,9 +450,9 @@ def replay(G: SignedColoredGraph, log: TransformLog) -> SignedColoredGraph:
 @dataclass(frozen=True)
 class Policy:
     """Selection rules: colors ascending, phi before psi, least anchor id,
-    longest strictly-shrinking variant preferred."""
+    longest strictly-shrinking variant preferred.  ``name`` is recorded in
+    the step log."""
 
-    prefer_long: bool = True
     name: str = "default"
 
 
@@ -434,17 +462,7 @@ def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
     u0 = G.neighbor(w, i)
     if u0 is None:
         return 0
-    chain = [u0, w]
-    used = {u0, w}
-    while True:
-        nxt = G.neighbor(chain[-1], i - 1)
-        if nxt is None or nxt in used:
-            break
-        pair = G.neighbor(nxt, i)
-        if pair is None or pair in used:
-            break
-        chain.extend([nxt, pair])
-        used.update((nxt, pair))
+    chain = [u0, w] + extend_nonflat_chain(G, w, i, {u0, w})
     if len(chain) < 6 or not set(chain[1:-1]) <= W0:
         return 0
     return (len(chain) - 4) // 2
@@ -467,7 +485,7 @@ class PipelineAbort(Exception):
         self.component = component
 
 
-def _defect_step(G, i, policy, sets):
+def _defect_step(G, i, sets):
     """The step committed at the first vertex of U_i, with its result and the
     result's defect sets; None when U_i is empty.
 
@@ -479,11 +497,11 @@ def _defect_step(G, i, policy, sets):
     if first is None:
         return None
     anchor, kind, H = first
-    if kind == "phi" and policy.prefer_long:
+    if kind == "phi":
         r = _long_r(G, anchor, i, sets.W0)
         if r > 0:
             try:
-                L = apply_phi(G, anchor, i, r)
+                L = _phi(G, anchor, i, r, sets)
             except TransformError:
                 L = None
             if L is not None:
@@ -493,7 +511,7 @@ def _defect_step(G, i, policy, sets):
     return TransformStep(kind, i, anchor, 0), H, defect_sets(H, i)
 
 
-def _resolve_defects(G, i, policy, log, budget) -> SignedColoredGraph:
+def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
     """Drain W_i and C_i, interposing gamma when nothing is eligible."""
     # every step here rewires color i only, so the i-matching identifies a
     # graph state
@@ -502,7 +520,7 @@ def _resolve_defects(G, i, policy, log, budget) -> SignedColoredGraph:
     while not sets.all_empty():
         if budget[0] <= 0:
             raise PipelineAbort(f"step budget exhausted at color {i}", G)
-        found = _defect_step(G, i, policy, sets)
+        found = _defect_step(G, i, sets)
         if found is not None:
             step, G, sets = found
             log.record(
@@ -548,7 +566,7 @@ def _resolve_defects(G, i, policy, log, budget) -> SignedColoredGraph:
     return G
 
 
-def _resolve_axiom6(G, i, policy, log, budget) -> SignedColoredGraph:
+def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
     """Split covers at color i until the restriction satisfies axiom 6,
     repairing any defects the splits create one and two colors up."""
     while True:
@@ -618,8 +636,8 @@ def one_step(
     log = TransformLog(policy=policy.name)
     budget = [4 * len(G.sigma) * max(G.n, 2)]
     try:
-        G = _resolve_defects(G, i, policy, log, budget)
-        G = _resolve_axiom6(G, i, policy, log, budget)
+        G = _resolve_defects(G, i, log, budget)
+        G = _resolve_axiom6(G, i, log, budget)
     except PipelineAbort as e:
         log.aborted = True
         log.diagnostic = str(e)

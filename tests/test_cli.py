@@ -95,6 +95,53 @@ class TestBadInput:
         assert code == 2 and "error:" in err and "none.json" in err
 
 
+class TestReplayRejects:
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            ("[]", "error: log: expected a JSON object, got []"),
+            ('"color"', 'error: log: expected a JSON object, got "color"'),
+            ('{"steps": "x"}', "error: log: field 'steps' must be a list, got \"x\""),
+            ('{"steps": [3]}', "error: log step 0: expected a JSON object, got 3"),
+            ('{"steps": [{"kind": "phi", "anchor": "b1"}]}',
+             "error: log step 0: missing field 'color'"),
+            ('{"steps": [{"kind": "phi", "color": "3", "anchor": "b1"}]}',
+             "error: log step 0: field 'color' must be an integer, got \"3\""),
+            ('{"steps": [{"kind": "phi", "color": 3, "anchor": 7}]}',
+             "error: log step 0: field 'anchor' must be a string, got 7"),
+            ('{"steps": [{"color": 3, "anchor": "b1"}]}',
+             "error: log step 0: missing field 'kind'"),
+            ('{"steps": [{"kind": "rho", "color": 3, "anchor": "b1"}]}',
+             "error: log step 0: unknown kind 'rho'"),
+            ('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1", "variant": true}]}',
+             "error: log step 0: field 'variant' must be an integer, got true"),
+            ('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1", "variant": 0},'
+             ' {"kind": "phi", "color": 3, "anchor": "m1", "variant": -1}]}',
+             "error: log step 1: field 'variant' must not be negative, got -1"),
+            ('{"steps": [{"kind": "theta", "color": 3, "anchor": "zz"}]}',
+             "error: anchor 'zz' is not a vertex"),
+        ],
+        ids=[
+            "top-level-list", "top-level-string", "steps-not-list", "step-not-object",
+            "missing-color", "color-string", "anchor-integer", "missing-kind",
+            "unknown-kind", "variant-boolean", "negative-variant", "unknown-anchor",
+        ],
+    )
+    def test_bad_log(self, capsys, tmp_path, log, message):
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(fixture("fig8").to_text())
+        log_path = tmp_path / "log.json"
+        log_path.write_text(log)
+        out_path = tmp_path / "out.json"
+        code, out, err = run(
+            capsys,
+            ["transform", str(graph_path), "--replay", str(log_path), "--out", str(out_path)],
+        )
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == message + "\n"
+
+
 class TestExpand:
     def test_fig8(self, capsys, monkeypatch):
         text = fixture("fig8").to_text()

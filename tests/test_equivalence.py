@@ -4,11 +4,12 @@ positivity check, and the committed defect step is the first vertex of U_i."""
 
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 
-from degraphs import axioms
-from degraphs.axioms import check_lsp, is_locally_schur_positive
+from degraphs import axioms, cli, transform
+from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph
@@ -23,6 +24,8 @@ from degraphs.transform import (
     full_pipeline,
     one_step,
 )
+
+from conftest import corpus, relabel_random
 
 
 def long_phi_union() -> SignedColoredGraph:
@@ -204,3 +207,173 @@ def test_first_defect_step_is_first_of_set_u():
     long_steps = [s for _, _, s in seen if s is not None and s.variant > 0]
     assert long_steps == [TransformStep("phi", 4, "v00", 1)]
     assert {name for name, _, _ in seen} >= {"fig8", "fig12", "fig5a", "long_phi_union"}
+
+
+# ---------------------------------------------------------------------------
+# axiom 4: forced extension against the permutation matcher
+
+
+def reference_matches_template(G, vertices, color_roles, window, templates):
+    """Exact match of a component against one template, trying every vertex
+    bijection under the global sign flip or not."""
+    lo, hi = window
+    edges = set()
+    for c, role in color_roles.items():
+        m = G.matching(c)
+        for u in vertices:
+            w = m.get(u)
+            if w is not None and u < w:
+                edges.add((u, w, role))
+    sigs = {v: G.sigma[v][lo - 1 : hi] for v in vertices}
+    k = len(vertices)
+    for t_edges, t_sigs in templates:
+        if len(t_sigs) != k or len(t_edges) != len(edges):
+            continue
+        t_sig_tuples = [sig_from_str(s) for s in t_sigs]
+        t_edge_set = {(min(a, b), max(a, b), r) for a, b, r in t_edges}
+        for perm in permutations(range(k)):
+            # vertices[j] plays template role perm[j]
+            for flip in (1, -1):
+                if any(
+                    tuple(flip * x for x in sigs[vertices[j]]) != t_sig_tuples[perm[j]]
+                    for j in range(k)
+                ):
+                    continue
+                mapped = set()
+                for u, w, role in edges:
+                    a = perm[vertices.index(u)]
+                    b = perm[vertices.index(w)]
+                    mapped.add((min(a, b), max(a, b), role))
+                if mapped == t_edge_set:
+                    return True
+    return False
+
+
+def reference_axiom4_witnesses(G):
+    out = []
+    for i in range(3, G.n):
+        for comp in G.components((i - 1, i)):
+            if not reference_matches_template(
+                G, comp.vertices, {i - 1: "a", i: "b"}, (i - 2, i), axioms._TWO_COLOR_TEMPLATES
+            ):
+                out.append((i, comp.min_vertex(), "two-color component not allowed"))
+    for i in range(4, G.n):
+        for comp in G.components((i - 2, i - 1, i)):
+            if not reference_matches_template(
+                G, comp.vertices, {i - 2: "a", i - 1: "b", i: "c"}, (i - 3, i),
+                axioms._THREE_COLOR_TEMPLATES,
+            ):
+                out.append((i, comp.min_vertex(), "three-color component not allowed"))
+    return out
+
+
+def sign_flipped(G):
+    sigma = {v: tuple(-x for x in s) for v, s in G.sigma.items()}
+    return SignedColoredGraph(G.n, G.N, sigma, G.edge_triples())
+
+
+def package_swaps(shapes, count, rng):
+    """``count`` disjoint unions of standard graphs, each with the i-edges of
+    two isomorphic i-packages in different copies swapped (the gamma
+    pattern).  Nothing is filtered by a checker, so no input is chosen by
+    the code under test."""
+    sigma, triples = {}, []
+    for k, lam in enumerate(shapes):
+        G = build_standard_deg(lam)
+        G = G.relabel({v: f"{k}:{v}" for v in G.vertices()})
+        sigma.update(G.sigma)
+        triples += G.edge_triples()
+    U = SignedColoredGraph(sum(shapes[0]), sum(shapes[0]), sigma, triples)
+    out = []
+    while len(out) < count:
+        i = rng.randrange(2, U.n)
+        a = rng.choice(sorted(U.matching(i)))
+        side = a.partition(":")[0]
+        partners = [
+            b for b in sorted(U.matching(i))
+            if U.sigma[b] == U.sigma[a] and b.partition(":")[0] != side
+        ]
+        if partners:
+            try:
+                out.append(transform._rewire(U, i, a, rng.choice(partners), through_edge=True))
+            except TransformError:
+                pass
+    return out
+
+
+def axiom4_inputs():
+    rng = random.Random(4)
+    base = [G for _, G in corpus(8)]
+    base += [build_standard_deg((4, 3, 2, 1)), build_standard_deg((5, 3, 2))]
+    swapped = []
+    for shapes in (((3, 2), (3, 2)), ((4, 2), (3, 2, 1)), ((3, 3, 1), (4, 2, 1)),
+                   ((4, 3, 1), (4, 2, 2))):
+        swapped += package_swaps(shapes, 6, rng)
+    # relabelled copies move the least vertex that seeds the map; flipped
+    # ones need the template's flipped signs
+    copies = [sign_flipped(relabel_random(G, rng)[0]) for G in base[:-2] + swapped]
+    return base, copies, swapped
+
+
+def test_axiom4_witnesses_match_permutation_matcher():
+    base, copies, swapped = axiom4_inputs()
+    failing = []
+    for G in base + copies + swapped:
+        want = reference_axiom4_witnesses(G)
+        assert check_axiom(G, 4).witnesses == want, G
+        failing.append(bool(want))
+    assert sum(failing[: len(base)]) == 10
+    assert sum(failing[-len(swapped) :]) == 21
+
+
+# ---------------------------------------------------------------------------
+# `degraphs analyze`: types, defect sets, U_i, chains and node trees
+
+
+# sha256 of the stdout of `degraphs analyze <fixture> --color i`, recorded
+# before the component refinement, chain walks and rewiring core were shared
+ANALYZE_GOLDEN = {
+    ("fig1", 3): "631947e23637a04e7c5d3703670017cdcb532689c1d5df909139b13a1d2c824a",
+    ("fig1", 4): "b05b9228ae91c6dfc4633309b6600243b92fc319d8b04e604afd87182e00db33",
+    ("fig12", 3): "4d8fccb8bd8dc6d03b149552869a3f9629385655671bf35a41211481e5797e9e",
+    ("fig12", 4): "2662f9c4e61e29762760da633e74ad0b23610d560f8656688ef3e68b0509b543",
+    ("fig13", 3): "a5a770b011e5f58dcb16aa1d2603ab352a3bcbd290535a942a9a6d17e3dc59eb",
+    ("fig13", 4): "90c4d02e4654ccc9c6f73e43259be46917b4bb177424160ccdb90b80f5086040",
+    ("fig19", 3): "6953fb6a6c6e8ff9c36453d25a888fc123ccb1503568ec76faf7c625d97fdabc",
+    ("fig19", 4): "e7b821fd3a5006c66bddfe13e6c92b9674f6f2eed122cc69cbdd4443efa807fb",
+    ("fig19", 5): "f8992ff838bdc1e302c54f6649ee42deeb85d49ca65fc9f7577dd5c240679bf7",
+    ("fig21", 3): "76ef6f2e1e51356af256c3a0da0d2acdb4ab71d112c5c14c2b277f34a86348cf",
+    ("fig21", 4): "efdbdda3e7a21a3388f21dc8c72ae767084dbb80eb24b263821e0eb415ef0cec",
+    ("fig21", 5): "578d19a5a1bc0122c99d3ff785502abb99098b896882a804193ba5c7674540b0",
+    ("fig4a", 3): "c79f1187cf2494526c492fe57cf43284c7610f0ecfc90182bb472cf6d75e4f4b",
+    ("fig4b", 3): "3ace5c2906009bdeeb415cb076fbf6d01ff6b7d4ea8e2923429f9c56605dbc84",
+    ("fig4c", 3): "7dc8a950411b2898082ef27eb06fc5e5e4e009ce05a13ec9ab75fed17cbe0d95",
+    ("fig5a", 3): "a3d381ebf35752a5d6fc8b150894bc39c6d990d903808224080495bb45509b4a",
+    ("fig5a", 4): "b81c23b7dd76bd3ede4140de3b0f024a3c3509685b5d6750dabc658fd9ca4f2e",
+    ("fig5b", 3): "163ca9aebbcf36f3892fe6e93cdeae1c5633279a40c5e3eea3fbb280ee4d25be",
+    ("fig5b", 4): "1885f04972a9a1331955df854ea4421156d7f6c515d13e9c8c9db4b8d02c4eef",
+    ("fig5c", 3): "0a7fcddf350e1f15109fd476665d8ca03da0f7852e719a7498f282f77a699ffb",
+    ("fig5c", 4): "508a70dcefc32e45702f86a727df1d2538eb24dd6df1e21bbc601b45fa454633",
+    ("fig6", 3): "6dadfe052a12915b30589408b6fd2ef12fdb255181a68c6abbaae89f648c7b8c",
+    ("fig6", 4): "e55b75d68d0e903aac5ad68c8ff29800295d2e7e3d4f2348fdb58151d08e6b8b",
+    ("fig6", 5): "ccf00a4e1ad20c9d7e28b70b2e1e99341ab3f66c2ca5cd763c204238461df988",
+    ("fig8", 3): "e90a916fbd092f4eef1acbeb2bebb50735c833e338bd763c7b7eef398a3afc1e",
+    ("fig8", 4): "93d2e32649b01051e274d09314ad0f8363f16f6503e2a0338a29261984b214b4",
+    ("fig9", 3): "e96d5ea92de3d4548225ca1c32078e88ce195b72b536a79144652327500b781a",
+    ("fig9", 4): "afa051f9a78237427fe510d27a44f75c2015ab99659bf48179d998d904560355",
+}
+
+
+def test_analyze_output_is_pinned(capsys, tmp_path):
+    outputs = {}
+    for name in fixture_names():
+        G = fixture(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(G.to_text())
+        for i in range(3, G.n):
+            assert cli.main(["analyze", str(path), "--color", str(i)]) == 0
+            outputs[name, i] = capsys.readouterr().out
+    assert {key: sha(text) for key, text in outputs.items()} == ANALYZE_GOLDEN
+    trees = {name for (name, _), text in outputs.items() if "node tree of" in text}
+    assert {"fig1", "fig5a", "fig6"} <= trees
+    assert any(": n/a (" in text for text in outputs.values())

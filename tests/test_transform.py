@@ -7,12 +7,14 @@ from degraphs.fixtures import fixture
 from degraphs.standard import build_standard_deg, identify_component
 from degraphs.structure import defect_sets
 from degraphs.transform import (
+    LogFormatError,
     TransformError,
     TransformLog,
     TransformStep,
     apply_gamma,
     apply_phi,
     apply_psi,
+    apply_step,
     apply_theta,
     full_pipeline,
     one_step,
@@ -228,6 +230,40 @@ class TestLogging:
         log2 = TransformLog.from_text(text)
         assert log2.steps == res.log.steps
         assert replay(G, log2) == res.graph
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "log: expected a JSON object"),
+            ('{"steps": "x"}', "log: field 'steps' must be a list"),
+            ('{"steps": [{"kind": "phi", "color": 3}]}', "log step 0: missing field 'anchor'"),
+            ('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1", "variant": -2}]}',
+             "log step 0: field 'variant' must not be negative"),
+            ('{"steps": [{"kind": "swap", "color": 3, "anchor": "b1"}]}',
+             "log step 0: unknown kind 'swap'"),
+        ],
+    )
+    def test_from_text_rejects(self, text, message):
+        with pytest.raises(LogFormatError, match=message):
+            TransformLog.from_text(text)
+
+    def test_from_text_variant_defaults_to_short(self):
+        log = TransformLog.from_text('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1"}]}')
+        assert log.steps == [TransformStep("phi", 3, "b1", 0)]
+
+    def test_rejects_unknown_anchor_and_negative_variant(self):
+        G = fixture("fig8")
+        apply_phi(G, "b1", 3)  # in the domain, so only the bad arguments fail below
+        for kind in ("phi", "psi", "gamma", "theta"):
+            with pytest.raises(TransformError, match="anchor 'zz' is not a vertex"):
+                apply_step(G, TransformStep(kind, 3, "zz"))
+        for apply in (apply_phi, apply_psi):
+            with pytest.raises(TransformError, match="anchor 'zz' is not a vertex"):
+                apply(G, "zz", 3)
+            with pytest.raises(TransformError, match="variant r=-1 is negative"):
+                apply(G, "b1", 3, -1)
+        with pytest.raises(TransformError, match="variant r=-1 is negative"):
+            apply_step(G, TransformStep("phi", 3, "b1", -1))
 
     def test_apply_step_kinds(self):
         G = gamma_instance()
