@@ -182,22 +182,47 @@ def _check_axiom5(G: SignedColoredGraph):
                     yield (i, j, v, "colors do not commute")
 
 
+def _find(parent: dict[str, str], p: str) -> str:
+    """Root of p in a union-find holding an entry for non-roots only."""
+    while p in parent:
+        q = parent[p]
+        if q in parent:
+            parent[p] = q = parent[q]
+        p = q
+    return p
+
+
 def _check_axiom6(G: SignedColoredGraph):
+    """One ascending sweep over the colors.
+
+    Invariant: before color i, ``piece[v]`` is the least vertex of v's
+    component under colors 2..i-1 (its piece).  The components under colors
+    2..i are exactly these pieces joined along the i-edges, so one pass over
+    the i-matching records which pairs of pieces an i-edge joins and unions
+    them; each component's missing pairs are then yielded, components by
+    least vertex and pieces by least vertex inside each.
+    """
+    piece = {v: v for v in G.sigma}
     for i in G.colors():
-        for comp in G.components(range(2, i + 1)):
-            sub, node_of = G.refine(comp.vertices, range(2, i))
-            if len(sub) <= 1:
-                continue
-            adjacent: set[tuple[int, int]] = set()
-            for u, w in G.matching(i).items():
-                if u in node_of and w in node_of:
-                    a, b = node_of[u], node_of[w]
-                    if a != b:
-                        adjacent.add((min(a, b), max(a, b)))
-            for a in range(len(sub)):
-                for b in range(a + 1, len(sub)):
-                    if (a, b) not in adjacent:
-                        yield (i, sub[a][0], sub[b][0], "needs two or more crossings")
+        parent: dict[str, str] = {}  # union-find over pieces, rooted at the least
+        joined: set[tuple[str, str]] = set()
+        for u, w in G.matching(i).items():
+            a, b = piece[u], piece[w]
+            if a < b:
+                joined.add((a, b))
+                ra, rb = _find(parent, a), _find(parent, b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        members: dict[str, list[str]] = {}
+        for p in sorted(parent):
+            members.setdefault(_find(parent, p), []).append(p)
+        for root in sorted(members):
+            pieces = [root] + members[root]
+            for x, a in enumerate(pieces):
+                for b in pieces[x + 1 :]:
+                    if (a, b) not in joined:
+                        yield (i, a, b, "needs two or more crossings")
+        piece = {v: _find(parent, p) for v, p in piece.items()}
 
 
 _AXIOM_CHECKS = {

@@ -424,6 +424,8 @@ class TransformLog:
 
 
 def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph:
+    if not 1 < step.color < G.n:
+        raise TransformError(f"color {step.color} outside 1 < i < n = {G.n}")
     _check_anchor(G, step.anchor, step.variant)
     if step.kind == "phi":
         return apply_phi(G, step.anchor, step.color, step.variant)
@@ -466,16 +468,6 @@ def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
     if len(chain) < 6 or not set(chain[1:-1]) <= W0:
         return 0
     return (len(chain) - 4) // 2
-
-
-def _try_step(G: SignedColoredGraph, step: TransformStep):
-    try:
-        H = apply_step(G, step)
-    except TransformError:
-        return None
-    if not is_locally_schur_positive(H).holds:
-        return None
-    return H
 
 
 class PipelineAbort(Exception):
@@ -594,9 +586,9 @@ def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
         G = H
         budget[0] -= 1
         # repair freshly created defects one and two colors up
-        for color, kind, before in (
-            (i + 1, "phi", before_w),
-            (i + 2, "psi", before_c),
+        for color, kind, core, before in (
+            (i + 1, "phi", _phi, before_w),
+            (i + 2, "psi", _psi, before_c),
         ):
             if color >= G.n:
                 continue
@@ -609,17 +601,20 @@ def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
                     raise PipelineAbort(
                         f"step budget exhausted repairing color {color}", G
                     )
-                repaired = False
                 for anchor in fresh:
-                    step = TransformStep(kind, color, anchor)
-                    H = _try_step(G, step)
-                    if H is not None:
-                        log.record(step, f"post-split repair at color {color}")
+                    try:
+                        H = core(G, anchor, color, 0, sets)
+                    except TransformError:
+                        continue
+                    if is_locally_schur_positive(H).holds:
+                        log.record(
+                            TransformStep(kind, color, anchor),
+                            f"post-split repair at color {color}",
+                        )
                         G = H
                         budget[0] -= 1
-                        repaired = True
                         break
-                if not repaired:
+                else:
                     raise PipelineAbort(
                         f"color {color}: split left unrepairable defects", G
                     )

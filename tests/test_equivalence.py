@@ -1,10 +1,12 @@
 """The memoised and first-eligible code paths against plain references: the
 pipeline's output is pinned byte for byte, LSP witnesses match a per-window
-positivity check, and the committed defect step is the first vertex of U_i."""
+positivity check, the committed defect step is the first vertex of U_i, and
+the axiom 4 and axiom 6 checkers match slower per-component checkers."""
 
 import hashlib
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,19 @@ def pipeline_inputs():
     return graphs
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def split_inputs():
+    """Two scrambled unions (seed 1 of the benchmark corpus) whose runs take
+    the cover split: s106-n7k4 splits once at color 5 and repairs a defect
+    it creates at color 6; s199-n6k4 splits twice at color 5."""
+    return [
+        (name, SignedColoredGraph.from_text((DATA / f"{name}.json").read_text()))
+        for name in ("s106-n7k4", "s199-n6k4")
+    ]
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -94,13 +109,28 @@ GOLDEN = {
         "a574591919d7ed3a77619eb3277dd0cfb4d906ff7c717b290d63a8a34feb233e"),
     "long_phi_union": ("2bff341f3c27ffb4479312fa59c9cf4f04ee71dd2fabb3be827ca9d94ec5b26a",
         "514e5ebd6d8fad097e1ca041c4e2c8079460632363b6f48d9c849b163d0a0e66"),
+    # recorded before axiom 6 became one sweep over the colors
+    "s106-n7k4": ("a4c004937db7cfcd6586194fb957277da6cc1122504fa433f5737a40484235bb",
+        "b0db544d5924d30861537d03631951147b31a2c9daee9f6b37ff8ed9683010bd"),
+    "s199-n6k4": ("e38c07e8a6a21c63217271cb49bd1d5e10533b3a889dd072f991396a6faf5dfa",
+        "69b09545032ff4335d6ba66e7e12424ee433f72ce6729212c7cdde987e1feab8"),
 }
 
 
-@pytest.mark.parametrize("name, G", [pytest.param(n, G, id=n) for n, G in pipeline_inputs()])
+@pytest.mark.parametrize(
+    "name, G", [pytest.param(n, G, id=n) for n, G in pipeline_inputs() + split_inputs()]
+)
 def test_pipeline_output_is_pinned(name, G):
     res = full_pipeline(G)
     assert (sha(res.log.to_text()), sha(res.graph.to_text())) == GOLDEN[name]
+
+
+def test_split_inputs_take_the_split_and_repair_path():
+    runs = {name: full_pipeline(G).log for name, G in split_inputs()}
+    assert runs["s106-n7k4"].checkpoints[2:4] == [
+        "cover split at color 5", "post-split repair at color 6"
+    ]
+    assert [s.kind for s in runs["s199-n6k4"].steps].count("theta") == 2
 
 
 def reference_lsp_witnesses(G, m):
@@ -377,3 +407,57 @@ def test_analyze_output_is_pinned(capsys, tmp_path):
     trees = {name for (name, _), text in outputs.items() if "node tree of" in text}
     assert {"fig1", "fig5a", "fig6"} <= trees
     assert any(": n/a (" in text for text in outputs.values())
+
+
+# ---------------------------------------------------------------------------
+# axiom 6: the ascending sweep against the per-component checker
+
+
+def reference_axiom6_witnesses(G):
+    """Axiom 6 component by component: each component under colors 2..i is
+    split into its pieces under colors 2..i-1, and the whole i-matching is
+    scanned for the pairs of pieces it joins."""
+    out = []
+    for i in G.colors():
+        for comp in G.components(range(2, i + 1)):
+            sub, node_of = G.refine(comp.vertices, range(2, i))
+            adjacent = set()
+            for u, w in G.matching(i).items():
+                if u in node_of and w in node_of:
+                    a, b = node_of[u], node_of[w]
+                    if a != b:
+                        adjacent.add((min(a, b), max(a, b)))
+            for a in range(len(sub)):
+                for b in range(a + 1, len(sub)):
+                    if (a, b) not in adjacent:
+                        out.append((i, sub[a][0], sub[b][0], "needs two or more crossings"))
+    return out
+
+
+def test_axiom6_witnesses_match_per_component_checker():
+    base, copies, swapped = axiom4_inputs()  # base holds every fixture
+    failing = []
+    for G in base + copies + swapped:
+        for top in range(2, G.n):  # the last restriction is G itself
+            R = G.restrict(top + 1)
+            want = reference_axiom6_witnesses(R)
+            assert check_axiom(R, 6).witnesses == want, (G, top)
+        failing.append(bool(want))
+    assert sum(failing[: len(base)]) == 10
+    assert sum(failing[len(base) : -len(swapped)]) == 31
+    assert sum(failing[-len(swapped) :]) == 21
+    assert {w[0] for w in check_axiom(fixture("fig6"), 6).witnesses} == {5}
+
+
+def test_axiom6_failure_below_the_color_aborts():
+    """A graph that fails axiom 6 at color 4 is given to the step at color 5,
+    which stops instead of splitting; diagnostic recorded before axiom 6
+    became one sweep."""
+    _, _, swapped = axiom4_inputs()
+    _, log = one_step(swapped[12], 5)
+    assert log.aborted and log.steps == []
+    assert log.diagnostic == (
+        "axiom 6 fails below color 5: ["
+        "(4, '0:1,2,3|4,5,6|7', '1:1,2,5,6|3,4|7', 'needs two or more crossings'), "
+        "(4, '0:1,2,5|3,4,6|7', '1:1,2,3,6|4,5|7', 'needs two or more crossings')]"
+    )
