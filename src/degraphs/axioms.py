@@ -120,18 +120,27 @@ def _component_matches_template(
 # the six axioms
 
 
-def _check_axiom1(G: SignedColoredGraph):
+def _check_axiom1(G: SignedColoredGraph, colors=None):
+    matchings = [(i, G.matching(i)) for i in (G.colors() if colors is None else colors)]
     for v in G.vertices():
         s = G.sigma[v]
-        for i in G.colors():
+        for i, m in matchings:
             wants_edge = s[i - 2] == -s[i - 1]
-            has_edge = G.neighbor(v, i) is not None
+            has_edge = v in m
             if wants_edge != has_edge:
                 yield (i, v, "edge present" if has_edge else "edge missing")
 
 
-def _check_axiom2(G: SignedColoredGraph):
-    for i, u, w in G.edge_triples():
+def _edges(G: SignedColoredGraph, colors):
+    """The edges of the given colors, in ``edge_triples`` order."""
+    for i in G.colors() if colors is None else colors:
+        for u, w in G.matching(i).items():
+            if u < w:
+                yield i, u, w
+
+
+def _check_axiom2(G: SignedColoredGraph, colors=None):
+    for i, u, w in _edges(G, colors):
         su, sw = G.sigma[u], G.sigma[w]
         for j in (i - 1, i):
             if su[j - 1] != -sw[j - 1]:
@@ -141,8 +150,8 @@ def _check_axiom2(G: SignedColoredGraph):
                 yield (i, u, w, f"position {h} not preserved")
 
 
-def _check_axiom3(G: SignedColoredGraph):
-    for i, u, w in G.edge_triples():
+def _check_axiom3(G: SignedColoredGraph, colors=None):
+    for i, u, w in _edges(G, colors):
         for a, b in ((u, w), (w, u)):
             sa, sb = G.sigma[a], G.sigma[b]
             if i - 2 >= 1 and sa[i - 3] == -sb[i - 3] and sa[i - 3] != -sa[i - 2]:
@@ -168,17 +177,19 @@ def _check_axiom4(G: SignedColoredGraph):
                 yield (i, comp.min_vertex(), "three-color component not allowed")
 
 
-def _check_axiom5(G: SignedColoredGraph):
+def _check_axiom5(G: SignedColoredGraph, colors=None):
+    """Commutation of colors i and j, j - i >= 3; with ``colors``, only the
+    pairs with a color among them."""
+    colors = G.colors() if colors is None else colors
     for i in G.colors():
+        mi = G.matching(i)
         for j in G.colors():
-            if j - i < 3:
+            if j - i < 3 or (i not in colors and j not in colors):
                 continue
-            for v in G.vertices():
-                a = G.neighbor(v, i)
-                b = G.neighbor(v, j)
-                if a is None or b is None:
-                    continue
-                if G.neighbor(a, j) is None or G.neighbor(a, j) != G.neighbor(b, i):
+            mj = G.matching(j)
+            for v in sorted(mi):
+                a, b = mi[v], mj.get(v)
+                if b is not None and (mj.get(a) is None or mj.get(a) != mi.get(b)):
                     yield (i, j, v, "colors do not commute")
 
 
@@ -288,6 +299,17 @@ def _window_violation(degree: int, counts: tuple[tuple[Signature, int], ...]) ->
     return is_schur_positive(QSym(degree, dict(counts))).violation
 
 
+def _component_violation(G: SignedColoredGraph, vertices, window) -> str | None:
+    """``_window_violation`` of the window function of ``vertices``, keyed
+    by the sorted (signature slice, count) pairs of their signatures."""
+    lo, hi = window
+    counts: dict[Signature, int] = {}
+    for v in vertices:
+        s = G.sigma[v][lo - 1 : hi]
+        counts[s] = counts.get(s, 0) + 1
+    return _window_violation(hi - lo + 2, tuple(sorted(counts.items())))
+
+
 def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
     """Schur positive for degree m."""
     if m not in (4, 5, 6):
@@ -296,26 +318,63 @@ def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
     def witnesses():
         for i, colors, window in _degree_windows(G, m):
             for comp in G.components(colors):
-                f = comp.generating_function(window)
-                violation = _window_violation(f.degree, tuple(sorted(f.coeffs.items())))
+                violation = _component_violation(G, comp.vertices, window)
                 if violation is not None:
                     yield (i, comp.min_vertex(), violation)
 
     return AxiomReport.from_witnesses(f"LSP{m}", witnesses())
 
 
-def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:
-    """Axioms 1, 2, 3 and 5 together with degree 4, 5, 6 positivity."""
-    witnesses = []
-    for k in (1, 2, 3, 5):
-        rep = check_axiom(G, k)
-        if not rep.holds:
-            witnesses.extend((f"axiom {k}",) + w for w in rep.witnesses)
+def _holds_by_difference(G: SignedColoredGraph, base: SignedColoredGraph) -> bool:
+    """Whether G is locally Schur positive, given that ``base``, which has
+    the same vertices and signatures, is.  Axioms 1, 2, 3 and 5 are checked
+    at the colors whose matching differs; the windows only on the components
+    under their colors that hold a vertex whose partner changed."""
+    changed = {i: vs for i in G.colors() if (vs := G.changed_vertices(base, i))}
+    for check in (_check_axiom1, _check_axiom2, _check_axiom3, _check_axiom5):
+        if next(check(G, list(changed)), None) is not None:
+            return False
     for m in (4, 5, 6):
-        rep = check_lsp(G, m)
-        if not rep.holds:
-            witnesses.extend((f"LSP{m}",) + w for w in rep.witnesses)
-    return AxiomReport.from_witnesses("LSP", witnesses)
+        for _, colors, window in _degree_windows(G, m):
+            done: set[str] = set()
+            for v in sorted({v for c in colors for v in changed.get(c, ())}):
+                if v not in done:
+                    comp = G.component_vertices(v, colors)
+                    done.update(comp)
+                    if _component_violation(G, comp, window) is not None:
+                        return False
+    return True
+
+
+def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:
+    """Axioms 1, 2, 3 and 5 together with degree 4, 5, 6 positivity.
+
+    Graphs are immutable, so a graph that passes is marked as passed, and a
+    graph made from it by ``with_color_matching`` (directly or through graphs
+    that did not pass) names it as its verified ancestor.  Such a graph is
+    checked by difference from the ancestor: a component under a window's
+    colors whose vertices kept their partners in those colors is a component
+    of the ancestor, with the same signatures, so it is positive.  When that
+    finds a violation, or there is no verified ancestor, every window is
+    scanned, so the report is the same either way.
+    """
+    base = G._lsp_base
+    if base is True or (base is not None and _holds_by_difference(G, base)):
+        report = AxiomReport("LSP", True)
+    else:
+        witnesses = []
+        for k in (1, 2, 3, 5):
+            rep = check_axiom(G, k)
+            if not rep.holds:
+                witnesses.extend((f"axiom {k}",) + w for w in rep.witnesses)
+        for m in (4, 5, 6):
+            rep = check_lsp(G, m)
+            if not rep.holds:
+                witnesses.extend((f"LSP{m}",) + w for w in rep.witnesses)
+        report = AxiomReport.from_witnesses("LSP", witnesses)
+    if report.holds:
+        G._lsp_base = True
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,11 @@ class GraphFormatError(ValueError):
 
 
 class SignedColoredGraph:
-    __slots__ = ("n", "N", "sigma", "_adj", "stats")
+    # _lsp_base records what is known about local Schur positivity: None when
+    # nothing is, True once this graph passed the check, otherwise the nearest
+    # graph that passed and this one derives from by with_color_matching
+    # (same vertices and signatures, some color classes replaced)
+    __slots__ = ("n", "N", "sigma", "_adj", "stats", "_lsp_base")
 
     def __init__(
         self,
@@ -70,6 +74,7 @@ class SignedColoredGraph:
             m[w] = u
         self._adj = adj
         self.stats = dict(stats) if stats else None
+        self._lsp_base: SignedColoredGraph | bool | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -87,6 +92,13 @@ class SignedColoredGraph:
 
     def matching(self, i: int) -> dict[str, str]:
         return dict(self._adj.get(i, {}))
+
+    def changed_vertices(self, other: "SignedColoredGraph", i: int) -> list[str]:
+        """Vertices whose i-partner differs between this graph and ``other``."""
+        mine, theirs = self._adj.get(i, {}), other._adj.get(i, {})
+        if mine == theirs:
+            return []
+        return sorted(v for v in mine.keys() | theirs.keys() if mine.get(v) != theirs.get(v))
 
     def edge_triples(self) -> list[tuple[int, str, str]]:
         out = []
@@ -118,7 +130,9 @@ class SignedColoredGraph:
         """New graph with color class i replaced (copy-on-write)."""
         triples = [(c, u, w) for c, u, w in self.edge_triples() if c != i]
         triples += [(i, u, w) for u, w in matching.items() if u < w]
-        return SignedColoredGraph(self.n, self.N, self.sigma, triples, self.stats)
+        H = SignedColoredGraph(self.n, self.N, self.sigma, triples, self.stats)
+        H._lsp_base = self if self._lsp_base is True else self._lsp_base
+        return H
 
     def restrict(self, m: int) -> "SignedColoredGraph":
         """(m, N)-restriction: keep colors below m, signatures intact."""

@@ -440,8 +440,11 @@ def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph
 
 
 def replay(G: SignedColoredGraph, log: TransformLog) -> SignedColoredGraph:
-    for step in log.steps:
-        G = apply_step(G, step)
+    for k, step in enumerate(log.steps):
+        try:
+            G = apply_step(G, step)
+        except TransformError as e:
+            raise TransformError(f"log step {k}: {e}") from None
     return G
 
 

@@ -1,7 +1,10 @@
 """Axiom checkers, positivity conditions, classification, cross-checks."""
 
+import gc
+
 import pytest
 
+from degraphs import axioms
 from degraphs.axioms import (
     check_axiom,
     check_axiom4a,
@@ -103,6 +106,34 @@ class TestLocallySchurPositive:
 
     def test_fig19_not(self):
         assert not is_locally_schur_positive(fixture("fig19")).holds
+
+    def test_only_color_rewiring_is_checked_by_difference(self, monkeypatch):
+        bases = []
+        real = axioms._holds_by_difference
+        monkeypatch.setattr(
+            axioms, "_holds_by_difference", lambda H, base: bases.append(base) or real(H, base)
+        )
+        G = fixture("fig8")
+        assert is_locally_schur_positive(G).holds and bases == []
+        for H in (
+            SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples()),
+            SignedColoredGraph.from_text(G.to_text()),
+            G.restrict(4),
+            G.restrict_full(4),
+            G.relabel({v: v.upper() for v in G.vertices()}),
+            G.subgraph(G.vertices()[:8]),
+        ):
+            is_locally_schur_positive(H)
+        assert bases == []
+        H = G.with_color_matching(3, {})  # fails axiom 1
+        K = H.with_color_matching(3, G.matching(3))
+        assert not is_locally_schur_positive(H).holds
+        assert is_locally_schur_positive(K).holds
+        assert bases == [G, G]
+        # a graph that passed holds no older graph; one that failed keeps
+        # its verified ancestor
+        assert all(r is not G for r in gc.get_referents(K))
+        assert any(r is G for r in gc.get_referents(H))
 
 
 class TestClassification:

@@ -119,17 +119,20 @@ class TestReplayRejects:
              ' {"kind": "phi", "color": 3, "anchor": "m1", "variant": -1}]}',
              "error: log step 1: field 'variant' must not be negative, got -1"),
             ('{"steps": [{"kind": "theta", "color": 3, "anchor": "zz"}]}',
-             "error: anchor 'zz' is not a vertex"),
+             "error: log step 0: anchor 'zz' is not a vertex"),
             ('{"steps": [{"kind": "theta", "color": 99, "anchor": "b1"}]}',
-             "error: color 99 outside 1 < i < n = 5"),
+             "error: log step 0: color 99 outside 1 < i < n = 5"),
             ('{"steps": [{"kind": "psi", "color": -3, "anchor": "b1"}]}',
-             "error: color -3 outside 1 < i < n = 5"),
+             "error: log step 0: color -3 outside 1 < i < n = 5"),
+            ('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1"},'
+             ' {"kind": "psi", "color": 3, "anchor": "zz"}]}',
+             "error: log step 1: anchor 'zz' is not a vertex"),
         ],
         ids=[
             "top-level-list", "top-level-string", "steps-not-list", "step-not-object",
             "missing-color", "color-string", "anchor-integer", "missing-kind",
             "unknown-kind", "variant-boolean", "negative-variant", "unknown-anchor",
-            "theta-color-too-high", "psi-color-negative",
+            "theta-color-too-high", "psi-color-negative", "bad-second-step",
         ],
     )
     def test_bad_log(self, capsys, tmp_path, log, message):

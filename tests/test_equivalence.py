@@ -461,3 +461,109 @@ def test_axiom6_failure_below_the_color_aborts():
         "(4, '0:1,2,3|4,5,6|7', '1:1,2,5,6|3,4|7', 'needs two or more crossings'), "
         "(4, '0:1,2,5|3,4,6|7', '1:1,2,3,6|4,5|7', 'needs two or more crossings')]"
     )
+
+
+# ---------------------------------------------------------------------------
+# local Schur positivity by difference against the full scan
+
+
+def full_scan(H):
+    """is_locally_schur_positive on a copy with no verified ancestor, which
+    only the full scan can check."""
+    rep = is_locally_schur_positive(SignedColoredGraph(H.n, H.N, H.sigma, H.edge_triples()))
+    return rep.holds, rep.witnesses
+
+
+def gamma_swaps(G, colors=None):
+    """Every package-isomorphic i-edge swap of G (the gamma pattern) that
+    changes the graph, as (color, graph), at the given colors or all."""
+    out = []
+    for i in G.colors() if colors is None else colors:
+        matched = sorted(G.matching(i))
+        for x, a in enumerate(matched):
+            for b in matched[x + 1 :]:
+                if G.sigma[a] != G.sigma[b]:
+                    continue
+                try:
+                    H = transform._rewire(G, i, a, b, through_edge=True)
+                except TransformError:
+                    continue
+                if H != G:
+                    out.append((i, H))
+    return out
+
+
+def standard_union(shapes):
+    sigma, triples = {}, []
+    for k, lam in enumerate(shapes):
+        G = build_standard_deg(lam)
+        G = G.relabel({v: f"{k}:{v}" for v in G.vertices()})
+        sigma.update(G.sigma)
+        triples += G.edge_triples()
+    return SignedColoredGraph(sum(shapes[0]), sum(shapes[0]), sigma, triples)
+
+
+def copy_edge_swaps(U):
+    """For U, two copies "0:..." and "1:..." of one graph: each i-edge of
+    copy 0 exchanged with its twin in copy 1, as (color, graph).  The
+    signatures at each end agree, so axioms 1 to 3 hold, but colors i and
+    i +- 3 may stop commuting."""
+    out = []
+    for i in U.colors():
+        old = U.matching(i)
+        for u in sorted(old):
+            if u.startswith("0:") and u < old[u]:
+                twin = "1" + u[1:]
+                new = {**old, u: old[twin], old[twin]: u, twin: old[u], old[u]: twin}
+                out.append((i, U.with_color_matching(i, new)))
+    return out
+
+
+def difference_cases():
+    """(base, color, graph derived from the base at that color): every
+    package swap of every fixture and of a union whose swaps break each
+    window degree, and the copy-edge swaps of a union breaking axiom 5.
+    Each base is checked first, which marks the positive ones verified."""
+    cases = []
+    for G in [fixture(name) for name in fixture_names()] + [standard_union(((5, 2), (3, 3, 1)))]:
+        is_locally_schur_positive(G)
+        cases += [(G, i, H) for i, H in gamma_swaps(G)]
+    U = standard_union(((3, 3), (3, 3)))
+    is_locally_schur_positive(U)
+    cases += [(U, i, H) for i, H in copy_edge_swaps(U)]
+    return cases
+
+
+def test_lsp_by_difference_matches_full_scan():
+    failing = []
+    for G, i, H in difference_cases():
+        rep = is_locally_schur_positive(H)
+        assert (rep.holds, rep.witnesses) == full_scan(H)
+        if G._lsp_base is not True:
+            continue
+        failing += rep.witnesses
+        # a second swap one color up (a split, then its repair), derived
+        # after the first was checked, whatever its verdict
+        for j, H2 in gamma_swaps(H, [i + 1] if i + 1 < H.n else [i - 1])[:3]:
+            rep = is_locally_schur_positive(H2)
+            assert (rep.holds, rep.witnesses) == full_scan(H2), (i, j)
+            failing += rep.witnesses
+        # the swap taken back is the verified graph again
+        back = H.with_color_matching(i, G.matching(i))
+        assert is_locally_schur_positive(back).holds
+    assert {w[0] for w in failing} == {"axiom 3", "axiom 5", "LSP4", "LSP5", "LSP6"}
+
+
+def test_non_positive_base_takes_the_full_scan(monkeypatch):
+    calls = []
+    real = axioms._holds_by_difference
+    monkeypatch.setattr(
+        axioms, "_holds_by_difference", lambda *a: calls.append(a) or real(*a)
+    )
+    for name in ("fig19", "fig21"):
+        G = fixture(name)
+        assert not is_locally_schur_positive(G).holds
+        for _, H in gamma_swaps(G)[:10]:
+            rep = is_locally_schur_positive(H)
+            assert (rep.holds, rep.witnesses) == full_scan(H)
+    assert calls == []
