@@ -2,13 +2,12 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Axiom 4 is checked by seeded forced extension against small template graphs
-(the allowed two- and three-color components): from a component's least
-vertex the map to each template vertex is forced along the colors, with the
-template's signs as listed or globally flipped.  This keeps the axiom
-checkers independent of the symmetric function code, so agreement between
-axiom 4/6 and the multiplicity-free conditions is a genuine cross-check of
-two code paths.
+Axiom 4 is checked by lookup: each two- or three-color component is keyed
+by the window slices of its vertices, each paired with its partners' slices,
+and the key must be one of the allowed components' (templates', as listed or
+globally sign-flipped).  This keeps the axiom checkers independent of the
+symmetric function code, so agreement between axiom 4/6 and the
+multiplicity-free conditions is a genuine cross-check of two code paths.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import Partition, Signature, sig_from_str
-from .graph import ComponentView, SignedColoredGraph, _forced_extension
+from .graph import ComponentView, SignedColoredGraph
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -72,21 +71,30 @@ _THREE_COLOR_TEMPLATES = (
 
 
 @lru_cache(maxsize=None)
-def _template_graphs(templates, roles: tuple[tuple[int, str], ...], window) -> tuple:
-    """Each template as a graph at the real colors, with its signs at the
-    window positions (plus below them), once as listed and once flipped."""
-    lo, hi = window
-    color_of = {role: c for c, role in roles}
-    graphs = []
-    for t_edges, t_sigs in templates:
-        triples = [(color_of[role], f"t{a}", f"t{b}") for a, b, role in t_edges]
+def _template_keys(templates) -> frozenset:
+    """The ``_shape_key`` of each template, as listed and globally flipped,
+    with the roles in alphabetical order as the partner maps."""
+    keys = set()
+    roles = sorted({role for edges, _ in templates for *_, role in edges})
+    for edges, sigs in templates:
+        partner = {role: {} for role in roles}
+        for a, b, role in edges:
+            partner[role].update({a: b, b: a})
         for flip in (1, -1):
-            sigma = {
-                f"t{k}": (1,) * (lo - 1) + tuple(flip * x for x in sig_from_str(s))
-                for k, s in enumerate(t_sigs)
-            }
-            graphs.append(SignedColoredGraph(hi + 1, hi + 1, sigma, triples))
-    return tuple(graphs)
+            sl = {k: tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
+            keys.add(_shape_key(sl, [partner[r] for r in roles], range(len(sigs))))
+    return frozenset(keys)
+
+
+def _shape_key(sl, partners, vertices) -> tuple:
+    """The sorted (slice of u, (slice of u's partner in each color, or ()))
+    pairs over the vertices, ``sl`` giving each vertex's window slice.
+
+    Within each template, as listed or flipped, the slices are pairwise
+    distinct, so a component has a template's key exactly when sending each
+    vertex to the template vertex with its slice is an isomorphism."""
+    pairs = ((sl[u], tuple(sl[m[u]] if u in m else () for m in partners)) for u in vertices)
+    return tuple(sorted(pairs))
 
 
 def _component_matches_template(
@@ -96,24 +104,14 @@ def _component_matches_template(
     window: tuple[int, int],
     templates,
 ) -> bool:
-    """Exact match of an extracted component against one template: the map
-    forced from the component's least vertex to some template vertex, with
-    the template's signs as listed or globally flipped, is a bijection onto
-    the template."""
+    """Exact match of an extracted component against one template, with the
+    template's signs as listed or globally flipped, by its ``_shape_key``."""
     lo, hi = window
     if lo < 1:  # a window reaching below position 1 matches no template
         return False
-    anchor = min(vertices)
-    positions = range(lo, hi + 1)
-    roles = tuple(sorted(color_roles.items()))
-    for T in _template_graphs(templates, roles, window):
-        if len(T.sigma) != len(vertices):
-            continue
-        for t in T.sigma:
-            m = _forced_extension(G, T, {anchor: t}, color_roles, positions)
-            if m is not None and set(m) == set(vertices):
-                return True
-    return False
+    partners = [G.matching(c) for c in sorted(color_roles, key=color_roles.get)]
+    sl = {v: s[lo - 1 : hi] for v, s in G.sigma.items()}
+    return _shape_key(sl, partners, vertices) in _template_keys(templates)
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +159,30 @@ def _check_axiom3(G: SignedColoredGraph, colors=None):
 
 
 def _check_axiom4(G: SignedColoredGraph):
-    for i in range(3, G.n):
-        roles = {i - 1: "a", i: "b"}
-        for comp in G.components((i - 1, i)):
-            if not _component_matches_template(
-                G, comp.vertices, roles, (i - 2, i), _TWO_COLOR_TEMPLATES
-            ):
-                yield (i, comp.min_vertex(), "two-color component not allowed")
-    for i in range(4, G.n):
-        roles = {i - 2: "a", i - 1: "b", i: "c"}
-        for comp in G.components((i - 2, i - 1, i)):
-            if not _component_matches_template(
-                G, comp.vertices, roles, (i - 3, i), _THREE_COLOR_TEMPLATES
-            ):
-                yield (i, comp.min_vertex(), "three-color component not allowed")
+    """Two-color components at colors i-1, i, then three-color ones at
+    colors i-2..i, each walked from its least vertex and looked up by key."""
+    order = G.vertices()
+    kinds = ((3, _TWO_COLOR_TEMPLATES, "two-color"), (4, _THREE_COLOR_TEMPLATES, "three-color"))
+    for first, templates, what in kinds:
+        allowed = _template_keys(templates)
+        for i in range(first, G.n):
+            lo = i - first + 1
+            partners = [G.matching(c) for c in range(lo + 1, i + 1)]
+            sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
+            done: set[str] = set()
+            for v in order:
+                if v in done:
+                    continue
+                done.add(v)
+                comp = [v]
+                for u in comp:
+                    for m in partners:
+                        w = m.get(u)
+                        if w is not None and w not in done:
+                            done.add(w)
+                            comp.append(w)
+                if _shape_key(sl, partners, comp) not in allowed:
+                    yield (i, v, f"{what} component not allowed")
 
 
 def _check_axiom5(G: SignedColoredGraph, colors=None):
@@ -482,29 +490,20 @@ def check_axiom4b(G: SignedColoredGraph) -> AxiomReport:
     successors of x carrying that type."""
     from .structure import defect_sets, has_type_w, maximal_flat_chains
 
+    def one_sided(chain, x, i):
+        j = chain.index(x)
+        sides = (chain[:j], chain[j + 1 :])
+        return any(all(has_type_w(G, v, i + 1) for v in side) for side in sides)
+
     def witnesses():
-        for i in range(4, G.n):
-            if i + 1 >= G.n:
-                break
+        for i in range(4, G.n - 1):
             C = defect_sets(G, i).C
             suspects = sorted(x for x in C if has_type_w(G, x, i + 1))
             if not suspects:
                 continue
             chains = maximal_flat_chains(G, i)
             for x in suspects:
-                ok = False
-                for chain in chains:
-                    if x not in chain:
-                        continue
-                    j = chain.index(x)
-                    before = chain[:j]
-                    after = chain[j + 1 :]
-                    if all(has_type_w(G, v, i + 1) for v in before) or all(
-                        has_type_w(G, v, i + 1) for v in after
-                    ):
-                        ok = True
-                        break
-                if not ok:
+                if not any(x in chain and one_sided(chain, x, i) for chain in chains):
                     yield (i, x, "no one-sided maximal flat chain")
 
     return AxiomReport.from_witnesses("4b", witnesses())

@@ -4,7 +4,8 @@ matching per edge color.
 A graph of type (n, N) has colors i with 1 < i < n and signatures of length
 N - 1.  Color classes are stored as involutive partner maps, which makes the
 matching requirement (no vertex on two same-color edges) structural.  Graphs
-are immutable; transformations build new graphs sharing vertex data.
+are immutable; a derived graph (one color class replaced, or colors cut off)
+shares its signatures and unchanged partner maps with the graph it came from.
 """
 
 from __future__ import annotations
@@ -50,31 +51,24 @@ class SignedColoredGraph:
                 )
             if any(x not in (1, -1) for x in s):
                 raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1")
-        adj: dict[int, dict[str, str]] = {}
         if isinstance(edges, dict):
             triples = [
                 (c, u, w) for c, m in edges.items() for u, w in m.items() if u < w
             ]
         else:
-            triples = list(edges)
-        for c, u, w in triples:
-            if not 1 < c < n:
-                raise GraphFormatError(f"edge color {c} outside 1 < i < n = {n}")
-            if u == w:
-                raise GraphFormatError(f"loop at {u!r} in color {c}")
-            for x in (u, w):
-                if x not in self.sigma:
-                    raise GraphFormatError(f"edge endpoint {x!r} not a vertex")
-            m = adj.setdefault(c, {})
-            if m.get(u, w) != w or m.get(w, u) != u:
-                raise GraphFormatError(
-                    f"color {c} is not a matching at {u!r}/{w!r}"
-                )
-            m[u] = w
-            m[w] = u
-        self._adj = adj
+            triples = edges
+        self._adj = _insert_edges({}, n, self.sigma, triples)
         self.stats = dict(stats) if stats else None
         self._lsp_base: SignedColoredGraph | bool | None = None
+
+    def _derive(self, n: int, adj: dict[int, dict[str, str]]) -> "SignedColoredGraph":
+        """A graph of type (n, N) with these partner maps, sharing this
+        graph's signatures and statistics (graphs are never mutated)."""
+        H = SignedColoredGraph.__new__(SignedColoredGraph)
+        H.n, H.N, H.sigma, H.stats = n, self.N, self.sigma, self.stats
+        H._adj = adj
+        H._lsp_base = None
+        return H
 
     # -- basic queries ------------------------------------------------------
 
@@ -127,19 +121,24 @@ class SignedColoredGraph:
     # -- derived graphs -----------------------------------------------------
 
     def with_color_matching(self, i: int, matching: dict[str, str]) -> "SignedColoredGraph":
-        """New graph with color class i replaced (copy-on-write)."""
-        triples = [(c, u, w) for c, u, w in self.edge_triples() if c != i]
-        triples += [(i, u, w) for u, w in matching.items() if u < w]
-        H = SignedColoredGraph(self.n, self.N, self.sigma, triples, self.stats)
+        """New graph with color class i replaced.  Only the new class is
+        validated; every other partner map is shared with this graph.
+
+        The map is read as the constructor reads one, by its pairs u < w,
+        except that a loop u == w is rejected rather than skipped."""
+        adj = {c: m for c, m in self._adj.items() if c != i}
+        pairs = ((i, u, w) for u, w in matching.items() if u <= w)
+        _insert_edges(adj, self.n, self.sigma, pairs)
+        H = self._derive(self.n, adj)
         H._lsp_base = self if self._lsp_base is True else self._lsp_base
         return H
 
     def restrict(self, m: int) -> "SignedColoredGraph":
-        """(m, N)-restriction: keep colors below m, signatures intact."""
+        """(m, N)-restriction: keep colors below m, signatures intact; the
+        kept partner maps are shared with this graph."""
         if not 2 <= m <= self.n:
             raise ValueError(f"restriction bound {m} outside 2..{self.n}")
-        triples = [(c, u, w) for c, u, w in self.edge_triples() if c < m]
-        return SignedColoredGraph(m, self.N, self.sigma, triples, self.stats)
+        return self._derive(m, {c: mp for c, mp in self._adj.items() if c < m})
 
     def restrict_full(self, m: int) -> "SignedColoredGraph":
         """(m, m)-restriction: also truncate signatures to length m - 1."""
@@ -295,6 +294,26 @@ class SignedColoredGraph:
             lines.append(f'  "{u}" -- "{w}" [label="{c}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _insert_edges(adj: dict[int, dict[str, str]], n: int, sigma, triples) -> dict:
+    """Add (color, u, w) edges to the partner maps ``adj``, rejecting a color
+    outside 1 < c < n, a loop, an endpoint not in ``sigma`` and a second
+    edge of one color at a vertex; returns ``adj``."""
+    for c, u, w in triples:
+        if not 1 < c < n:
+            raise GraphFormatError(f"edge color {c} outside 1 < i < n = {n}")
+        if u == w:
+            raise GraphFormatError(f"loop at {u!r} in color {c}")
+        for x in (u, w):
+            if x not in sigma:
+                raise GraphFormatError(f"edge endpoint {x!r} not a vertex")
+        m = adj.setdefault(c, {})
+        if m.get(u, w) != w or m.get(w, u) != u:
+            raise GraphFormatError(f"color {c} is not a matching at {u!r}/{w!r}")
+        m[u] = w
+        m[w] = u
+    return adj
 
 
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list"}

@@ -595,6 +595,9 @@ def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
         ):
             if color >= G.n:
                 continue
+            # every repair step rewires this color only, so its matching
+            # identifies a graph state; a state seen before is not revisited
+            seen_matchings = {frozenset(G.matching(color).items())}
             while True:
                 sets = defect_sets(G, color)
                 fresh = sorted((sets.W if kind == "phi" else sets.C) - before)
@@ -609,7 +612,9 @@ def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
                         H = core(G, anchor, color, 0, sets)
                     except TransformError:
                         continue
-                    if is_locally_schur_positive(H).holds:
+                    key = frozenset(H.matching(color).items())
+                    if key not in seen_matchings and is_locally_schur_positive(H).holds:
+                        seen_matchings.add(key)
                         log.record(
                             TransformStep(kind, color, anchor),
                             f"post-split repair at color {color}",

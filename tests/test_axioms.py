@@ -14,7 +14,7 @@ from degraphs.axioms import (
     classify_small_component,
     is_locally_schur_positive,
 )
-from degraphs.combinatorics import enumerate_partitions
+from degraphs.combinatorics import enumerate_partitions, sig_from_str
 from degraphs.fixtures import fixture
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
@@ -197,6 +197,45 @@ class TestSupplementaryAxioms:
             G = build_standard_deg(lam)
             assert check_axiom4a(G).holds
             assert check_axiom4b(G).holds
+
+
+class TestAxiom4Lookup:
+    @pytest.mark.parametrize(
+        "templates", [axioms._TWO_COLOR_TEMPLATES, axioms._THREE_COLOR_TEMPLATES]
+    )
+    def test_template_signatures_are_distinct(self, templates):
+        # the lookup is exact only because of this
+        for _, sigs in templates:
+            for flip in (1, -1):
+                signed = [tuple(flip * x for x in sig_from_str(t)) for t in sigs]
+                assert len(set(signed)) == len(signed), sigs
+
+    def test_larger_component_fitting_a_template_everywhere_fails(self):
+        # a 4-cycle alternating colors 2 and 3: every vertex sees what a
+        # vertex of the double edge sees, but the component has four vertices
+        sigma = {v: sig_from_str(t) for v, t in zip("abcd", ("+-+", "-+-", "+-+", "-+-"))}
+        edges = [(2, "a", "b"), (2, "c", "d"), (3, "b", "c"), (3, "d", "a")]
+        G = SignedColoredGraph(4, 4, sigma, edges)
+        assert not axioms._component_matches_template(
+            G, ("a", "b", "c", "d"), {2: "a", 3: "b"}, (1, 3), axioms._TWO_COLOR_TEMPLATES
+        )
+        assert check_axiom(G, 4).witnesses == [(3, "a", "two-color component not allowed")]
+        # the double edge itself is allowed
+        H = G.subgraph("ab").with_color_matching(3, {"a": "b", "b": "a"})
+        assert check_axiom(H, 4).holds
+
+    @pytest.mark.parametrize(
+        "sigs, edges",
+        [
+            # the double edge's signatures joined in one color only
+            (("+-+", "-+-"), [(2, "a", "b")]),
+            # the path's signatures with its two colors swapped
+            (("-++", "+-+", "++-"), [(3, "a", "b"), (2, "b", "c")]),
+        ],
+    )
+    def test_template_signatures_with_other_edges_fail(self, sigs, edges):
+        G = SignedColoredGraph(4, 4, {v: sig_from_str(t) for v, t in zip("abc", sigs)}, edges)
+        assert check_axiom(G, 4).witnesses == [(3, "a", "two-color component not allowed")]
 
 
 class TestEquivalences:

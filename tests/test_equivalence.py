@@ -133,6 +133,19 @@ def test_split_inputs_take_the_split_and_repair_path():
     assert [s.kind for s in runs["s199-n6k4"].steps].count("theta") == 2
 
 
+def test_post_split_repair_does_not_revisit_a_matching():
+    """A scrambled union of G_(7,1), G_(4,4), G_(4,2,1,1) and G_(3,3,1,1)
+    (167 vertices, the fifth uncapped n = 8 draw of ``random.Random(5)``).
+    After a split at color 5, repair at color 7 once alternated psi between
+    two anchors until the step budget ran out (5346 steps)."""
+    G = SignedColoredGraph.from_text((DATA / "r5-draw05-n8k4.json").read_text())
+    log = full_pipeline(G).log
+    assert log.aborted and log.diagnostic == "color 7: split left unrepairable defects"
+    assert [(s.kind, s.color) for s in log.steps] == [
+        ("phi", 4), ("phi", 4), ("theta", 5), ("psi", 7)
+    ]
+
+
 def reference_lsp_witnesses(G, m):
     """check_lsp without the memo: one positivity check per window."""
     out = []
@@ -354,6 +367,31 @@ def test_axiom4_witnesses_match_permutation_matcher():
         failing.append(bool(want))
     assert sum(failing[: len(base)]) == 10
     assert sum(failing[-len(swapped) :]) == 21
+
+
+def test_derived_graphs_equal_constructor_built():
+    """``with_color_matching`` and ``restrict`` share partner maps instead of
+    rebuilding; the result is the graph the constructor builds.  ``to_text``
+    is the graph's fields in ``edge_triples`` order, so that order is
+    compared everywhere and the text itself on the fixtures."""
+    fixtures = [fixture(name) for name in fixture_names()]
+    base, copies, swapped = axiom4_inputs()
+    for k, G in enumerate(fixtures + base + copies + swapped):
+        triples = G.edge_triples()
+        pairs = []
+        for i in G.colors():
+            for new in ({}, G.matching(2 + i % (G.n - 2))):
+                kept = [t for t in triples if t[0] != i]
+                kept += [(i, u, w) for u, w in new.items() if u < w]
+                want = SignedColoredGraph(G.n, G.N, G.sigma, kept, G.stats)
+                pairs.append((G.with_color_matching(i, new), want))
+        for m in range(2, G.n + 1):
+            want = SignedColoredGraph(m, G.N, G.sigma, [t for t in triples if t[0] < m], G.stats)
+            pairs.append((G.restrict(m), want))
+        for H, want in pairs:
+            assert H == want and H.edge_triples() == want.edge_triples()
+            if k < len(fixtures):
+                assert H.to_text() == want.to_text()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,40 @@ class TestRestriction:
         assert sorted(shapes) == sorted([(3, 2), (3, 2), (3, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 1)])
 
 
+class TestDerivation:
+    @pytest.mark.parametrize(
+        "i, matching",
+        [
+            (99, {"b1": "b2", "b2": "b1"}),
+            (1, {"b1": "b2", "b2": "b1"}),
+            (3, {"b1": "b1"}),
+            (3, {"b1": "zz", "zz": "b1"}),
+            (3, {"b1": "t3", "b2": "t3"}),
+        ],
+        ids=["color-too-high", "color-too-low", "loop", "unknown-endpoint", "not-a-matching"],
+    )
+    def test_rejects_with_the_constructor_message(self, i, matching):
+        G = fixture("fig8")
+        with pytest.raises(GraphFormatError) as derived:
+            G.with_color_matching(i, matching)
+        triples = [t for t in G.edge_triples() if t[0] != i]
+        triples += [(i, u, w) for u, w in matching.items() if u <= w]
+        with pytest.raises(GraphFormatError) as built:
+            SignedColoredGraph(G.n, G.N, G.sigma, triples)
+        assert str(derived.value) == str(built.value)
+
+    def test_parent_is_unchanged(self):
+        G = fixture("fig8")
+        text, sigma = G.to_text(), dict(G.sigma)
+        matchings = {c: G.matching(c) for c in G.colors()}
+        H = G.with_color_matching(3, G.matching(4))
+        R = H.restrict(4)
+        assert H.matching(3) == matchings[4] and R.matching(3) == matchings[4]
+        assert H.to_text() != text and R.n == 4
+        assert G.to_text() == text and G.sigma == sigma
+        assert {c: G.matching(c) for c in G.colors()} == matchings
+
+
 class TestComponents:
     def test_g32_two_components_under_23(self):
         G = build_standard_deg((3, 2))
