@@ -189,13 +189,13 @@ def _check_axiom5(G: SignedColoredGraph, colors=None):
     """Commutation of colors i and j, j - i >= 3; with ``colors``, only the
     pairs with a color among them."""
     colors = G.colors() if colors is None else colors
-    for i in G.colors():
-        mi = G.matching(i)
-        for j in G.colors():
+    maps = {i: G.matching(i) for i in G.colors()}
+    for i, mi in maps.items():
+        order = sorted(mi)
+        for j, mj in maps.items():
             if j - i < 3 or (i not in colors and j not in colors):
                 continue
-            mj = G.matching(j)
-            for v in sorted(mi):
+            for v in order:
                 a, b = mi[v], mj.get(v)
                 if b is not None and (mj.get(a) is None or mj.get(a) != mi.get(b)):
                     yield (i, j, v, "colors do not commute")
@@ -211,37 +211,51 @@ def _find(parent: dict[str, str], p: str) -> str:
     return p
 
 
-def _check_axiom6(G: SignedColoredGraph):
-    """One ascending sweep over the colors.
+def _axiom6_at(G: SignedColoredGraph, i: int, piece: dict[str, str]):
+    """The axiom-6 witnesses at color i, and the pieces under colors 2..i.
 
-    Invariant: before color i, ``piece[v]`` is the least vertex of v's
-    component under colors 2..i-1 (its piece).  The components under colors
-    2..i are exactly these pieces joined along the i-edges, so one pass over
-    the i-matching records which pairs of pieces an i-edge joins and unions
-    them; each component's missing pairs are then yielded, components by
-    least vertex and pieces by least vertex inside each.
+    ``piece[v]`` is the least vertex of v's component under colors 2..i-1
+    (its piece).  The components under colors 2..i are exactly these pieces
+    joined along the i-edges, so one pass over the i-matching records which
+    pairs of pieces an i-edge joins and unions them; each component's
+    missing pairs are the witnesses, components by least vertex and pieces
+    by least vertex inside each.
     """
-    piece = {v: v for v in G.sigma}
-    for i in G.colors():
-        parent: dict[str, str] = {}  # union-find over pieces, rooted at the least
-        joined: set[tuple[str, str]] = set()
-        for u, w in G.matching(i).items():
-            a, b = piece[u], piece[w]
-            if a < b:
-                joined.add((a, b))
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        members: dict[str, list[str]] = {}
-        for p in sorted(parent):
-            members.setdefault(_find(parent, p), []).append(p)
-        for root in sorted(members):
-            pieces = [root] + members[root]
-            for x, a in enumerate(pieces):
-                for b in pieces[x + 1 :]:
-                    if (a, b) not in joined:
-                        yield (i, a, b, "needs two or more crossings")
-        piece = {v: _find(parent, p) for v, p in piece.items()}
+    parent: dict[str, str] = {}  # union-find over pieces, rooted at the least
+    joined: set[tuple[str, str]] = set()
+    for u, w in G._partners(i).items():
+        a, b = piece[u], piece[w]
+        if a < b:
+            joined.add((a, b))
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    root_of = {p: _find(parent, p) for p in sorted(parent)}
+    members: dict[str, list[str]] = {}
+    for p, r in root_of.items():
+        members.setdefault(r, []).append(p)
+    witnesses = []
+    for root in sorted(members):
+        pieces = [root] + members[root]
+        for x, a in enumerate(pieces):
+            for b in pieces[x + 1 :]:
+                if (a, b) not in joined:
+                    witnesses.append((i, a, b, "needs two or more crossings"))
+    return witnesses, {v: root_of.get(p, p) for v, p in piece.items()}
+
+
+def _axiom6_below(G: SignedColoredGraph, top: int):
+    """The axiom-6 witnesses at colors 2..top-1 and the pieces under those
+    colors, by one ascending sweep."""
+    witnesses, piece = [], {v: v for v in G.sigma}
+    for i in range(2, top):
+        at_i, piece = _axiom6_at(G, i, piece)
+        witnesses += at_i
+    return witnesses, piece
+
+
+def _check_axiom6(G: SignedColoredGraph):
+    return _axiom6_below(G, G.n)[0]
 
 
 _AXIOM_CHECKS = {

@@ -52,12 +52,9 @@ class SignedColoredGraph:
             if any(x not in (1, -1) for x in s):
                 raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1")
         if isinstance(edges, dict):
-            triples = [
-                (c, u, w) for c, m in edges.items() for u, w in m.items() if u < w
-            ]
+            self._adj = _insert_maps({}, n, self.sigma, edges)
         else:
-            triples = edges
-        self._adj = _insert_edges({}, n, self.sigma, triples)
+            self._adj = _insert_edges({}, n, self.sigma, edges)
         self.stats = dict(stats) if stats else None
         self._lsp_base: SignedColoredGraph | bool | None = None
 
@@ -86,6 +83,10 @@ class SignedColoredGraph:
 
     def matching(self, i: int) -> dict[str, str]:
         return dict(self._adj.get(i, {}))
+
+    def _partners(self, i: int) -> dict[str, str]:
+        """The i-partner map itself, not a copy; callers must not mutate it."""
+        return self._adj.get(i, {})
 
     def changed_vertices(self, other: "SignedColoredGraph", i: int) -> list[str]:
         """Vertices whose i-partner differs between this graph and ``other``."""
@@ -122,13 +123,10 @@ class SignedColoredGraph:
 
     def with_color_matching(self, i: int, matching: dict[str, str]) -> "SignedColoredGraph":
         """New graph with color class i replaced.  Only the new class is
-        validated; every other partner map is shared with this graph.
-
-        The map is read as the constructor reads one, by its pairs u < w,
-        except that a loop u == w is rejected rather than skipped."""
+        validated, as the constructor validates a partner map; every other
+        partner map is shared with this graph."""
         adj = {c: m for c, m in self._adj.items() if c != i}
-        pairs = ((i, u, w) for u, w in matching.items() if u <= w)
-        _insert_edges(adj, self.n, self.sigma, pairs)
+        _insert_maps(adj, self.n, self.sigma, {i: matching})
         H = self._derive(self.n, adj)
         H._lsp_base = self if self._lsp_base is True else self._lsp_base
         return H
@@ -313,6 +311,21 @@ def _insert_edges(adj: dict[int, dict[str, str]], n: int, sigma, triples) -> dic
             raise GraphFormatError(f"color {c} is not a matching at {u!r}/{w!r}")
         m[u] = w
         m[w] = u
+    return adj
+
+
+def _insert_maps(adj: dict[int, dict[str, str]], n: int, sigma, maps) -> dict:
+    """Add the partner maps ``{color: {u: w}}`` to ``adj`` by their pairs
+    u <= w, with the checks of ``_insert_edges``, and reject a map that is
+    not an involution (a vertex whose partner does not have it as partner);
+    returns ``adj``."""
+    for c, m in maps.items():
+        _insert_edges(adj, n, sigma, ((c, u, w) for u, w in m.items() if u <= w))
+        if adj.get(c, {}) != m:
+            # the pairs u <= w, inserted both ways, give m only if m is one
+            u, w = next((u, w) for u, w in m.items() if m.get(w) != u)
+            back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
+            raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
     return adj
 
 

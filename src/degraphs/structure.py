@@ -241,11 +241,18 @@ def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
 
 
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
-    W = frozenset(
-        v
-        for v in G.vertices()
-        if has_type_w(G, v, i) and G.neighbor(v, i - 1) != G.neighbor(v, i)
-    )
+    # W_i: type W at color i (``has_type_w``), read off the two partner maps
+    # in one pass, without the double edges
+    W: frozenset[str] = frozenset()
+    if 3 <= i < G.n:
+        down, sigma = G._partners(i - 1), G.sigma
+        W = frozenset(
+            v
+            for v, w in G._partners(i).items()
+            if (u := down.get(v)) is not None
+            and u != w
+            and sigma[v][i - 1] == -sigma[u][i - 1]
+        )
     W0 = frozenset(w for w in W if package_all_flat(G, w, i - 1))
     C: set[str] = set()
     for chain in all_flat_chains(G, i):

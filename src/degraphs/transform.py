@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .axioms import check_axiom, is_locally_schur_positive
+from .axioms import _axiom6_at, _axiom6_below, check_axiom, is_locally_schur_positive
 from .graph import (
     ComponentView,
     SignedColoredGraph,
@@ -561,20 +561,24 @@ def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
     return G
 
 
-def _resolve_axiom6(G, i, log, budget) -> SignedColoredGraph:
-    """Split covers at color i until the restriction satisfies axiom 6,
-    repairing any defects the splits create one and two colors up."""
+def _resolve_axiom6(G, i, log, budget, below, piece):
+    """Split covers at color i until colors 2..i satisfy axiom 6, repairing
+    any defects the splits create one and two colors up; returns the graph
+    and its pieces under colors 2..i.
+
+    ``below`` holds the axiom-6 witnesses at colors 2..i-1 and ``piece``
+    the pieces under those colors (see ``axioms._axiom6_at``).  Splits
+    rewire color i and repairs colors i+1 and i+2, so both stay valid and
+    only color i is checked again.
+    """
     while True:
-        report = check_axiom(G.restrict(i + 1), 6)
-        if report.holds:
-            return G
+        at_i, after = _axiom6_at(G, i, piece)
+        if not below and not at_i:
+            return G, after
         if budget[0] <= 0:
             raise PipelineAbort(f"step budget exhausted during splits at color {i}", G)
-        at_i = [w for w in report.witnesses if w[0] == i]
         if not at_i:
-            raise PipelineAbort(
-                f"axiom 6 fails below color {i}: {report.witnesses[:2]}", G
-            )
+            raise PipelineAbort(f"axiom 6 fails below color {i}: {below[:2]}", G)
         witness = at_i[0]
         H_comp = G.component_of(witness[1], range(2, i + 1))
         before_w = defect_sets(G, i + 1).W if i + 1 < G.n else frozenset()
@@ -635,18 +639,29 @@ def one_step(
 ) -> tuple[SignedColoredGraph, TransformLog]:
     """Make the restriction to colors up to i a dual equivalence graph,
     assuming the restriction one color lower already is one."""
+    if not 0 < i < G.n:
+        raise ValueError(f"color {i} outside 0 < i < n = {G.n}")
+    below, piece = _axiom6_below(G, i)
+    G, log, _ = _one_step(G, i, policy, below, piece)
+    return G, log
+
+
+def _one_step(G, i, policy, below, piece):
+    """``one_step`` given the axiom-6 witnesses at colors 2..i-1 and the
+    pieces under them; also returns the pieces under colors 2..i, or None
+    when the step aborts."""
     policy = policy or Policy()
     log = TransformLog(policy=policy.name)
     budget = [4 * len(G.sigma) * max(G.n, 2)]
     try:
         G = _resolve_defects(G, i, log, budget)
-        G = _resolve_axiom6(G, i, log, budget)
+        G, piece = _resolve_axiom6(G, i, log, budget, below, piece)
     except PipelineAbort as e:
         log.aborted = True
         log.diagnostic = str(e)
         log.failure_graph = e.component.subgraph() if e.component else e.graph
-        return e.graph, log
-    return G, log
+        return e.graph, log, None
+    return G, log, piece
 
 
 @dataclass
@@ -673,8 +688,11 @@ def full_pipeline(
             log.failure_graph = G
             return PipelineResult(G, log, None, False)
     last = stop_at if stop_at is not None else G.n - 1
+    # a step that does not abort leaves axiom 6 holding at colors 2..i, and
+    # later steps rewire only higher colors, so its pieces carry over
+    piece = {v: v for v in G.sigma}
     for i in range(2, last + 1):
-        G, step_log = one_step(G, i, policy)
+        G, step_log, piece = _one_step(G, i, policy, [], piece)
         log.steps.extend(step_log.steps)
         log.checkpoints.extend(step_log.checkpoints)
         if step_log.aborted:

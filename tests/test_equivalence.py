@@ -16,10 +16,11 @@ from degraphs.combinatorics import sig_from_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
-from degraphs.structure import defect_sets, set_U
+from degraphs.structure import defect_sets, has_type_w, set_U
 from degraphs.symfunc import is_schur_positive
 from degraphs.transform import (
     TransformError,
+    TransformLog,
     TransformStep,
     _long_r,
     apply_phi,
@@ -499,6 +500,92 @@ def test_axiom6_failure_below_the_color_aborts():
         "(4, '0:1,2,3|4,5,6|7', '1:1,2,5,6|3,4|7', 'needs two or more crossings'), "
         "(4, '0:1,2,5|3,4,6|7', '1:1,2,3,6|4,5|7', 'needs two or more crossings')]"
     )
+
+
+def test_chained_axiom6_steps_match_per_component_checker():
+    """``_axiom6_at`` chained from color 2 gives, at every top color, the
+    witnesses of the restriction and its pieces: the least vertex of each
+    vertex's component under colors 2..top."""
+    base, copies, swapped = axiom4_inputs()
+    for G in base + copies + swapped:
+        piece, witnesses = {v: v for v in G.sigma}, []
+        for top in G.colors():
+            at_top, piece = axioms._axiom6_at(G, top, piece)
+            witnesses += at_top
+            assert witnesses == reference_axiom6_witnesses(G.restrict(top + 1)), (G, top)
+            comps = G.components(range(2, top + 1))
+            assert piece == {v: c.min_vertex() for c in comps for v in c.vertices}, (G, top)
+
+
+def carry_inputs():
+    """The fixtures and every graph under ``tests/data``: three seed-1
+    scrambled unions that split once or twice (s073, s106, s198, s199 are
+    the benchmark's seed-1 inputs of those names) and the 167-vertex input
+    whose split is followed by an unrepairable repair."""
+    graphs = [(name, fixture(name)) for name in fixture_names()]
+    for path in sorted(DATA.glob("*.json")):
+        graphs.append((path.stem, SignedColoredGraph.from_text(path.read_text())))
+    return graphs
+
+
+@pytest.mark.parametrize("name, G", [pytest.param(n, G, id=n) for n, G in carry_inputs()])
+def test_pipeline_matches_standalone_steps(name, G):
+    """``full_pipeline`` hands the axiom-6 pieces from each color to the
+    next; ``one_step`` on its own recomputes them.  Both give the same log
+    and the same graph."""
+    res = full_pipeline(G)
+    assert res.certified or res.log.aborted  # so the log holds no verdict of its own
+    log, H = TransformLog(), G
+    for i in range(2, G.n):
+        H, step_log = one_step(H, i)
+        log.steps += step_log.steps
+        log.checkpoints += step_log.checkpoints
+        if step_log.aborted:
+            log.aborted, log.diagnostic = True, step_log.diagnostic
+            assert res.log.failure_graph.to_text() == step_log.failure_graph.to_text()
+            break
+    assert res.log.to_text() == log.to_text()
+    assert res.graph.to_text() == H.to_text()
+    if name.startswith("s"):
+        assert "theta" in [s.kind for s in log.steps]
+
+
+def test_standalone_step_keeps_the_witnesses_below_its_color():
+    """Given a graph failing axiom 6 below color i and without defects at
+    i, ``one_step(G, i)`` never returns it as done; when nothing at color i
+    is left to split, it stops with the first two witnesses below i."""
+    _, copies, swapped = axiom4_inputs()
+    stopped = 0
+    for G in copies + swapped:
+        for i in G.colors():
+            below = reference_axiom6_witnesses(G.restrict(i))
+            if not below or not defect_sets(G, i).all_empty():
+                continue
+            _, log = one_step(G, i)
+            assert log.aborted, (G, i)
+            if log.diagnostic.startswith("axiom 6 fails below"):
+                assert log.diagnostic == f"axiom 6 fails below color {i}: {below[:2]}"
+                stopped += 1
+    assert stopped == 6
+
+
+def test_defect_set_w_matches_vertex_types():
+    """W_i, read off the i- and i-1-partner maps, against its definition
+    by ``has_type_w`` at every color 1..n, including graphs with an empty
+    color class."""
+    base, copies, swapped = axiom4_inputs()
+    graphs = [fixture(name) for name in fixture_names()] + base + copies + swapped
+    graphs += [G.with_color_matching(c, {}) for G in graphs[:14] for c in G.colors()]
+    sizes = set()
+    for G in graphs:
+        for i in range(1, G.n + 1):
+            want = {
+                v for v in G.vertices()
+                if has_type_w(G, v, i) and G.neighbor(v, i - 1) != G.neighbor(v, i)
+            }
+            assert defect_sets(G, i).W == want, (G, i)
+            sizes.add(len(want) > 0)
+    assert sizes == {True, False}
 
 
 # ---------------------------------------------------------------------------

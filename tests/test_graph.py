@@ -125,6 +125,34 @@ class TestDerivation:
             SignedColoredGraph(G.n, G.N, G.sigma, triples)
         assert str(derived.value) == str(built.value)
 
+    @pytest.mark.parametrize(
+        "matching, message",
+        [
+            ({"t3": "b1"}, "color 3: 't3' is matched to 'b1', but 'b1' has no partner"),
+            ({"b1": "t3"}, "color 3: 'b1' is matched to 't3', but 't3' has no partner"),
+            (
+                {"t3": "b1", "b1": "b2", "b2": "b1"},
+                "color 3: 't3' is matched to 'b1', but 'b1' is matched to 'b2'",
+            ),
+        ],
+        ids=["one-sided-down", "one-sided-up", "directions-disagree"],
+    )
+    def test_rejects_a_map_that_is_not_an_involution(self, matching, message):
+        G = fixture("fig8")
+        with pytest.raises(GraphFormatError) as derived:
+            G.with_color_matching(3, matching)
+        maps = {c: G.matching(c) for c in G.colors()}
+        with pytest.raises(GraphFormatError) as built:
+            SignedColoredGraph(G.n, G.N, G.sigma, {**maps, 3: matching})
+        assert str(derived.value) == str(built.value) == message
+
+    def test_constructor_reads_a_map_as_with_color_matching(self):
+        G = fixture("fig8")
+        maps = {c: G.matching(c) for c in G.colors()}
+        assert SignedColoredGraph(G.n, G.N, G.sigma, maps).to_text() == G.to_text()
+        with pytest.raises(GraphFormatError, match="loop at 'b1' in color 3"):
+            SignedColoredGraph(G.n, G.N, G.sigma, {**maps, 3: {"b1": "b1"}})
+
     def test_parent_is_unchanged(self):
         G = fixture("fig8")
         text, sigma = G.to_text(), dict(G.sigma)

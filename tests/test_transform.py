@@ -287,6 +287,12 @@ class TestOneStep:
         assert defect_sets(H, 3).all_empty()
         assert [s.anchor for s in log.steps] == ["b1", "t3"]
 
+    def test_color_outside_the_graph_is_rejected(self):
+        G = build_standard_deg((3, 2, 1))
+        for i in (0, G.n):
+            with pytest.raises(ValueError, match=f"color {i} outside"):
+                one_step(G, i)
+
 
 class TestPipeline:
     def test_fig8_reaches_fig9(self):
