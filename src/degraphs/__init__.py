@@ -53,7 +53,6 @@ from .structure import (
     set_U,
 )
 from .transform import (
-    Policy,
     TransformError,
     TransformLog,
     TransformStep,

@@ -34,7 +34,7 @@ from .structure import (
     set_U,
 )
 from .symfunc import expand_in_schur
-from .transform import Policy, TransformLog, full_pipeline, replay
+from .transform import TransformLog, full_pipeline, replay
 
 
 def _read_text(path: str) -> str:
@@ -129,7 +129,7 @@ def _cmd_transform(args) -> int:
         _write(args.out, result.to_text())
         return 0
     G = _read_graph(args.graph)
-    res = full_pipeline(G, Policy(name=args.policy), stop_at=args.stop_at)
+    res = full_pipeline(G, stop_at=args.stop_at)
     _write(args.out, res.graph.to_text())
     if args.log:
         _write(args.log, res.log.to_text())
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transform", help="run the rewiring pipeline")
     sp.add_argument("graph", nargs="?")
     sp.add_argument("--out", default="-")
-    sp.add_argument("--policy", default="default")
     sp.add_argument("--log")
     sp.add_argument("--stop-at", type=int, dest="stop_at")
     sp.add_argument("--replay")

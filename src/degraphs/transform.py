@@ -7,6 +7,12 @@ preserved exactly.  Each application is validated structurally (the new color
 class must again be a matching on the same vertex support) and the orchestrator
 additionally verifies local Schur positivity after every committed step,
 aborting with a diagnostic rather than certifying a dubious graph.
+
+At color i the orchestrator drains the defect sets W_i and C_i with phi, psi
+and gamma, never returning to a color-i matching it has already seen, then
+splits covers with theta until axiom 6 holds at colors 2..i.  Every step
+rewires color i only; defects a split leaves at higher colors are drained
+when the pipeline reaches them.
 """
 
 from __future__ import annotations
@@ -384,7 +390,7 @@ def _parse_step(entry, where: str) -> TransformStep:
 class TransformLog:
     steps: list[TransformStep] = field(default_factory=list)
     checkpoints: list[str] = field(default_factory=list)
-    policy: str = "default"
+    policy: str = "default"  # a field of the log format; the pipeline has one policy
     aborted: bool = False
     diagnostic: str | None = None
     failure_graph: SignedColoredGraph | None = None
@@ -452,15 +458,6 @@ def replay(G: SignedColoredGraph, log: TransformLog) -> SignedColoredGraph:
 # orchestration
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Selection rules: colors ascending, phi before psi, least anchor id,
-    longest strictly-shrinking variant preferred.  ``name`` is recorded in
-    the step log."""
-
-    name: str = "default"
-
-
 def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
     """Largest r for the long rewiring anchored at w: the chain grown ahead
     of w's own edge must stay inside the eligible set."""
@@ -480,76 +477,65 @@ class PipelineAbort(Exception):
         self.component = component
 
 
-def _defect_step(G, i, sets):
-    """The step committed at the first vertex of U_i, with its result and the
-    result's defect sets; None when U_i is empty.
+def _state(G: SignedColoredGraph, i: int) -> frozenset:
+    """The color-i matching, which identifies a graph state among graphs
+    that differ in color i only."""
+    return frozenset(G._partners(i).items())
 
-    The long phi variant is taken when it strictly shrinks W_i and keeps
-    local Schur positivity; otherwise the short rewiring, already checked by
-    the search, is committed as it is.
+
+def _defect_step(G, i, sets, seen):
+    """The step committed at the first vertex of U_i whose result is not a
+    state in ``seen``, with its result and the result's defect sets; None
+    when there is no such vertex.
+
+    The long phi variant is taken when it leads to an unseen state, strictly
+    shrinks W_i and keeps local Schur positivity; otherwise the short
+    rewiring, already checked by the search, is committed as it is.
     """
-    first = next(eligible_rewirings(G, i, sets), None)
-    if first is None:
-        return None
-    anchor, kind, H = first
-    if kind == "phi":
-        r = _long_r(G, anchor, i, sets.W0)
+    for anchor, kind, H in eligible_rewirings(G, i, sets):
+        if _state(H, i) in seen:
+            continue
+        r = _long_r(G, anchor, i, sets.W0) if kind == "phi" else 0
         if r > 0:
             try:
                 L = _phi(G, anchor, i, r, sets)
             except TransformError:
                 L = None
-            if L is not None:
+            if L is not None and _state(L, i) not in seen:
                 L_sets = defect_sets(L, i)
                 if L_sets.W < sets.W and is_locally_schur_positive(L).holds:
                     return TransformStep("phi", i, anchor, r), L, L_sets
-    return TransformStep(kind, i, anchor, 0), H, defect_sets(H, i)
+        return TransformStep(kind, i, anchor, 0), H, defect_sets(H, i)
+    return None
+
+
+def _gamma_step(G, i, seen):
+    """The gamma step at the first vertex whose result is an unseen, locally
+    Schur positive state, with its result and the result's defect sets;
+    None when there is no such vertex."""
+    for z in G.vertices():
+        try:
+            H = apply_gamma(G, z, i)
+        except TransformError:
+            continue
+        if _state(H, i) not in seen and is_locally_schur_positive(H).holds:
+            return TransformStep("gamma", i, z), H, defect_sets(H, i)
+    return None
 
 
 def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
-    """Drain W_i and C_i, interposing gamma when nothing is eligible."""
-    # every step here rewires color i only, so the i-matching identifies a
-    # graph state
-    seen_matchings: set[frozenset] = set()
+    """Drain W_i and C_i, interposing gamma when nothing is eligible.
+
+    Every step here rewires color i only, so the i-matching identifies a
+    graph state, and no step returns to a state seen before.
+    """
+    seen = {_state(G, i)}
     sets = defect_sets(G, i)
     while not sets.all_empty():
         if budget[0] <= 0:
             raise PipelineAbort(f"step budget exhausted at color {i}", G)
-        found = _defect_step(G, i, sets)
-        if found is not None:
-            step, G, sets = found
-            log.record(
-                step,
-                f"defect step at color {i}; |W|={len(sets.W)} "
-                f"|C|={len(sets.C)}; locally Schur positive",
-            )
-            budget[0] -= 1
-            continue
-        # nothing eligible: try gamma to grow the eligible set
-        gamma_done = False
-        for z in G.vertices():
-            if G.neighbor(z, i) is None or G.neighbor(z, i - 2) is None:
-                continue
-            if is_flat_edge(G, z, i) or has_type_w(G, z, i - 1):
-                continue
-            if not is_flat_edge(G, z, i - 2):
-                continue
-            step = TransformStep("gamma", i, z)
-            try:
-                H = apply_gamma(G, z, i)
-            except TransformError:
-                continue
-            key = frozenset(H.matching(i).items())
-            if key in seen_matchings or not is_locally_schur_positive(H).holds:
-                continue
-            seen_matchings.add(key)
-            log.record(step, f"gamma unblocking at color {i}; locally Schur positive")
-            G = H
-            sets = defect_sets(G, i)
-            budget[0] -= 1
-            gamma_done = True
-            break
-        if not gamma_done:
+        found = _defect_step(G, i, sets, seen) or _gamma_step(G, i, seen)
+        if found is None:
             bad = min(sets.W | sets.C)
             comp = G.component_of(bad, (i - 2, i - 1, i) if i >= 4 else (i - 1, i))
             raise PipelineAbort(
@@ -558,18 +544,26 @@ def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
                 G,
                 comp,
             )
+        step, G, sets = found
+        seen.add(_state(G, i))
+        if step.kind == "gamma":
+            note = f"gamma unblocking at color {i}"
+        else:
+            note = f"defect step at color {i}; |W|={len(sets.W)} |C|={len(sets.C)}"
+        log.record(step, f"{note}; locally Schur positive")
+        budget[0] -= 1
     return G
 
 
 def _resolve_axiom6(G, i, log, budget, below, piece):
-    """Split covers at color i until colors 2..i satisfy axiom 6, repairing
-    any defects the splits create one and two colors up; returns the graph
-    and its pieces under colors 2..i.
+    """Split covers at color i until colors 2..i satisfy axiom 6; returns
+    the graph and its pieces under colors 2..i.
 
     ``below`` holds the axiom-6 witnesses at colors 2..i-1 and ``piece``
-    the pieces under those colors (see ``axioms._axiom6_at``).  Splits
-    rewire color i and repairs colors i+1 and i+2, so both stay valid and
-    only color i is checked again.
+    the pieces under those colors (see ``axioms._axiom6_at``).  A split
+    rewires color i only, so both stay valid and only color i is checked
+    again.  Defects a split leaves at higher colors are drained when the
+    pipeline reaches them.
     """
     while True:
         at_i, after = _axiom6_at(G, i, piece)
@@ -581,77 +575,33 @@ def _resolve_axiom6(G, i, log, budget, below, piece):
             raise PipelineAbort(f"axiom 6 fails below color {i}: {below[:2]}", G)
         witness = at_i[0]
         H_comp = G.component_of(witness[1], range(2, i + 1))
-        before_w = defect_sets(G, i + 1).W if i + 1 < G.n else frozenset()
-        before_c = defect_sets(G, i + 2).C if i + 2 < G.n else frozenset()
         try:
             pivot = theta_pivot(G, i, H_comp.vertices)
             H = apply_theta(G, pivot, i)
         except (TransformError, StructureError) as e:
             raise PipelineAbort(f"color {i}: split failed: {e}", G, H_comp) from None
-        step = TransformStep("theta", i, pivot.min_vertex())
-        log.record(step, f"cover split at color {i}")
+        log.record(TransformStep("theta", i, pivot.min_vertex()), f"cover split at color {i}")
         G = H
         budget[0] -= 1
-        # repair freshly created defects one and two colors up
-        for color, kind, core, before in (
-            (i + 1, "phi", _phi, before_w),
-            (i + 2, "psi", _psi, before_c),
-        ):
-            if color >= G.n:
-                continue
-            # every repair step rewires this color only, so its matching
-            # identifies a graph state; a state seen before is not revisited
-            seen_matchings = {frozenset(G.matching(color).items())}
-            while True:
-                sets = defect_sets(G, color)
-                fresh = sorted((sets.W if kind == "phi" else sets.C) - before)
-                if not fresh:
-                    break
-                if budget[0] <= 0:
-                    raise PipelineAbort(
-                        f"step budget exhausted repairing color {color}", G
-                    )
-                for anchor in fresh:
-                    try:
-                        H = core(G, anchor, color, 0, sets)
-                    except TransformError:
-                        continue
-                    key = frozenset(H.matching(color).items())
-                    if key not in seen_matchings and is_locally_schur_positive(H).holds:
-                        seen_matchings.add(key)
-                        log.record(
-                            TransformStep(kind, color, anchor),
-                            f"post-split repair at color {color}",
-                        )
-                        G = H
-                        budget[0] -= 1
-                        break
-                else:
-                    raise PipelineAbort(
-                        f"color {color}: split left unrepairable defects", G
-                    )
         if not is_locally_schur_positive(G).holds:
             raise PipelineAbort(f"color {i}: split broke local Schur positivity", G)
 
 
-def one_step(
-    G: SignedColoredGraph, i: int, policy: Policy | None = None
-) -> tuple[SignedColoredGraph, TransformLog]:
+def one_step(G: SignedColoredGraph, i: int) -> tuple[SignedColoredGraph, TransformLog]:
     """Make the restriction to colors up to i a dual equivalence graph,
     assuming the restriction one color lower already is one."""
     if not 0 < i < G.n:
         raise ValueError(f"color {i} outside 0 < i < n = {G.n}")
     below, piece = _axiom6_below(G, i)
-    G, log, _ = _one_step(G, i, policy, below, piece)
+    G, log, _ = _one_step(G, i, below, piece)
     return G, log
 
 
-def _one_step(G, i, policy, below, piece):
+def _one_step(G, i, below, piece):
     """``one_step`` given the axiom-6 witnesses at colors 2..i-1 and the
     pieces under them; also returns the pieces under colors 2..i, or None
     when the step aborts."""
-    policy = policy or Policy()
-    log = TransformLog(policy=policy.name)
+    log = TransformLog()
     budget = [4 * len(G.sigma) * max(G.n, 2)]
     try:
         G = _resolve_defects(G, i, log, budget)
@@ -673,13 +623,10 @@ class PipelineResult:
     components: list[tuple[tuple, str]] | None = None
 
 
-def full_pipeline(
-    G: SignedColoredGraph, policy: Policy | None = None, stop_at: int | None = None
-) -> PipelineResult:
+def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> PipelineResult:
     """Run the per-color step for every color in ascending order and certify
     the result by the axiom checkers plus component identification."""
-    policy = policy or Policy()
-    log = TransformLog(policy=policy.name)
+    log = TransformLog()
     for k in (1, 2, 3, 5):
         rep = check_axiom(G, k)
         if not rep.holds:
@@ -692,7 +639,7 @@ def full_pipeline(
     # later steps rewire only higher colors, so its pieces carry over
     piece = {v: v for v in G.sigma}
     for i in range(2, last + 1):
-        G, step_log, piece = _one_step(G, i, policy, [], piece)
+        G, step_log, piece = _one_step(G, i, [], piece)
         log.steps.extend(step_log.steps)
         log.checkpoints.extend(step_log.checkpoints)
         if step_log.aborted:

@@ -1,12 +1,15 @@
 """Command-line entry points, exercised in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from degraphs.cli import main
 from degraphs.fixtures import fixture
 from degraphs.graph import SignedColoredGraph
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -206,6 +209,35 @@ class TestTransform:
         )
         assert code == 0
         assert replay_out.read_text() == out_path.read_text()
+
+    def test_uncapped_draw_certifies_and_replays(self, capsys, tmp_path):
+        """A 167-vertex scrambled union whose split at color 5 leaves defects
+        at colors 6 and 7; replaying its log gives the same graph."""
+        graph_path = str(DATA / "r5-draw05-n8k4.json")
+        out_path = tmp_path / "out.json"
+        log_path = tmp_path / "log.json"
+        code, _, err = run(
+            capsys,
+            ["transform", graph_path, "--out", str(out_path), "--log", str(log_path)],
+        )
+        assert code == 0
+        assert "certified: True" in err
+        replay_out = tmp_path / "replayed.json"
+        code, _, _ = run(
+            capsys,
+            ["transform", graph_path, "--replay", str(log_path), "--out", str(replay_out)],
+        )
+        assert code == 0
+        assert replay_out.read_text() == out_path.read_text()
+        assert json.loads(log_path.read_text())["policy"] == "default"
+
+    def test_policy_flag_is_a_usage_error(self, capsys, tmp_path):
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(fixture("fig8").to_text())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["transform", str(graph_path), "--policy", "x"])
+        assert exit_info.value.code == 2
+        assert "--policy" in capsys.readouterr().err
 
     def test_abort_writes_offender(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "result.json"

@@ -1,5 +1,7 @@
 """The four rewiring maps, logging/replay, and the pipeline."""
 
+import json
+
 import pytest
 
 from degraphs.axioms import check_axiom, classify_small_component
@@ -229,6 +231,18 @@ class TestLogging:
         text = res.log.to_text()
         log2 = TransformLog.from_text(text)
         assert log2.steps == res.log.steps
+        assert replay(G, log2) == res.graph
+
+    def test_log_with_another_policy_name_replays(self):
+        """The pipeline has one policy and names it "default"; a log written
+        with another name still loads and replays."""
+        G = fixture("fig12")
+        res = full_pipeline(G)
+        doc = json.loads(res.log.to_text())
+        assert doc["policy"] == "default"
+        doc["policy"] = "x"
+        log2 = TransformLog.from_text(json.dumps(doc))
+        assert log2.policy == "x" and log2.steps == res.log.steps
         assert replay(G, log2) == res.graph
 
     @pytest.mark.parametrize(
