@@ -167,22 +167,12 @@ def _check_axiom4(G: SignedColoredGraph):
         allowed = _template_keys(templates)
         for i in range(first, G.n):
             lo = i - first + 1
-            partners = [G.matching(c) for c in range(lo + 1, i + 1)]
+            colors = range(lo + 1, i + 1)
+            partners = [G._partners(c) for c in colors]
             sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
-            done: set[str] = set()
-            for v in order:
-                if v in done:
-                    continue
-                done.add(v)
-                comp = [v]
-                for u in comp:
-                    for m in partners:
-                        w = m.get(u)
-                        if w is not None and w not in done:
-                            done.add(w)
-                            comp.append(w)
+            for comp in G._walk(order, colors):
                 if _shape_key(sl, partners, comp) not in allowed:
-                    yield (i, v, f"{what} component not allowed")
+                    yield (i, comp[0], f"{what} component not allowed")
 
 
 def _check_axiom5(G: SignedColoredGraph, colors=None):
@@ -274,10 +264,6 @@ def check_axiom(G: SignedColoredGraph, k: int) -> AxiomReport:
     return AxiomReport.from_witnesses(k, _AXIOM_CHECKS[k](G))
 
 
-def check_axioms(G: SignedColoredGraph, ks=(1, 2, 3, 4, 5, 6)) -> list[AxiomReport]:
-    return [check_axiom(G, k) for k in ks]
-
-
 def is_dual_equivalence_graph(G: SignedColoredGraph) -> bool:
     return all(check_axiom(G, k).holds for k in range(1, 7))
 
@@ -286,28 +272,36 @@ def is_dual_equivalence_graph(G: SignedColoredGraph) -> bool:
 # local Schur positivity
 
 
-def _degree_windows(G: SignedColoredGraph, m: int):
-    """(i, colors, window) triples for the degree-m local conditions."""
+def _window_witnesses(G: SignedColoredGraph, m: int, violation, changed=None):
+    """(i, least vertex, reason) for each component under the colors of a
+    degree-m window whose ``violation(G, vertices, window)`` is not None.
+    With ``changed`` ({color: vertices whose partner changed}), only the
+    components holding such a vertex of the window's colors are walked, and
+    each is named by the least such vertex it holds."""
+    if m not in (4, 5, 6):
+        raise ValueError("degree must be 4, 5 or 6")
+    order = G.vertices() if changed is None else None
     for i in range(m - 1, G.n):
-        colors = tuple(range(i - (m - 3), i + 1))
-        window = (i - (m - 2), i)
-        yield i, colors, window
+        colors = range(i - (m - 3), i + 1)
+        if changed is not None:
+            order = sorted({v for c in colors for v in changed.get(c, ())})
+        for comp in G._walk(order, colors):
+            reason = violation(G, comp, (i - (m - 2), i))
+            if reason is not None:
+                yield (i, comp[0], reason)
+
+
+def _lsf_violation(G: SignedColoredGraph, vertices, window) -> str | None:
+    """The Schur expansion of the window function of ``vertices`` when it is
+    not a single Schur function, or None when it is."""
+    f = G.generating_function(vertices, window)
+    return None if is_single_schur(f) is not None else expand_in_schur(f).to_string()
 
 
 def check_lsf(G: SignedColoredGraph, m: int) -> AxiomReport:
     """Schur multiplicity-free for degree m: every window component is a
     single Schur function."""
-    if m not in (4, 5, 6):
-        raise ValueError("degree must be 4, 5 or 6")
-
-    def witnesses():
-        for i, colors, window in _degree_windows(G, m):
-            for comp in G.components(colors):
-                f = comp.generating_function(window)
-                if is_single_schur(f) is None:
-                    yield (i, comp.min_vertex(), expand_in_schur(f).to_string())
-
-    return AxiomReport.from_witnesses(f"LSF{m}", witnesses())
+    return AxiomReport.from_witnesses(f"LSF{m}", _window_witnesses(G, m, _lsf_violation))
 
 
 @lru_cache(maxsize=None)
@@ -334,17 +328,7 @@ def _component_violation(G: SignedColoredGraph, vertices, window) -> str | None:
 
 def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
     """Schur positive for degree m."""
-    if m not in (4, 5, 6):
-        raise ValueError("degree must be 4, 5 or 6")
-
-    def witnesses():
-        for i, colors, window in _degree_windows(G, m):
-            for comp in G.components(colors):
-                violation = _component_violation(G, comp.vertices, window)
-                if violation is not None:
-                    yield (i, comp.min_vertex(), violation)
-
-    return AxiomReport.from_witnesses(f"LSP{m}", witnesses())
+    return AxiomReport.from_witnesses(f"LSP{m}", _window_witnesses(G, m, _component_violation))
 
 
 def _holds_by_difference(G: SignedColoredGraph, base: SignedColoredGraph) -> bool:
@@ -356,16 +340,10 @@ def _holds_by_difference(G: SignedColoredGraph, base: SignedColoredGraph) -> boo
     for check in (_check_axiom1, _check_axiom2, _check_axiom3, _check_axiom5):
         if next(check(G, list(changed)), None) is not None:
             return False
-    for m in (4, 5, 6):
-        for _, colors, window in _degree_windows(G, m):
-            done: set[str] = set()
-            for v in sorted({v for c in colors for v in changed.get(c, ())}):
-                if v not in done:
-                    comp = G.component_vertices(v, colors)
-                    done.update(comp)
-                    if _component_violation(G, comp, window) is not None:
-                        return False
-    return True
+    return not any(
+        next(_window_witnesses(G, m, _component_violation, changed), None)
+        for m in (4, 5, 6)
+    )
 
 
 def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:

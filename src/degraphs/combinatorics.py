@@ -82,12 +82,6 @@ def dominance_ge(mu: Partition, nu: Partition) -> bool:
     return True
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
-
-
 # ---------------------------------------------------------------------------
 # standard Young tableaux
 
@@ -146,10 +140,6 @@ def enumerate_syt(shape: Partition) -> tuple[Tableau, ...]:
 
 def count_syt(shape: Partition) -> int:
     return len(enumerate_syt(shape))
-
-
-def tableau_shape(t: Tableau) -> Partition:
-    return tuple(len(r) for r in t)
 
 
 def tableau_id(t: Tableau) -> str:

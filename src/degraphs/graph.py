@@ -39,8 +39,8 @@ class SignedColoredGraph:
         stats: dict[str, int] | None = None,
     ):
         """edges: iterable of (color, u, v) triples or a {color: {u: v}} map."""
-        if n > N:
-            raise GraphFormatError(f"need n <= N, got ({n},{N})")
+        if not 1 <= n <= N:
+            raise GraphFormatError(f"need 1 <= n <= N, got ({n},{N})")
         self.n = n
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
@@ -167,30 +167,34 @@ class SignedColoredGraph:
 
     # -- components ---------------------------------------------------------
 
+    def _walk(self, starts, colors):
+        """Each component under ``colors`` that holds a vertex of ``starts``,
+        once, as a list beginning at the first start it holds; with
+        ``starts`` in id order, that is the component's least vertex."""
+        maps = [self._adj[c] for c in colors if c in self._adj]
+        seen: set[str] = set()
+        for v in starts:
+            if v in seen:
+                continue
+            seen.add(v)
+            comp = [v]
+            for u in comp:
+                for m in maps:
+                    w = m.get(u)
+                    if w is not None and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            yield comp
+
     def component_vertices(self, start: str, colors) -> tuple[str, ...]:
-        colors = [c for c in colors if c in self._adj]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c in colors:
-                w = self._adj[c].get(v)
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return tuple(sorted(seen))
+        return tuple(sorted(next(self._walk((start,), colors))))
 
     def components(self, colors) -> list["ComponentView"]:
         colors = frozenset(colors)
-        done: set[str] = set()
-        out = []
-        for v in self.vertices():
-            if v in done:
-                continue
-            comp = self.component_vertices(v, colors)
-            done.update(comp)
-            out.append(ComponentView(self, colors, comp))
-        return out
+        return [
+            ComponentView(self, colors, tuple(sorted(comp)))
+            for comp in self._walk(self.vertices(), colors)
+        ]
 
     def component_of(self, v: str, colors) -> "ComponentView":
         colors = frozenset(colors)
@@ -203,14 +207,8 @@ class SignedColoredGraph:
         Pieces are not cut back to ``vertices``; callers pass a component
         of a larger color set, which holds each of its pieces whole.
         """
-        pieces: list[tuple[str, ...]] = []
-        piece_of: dict[str, int] = {}
-        for v in sorted(vertices):
-            if v not in piece_of:
-                piece = self.component_vertices(v, colors)
-                piece_of.update(dict.fromkeys(piece, len(pieces)))
-                pieces.append(piece)
-        return pieces, piece_of
+        pieces = [tuple(sorted(p)) for p in self._walk(sorted(vertices), colors)]
+        return pieces, {v: k for k, piece in enumerate(pieces) for v in piece}
 
     # -- generating functions -------------------------------------------------
 
@@ -445,8 +443,8 @@ def find_isomorphism(
     """Unseeded isomorphism search over whole graphs.
 
     Seeds are chosen by signature-class refinement (rarest class first) and
-    each component map is forced from its seed, so the search is effectively
-    a product of small candidate scans.
+    each component map is forced from its seed, so the search is one scan of
+    candidate images per component.
     """
     if colors is None:
         if (G.n, G.N) != (H.n, H.N):
@@ -465,41 +463,28 @@ def find_isomorphism(
     if sorted(key(G, v) for v in G.sigma) != sorted(key(H, v) for v in H.sigma):
         return None
 
-    comps = G.components(colors)
-    comps.sort(key=lambda c: c.size())
+    # One pass, no backtracking: a forced extension that succeeds covers the
+    # anchor's component and maps it onto a whole component of H, so images
+    # never overlap, and isomorphic components are interchangeable, so if any
+    # isomorphism extends the fits so far, one also extends the first fit.
     mapping: dict[str, str] = {}
     taken: set[str] = set()
-
-    def place(k: int) -> bool:
-        if k == len(comps):
-            return True
-        comp = comps[k]
+    candidates = H.vertices()
+    for comp in sorted(G.components(colors), key=lambda c: c.size()):
         classes: dict[tuple, list[str]] = {}
         for v in comp.vertices:
             classes.setdefault(key(G, v), []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
-        anchor = members[0]
-        for w in H.vertices():
+        for w in candidates:
             if w in taken or key(H, w) != sig_key:
                 continue
-            local = _forced_extension(G, H, {anchor: w}, colors, positions)
-            if local is None:
-                continue
-            if set(local) != set(comp.vertices):
-                continue
-            if any(img in taken for img in local.values()):
-                continue
-            mapping.update(local)
-            taken.update(local.values())
-            if place(k + 1):
-                return True
-            for x in local:
-                del mapping[x]
-            taken.difference_update(local.values())
-        return False
-
-    if not place(0):
-        return None
+            local = _forced_extension(G, H, {members[0]: w}, colors, positions)
+            if local is not None:
+                mapping.update(local)
+                taken.update(local.values())
+                break
+        else:
+            return None
     return mapping
 
 

@@ -179,12 +179,3 @@ def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
         limit=limit,
     )
     return len(maps)
-
-
-def rigidity_survey(max_n: int) -> dict[Partition, int]:
-    """Automorphism counts of every G_lam for |lam| <= max_n."""
-    out: dict[Partition, int] = {}
-    for n in range(1, max_n + 1):
-        for lam in enumerate_partitions(n):
-            out[lam] = standard_automorphisms(lam)
-    return out

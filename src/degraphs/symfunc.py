@@ -113,9 +113,6 @@ class SchurExpansion:
     def is_exact(self) -> bool:
         return self.residual.is_zero()
 
-    def is_positive(self) -> bool:
-        return self.is_exact() and all(c >= 0 for c in self.coeffs.values())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SchurExpansion)

@@ -26,7 +26,6 @@ from .graph import (
     SignedColoredGraph,
     _field,
     count_component_isomorphisms,
-    i_package,
     package_colors,
     package_positions,
     seeded_isomorphism,
@@ -58,19 +57,18 @@ def package_isomorphism(
     G: SignedColoredGraph, a: str, b: str, i: int
 ) -> dict[str, str] | None:
     """Forced isomorphism between the i-packages of a and b seeded by a -> b,
-    preserving package colors and the signature positions away from i."""
-    mapping = seeded_isomorphism(
+    preserving package colors and the signature positions away from i.  The
+    forced extension covers exactly a's i-package, the component of a under
+    the package colors."""
+    if not 1 < i < G.n:
+        raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+    return seeded_isomorphism(
         G,
         G,
         {a: b},
         colors=package_colors(G, i),
         positions=package_positions(G, i),
     )
-    if mapping is None:
-        return None
-    if set(mapping) != set(i_package(G, a, i).vertices):
-        return None
-    return mapping
 
 
 def _rewire(

@@ -89,6 +89,17 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("command", ["check", "expand", "transform"])
+    @pytest.mark.parametrize("n, N", [(0, 0), (-1, -1)])
+    def test_type_below_one_rejected(self, capsys, monkeypatch, command, n, N):
+        """Such a file once passed `check` with six PASS lines while `expand`
+        and `transform` failed on a window outside the signatures."""
+        text = json.dumps({"n": n, "N": N, "vertices": [], "edges": []})
+        code, out, err = run(capsys, [command, "-"], text, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need 1 <= n <= N, got ({n},{N})\n"
+
     def test_replay_log_missing(self, capsys, tmp_path):
         graph_path = tmp_path / "in.json"
         graph_path.write_text(fixture("fig4c").to_text())

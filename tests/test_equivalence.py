@@ -14,7 +14,7 @@ from degraphs import axioms, cli, transform
 from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str
 from degraphs.fixtures import fixture, fixture_names
-from degraphs.graph import SignedColoredGraph
+from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphism, i_package
 from degraphs.standard import build_standard_deg
 from degraphs.structure import defect_sets, has_type_w, set_U
 from degraphs.symfunc import is_schur_positive
@@ -201,16 +201,47 @@ def test_defect_drain_does_not_revisit_a_matching():
         assert len(set(states)) == len(states)
 
 
+def reference_component_vertices(G, start, colors):
+    """The stack walk that each component search once made on its own."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for c in colors:
+            w = G.neighbor(v, c)
+            if w is not None and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(sorted(seen))
+
+
+def reference_refine(G, vertices, colors):
+    """The pieces of ``vertices`` under ``colors``, by the stack walk from
+    each vertex no piece holds yet, and each vertex's piece index."""
+    pieces, piece_of = [], {}
+    for v in sorted(vertices):
+        if v not in piece_of:
+            piece = reference_component_vertices(G, v, colors)
+            piece_of.update(dict.fromkeys(piece, len(pieces)))
+            pieces.append(piece)
+    return pieces, piece_of
+
+
+def reference_components(G, colors):
+    """The vertices of each component under ``colors``, by least vertex."""
+    return reference_refine(G, G.vertices(), colors)[0]
+
+
 def reference_lsp_witnesses(G, m):
-    """check_lsp without the memo: one positivity check per window."""
+    """check_lsp without the memo or the shared walk: one positivity check
+    per window component, found by the stack walk."""
     out = []
     for i in range(m - 1, G.n):
         colors = range(i - (m - 3), i + 1)
         window = (i - (m - 2), i)
-        for comp in G.components(colors):
-            rep = is_schur_positive(comp.generating_function(window))
+        for comp in reference_components(G, colors):
+            rep = is_schur_positive(G.generating_function(comp, window))
             if not rep.positive:
-                out.append((i, comp.min_vertex(), rep.violation))
+                out.append((i, comp[0], rep.violation))
     return out
 
 
@@ -746,3 +777,145 @@ def test_non_positive_base_takes_the_full_scan(monkeypatch):
             rep = is_locally_schur_positive(H)
             assert (rep.holds, rep.witnesses) == full_scan(H)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the shared component walk and the one-pass isomorphism search against the
+# code they replaced
+
+
+def test_component_walk_matches_stack_walk():
+    """``components``, ``component_vertices`` and ``refine`` over every
+    contiguous color range, including the empty one, against the stack walk."""
+    base, copies, swapped = axiom4_inputs()
+    for G in base + copies + swapped:
+        for lo in range(2, G.n):
+            for hi in range(lo - 1, G.n):
+                colors = range(lo, hi + 1)
+                want = reference_components(G, colors)
+                comps = G.components(colors)
+                assert [c.vertices for c in comps] == want, (G, colors)
+                assert {c.colors for c in comps} <= {frozenset(colors)}
+                for piece in want:
+                    assert G.component_vertices(piece[-1], colors) == piece
+                # each component under colors lo..hi, split by the colors
+                # below hi, and all vertices at once, handed over unsorted
+                inner = range(lo, hi)
+                for vertices in want + [G.vertices()]:
+                    got = G.refine(reversed(vertices), inner)
+                    assert got == reference_refine(G, vertices, inner), (G, colors)
+
+
+def reference_find_isomorphism(G, H, colors=None, positions=None):
+    """``find_isomorphism`` as a backtracking search over the components of
+    the stack walk: placed in size order, each by the first candidate whose
+    forced extension covers it with untaken images, and undone when a later
+    component cannot be placed."""
+    if colors is None:
+        if (G.n, G.N) != (H.n, H.N):
+            return None
+        colors = set(G.colors())
+    if positions is None:
+        positions = range(1, min(G.N, H.N))
+    colors = sorted(set(colors))
+    positions = sorted(set(positions))
+    if len(G.sigma) != len(H.sigma):
+        return None
+
+    def key(graph, v):
+        return tuple(graph.sigma[v][p - 1] for p in positions)
+
+    if sorted(key(G, v) for v in G.sigma) != sorted(key(H, v) for v in H.sigma):
+        return None
+
+    comps = sorted(reference_components(G, colors), key=len)
+    mapping, taken = {}, set()
+
+    def place(k):
+        if k == len(comps):
+            return True
+        comp = comps[k]
+        classes = {}
+        for v in comp:
+            classes.setdefault(key(G, v), []).append(v)
+        sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
+        anchor = members[0]
+        for w in H.vertices():
+            if w in taken or key(H, w) != sig_key:
+                continue
+            local = _forced_extension(G, H, {anchor: w}, colors, positions)
+            if local is None or set(local) != set(comp):
+                continue
+            if any(img in taken for img in local.values()):
+                continue
+            mapping.update(local)
+            taken.update(local.values())
+            if place(k + 1):
+                return True
+            for x in local:
+                del mapping[x]
+            taken.difference_update(local.values())
+        return False
+
+    return mapping if place(0) else None
+
+
+def isomorphism_cases():
+    """(G, H) pairs: unions with repeated isomorphic components against a
+    relabelled copy with the components permuted, and against graphs with
+    the same signature multiset that are rewired (gamma swaps and copy-edge
+    swaps) and so mostly not isomorphic."""
+    rng = random.Random(12)
+    cases = []
+    for shapes in (
+        ((3, 2), (3, 2), (3, 1, 1)),
+        ((2, 2, 1), (3, 2), (2, 2, 1), (3, 2)),
+        ((3, 2, 1), (3, 2, 1)),
+        ((3, 3), (3, 3)),
+        ((4, 2), (3, 3), (4, 2)),
+    ):
+        U = standard_union(shapes)
+        order = list(range(len(shapes)))
+        rng.shuffle(order)
+        P = standard_union([shapes[k] for k in order])
+        P, _ = relabel_random(P, rng)
+        cases += [(U, P), (P, U)]
+        rewired = [H for _, H in gamma_swaps(U)[::7][:4]]
+        if shapes[0] == shapes[1]:
+            rewired += [H for _, H in copy_edge_swaps(U)[::5][:3]]
+        for H in rewired:
+            H, _ = relabel_random(H, rng)
+            cases += [(U, H), (H, P)]
+    return cases
+
+
+def test_one_pass_isomorphism_matches_backtracking_search():
+    found = []
+    for G, H in isomorphism_cases():
+        subsets = [(None, None), ((2, 3), None), ((), range(1, 3)), ((3,), (2, 4))]
+        subsets.append((tuple(c for c in G.colors() if c != 3), range(1, G.N - 1)))
+        for colors, positions in subsets:
+            want = reference_find_isomorphism(G, H, colors, positions)
+            assert find_isomorphism(G, H, colors, positions) == want, (G, H, colors)
+            found.append(want is not None)
+    assert 0 < found.count(False) < len(found)
+
+
+def test_package_isomorphism_covers_the_package():
+    """The forced extension from a -> b is defined on exactly a's i-package,
+    which ``package_isomorphism`` once walked again to compare."""
+    _, _, swapped = axiom4_inputs()
+    fits = 0
+    for G in swapped[::4] + [fixture("fig8"), fixture("fig12")]:
+        for i in G.colors():
+            by_sig = {}
+            for v in G.vertices():
+                by_sig.setdefault(G.sigma[v], []).append(v)
+            for group in by_sig.values():
+                for a in group[:3]:
+                    for b in group[:3]:
+                        m = transform.package_isomorphism(G, a, b, i)
+                        if m is not None:
+                            assert set(m) == set(i_package(G, a, i).vertices)
+                            fits += a != b
+    assert fits > 0

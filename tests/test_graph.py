@@ -52,14 +52,22 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             SignedColoredGraph(4, 3, {"a": (1, 1)}, [])
 
+    @pytest.mark.parametrize("n, N", [(0, 0), (-1, -1), (0, 3), (-2, 1)])
+    def test_type_below_one(self, n, N):
+        with pytest.raises(GraphFormatError, match=rf"need 1 <= n <= N, got \({n},{N}\)"):
+            SignedColoredGraph(n, N, {}, [])
+
     def test_degenerate_types_valid(self):
         from degraphs.axioms import check_axiom, check_lsf, check_lsp
 
-        G = SignedColoredGraph(2, 2, {"v": (1,)}, [])
-        for k in range(1, 7):
-            assert check_axiom(G, k).holds
-        for m in (4, 5, 6):
-            assert check_lsf(G, m).holds and check_lsp(G, m).holds
+        for G in (
+            SignedColoredGraph(1, 1, {"v": ()}, []),
+            SignedColoredGraph(2, 2, {"v": (1,)}, []),
+        ):
+            for k in range(1, 7):
+                assert check_axiom(G, k).holds
+            for m in (4, 5, 6):
+                assert check_lsf(G, m).holds and check_lsp(G, m).holds
 
     def test_isolated_vertices_allowed(self):
         G = SignedColoredGraph(5, 5, {"solo": sig_from_str("++++")}, [])
