@@ -1,0 +1,5 @@
+"""``python -m degraphs``: the command line without an installed script."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -303,9 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built on first use; parse_args keeps no state, so one parser serves every call
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:

@@ -422,10 +422,17 @@ _register(
 
 
 @lru_cache(maxsize=None)
-def fixture(name: str) -> SignedColoredGraph:
+def _built(name: str) -> SignedColoredGraph:
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
     return FIXTURES[name].builder()
+
+
+def fixture(name: str) -> SignedColoredGraph:
+    """The named fixture, built once per process; each caller gets its own
+    unmarked graph object sharing the built one's maps and signatures."""
+    G = _built(name)
+    return G._derive(G.n, G._adj)
 
 
 def fixture_names(skip_large: bool = False) -> list[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import Signature, sig_from_str, sig_str
 from .symfunc import QSym
@@ -44,7 +45,11 @@ class SignedColoredGraph:
         self.n = n
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
+        valid = set()
         for v, s in self.sigma.items():
+            if s in valid:
+                continue
+            valid.add(s)
             if len(s) != N - 1:
                 raise GraphFormatError(
                     f"vertex {v!r}: signature length {len(s)} != N-1 = {N - 1}"
@@ -229,21 +234,21 @@ class SignedColoredGraph:
     # -- serialization --------------------------------------------------------
 
     def to_text(self) -> str:
-        vertices = []
-        for v in self.vertices():
-            entry = {"id": v, "sigma": sig_str(self.sigma[v])}
-            if self.stats and v in self.stats:
-                entry["stat"] = self.stats[v]
-            vertices.append(entry)
-        doc = {
-            "n": self.n,
-            "N": self.N,
-            "vertices": vertices,
-            "edges": [
-                {"color": c, "u": u, "v": w} for c, u, w in self.edge_triples()
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """Byte for byte ``json.dumps(doc, indent=2) + "\\n"``, written directly:
+        an indent sends ``json.dumps`` to its pure-Python encoder."""
+        stats = self.stats or {}
+        vertices = [
+            f'    {{\n      "id": {_quote(v)},\n      "sigma": "{sig_str(self.sigma[v])}"'
+            + (f',\n      "stat": {json.dumps(stats[v])}' if v in stats else "")
+            + "\n    }"
+            for v in self.vertices()
+        ]
+        edges = [
+            f'    {{\n      "color": {c},\n      "u": {_quote(u)},\n      "v": {_quote(w)}\n    }}'
+            for c, u, w in self.edge_triples()
+        ]
+        head = f'{{\n  "n": {self.n},\n  "N": {self.N},\n  "vertices": {_json_list(vertices)},'
+        return head + f'\n  "edges": {_json_list(edges)}\n}}\n'
 
     @staticmethod
     def from_text(text: str) -> "SignedColoredGraph":
@@ -255,30 +260,32 @@ class SignedColoredGraph:
         N = _field(doc, "N", int, "top level")
         vertices = _field(doc, "vertices", list, "top level")
         edges = _field(doc, "edges", list, "top level")
-        sigma = {}
-        stats = {}
+        # an entry failing a type test goes through _field, which raises naming
+        # the field (a duplicate id first); ``parsed`` reads each signature once
+        sigma, stats, parsed = {}, {}, {}
         for k, entry in enumerate(vertices):
-            where = f"vertex entry {k}"
-            v = _field(entry, "id", str, where)
+            if not (type(entry) is dict and type(entry.get("id")) is str
+                    and type(entry.get("sigma")) is str):
+                if _field(entry, "id", str, f"vertex entry {k}") not in sigma:
+                    _field(entry, "sigma", str, f"vertex entry {k}")
+            v = entry["id"]
             if v in sigma:
-                raise GraphFormatError(f"{where}: duplicate vertex id {v!r}")
-            sig_text = _field(entry, "sigma", str, where)
-            try:
-                sigma[v] = sig_from_str(sig_text)
-            except ValueError as e:
-                raise GraphFormatError(f"{where}: {e}") from None
+                raise GraphFormatError(f"vertex entry {k}: duplicate vertex id {v!r}")
+            sig_text = entry["sigma"]
+            if sig_text not in parsed:
+                try:
+                    parsed[sig_text] = sig_from_str(sig_text)
+                except ValueError as e:
+                    raise GraphFormatError(f"vertex entry {k}: {e}") from None
+            sigma[v] = parsed[sig_text]
             if "stat" in entry:
-                stats[v] = _field(entry, "stat", int, where)
-        triples = []
+                stats[v] = _field(entry, "stat", int, f"vertex entry {k}")
         for k, entry in enumerate(edges):
-            where = f"edge entry {k}"
-            triples.append(
-                (
-                    _field(entry, "color", int, where),
-                    _field(entry, "u", str, where),
-                    _field(entry, "v", str, where),
-                )
-            )
+            if not (type(entry) is dict and type(entry.get("color")) is int
+                    and type(entry.get("u")) is str and type(entry.get("v")) is str):
+                for key, kind in (("color", int), ("u", str), ("v", str)):
+                    _field(entry, key, kind, f"edge entry {k}")
+        triples = [(entry["color"], entry["u"], entry["v"]) for entry in edges]
         return SignedColoredGraph(n, N, sigma, triples, stats or None)
 
     def to_dot(self) -> str:
@@ -325,6 +332,10 @@ def _insert_maps(adj: dict[int, dict[str, str]], n: int, sigma, maps) -> dict:
             back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
             raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
     return adj
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list"}
@@ -387,8 +398,8 @@ def _forced_extension(
     positions,
 ) -> dict[str, str] | None:
     """Grow a partial map across matchings; matchings make the image forced."""
-    colors = sorted(set(colors))
-    positions = sorted(set(positions))
+    maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
+    cut = [p - 1 for p in sorted(set(positions))]
     mapping: dict[str, str] = {}
     used: dict[str, str] = {}
     queue: list[tuple[str, str]] = list(seeds.items())
@@ -400,14 +411,14 @@ def _forced_extension(
             continue
         if used.get(y, x) != x:
             return None
-        for p in positions:
-            if G.sigma[x][p - 1] != H.sigma[y][p - 1]:
+        sx, sy = G.sigma[x], H.sigma[y]
+        for j in cut:
+            if sx[j] != sy[j]:
                 return None
         mapping[x] = y
         used[y] = x
-        for c in colors:
-            xn = G.neighbor(x, c)
-            yn = H.neighbor(y, c)
+        for gm, hm in maps:
+            xn, yn = gm.get(x), hm.get(y)
             if (xn is None) != (yn is None):
                 return None
             if xn is not None:
@@ -443,8 +454,8 @@ def find_isomorphism(
     """Unseeded isomorphism search over whole graphs.
 
     Seeds are chosen by signature-class refinement (rarest class first) and
-    each component map is forced from its seed, so the search is one scan of
-    candidate images per component.
+    each component map is forced from its seed, so the search tries only the
+    images in its seed's class, bucketed once from H.
     """
     if colors is None:
         if (G.n, G.N) != (H.n, H.N):
@@ -457,11 +468,14 @@ def find_isomorphism(
     if len(G.sigma) != len(H.sigma):
         return None
 
-    def key(graph, v):
-        return tuple(graph.sigma[v][p - 1] for p in positions)
-
-    if sorted(key(G, v) for v in G.sigma) != sorted(key(H, v) for v in H.sigma):
+    cut = [p - 1 for p in positions]
+    gkey = {v: tuple(map(s.__getitem__, cut)) for v, s in G.sigma.items()}
+    hkey = {v: tuple(map(s.__getitem__, cut)) for v, s in H.sigma.items()}
+    if sorted(gkey.values()) != sorted(hkey.values()):
         return None
+    candidates: dict[tuple, list[str]] = {}  # H's vertices by key, in id order
+    for w in sorted(hkey):
+        candidates.setdefault(hkey[w], []).append(w)
 
     # One pass, no backtracking: a forced extension that succeeds covers the
     # anchor's component and maps it onto a whole component of H, so images
@@ -469,14 +483,13 @@ def find_isomorphism(
     # isomorphism extends the fits so far, one also extends the first fit.
     mapping: dict[str, str] = {}
     taken: set[str] = set()
-    candidates = H.vertices()
     for comp in sorted(G.components(colors), key=lambda c: c.size()):
         classes: dict[tuple, list[str]] = {}
         for v in comp.vertices:
-            classes.setdefault(key(G, v), []).append(v)
+            classes.setdefault(gkey[v], []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
-        for w in candidates:
-            if w in taken or key(H, w) != sig_key:
+        for w in candidates[sig_key]:
+            if w in taken:
                 continue
             local = _forced_extension(G, H, {members[0]: w}, colors, positions)
             if local is not None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from degraphs import cli
 from degraphs.cli import main
 from degraphs.fixtures import fixture
 from degraphs.graph import SignedColoredGraph
@@ -319,3 +320,62 @@ class TestExport:
         code, out, _ = run(capsys, ["export-dot", "-"], text, monkeypatch)
         assert code == 0
         assert out.startswith("graph G {") and '[label="2"]' in out
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; nothing one call parses
+    reaches the next."""
+
+    @pytest.fixture
+    def graph_path(self, tmp_path):
+        """A dual equivalence graph, so every check passes."""
+        path = tmp_path / "g.json"
+        path.write_text(fixture("fig9").to_text())
+        return str(path)
+
+    def test_check_options_do_not_carry_over(self, capsys, monkeypatch, graph_path):
+        monkeypatch.setattr(cli, "_parser", None)
+        code, bare, _ = run(capsys, ["check", graph_path])
+        assert code == 0 and len(bare.splitlines()) == 6
+        code, out, _ = run(capsys, ["check", graph_path, "--axiom", "4"])
+        assert code == 0 and len(out.splitlines()) == 1
+        assert run(capsys, ["check", graph_path]) == (0, bare, "")
+        code, out, _ = run(capsys, ["check", graph_path, "--format", "json"])
+        assert code == 0 and len(json.loads(out)) == 6
+        assert run(capsys, ["check", graph_path]) == (0, bare, "")
+
+    def test_replay_does_not_carry_over(self, capsys, tmp_path):
+        graph_path = str(tmp_path / "g.json")
+        Path(graph_path).write_text(fixture("fig12").to_text())
+        out, log, again = (str(tmp_path / f) for f in ("out.json", "log.json", "again.json"))
+        code, _, err = run(capsys, ["transform", graph_path, "--out", out, "--log", log])
+        assert code == 0 and "certified: True" in err
+        code, _, err = run(capsys, ["transform", graph_path, "--replay", log, "--out", again])
+        assert code == 0 and err == ""
+        Path(out).unlink()
+        code, _, err = run(capsys, ["transform", graph_path, "--out", out])
+        assert code == 0 and "certified: True" in err
+        assert Path(out).read_text() == Path(again).read_text()
+
+    def test_usage_error_then_valid_call(self, capsys, graph_path):
+        _, bare, _ = run(capsys, ["check", graph_path])
+        for argv in (["check"], ["check", graph_path, "--axiom", "9"], ["nope"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "usage: degraphs" in capsys.readouterr().err
+            assert run(capsys, ["check", graph_path]) == (0, bare, "")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, graph_path):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return real_build_parser()
+
+        real_build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in [["check", graph_path], ["expand", graph_path]] * 5:
+            assert run(capsys, argv)[0] == 0
+        assert len(built) == 1

@@ -1,18 +1,22 @@
 """The memoised and first-eligible code paths against plain references: the
 pipeline's output is pinned byte for byte, LSP witnesses match a per-window
-positivity check, the committed defect step is the first vertex of U_i, and
-the axiom 4 and axiom 6 checkers match slower per-component checkers."""
+positivity check, the committed defect step is the first vertex of U_i,
+the axiom 4 and axiom 6 checkers match slower per-component checkers, and
+the direct JSON writer matches ``json.dumps`` byte for byte."""
 
 import hashlib
+import json
 import random
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degraphs import axioms, cli, transform
 from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
-from degraphs.combinatorics import sig_from_str
+from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphism, i_package
 from degraphs.standard import build_standard_deg
@@ -919,3 +923,60 @@ def test_package_isomorphism_covers_the_package():
                             assert set(m) == set(i_package(G, a, i).vertices)
                             fits += a != b
     assert fits > 0
+
+
+def reference_to_text(G):
+    """``SignedColoredGraph.to_text`` through ``json.dumps``, whose indent
+    makes it use the pure-Python encoder."""
+    vertices = []
+    for v in G.vertices():
+        entry = {"id": v, "sigma": sig_str(G.sigma[v])}
+        if G.stats and v in G.stats:
+            entry["stat"] = G.stats[v]
+        vertices.append(entry)
+    doc = {
+        "n": G.n,
+        "N": G.N,
+        "vertices": vertices,
+        "edges": [{"color": c, "u": u, "v": w} for c, u, w in G.edge_triples()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def writer_cases():
+    """Every fixture and ``tests/data`` graph, a graph with statistics, one
+    without edges and an empty type-(1,1) graph."""
+    cases = [(name, fixture(name)) for name in fixture_names()]
+    for path in sorted(DATA.glob("*.json")):
+        cases.append((path.name, SignedColoredGraph.from_text(path.read_text())))
+    G = build_standard_deg((3, 2))
+    stats = {v: k - 2 for k, v in enumerate(G.vertices()) if k != 1}
+    cases.append(("stats", SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples(), stats)))
+    cases.append(("no-edges", SignedColoredGraph(G.n, G.N, G.sigma, [])))
+    cases.append(("empty", SignedColoredGraph(1, 1, {}, [])))
+    return cases
+
+
+@pytest.mark.parametrize("name, G", [pytest.param(n, G, id=n) for n, G in writer_cases()])
+def test_writer_matches_json_dumps(name, G):
+    text = G.to_text()
+    assert text == reference_to_text(G)
+    assert SignedColoredGraph.from_text(text) == G
+
+
+# quotes, backslashes, control characters and non-ASCII, then anything
+_awkward = st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600ab'), st.characters()
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.text(_awkward, max_size=5), max_size=8, unique=True), st.integers(-3, 3))
+def test_writer_quotes_any_id(ids, stat):
+    sigma = {v: (1, -1) if k % 2 else (-1, 1) for k, v in enumerate(ids)}
+    ordered = sorted(ids)
+    edges = [(2, u, w) for u, w in zip(ordered[::2], ordered[1::2])]
+    G = SignedColoredGraph(3, 3, sigma, edges, {v: stat for v in ordered[::3]})
+    text = G.to_text()
+    assert text == reference_to_text(G)
+    assert SignedColoredGraph.from_text(text) == G

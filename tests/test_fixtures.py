@@ -2,7 +2,7 @@
 
 import pytest
 
-from degraphs.axioms import check_axiom
+from degraphs.axioms import check_axiom, is_locally_schur_positive
 from degraphs.fixtures import (
     FIXTURES,
     fixture,
@@ -29,6 +29,16 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
             fixture("fig99")
+
+    def test_each_caller_gets_an_unmarked_graph(self):
+        """A check that marks one caller's graph does not reach the next
+        caller, who would otherwise skip the scan."""
+        G = fixture("fig8")
+        assert is_locally_schur_positive(G).holds
+        assert G._lsp_base is True
+        H = fixture("fig8")
+        assert H._lsp_base is None
+        assert H == G and H.sigma is G.sigma
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_expectations(self, name):

@@ -316,6 +316,45 @@ class TestSerialization:
             ({"edges": [{"color": 2, "v": "b"}]}, "edge entry 0: missing field 'u'"),
             ({"edges": [{"color": 2, "u": "a"}]}, "edge entry 0: missing field 'v'"),
             ({"edges": [{"color": "2", "u": "a", "v": "b"}]}, "edge entry 0: field 'color'"),
+            (
+                {"edges": [{"color": True, "u": "a", "v": "b"}]},
+                "edge entry 0: field 'color' must be an integer, got true",
+            ),
+            (
+                {"edges": [{"color": 2, "u": 1, "v": "b"}]},
+                "edge entry 0: field 'u' must be a string, got 1",
+            ),
+            (
+                {"edges": [{"color": 2, "u": "a", "v": ["b"]}]},
+                "edge entry 0: field 'v' must be a string, got [\"b\"]",
+            ),
+            (
+                {"edges": [{"color": 2, "u": "a", "v": "b"}, "x"]},
+                "edge entry 1: expected a JSON object, got \"x\"",
+            ),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-", "stat": True}]},
+                "vertex entry 0: field 'stat' must be an integer, got true",
+            ),
+            (
+                {
+                    "vertices": [
+                        {"id": "a", "sigma": "+-"},
+                        {"id": "b", "sigma": "-+"},
+                        {"id": "c", "sigma": "++"},
+                        {"id": "a", "sigma": "--"},
+                    ]
+                },
+                "vertex entry 3: duplicate vertex id 'a'",
+            ),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-"}, {"id": "a"}]},
+                "vertex entry 1: duplicate vertex id 'a'",
+            ),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-"}, {"id": "b", "sigma": "+x"}]},
+                "vertex entry 1: bad signature character 'x' in '+x'",
+            ),
         ],
     )
     def test_rejects_bad_input_naming_the_entry(self, doc, message):

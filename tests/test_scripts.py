@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run end to end against the library in src/."""
+"""The scripts under scripts/ and ``python -m degraphs`` run end to end
+against the library in src/."""
 
 import importlib.util
 import os
@@ -11,15 +12,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(*argv):
+def run_python(*argv, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(*argv):
+    return run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
 
 
 @pytest.mark.parametrize(
@@ -38,6 +43,30 @@ def test_script_runs(argv, line):
     assert line in proc.stdout.splitlines()
 
 
+def test_module_entry_point_pipes(capsys, monkeypatch):
+    """``python -m degraphs standard 3,2 | python -m degraphs check -``
+    prints what the command line prints in-process."""
+    import io
+
+    from degraphs.cli import main
+
+    standard = run_python("-m", "degraphs", "standard", "3,2")
+    assert standard.returncode == 0, standard.stderr
+    check = run_python("-m", "degraphs", "check", "-", stdin=standard.stdout)
+    assert check.returncode == 0, check.stderr
+    monkeypatch.setattr(sys, "stdin", io.StringIO(standard.stdout))
+    assert main(["check", "-"]) == 0
+    assert check.stdout == capsys.readouterr().out
+    assert len(check.stdout.splitlines()) == 6
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmarks" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_traced_run_wraps_and_restores_the_library():
     """The traced benchmark run wraps library functions by module and name
     (``benchmarks/spans.py``, loaded here unchanged); a name it wraps that
@@ -47,9 +76,7 @@ def test_traced_run_wraps_and_restores_the_library():
     from degraphs.fixtures import fixture
     from degraphs.graph import SignedColoredGraph
 
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmarks" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
 
     def bindings():
         mods = [m for k, m in sys.modules.items() if k.split(".")[0] == "degraphs" and m]
@@ -71,3 +98,22 @@ def test_traced_run_wraps_and_restores_the_library():
     assert {"graph.components", "axioms.check_lsp.4", "axioms.check_axiom.4"} <= set(layers)
     assert rec.counts["transform.package_isomorphism.calls"] > 0
     assert bindings() == before
+
+
+def test_traced_fixture_run_does_not_depend_on_earlier_calls():
+    """A fixture marked locally Schur positive by an earlier caller does not
+    make a later traced run skip the scan."""
+    import degraphs.cli  # noqa: F401
+    from degraphs import transform
+    from degraphs.axioms import is_locally_schur_positive
+    from degraphs.fixtures import fixture
+
+    assert is_locally_schur_positive(fixture("fig8")).holds
+    spans = load_spans()
+    rec = spans.Recorder()
+    inst = spans.install(rec)
+    try:
+        assert transform.full_pipeline(fixture("fig8")).certified
+    finally:
+        inst.remove()
+    assert any(name.startswith("axioms.check_lsp.") for name in rec.layers())
