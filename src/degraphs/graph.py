@@ -45,11 +45,7 @@ class SignedColoredGraph:
         self.n = n
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
-        valid = set()
         for v, s in self.sigma.items():
-            if s in valid:
-                continue
-            valid.add(s)
             if len(s) != N - 1:
                 raise GraphFormatError(
                     f"vertex {v!r}: signature length {len(s)} != N-1 = {N - 1}"
@@ -261,8 +257,8 @@ class SignedColoredGraph:
         vertices = _field(doc, "vertices", list, "top level")
         edges = _field(doc, "edges", list, "top level")
         # an entry failing a type test goes through _field, which raises naming
-        # the field (a duplicate id first); ``parsed`` reads each signature once
-        sigma, stats, parsed = {}, {}, {}
+        # the field (a duplicate id first)
+        sigma, stats = {}, {}
         for k, entry in enumerate(vertices):
             if not (type(entry) is dict and type(entry.get("id")) is str
                     and type(entry.get("sigma")) is str):
@@ -271,13 +267,10 @@ class SignedColoredGraph:
             v = entry["id"]
             if v in sigma:
                 raise GraphFormatError(f"vertex entry {k}: duplicate vertex id {v!r}")
-            sig_text = entry["sigma"]
-            if sig_text not in parsed:
-                try:
-                    parsed[sig_text] = sig_from_str(sig_text)
-                except ValueError as e:
-                    raise GraphFormatError(f"vertex entry {k}: {e}") from None
-            sigma[v] = parsed[sig_text]
+            try:
+                sigma[v] = sig_from_str(entry["sigma"])
+            except ValueError as e:
+                raise GraphFormatError(f"vertex entry {k}: {e}") from None
             if "stat" in entry:
                 stats[v] = _field(entry, "stat", int, f"vertex entry {k}")
         for k, entry in enumerate(edges):

@@ -30,8 +30,8 @@ from .graph import (
 
 
 @lru_cache(maxsize=None)
-def build_standard_deg(lam: Partition) -> SignedColoredGraph:
-    """The graph G_lam of type (n, n) on SYT(lam)."""
+def _standard_graph(lam: Partition) -> SignedColoredGraph:
+    """G_lam, built once per process and shared: callers only read it."""
     lam = check_partition(lam)
     n = sum(lam)
     tableaux = enumerate_syt(lam)
@@ -46,6 +46,13 @@ def build_standard_deg(lam: Partition) -> SignedColoredGraph:
                 if u < w:
                     triples.append((i, u, w))
     return SignedColoredGraph(n, n, sigma, triples)
+
+
+def build_standard_deg(lam: Partition) -> SignedColoredGraph:
+    """The graph G_lam of type (n, n) on SYT(lam).  Each caller gets its own
+    unmarked graph sharing the built one's maps and signatures."""
+    G = _standard_graph(lam)
+    return G._derive(G.n, G._adj)
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] 
     for lam in enumerate_partitions(n):
         if count_syt(lam) != size:
             continue
-        target = build_standard_deg(lam)
+        target = _standard_graph(lam)
         if sorted(target.sigma.values()) != sigs:
             continue
         found = count_component_isomorphisms(
@@ -168,7 +175,7 @@ def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] 
 
 def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
     """Number of self-isomorphisms of G_lam found, up to ``limit``."""
-    G = build_standard_deg(lam)
+    G = _standard_graph(lam)
     maps = count_component_isomorphisms(
         G,
         G.vertices(),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from degraphs.axioms import is_locally_schur_positive
 from degraphs.combinatorics import enumerate_partitions, sig_str
 from degraphs.graph import ComponentView
 from degraphs.standard import (
@@ -51,6 +52,16 @@ class TestStandardGraph:
             for lam in enumerate_partitions(n):
                 G = build_standard_deg(lam)
                 assert G.generating_function() == schur_to_fundamental(lam)
+
+    def test_each_caller_gets_an_unmarked_graph(self):
+        """A check that marks one caller's G_lam does not reach the next
+        caller, who would otherwise skip the scan."""
+        G = build_standard_deg((3, 2))
+        assert is_locally_schur_positive(G).holds
+        assert G._lsp_base is True
+        H = build_standard_deg((3, 2))
+        assert H._lsp_base is None
+        assert H == G and H.sigma is G.sigma
 
 
 class TestAugmented:
