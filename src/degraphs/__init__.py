@@ -46,7 +46,6 @@ from .structure import (
     RLCTree,
     build_rlc_tree,
     defect_sets,
-    eligible_rewirings,
     i_type,
     is_flat_edge,
     negatively_dominant,
@@ -60,6 +59,7 @@ from .transform import (
     apply_phi,
     apply_psi,
     apply_theta,
+    eligible_rewirings,
     full_pipeline,
     one_step,
     package_isomorphism,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .axioms import check_axiom
 from .combinatorics import sig_from_str
 from .graph import SignedColoredGraph
 from .standard import build_standard_deg
@@ -29,9 +30,10 @@ def signatures_from_structure(
 
     At each vertex the presence or absence of a c-edge fixes the relation
     between positions c-1 and c, so one free sign per component remains; the
-    component's least vertex is given a leading +.  Sign reversal at the two
-    middle positions and preservation away from the edge are then checked
-    across every edge; any contradiction means the edge list is wrong.
+    component's least vertex is given a leading +.  Axiom 2 (sign reversal at
+    the two middle positions, preservation away from the edge) is then
+    checked across every edge; any contradiction means the edge list is
+    wrong.
     """
     if n != N:
         raise ValueError("structural reconstruction needs type (n, n)")
@@ -65,16 +67,10 @@ def signatures_from_structure(
                 else:
                     sigma[w] = cand
                     stack.append(w)
-    for c, u, w in triples:
-        su, sw = sigma[u], sigma[w]
-        for j in (c - 1, c):
-            if su[j - 1] != -sw[j - 1]:
-                raise ValueError(
-                    f"edge {u!r}-{w!r} color {c}: position {j} not reversed"
-                )
-        for h in range(1, N):
-            if (h < c - 2 or h > c + 1) and su[h - 1] != sw[h - 1]:
-                raise ValueError(f"edge {u!r}-{w!r} color {c}: position {h} changes")
+    report = check_axiom(SignedColoredGraph(n, N, sigma, triples), 2)
+    if not report.holds:
+        c, u, w, why = report.witnesses[0]
+        raise ValueError(f"edge {u!r}-{w!r} color {c}: {why}")
     return sigma
 
 

@@ -46,6 +46,8 @@ class SignedColoredGraph:
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
         for v, s in self.sigma.items():
+            if type(v) is not str:
+                raise GraphFormatError(f"vertex {v!r}: id must be a string")
             if len(s) != N - 1:
                 raise GraphFormatError(
                     f"vertex {v!r}: signature length {len(s)} != N-1 = {N - 1}"

@@ -31,21 +31,10 @@ from .graph import (
 
 @lru_cache(maxsize=None)
 def _standard_graph(lam: Partition) -> SignedColoredGraph:
-    """G_lam, built once per process and shared: callers only read it."""
+    """G_lam, built once per process and shared: callers only read it.  It
+    is the graph augmented by nothing."""
     lam = check_partition(lam)
-    n = sum(lam)
-    tableaux = enumerate_syt(lam)
-    sigma = {tableau_id(t): descent_signature(t) for t in tableaux}
-    triples = []
-    for t in tableaux:
-        u = tableau_id(t)
-        for i in range(2, n):
-            s = dual_equiv_involution(t, i)
-            if s != t:
-                w = tableau_id(s)
-                if u < w:
-                    triples.append((i, u, w))
-    return SignedColoredGraph(n, n, sigma, triples)
+    return build_augmented_deg(lam, AugmentingTableau(lam, lam, ()))
 
 
 def build_standard_deg(lam: Partition) -> SignedColoredGraph:

@@ -1,12 +1,13 @@
-"""Vertex typing, flat and non-flat chains, defect sets, transform
-eligibility, negatively dominant components, and the rooted node tree used to
-unblock stuck configurations.
+"""Vertex typing, flat and non-flat chains, defect sets, the set U_i,
+negatively dominant components, and the rooted node tree used to unblock
+stuck configurations.
 
 The defect sets W_i (overlong non-flat chains) and C_i (overlong flat
 chains) measure how far a graph is from having only allowed three-color
 components; their package-filtered refinements W_i0 and C_i0 mark vertices
-where the rewiring maps are defined, and U_i marks those where rewiring also
-keeps the graph locally Schur positive.
+where the rewiring maps are defined, and U_i (``set_U``) marks those where
+rewiring also keeps the graph locally Schur positive.  The rewiring maps
+and the search over U_i live in ``transform``.
 """
 
 from __future__ import annotations
@@ -270,31 +271,15 @@ def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
 
 
 # ---------------------------------------------------------------------------
-# transform eligibility
-
-
-def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
-    """Yield (anchor, kind, H) for each vertex of U_i: the phi anchors of
-    W_i0, then the psi anchors of C_i0, each in id order.  H is the rewired
-    graph, already checked locally Schur positive.  ``sets`` must be
-    ``defect_sets(G, i)``.  Anchors are tried lazily, so a caller that takes
-    the first one pays for no others."""
-    from .axioms import is_locally_schur_positive
-    from .transform import TransformError, _phi, _psi
-
-    for kind, apply, anchors in (("phi", _phi, sets.W0), ("psi", _psi, sets.C0)):
-        for v in sorted(anchors):
-            try:
-                H = apply(G, v, i, 0, sets)
-            except TransformError:
-                continue
-            if is_locally_schur_positive(H).holds:
-                yield v, kind, H
+# U_i
 
 
 def set_U(G: SignedColoredGraph, i: int) -> list[tuple[str, str]]:
     """Vertices of W_i0 / C_i0 whose rewiring keeps the graph locally Schur
-    positive, tagged 'phi' or 'psi'."""
+    positive, tagged 'phi' or 'psi'.  The search that finds them is
+    ``transform.eligible_rewirings``, which the pipeline runs lazily."""
+    from .transform import eligible_rewirings
+
     return [(v, kind) for v, kind, _ in eligible_rewirings(G, i, defect_sets(G, i))]
 
 

@@ -4,15 +4,18 @@ positive graph into a dual equivalence graph one color at a time.
 All four maps replace a single color class and leave vertices, signatures,
 and every other color untouched, so the quasisymmetric generating function is
 preserved exactly.  Each application is validated structurally (the new color
-class must again be a matching on the same vertex support) and the orchestrator
-additionally verifies local Schur positivity after every committed step,
-aborting with a diagnostic rather than certifying a dubious graph.
+class must again be a matching on the same vertex support).
 
-At color i the orchestrator drains the defect sets W_i and C_i with phi, psi
-and gamma, never returning to a color-i matching it has already seen, then
-splits covers with theta until axiom 6 holds at colors 2..i.  Every step
-rewires color i only; defects a split leaves at higher colors are drained
-when the pipeline reaches them.
+At color i the orchestrator drains the defect sets W_i and C_i, then splits
+covers with theta until axiom 6 holds at colors 2..i.  A drain step is the
+first candidate whose result is a color-i matching not seen before: the
+vertices of U_i (``eligible_rewirings``), a phi anchor taking its long
+variant where that shrinks W_i, then gamma at each vertex in id order.  Every
+candidate and every split passes one gate, ``_gate`` (the result is locally
+Schur positive), before it is committed; when none does, the run aborts with
+a diagnostic rather than certifying a dubious graph.  Every step rewires
+color i only; defects a split leaves at higher colors are drained when the
+pipeline reaches them.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .graph import (
 )
 from .standard import identify_component
 from .structure import (
+    DefectSets,
     StructureError,
     defect_sets,
-    eligible_rewirings,
     extend_nonflat_chain,
     has_type_w,
     is_flat_edge,
@@ -205,6 +208,29 @@ def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGr
     return _rewire(G, i, a, b, through_edge=False)
 
 
+def _gate(H: SignedColoredGraph) -> bool:
+    """Whether the pipeline may commit a step whose result is H: H must be
+    locally Schur positive.  Every candidate of the search and every split
+    passes this one check before it is committed."""
+    return is_locally_schur_positive(H).holds
+
+
+def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
+    """Yield (anchor, kind, H) for each vertex of U_i: the phi anchors of
+    W_i0, then the psi anchors of C_i0, each in id order.  H is the rewired
+    graph, already through the gate.  ``sets`` must be
+    ``defect_sets(G, i)``.  Anchors are tried lazily, so a caller that takes
+    the first one pays for no others."""
+    for kind, apply, anchors in (("phi", _phi, sets.W0), ("psi", _psi, sets.C0)):
+        for v in sorted(anchors):
+            try:
+                H = apply(G, v, i, 0, sets)
+            except TransformError:
+                continue
+            if _gate(H):
+                yield v, kind, H
+
+
 def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
     """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's qualifications."""
     y = z
@@ -257,41 +283,32 @@ def apply_theta(
     comps, comp_of = G.refine(H, lower)
     pivot_idx = comp_of[pivot.min_vertex()]
 
+    # H is closed under color i, so the i-partner of a vertex of H is in H
     old = G.matching(i)
-    adjacent: set[int] = set()
-    for u, w in old.items():
-        if u in comp_of and comp_of[u] == pivot_idx and w in comp_of:
-            if comp_of[w] != pivot_idx:
-                adjacent.add(comp_of[w])
+    adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}
     if not adjacent:
         raise TransformError("pivot component has no outgoing i-edges")
     ring = set().union(*(comps[k] for k in adjacent))
 
-    # components needing an isomorphism into the ring
-    need: set[int] = set()
-    for u, w in old.items():
-        if u in ring and w in comp_of and comp_of[w] not in adjacent | {pivot_idx}:
-            need.add(comp_of[w])
-    maps: dict[int, dict[str, str]] = {k: {v: v for v in comps[k]} for k in adjacent}
+    # each other piece i-joined to the ring ("need") maps onto its unique
+    # isomorphic twin adjacent to the pivot; ``image`` holds all those maps
+    need = {comp_of[old[u]] for u in ring if u in old} - adjacent - {pivot_idx}
+    image: dict[str, str] = {}
     positions = range(1, G.N)
     for k in sorted(need):
         source = comps[k]
-        found: list[tuple[int, dict[str, str]]] = []
-        for t in sorted(adjacent):
-            target = comps[t]
-            if sorted(G.sigma[v] for v in source) != sorted(G.sigma[v] for v in target):
-                continue
-            isos = count_component_isomorphisms(
-                G, source, G, target, lower, positions, limit=2
-            )
-            for m in isos:
-                found.append((t, m))
+        sigs = sorted(G.sigma[v] for v in source)
+        found = [
+            (t, m)
+            for t in sorted(adjacent)
+            if sorted(G.sigma[v] for v in comps[t]) == sigs
+            for m in count_component_isomorphisms(G, source, G, comps[t], lower, positions, limit=2)
+        ]
         if not found:
             raise TransformError(
                 f"component at {source[0]!r} matches nothing adjacent to the pivot"
             )
-        targets = {t for t, _ in found}
-        if len(targets) > 1:
+        if len({t for t, _ in found}) > 1:
             raise TransformError(
                 f"component at {source[0]!r} matches several adjacent components"
             )
@@ -299,13 +316,7 @@ def apply_theta(
             raise TransformError(
                 f"component at {source[0]!r} has a non-unique isomorphism"
             )
-        maps[k] = found[0][1]
-
-    def mapped(v: str) -> str | None:
-        k = comp_of.get(v)
-        if k is None or k not in maps:
-            return None
-        return maps[k].get(v)
+        image.update(found[0][1])
 
     new: dict[str, str] = {}
 
@@ -319,17 +330,12 @@ def apply_theta(
         if v in new:
             continue
         w = old[v]
-        v_in_ring = v in ring
-        w_in_ring = w in ring
-        v_in_pivot = comp_of.get(v) == pivot_idx
-        w_in_pivot = comp_of.get(w) == pivot_idx
-        if v_in_ring and not w_in_ring and not w_in_pivot and mapped(w) is not None:
-            pair(v, mapped(w))
-        elif w_in_ring and not v_in_ring and not v_in_pivot and mapped(v) is not None:
-            img = maps[comp_of[v]][v]
-            target = old.get(img)
+        if v in ring and w in image:
+            pair(v, image[w])
+        elif w in ring and v in image:
+            target = old.get(image[v])
             if target is None:
-                raise TransformError(f"image {img!r} lacks an old {i}-edge")
+                raise TransformError(f"image {image[v]!r} lacks an old {i}-edge")
             pair(v, target)
         else:
             pair(v, w)
@@ -356,10 +362,6 @@ class TransformStep:
             "anchor": self.anchor,
             "variant": self.variant,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TransformStep":
-        return _parse_step(d, "step")
 
 
 _STEP_KINDS = ("phi", "psi", "gamma", "theta")
@@ -481,48 +483,42 @@ def _state(G: SignedColoredGraph, i: int) -> frozenset:
     return frozenset(G._partners(i).items())
 
 
-def _defect_step(G, i, sets, seen):
-    """The step committed at the first vertex of U_i whose result is not a
-    state in ``seen``, with its result and the result's defect sets; None
-    when there is no such vertex.
+def _next_step(G, i, sets, seen):
+    """The step committed next at color i, with its result and the result's
+    defect sets; None when no candidate leads to a state not in ``seen``
+    through the gate.
 
-    The long phi variant is taken when it leads to an unseen state, strictly
-    shrinks W_i and keeps local Schur positivity; otherwise the short
-    rewiring, already checked by the search, is committed as it is.
+    The vertices of U_i come first.  A phi anchor takes its long variant when
+    that leads to an unseen state, strictly shrinks W_i and passes the gate;
+    otherwise its short rewiring, already through the gate, is committed as
+    it is.  Gamma follows, at each vertex in id order.
     """
     for anchor, kind, H in eligible_rewirings(G, i, sets):
         if _state(H, i) in seen:
             continue
-        r = _long_r(G, anchor, i, sets.W0) if kind == "phi" else 0
-        if r > 0:
+        if kind == "phi" and (r := _long_r(G, anchor, i, sets.W0)):
             try:
                 L = _phi(G, anchor, i, r, sets)
             except TransformError:
                 L = None
             if L is not None and _state(L, i) not in seen:
                 L_sets = defect_sets(L, i)
-                if L_sets.W < sets.W and is_locally_schur_positive(L).holds:
+                if L_sets.W < sets.W and _gate(L):
                     return TransformStep("phi", i, anchor, r), L, L_sets
-        return TransformStep(kind, i, anchor, 0), H, defect_sets(H, i)
-    return None
-
-
-def _gamma_step(G, i, seen):
-    """The gamma step at the first vertex whose result is an unseen, locally
-    Schur positive state, with its result and the result's defect sets;
-    None when there is no such vertex."""
+        return TransformStep(kind, i, anchor), H, defect_sets(H, i)
     for z in G.vertices():
         try:
             H = apply_gamma(G, z, i)
         except TransformError:
             continue
-        if _state(H, i) not in seen and is_locally_schur_positive(H).holds:
+        if _state(H, i) not in seen and _gate(H):
             return TransformStep("gamma", i, z), H, defect_sets(H, i)
     return None
 
 
-def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
-    """Drain W_i and C_i, interposing gamma when nothing is eligible.
+def _resolve_defects(G, i, log, limit) -> SignedColoredGraph:
+    """Drain W_i and C_i, interposing gamma when nothing is eligible, while
+    the log holds fewer than ``limit`` steps.
 
     Every step here rewires color i only, so the i-matching identifies a
     graph state, and no step returns to a state seen before.
@@ -530,9 +526,9 @@ def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
     seen = {_state(G, i)}
     sets = defect_sets(G, i)
     while not sets.all_empty():
-        if budget[0] <= 0:
+        if len(log.steps) >= limit:
             raise PipelineAbort(f"step budget exhausted at color {i}", G)
-        found = _defect_step(G, i, sets, seen) or _gamma_step(G, i, seen)
+        found = _next_step(G, i, sets, seen)
         if found is None:
             bad = min(sets.W | sets.C)
             comp = G.component_of(bad, (i - 2, i - 1, i) if i >= 4 else (i - 1, i))
@@ -549,13 +545,13 @@ def _resolve_defects(G, i, log, budget) -> SignedColoredGraph:
         else:
             note = f"defect step at color {i}; |W|={len(sets.W)} |C|={len(sets.C)}"
         log.record(step, f"{note}; locally Schur positive")
-        budget[0] -= 1
     return G
 
 
-def _resolve_axiom6(G, i, log, budget, below, piece):
-    """Split covers at color i until colors 2..i satisfy axiom 6; returns
-    the graph and its pieces under colors 2..i.
+def _resolve_axiom6(G, i, log, limit, below, piece):
+    """Split covers at color i until colors 2..i satisfy axiom 6, while the
+    log holds fewer than ``limit`` steps; returns the graph and its pieces
+    under colors 2..i.
 
     ``below`` holds the axiom-6 witnesses at colors 2..i-1 and ``piece``
     the pieces under those colors (see ``axioms._axiom6_at``).  A split
@@ -567,22 +563,20 @@ def _resolve_axiom6(G, i, log, budget, below, piece):
         at_i, after = _axiom6_at(G, i, piece)
         if not below and not at_i:
             return G, after
-        if budget[0] <= 0:
+        if len(log.steps) >= limit:
             raise PipelineAbort(f"step budget exhausted during splits at color {i}", G)
         if not at_i:
             raise PipelineAbort(f"axiom 6 fails below color {i}: {below[:2]}", G)
-        witness = at_i[0]
-        H_comp = G.component_of(witness[1], range(2, i + 1))
+        H_comp = G.component_of(at_i[0][1], range(2, i + 1))
         try:
             pivot = theta_pivot(G, i, H_comp.vertices)
             H = apply_theta(G, pivot, i)
         except (TransformError, StructureError) as e:
             raise PipelineAbort(f"color {i}: split failed: {e}", G, H_comp) from None
+        if not _gate(H):
+            raise PipelineAbort(f"color {i}: split broke local Schur positivity", G)
         log.record(TransformStep("theta", i, pivot.min_vertex()), f"cover split at color {i}")
         G = H
-        budget[0] -= 1
-        if not is_locally_schur_positive(G).holds:
-            raise PipelineAbort(f"color {i}: split broke local Schur positivity", G)
 
 
 def one_step(G: SignedColoredGraph, i: int) -> tuple[SignedColoredGraph, TransformLog]:
@@ -590,26 +584,25 @@ def one_step(G: SignedColoredGraph, i: int) -> tuple[SignedColoredGraph, Transfo
     assuming the restriction one color lower already is one."""
     if not 0 < i < G.n:
         raise ValueError(f"color {i} outside 0 < i < n = {G.n}")
-    below, piece = _axiom6_below(G, i)
-    G, log, _ = _one_step(G, i, below, piece)
+    log = TransformLog()
+    G, _ = _one_step(G, i, *_axiom6_below(G, i), log)
     return G, log
 
 
-def _one_step(G, i, below, piece):
+def _one_step(G, i, below, piece, log):
     """``one_step`` given the axiom-6 witnesses at colors 2..i-1 and the
-    pieces under them; also returns the pieces under colors 2..i, or None
-    when the step aborts."""
-    log = TransformLog()
-    budget = [4 * len(G.sigma) * max(G.n, 2)]
+    pieces under them, recording into ``log``; also returns the pieces under
+    colors 2..i, or None when the step aborts.  At most 4 V max(n, 2) steps
+    are logged at this color."""
+    limit = len(log.steps) + 4 * len(G.sigma) * max(G.n, 2)
     try:
-        G = _resolve_defects(G, i, log, budget)
-        G, piece = _resolve_axiom6(G, i, log, budget, below, piece)
+        G = _resolve_defects(G, i, log, limit)
+        return _resolve_axiom6(G, i, log, limit, below, piece)
     except PipelineAbort as e:
         log.aborted = True
         log.diagnostic = str(e)
         log.failure_graph = e.component.subgraph() if e.component else e.graph
-        return e.graph, log, None
-    return G, log, piece
+        return e.graph, None
 
 
 @dataclass
@@ -637,13 +630,8 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
     # later steps rewire only higher colors, so its pieces carry over
     piece = {v: v for v in G.sigma}
     for i in range(2, last + 1):
-        G, step_log, piece = _one_step(G, i, [], piece)
-        log.steps.extend(step_log.steps)
-        log.checkpoints.extend(step_log.checkpoints)
-        if step_log.aborted:
-            log.aborted = True
-            log.diagnostic = step_log.diagnostic
-            log.failure_graph = step_log.failure_graph
+        G, piece = _one_step(G, i, [], piece, log)
+        if log.aborted:
             return PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:
         return PipelineResult(G, log, None, False)

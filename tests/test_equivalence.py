@@ -1,8 +1,9 @@
 """The memoised and first-eligible code paths against plain references: the
 pipeline's output is pinned byte for byte, LSP witnesses match a per-window
 positivity check, the committed defect step is the first vertex of U_i,
-the axiom 4 and axiom 6 checkers match slower per-component checkers, and
-the direct JSON writer matches ``json.dumps`` byte for byte."""
+every candidate and split passes the one gate, the axiom 4 and axiom 6
+checkers match slower per-component checkers, and the direct JSON writer
+matches ``json.dumps`` byte for byte."""
 
 import hashlib
 import json
@@ -27,7 +28,10 @@ from degraphs.transform import (
     TransformLog,
     TransformStep,
     _long_r,
+    apply_gamma,
     apply_phi,
+    apply_psi,
+    apply_step,
     full_pipeline,
     one_step,
 )
@@ -340,6 +344,73 @@ def test_first_defect_step_is_first_of_set_u():
     long_steps = [s for _, _, s in seen if s is not None and s.variant > 0]
     assert long_steps == [TransformStep("phi", 4, "v00", 1)]
     assert {name for name, _, _ in seen} >= {"fig8", "fig12", "fig5a", "long_phi_union"}
+
+
+def rewirings(apply, G, i, anchors):
+    """The graphs ``apply`` gives at each anchor in its domain, in order."""
+    out = []
+    for v in anchors:
+        try:
+            out.append(apply(G, v, i))
+        except TransformError:
+            pass
+    return out
+
+
+def test_every_step_passes_the_one_gate(monkeypatch):
+    """phi and psi (through U_i), gamma and the split each ask
+    ``transform._gate`` before a step is committed, and when it rejects
+    everything the run aborts with no step committed.  The long phi variant
+    is asked only after its short rewiring has passed the gate, so a gate
+    rejecting that variant alone shows it: the short rewiring is committed
+    in its place."""
+    real_gate = transform._gate
+    G = long_phi_union()
+    L = apply_phi(G, "v00", 4, 1)
+    assert one_step(G, 4)[1].steps[0] == TransformStep("phi", 4, "v00", 1)
+    fig12_at4 = full_pipeline(fixture("fig12"), stop_at=3).graph  # phi and psi at 4
+    _, S = split_inputs()[1]  # s199-n6k4 splits at color 5
+    S_at5 = full_pipeline(S, stop_at=4).graph
+    S_split = apply_step(S_at5, next(s for s in full_pipeline(S).log.steps if s.kind == "theta"))
+    fig6 = fixture("fig6")
+    fig6_split = apply_step(fig6, full_pipeline(fig6).log.steps[0])
+
+    asked = []
+    monkeypatch.setattr(transform, "_gate", lambda H: asked.append(H) or (H != L and real_gate(H)))
+    _, log = one_step(G, 4)
+    assert L in asked and log.steps[0] == TransformStep("phi", 4, "v00", 0)
+
+    monkeypatch.setattr(transform, "_gate", lambda H: asked.append(H) or False)
+
+    def asked_before_abort(G, diagnostic, run):
+        asked.clear()
+        H, log = run(G)
+        assert log.aborted and log.steps == [] and H == G
+        assert log.diagnostic.startswith(diagnostic)
+        return asked
+
+    def candidates(G, i):
+        sets = defect_sets(G, i)
+        return [
+            rewirings(apply_phi, G, i, sorted(sets.W0)),
+            rewirings(apply_psi, G, i, sorted(sets.C0)),
+            rewirings(apply_gamma, G, i, G.vertices()),
+        ]
+
+    def pipeline(G):
+        res = full_pipeline(G)
+        return res.graph, res.log
+
+    phi, psi, gamma = candidates(G, 4)
+    assert phi and gamma and not psi
+    assert asked_before_abort(G, "color 4: defects remain", pipeline) == phi + gamma
+    phi, psi, gamma = candidates(fig12_at4, 4)
+    assert phi and psi and not gamma
+    got = asked_before_abort(fig12_at4, "color 4: defects remain", lambda G: one_step(G, 4))
+    assert got == phi + psi
+    got = asked_before_abort(S_at5, "color 5: split broke", lambda G: one_step(G, 5))
+    assert got == [S_split]
+    assert asked_before_abort(fig6, "color 5: split broke", pipeline) == [fig6_split]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             SignedColoredGraph(4, 3, {"a": (1, 1)}, [])
 
+    def test_vertex_id_must_be_a_string(self):
+        """As in ``from_text``: an int id once built a graph whose
+        ``to_text`` raised TypeError."""
+        with pytest.raises(GraphFormatError, match="vertex 1: id must be a string"):
+            SignedColoredGraph(3, 3, {1: (1, -1), 2: (-1, 1)}, [(2, 1, 2)])
+        G = SignedColoredGraph(3, 3, {"a": (1, -1), "b": (-1, 1)}, [(2, "a", "b")])
+        with pytest.raises(GraphFormatError, match="id must be a string"):
+            G.relabel({"a": 1, "b": 2})
+
     @pytest.mark.parametrize("n, N", [(0, 0), (-1, -1), (0, 3), (-2, 1)])
     def test_type_below_one(self, n, N):
         with pytest.raises(GraphFormatError, match=rf"need 1 <= n <= N, got \({n},{N}\)"):
