@@ -390,13 +390,6 @@ class SmallClassification:
     k: int | None = None
     detail: str = ""
 
-    def describe(self) -> str:
-        if not self.ok:
-            return f"degree {self.degree}: OUTSIDE ({self.detail})"
-        if self.kind == "single":
-            return f"degree {self.degree}: s[{','.join(map(str, self.lam))}]"
-        return f"degree {self.degree}: {self.kind} with k={self.k}"
-
 
 _MIXED_FORMS = {
     4: [((3, 1), (2, 2), "s31_plus_k_s22"), ((2, 1, 1), (2, 2), "s211_plus_k_s22")],
@@ -420,7 +413,7 @@ def classify_small_component(comp: ComponentView, degree: int) -> SmallClassific
         )
     sub = comp.subgraph()
     hypotheses = [check_axiom(sub, k) for k in (1, 2, 3, 5)]
-    hypotheses.append(check_lsp(sub, 4) if degree == 4 else check_lsp(sub, degree))
+    hypotheses.append(check_lsp(sub, degree))
     if degree >= 5:
         hypotheses.append(check_lsf(sub, 4))
     if degree >= 6:

@@ -75,9 +75,6 @@ class SignedColoredGraph:
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.sigma))
 
-    def signature(self, v: str) -> Signature:
-        return self.sigma[v]
-
     def colors(self) -> tuple[int, ...]:
         return tuple(range(2, self.n))
 

@@ -71,13 +71,6 @@ class QSym:
     def scale(self, k: int) -> "QSym":
         return QSym(self.degree, {s: k * c for s, c in self.coeffs.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QSym)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def support(self) -> frozenset[Signature]:
         return frozenset(self.coeffs)
 
@@ -113,13 +106,6 @@ class SchurExpansion:
     def is_exact(self) -> bool:
         return self.residual.is_zero()
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurExpansion)
-            and self.coeffs == other.coeffs
-            and self.residual == other.residual
-        )
-
     def to_string(self) -> str:
         """Render like ``s[3,2]+s[3,1,1]+2*s[2,2,1]`` in elimination order."""
         if not self.coeffs and self.residual.is_zero():
@@ -138,16 +124,6 @@ class SchurExpansion:
         if not self.residual.is_zero():
             text = (text + "+" if text else "") + "RESIDUAL"
         return text if text else "0"
-
-    def to_lines(self) -> str:
-        lines = [
-            f"{partition_str(lam)} {self.coeffs[lam]}"
-            for lam in sorted(self.coeffs, reverse=True)
-        ]
-        if not self.residual.is_zero():
-            lines.append("RESIDUAL")
-            lines.append(self.residual.to_lines())
-        return "\n".join(lines)
 
 
 @lru_cache(maxsize=None)

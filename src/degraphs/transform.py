@@ -3,8 +3,10 @@ positive graph into a dual equivalence graph one color at a time.
 
 All four maps replace a single color class and leave vertices, signatures,
 and every other color untouched, so the quasisymmetric generating function is
-preserved exactly.  Each application is validated structurally (the new color
-class must again be a matching on the same vertex support).
+preserved exactly.  Every map builds its new color class one way, in
+``_rematch``: each i-matched vertex is given its new partner, and
+``with_color_matching`` is the one check that the result is again a matching
+on the same vertices.
 
 At color i the orchestrator drains the defect sets W_i and C_i, then splits
 covers with theta until axiom 6 holds at colors 2..i.  A drain step is the
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from .axioms import _axiom6_at, _axiom6_below, check_axiom, is_locally_schur_positive
 from .graph import (
     ComponentView,
+    GraphFormatError,
     SignedColoredGraph,
     _field,
     count_component_isomorphisms,
@@ -42,7 +45,6 @@ from .structure import (
     has_type_w,
     is_flat_edge,
     negatively_dominant,
-    nonflat_chain_through,
     psi_target,
 )
 from .symfunc import SchurExpansion, expand_in_schur
@@ -74,6 +76,22 @@ def package_isomorphism(
     )
 
 
+def _rematch(G: SignedColoredGraph, i: int, target) -> SignedColoredGraph:
+    """G with its i-matching rebuilt: each i-matched vertex v, in id order,
+    is paired with ``target(v, E_i(v))``.  Every map builds its new matching
+    here, and ``with_color_matching`` is the one check that the result is a
+    matching on the same vertices."""
+    old = G._partners(i)
+    new = {v: target(v, old[v]) for v in sorted(old)}
+    missing = next((v for v, w in new.items() if w is None), None)
+    if missing is not None:
+        raise TransformError(f"rewiring finds no {i}-partner for {missing!r}")
+    try:
+        return G.with_color_matching(i, new)
+    except GraphFormatError as e:
+        raise TransformError(f"rewiring is not a matching: {e}") from None
+
+
 def _rewire(
     G: SignedColoredGraph, i: int, a: str, b: str, through_edge: bool
 ) -> SignedColoredGraph:
@@ -91,55 +109,19 @@ def _rewire(
     back = {v: k for k, v in phi.items()}
     if not set(back) & set(phi):
         phi.update(back)
-    old = G.matching(i)
-    domain = set(phi)
-    new: dict[str, str] = {}
 
-    def pair(u: str, w: str, why: str):
-        if u == w:
-            raise TransformError(f"rewiring would match {u!r} with itself ({why})")
-        if new.get(u, w) != w or new.get(w, u) != u:
-            raise TransformError(f"rewiring conflict at {u!r}/{w!r} ({why})")
-        new[u] = w
-        new[w] = u
+    def target(v: str, w: str) -> str | None:
+        if v in phi:
+            return G.neighbor(phi[v], i) if through_edge else phi[v]
+        if w in phi:
+            return phi[w] if through_edge else G.neighbor(phi[w], i)
+        return w
 
-    for v in sorted(old):
-        if v in domain:
-            target = phi[v] if not through_edge else old.get(phi[v])
-            if target is None:
-                raise TransformError(f"no old {i}-edge at image of {v!r}")
-            pair(v, target, "package")
-        elif old[v] in domain:
-            x = old[v]
-            target = phi[x] if through_edge else old.get(phi[x])
-            if target is None:
-                raise TransformError(f"image of {x!r} lacks an old {i}-edge")
-            pair(v, target, "beyond package")
-        else:
-            pair(v, old[v], "unchanged")
-    if set(new) != set(old):
-        raise TransformError("rewiring changed the matched vertex set")
-    return G.with_color_matching(i, new)
+    return _rematch(G, i, target)
 
 
 # ---------------------------------------------------------------------------
 # the four involutions
-
-
-def phi_partner(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> str:
-    """u = E_{i-1}(E_i E_{i-1})^r (w)."""
-    u = w
-    for _ in range(r):
-        nxt = G.neighbor(u, i - 1)
-        if nxt is None:
-            raise TransformError(f"non-flat chain from {w!r} ends before r={r}")
-        u = G.neighbor(nxt, i)
-        if u is None:
-            raise TransformError(f"non-flat chain from {w!r} ends before r={r}")
-    u = G.neighbor(u, i - 1)
-    if u is None:
-        raise TransformError(f"vertex {w!r} has no {i - 1}-neighbor")
-    return u
 
 
 def _check_anchor(G: SignedColoredGraph, v: str, r: int = 0):
@@ -147,6 +129,15 @@ def _check_anchor(G: SignedColoredGraph, v: str, r: int = 0):
         raise TransformError(f"anchor {v!r} is not a vertex")
     if r < 0:
         raise TransformError(f"variant r={r} is negative")
+
+
+def _chain_ahead(G: SignedColoredGraph, w: str, i: int) -> list[str]:
+    """The non-flat chain grown ahead of w's own i-edge: E_{i-1}(w),
+    E_i E_{i-1}(w), ..., stopping before a vertex met already.  The long phi
+    variant r pairs w with entry 2r, u = E_{i-1}(E_i E_{i-1})^r (w), and
+    needs the entries before it in W_i0; a walk that wraps round a cyclic
+    chain never gets that far."""
+    return extend_nonflat_chain(G, w, i, {w, G.neighbor(w, i)})
 
 
 def apply_phi(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> SignedColoredGraph:
@@ -162,15 +153,13 @@ def _phi(G: SignedColoredGraph, w: str, i: int, r: int, sets) -> SignedColoredGr
         if w in sets.W:
             raise TransformError(f"{w!r} is in W_{i} but fails the package filter")
         raise TransformError(f"{w!r} is not in W_{i}")
-    u = phi_partner(G, w, i, r)
-    if r > 0:
-        chain = nonflat_chain_through(G, w, i)
-        between = set()
-        if w in chain and u in chain:
-            a, b = sorted((chain.index(w), chain.index(u)))
-            between = set(chain[a : b + 1])
-        if not between or not between <= (sets.W0 | {w, u}):
+    if r == 0:
+        u = G.neighbor(w, i - 1)  # w has type W, so the edge exists
+    else:
+        ahead = _chain_ahead(G, w, i)
+        if len(ahead) <= 2 * r or not set(ahead[: 2 * r]) <= sets.W0:
             raise TransformError(f"long variant r={r} leaves the eligible chain")
+        u = ahead[2 * r]
     return _rewire(G, i, w, u, through_edge=False)
 
 
@@ -318,30 +307,14 @@ def apply_theta(
             )
         image.update(found[0][1])
 
-    new: dict[str, str] = {}
-
-    def pair(u: str, w: str):
-        if u == w or new.get(u, w) != w or new.get(w, u) != u:
-            raise TransformError(f"theta rewiring conflict at {u!r}/{w!r}")
-        new[u] = w
-        new[w] = u
-
-    for v in sorted(old):
-        if v in new:
-            continue
-        w = old[v]
+    def target(v: str, w: str) -> str | None:
         if v in ring and w in image:
-            pair(v, image[w])
-        elif w in ring and v in image:
-            target = old.get(image[v])
-            if target is None:
-                raise TransformError(f"image {image[v]!r} lacks an old {i}-edge")
-            pair(v, target)
-        else:
-            pair(v, w)
-    if set(new) != set(old):
-        raise TransformError("theta changed the matched vertex set")
-    return G.with_color_matching(i, new)
+            return image[w]
+        if w in ring and v in image:
+            return G.neighbor(image[v], i)
+        return w
+
+    return _rematch(G, i, target)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +432,12 @@ def replay(G: SignedColoredGraph, log: TransformLog) -> SignedColoredGraph:
 
 
 def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
-    """Largest r for the long rewiring anchored at w: the chain grown ahead
-    of w's own edge must stay inside the eligible set."""
-    u0 = G.neighbor(w, i)
-    if u0 is None:
+    """Largest r for the long rewiring anchored at w in W0: the chain ahead
+    of w must stay inside W0 up to and including the partner."""
+    ahead = _chain_ahead(G, w, i)
+    if len(ahead) < 4 or not set(ahead[:-1]) <= W0:
         return 0
-    chain = [u0, w] + extend_nonflat_chain(G, w, i, {u0, w})
-    if len(chain) < 6 or not set(chain[1:-1]) <= W0:
-        return 0
-    return (len(chain) - 4) // 2
+    return len(ahead) // 2 - 1
 
 
 class PipelineAbort(Exception):

@@ -5,9 +5,12 @@ every candidate and split passes the one gate, the axiom 4 and axiom 6
 checkers match slower per-component checkers, and the direct JSON writer
 matches ``json.dumps`` byte for byte."""
 
+import functools
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -21,7 +24,12 @@ from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphism, i_package
 from degraphs.standard import build_standard_deg
-from degraphs.structure import defect_sets, has_type_w, set_U
+from degraphs.structure import (
+    defect_sets,
+    has_type_w,
+    nonflat_chain_through,
+    set_U,
+)
 from degraphs.symfunc import is_schur_positive
 from degraphs.transform import (
     TransformError,
@@ -36,7 +44,8 @@ from degraphs.transform import (
     one_step,
 )
 
-from conftest import corpus, relabel_random
+from conftest import corpus, gamma_instance, relabel_random
+from test_properties import hexagon
 
 
 def long_phi_union() -> SignedColoredGraph:
@@ -74,6 +83,21 @@ def split_inputs():
     return [
         (name, SignedColoredGraph.from_text((DATA / f"{name}.json").read_text()))
         for name in ("s106-n7k4", "s199-n6k4")
+    ]
+
+
+REWIRING_INPUTS = ("s156-n6k3", "s109-n7k3")
+
+
+def rewiring_inputs():
+    """Two scrambled unions of the benchmark corpus, seed 10, on paths the
+    rewiring takes rarely: s156-n6k3 (26 vertices, certified) holds the
+    only pipeline gamma step among the 2000 inputs of seeds 1-10, and so the
+    only rewiring through the edge; s109-n7k3 (77 vertices) aborts in the
+    split."""
+    return [
+        (name, SignedColoredGraph.from_text((DATA / f"{name}.json").read_text()))
+        for name in REWIRING_INPUTS
     ]
 
 
@@ -125,15 +149,34 @@ GOLDEN = {
         "b0db544d5924d30861537d03631951147b31a2c9daee9f6b37ff8ed9683010bd"),
     "s199-n6k4": ("e38c07e8a6a21c63217271cb49bd1d5e10533b3a889dd072f991396a6faf5dfa",
         "69b09545032ff4335d6ba66e7e12424ee433f72ce6729212c7cdde987e1feab8"),
+    # recorded before the four maps shared one matching rebuild
+    "s156-n6k3": ("0ee27f7198be7b0ab56cc8eb8254af9818bf293fba119cd534ae8165c1c900c3",
+        "ee464e871a8c88e6a1d41833f9a42b398106ce4ce1c1cd4ae006f4933a97cda7"),
+    "s109-n7k3": ("2c372718465015c1c1e7ad25d169ee3c090d37a666a331202676bcb3742f2789",
+        "7f2be502684078025d3ed6cc51486ee7f81e460ac20768ca03f2e5f542b1dcaf"),
 }
 
 
 @pytest.mark.parametrize(
-    "name, G", [pytest.param(n, G, id=n) for n, G in pipeline_inputs() + split_inputs()]
+    "name, G",
+    [
+        pytest.param(n, G, id=n)
+        for n, G in pipeline_inputs() + split_inputs() + rewiring_inputs()
+    ],
 )
 def test_pipeline_output_is_pinned(name, G):
     res = full_pipeline(G)
     assert (sha(res.log.to_text()), sha(res.graph.to_text())) == GOLDEN[name]
+
+
+def test_rewiring_inputs_take_their_paths():
+    runs = {name: full_pipeline(G) for name, G in rewiring_inputs()}
+    gamma = runs["s156-n6k3"]
+    assert gamma.certified and [s.kind for s in gamma.log.steps].count("gamma") == 1
+    assert runs["s109-n7k3"].log.diagnostic == (
+        "color 5: split failed: component at '0:1,2,6,7|3,4|5' matches nothing "
+        "adjacent to the pivot"
+    )
 
 
 def test_split_inputs_take_the_split_path():
@@ -680,8 +723,9 @@ def test_chained_axiom6_steps_match_per_component_checker():
 def carry_inputs():
     """The fixtures and every graph under ``tests/data``: four seed-1
     scrambled unions that split once or twice (s073, s106, s198, s199 are
-    the benchmark's seed-1 inputs of those names) and two uncapped n = 8
-    draws (r5-draw05, r5-draw15) whose splits leave defects higher up."""
+    the benchmark's seed-1 inputs of those names), two uncapped n = 8
+    draws (r5-draw05, r5-draw15) whose splits leave defects higher up, and
+    the two seed-10 inputs of ``rewiring_inputs``, which commit no split."""
     graphs = [(name, fixture(name)) for name in fixture_names()]
     for path in sorted(DATA.glob("*.json")):
         graphs.append((path.stem, SignedColoredGraph.from_text(path.read_text())))
@@ -706,7 +750,7 @@ def test_pipeline_matches_standalone_steps(name, G):
             break
     assert res.log.to_text() == log.to_text()
     assert res.graph.to_text() == H.to_text()
-    if not name.startswith("fig"):
+    if not name.startswith("fig") and name not in REWIRING_INPUTS:
         assert "theta" in [s.kind for s in log.steps]
 
 
@@ -1051,3 +1095,140 @@ def test_writer_quotes_any_id(ids, stat):
     text = G.to_text()
     assert text == reference_to_text(G)
     assert SignedColoredGraph.from_text(text) == G
+
+
+# ---------------------------------------------------------------------------
+# the one matching rebuild and the one long-phi chain against the code they
+# replaced
+
+
+def reference_pair_loop(G, i, target, skip_paired=False):
+    """The loop each map once ran to rebuild its i-matching: pair each
+    matched vertex with its target both ways, rejecting a self-pair, a
+    conflict and a change of the matched set.  Theta's loop skipped a vertex
+    already paired."""
+    old = G.matching(i)
+    new = {}
+    for v in sorted(old):
+        if skip_paired and v in new:
+            continue
+        w = target(v, old[v])
+        if w is None or w == v or new.get(v, w) != w or new.get(w, v) != v:
+            raise TransformError(f"rewiring conflict at {v!r}/{w!r}")
+        new[v] = w
+        new[w] = v
+    if set(new) != set(old):
+        raise TransformError("rewiring changed the matched vertex set")
+    return G.with_color_matching(i, new)
+
+
+def reference_long_partner(G, w, i, r, W0):
+    """``phi_partner`` and the check ``apply_phi`` once made for r > 0: the
+    walk u = E_{i-1}(E_i E_{i-1})^r (w), accepted when the stretch of the
+    non-flat chain through w from w to u lies in W0 apart from its ends.
+    Returns the walk (w first, u last), or None where either failed."""
+    walk = [w]
+    for color in (i - 1, i) * r + (i - 1,):
+        nxt = G.neighbor(walk[-1], color)
+        if nxt is None:
+            return None
+        walk.append(nxt)
+    u = walk[-1]
+    chain = nonflat_chain_through(G, w, i)
+    if w not in chain or u not in chain:
+        return None
+    a, b = sorted((chain.index(w), chain.index(u)))
+    if not set(chain[a : b + 1]) <= (W0 | {w, u}):
+        return None
+    return walk
+
+
+def rewiring_states():
+    """(G, step) for every graph G that the runs on the fixtures,
+    ``tests/data``, the hexagon and ``gamma_instance`` pass through, with the
+    step each run took next from G (None after its last)."""
+    states = []
+    for G in [G for _, G in carry_inputs()] + [hexagon(), gamma_instance()]:
+        for step in full_pipeline(G).log.steps:
+            states.append((G, step))
+            G = apply_step(G, step)
+        states.append((G, None))
+    return tuple(states)
+
+
+def rewiring_candidates(G, i, step):
+    """(kind, call) for each map the search can try at color i: phi at each
+    anchor of W_i0 with the long variant the search would take, psi at each
+    anchor of C_i0 and gamma at every vertex; and the split, when ``step``
+    is one at color i.  (At a component the run does not split, theta may
+    reject a rebuild that the old loop accepted: that loop skipped a vertex
+    already paired without asking its target.)"""
+    sets = defect_sets(G, i)
+    for w in sorted(sets.W0):
+        for r in {0, _long_r(G, w, i, sets.W0)}:
+            yield "phi", functools.partial(apply_phi, G, w, i, r)
+    for x in sorted(sets.C0):
+        yield "psi", functools.partial(apply_psi, G, x, i)
+    for z in G.vertices():
+        yield "gamma", functools.partial(apply_gamma, G, z, i)
+    if step is not None and step.kind == "theta" and step.color == i:
+        yield "theta", functools.partial(apply_step, G, step)
+
+
+def outcome(call):
+    try:
+        return call().edge_triples()
+    except TransformError:
+        return None
+
+
+def test_rematch_matches_the_pair_loops(monkeypatch):
+    """Each candidate gives the graph, edge order included, that the pair
+    loop it replaced gives, or both raise."""
+    tried = Counter()
+    for G, step in rewiring_states():
+        for i in G.colors():
+            for kind, call in rewiring_candidates(G, i, step):
+                got = outcome(call)
+                with monkeypatch.context() as m:
+                    loop = functools.partial(reference_pair_loop, skip_paired=kind == "theta")
+                    m.setattr(transform, "_rematch", loop)
+                    assert got == outcome(call), (kind, call.args[1:], i)
+                tried[kind, got is not None] += 1
+    # every map commits somewhere, and psi and gamma are also rejected
+    assert all(tried[kind, True] for kind in ("phi", "psi", "gamma", "theta"))
+    assert tried["psi", False] and tried["gamma", False]
+
+
+class Partner(Exception):
+    """The partner ``_phi`` hands to ``_rewire``."""
+
+
+def test_long_phi_partner_matches_the_walk(monkeypatch):
+    """For every anchor of W_i0 and r in 1..4, ``_phi`` accepts only where
+    ``phi_partner`` and its chain check did, with the same partner.  Where
+    only the old code accepted, its walk wrapped round a cyclic chain: of
+    848 probes the old code accepted 552, and 546 of those wrapped."""
+
+    def partner(G, i, a, b, through_edge):
+        raise Partner(b)
+
+    states = rewiring_states()  # the runs need the real rewiring
+    monkeypatch.setattr(transform, "_rewire", partner)
+    both = wrapped = 0
+    for G, _ in states:
+        for i in G.colors():
+            sets = defect_sets(G, i)
+            for w, r in itertools.product(sorted(sets.W0), range(1, 5)):
+                walk = reference_long_partner(G, w, i, r, sets.W0)
+                try:
+                    transform._phi(G, w, i, r, sets)
+                except TransformError:
+                    if walk is not None:
+                        # the walk meets w's own i-edge or itself again
+                        assert len({G.neighbor(w, i), *walk}) <= len(walk), (w, i, r)
+                        wrapped += 1
+                except Partner as p:
+                    assert walk is not None and walk[-1] == p.args[0], (w, i, r)
+                    both += 1
+    assert both and wrapped

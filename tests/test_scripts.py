@@ -67,6 +67,23 @@ def load_spans():
     return spans
 
 
+def test_scrambled_benchmark_output_is_pinned(monkeypatch):
+    """The ``scrambled`` workload's results digest for seed 1, as
+    ``benchmarks/run.py`` prints it (``benchmarks/corpus.py``, loaded here
+    unchanged): a change to any step log or output graph of its 200 inputs
+    fails here, not only in the benchmark."""
+    from degraphs import transform
+
+    spec = importlib.util.spec_from_file_location("corpus", ROOT / "benchmarks" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # its dataclass looks itself up there
+    spec.loader.exec_module(corpus)
+    cases = corpus.scrambled_cases(1, corpus.SCRAMBLED_MIX)
+    digests = [corpus.result_digest(transform.full_pipeline(c.graph)) for c in cases]
+    assert len(cases) == 200
+    assert corpus.sha("".join(digests)) == "1a2f7967cc983ed5"
+
+
 def test_traced_run_wraps_and_restores_the_library():
     """The traced benchmark run wraps library functions by module and name
     (``benchmarks/spans.py``, loaded here unchanged); a name it wraps that

@@ -6,6 +6,7 @@ import pytest
 
 from degraphs.axioms import check_axiom, classify_small_component
 from degraphs.fixtures import fixture
+from degraphs.graph import GraphFormatError
 from degraphs.standard import build_standard_deg, identify_component
 from degraphs.structure import defect_sets
 from degraphs.transform import (
@@ -13,6 +14,7 @@ from degraphs.transform import (
     TransformError,
     TransformLog,
     TransformStep,
+    _rematch,
     apply_gamma,
     apply_phi,
     apply_psi,
@@ -35,6 +37,29 @@ def preserved_apart_from_color(G, H, i):
         if c != i:
             assert H.matching(c) == G.matching(c), c
     assert H.generating_function() == G.generating_function()
+
+
+class TestRematch:
+    """Every map rebuilds its color class through ``_rematch``; a target
+    that is not a matching on the old support is a ``TransformError``, so
+    the search skips the candidate."""
+
+    @pytest.mark.parametrize("kind", ["self-pair", "non-involution", "outside", "none"])
+    def test_bad_target_is_a_transform_error(self, kind):
+        G = fixture("fig8")
+        matched = sorted(G.matching(3))
+        a, b = matched[0], G.neighbor(matched[0], 3)
+        outside = next(v for v in G.vertices() if G.neighbor(v, 3) is None)
+        targets = {
+            "self-pair": lambda v, w: v if v in (a, b) else w,
+            "non-involution": lambda v, w: matched[(matched.index(v) + 1) % len(matched)],
+            "outside": lambda v, w: outside if v == a else w,
+            "none": lambda v, w: None if v == a else w,
+        }
+        # a GraphFormatError (not a TransformError) would escape the search
+        assert not issubclass(GraphFormatError, TransformError)
+        with pytest.raises(TransformError):
+            _rematch(G, 3, targets[kind])
 
 
 class TestPackageIsomorphism:
@@ -88,11 +113,14 @@ class TestPhi:
             apply_phi(G, v, 2)
 
     def test_long_variant(self):
-        G = fixture("fig8")
-        # t3 sits second on the maximal non-flat 3-chain (t2, t3, t4, t5),
-        # whose length 4 only admits r = 0; force r = 1 to check the guard
-        with pytest.raises(TransformError):
-            apply_phi(G, "t3", 3, r=1)
+        # t3 sits second on the maximal non-flat 3-chain (t2, t3, t4, t5) of
+        # fig8, whose length 4 only admits r = 0; force r = 1 to check the
+        # guard.  fig4c's 3-chain through e1 is a cycle: walking r = 1 or 2
+        # steps from e1 wraps round it (once giving fig4c back, once r = 0's
+        # result), so those variants are rejected too
+        for name, anchor, r in (("fig8", "t3", 1), ("fig4c", "e1", 1), ("fig4c", "e1", 2)):
+            with pytest.raises(TransformError, match=f"long variant r={r}"):
+                apply_phi(fixture(name), anchor, 3, r=r)
 
     def test_keeps_axiom1_support(self):
         G = fixture("fig8")
