@@ -513,10 +513,10 @@ def count_component_isomorphisms(
         m = _forced_extension(G, H, {anchor: w}, colors, positions)
         if m is None or set(m) != set(gverts) or set(m.values()) != hverts:
             continue
-        if m not in found:
-            found.append(m)
-            if len(found) >= limit:
-                break
+        # maps forced from the one anchor onto different images differ
+        found.append(m)
+        if len(found) >= limit:
+            break
     return found
 
 

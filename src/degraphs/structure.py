@@ -8,6 +8,9 @@ components; their package-filtered refinements W_i0 and C_i0 mark vertices
 where the rewiring maps are defined, and U_i (``set_U``) marks those where
 rewiring also keeps the graph locally Schur positive.  The rewiring maps
 and the search over U_i live in ``transform``.
+
+Every chain grows from i-edges plus one walk along alternating (c-1, c)
+edges, ``extend_nonflat_chain``; a W-detour is that walk one color down.
 """
 
 from __future__ import annotations
@@ -15,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import Partition, dominance_ge, sig_str
-from .graph import (
-    ComponentView,
-    SignedColoredGraph,
-    i_package,
-)
+from .graph import ComponentView, SignedColoredGraph, i_package
 from .standard import identify_component
 
 
@@ -125,32 +124,26 @@ def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]
         used.update((nxt, end))
 
 
-def _w_detour(G: SignedColoredGraph, start: str, i: int) -> list[str] | None:
-    """The vertices E_{i-2}(y), E_{i-1}E_{i-2}(y), ... stepped through from
-    y = start while y has type W one color down; None when a step is
-    missing or revisits a vertex."""
-    detour: list[str] = []
-    seen = {start}
-    y = start
-    while has_type_w(G, y, i - 1):
-        y2 = G.neighbor(y, i - 2)
-        if y2 is None:
-            return None
-        y = G.neighbor(y2, i - 1)
-        if y is None or y in seen:
-            return None
-        detour.extend((y2, y))
-        seen.add(y)
-    return detour
+def _w_detour(G: SignedColoredGraph, y: str, i: int) -> list[str] | None:
+    """The vertices E_{i-2}(y), E_{i-1}E_{i-2}(y), ... of the color-(i-1)
+    non-flat chain ahead of y, read pair by pair while y and then each
+    second vertex has type W one color down; None when the chain ends
+    first."""
+    if not has_type_w(G, y, i - 1):
+        return []
+    chain = extend_nonflat_chain(G, y, i - 1, {y})
+    for k in range(1, len(chain), 2):
+        if not has_type_w(G, chain[k], i - 1):
+            return chain[: k + 1]
+    return None
 
 
-def _flat_hop(G: SignedColoredGraph, v: str, i: int) -> str | None:
-    """Next odd-position vertex of a flat chain: follow i-2 with the smallest
-    number of i-1/i-2 detours landing clear of type W one color down."""
-    detour = _w_detour(G, v, i)
-    if detour is None:
-        return None
-    return G.neighbor(detour[-1] if detour else v, i - 2)
+def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
+    """Path (x, E_i(x), ..., u) to the first vertex past x's i-edge clear of
+    type W one color down; None when the walk dies."""
+    w = G.neighbor(x, i)
+    detour = None if w is None else _w_detour(G, w, i)
+    return None if detour is None else (x, w, *detour)
 
 
 def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[str, ...]:
@@ -160,8 +153,10 @@ def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[s
     chain = [x1, x2]
     used = {x1, x2}
     while True:
-        nxt = _flat_hop(G, chain[-1], i)
-        if nxt is None or nxt in used or G.neighbor(nxt, i - 2) is None:
+        # psi's partner is the next edge of the flat chain
+        path = psi_target(G, chain[-2], i)
+        nxt = None if path is None else G.neighbor(path[-1], i - 2)
+        if nxt is None or nxt in used:
             return tuple(chain)
         pair = G.neighbor(nxt, i)
         if pair is None or pair in used or G.neighbor(pair, i - 2) is None:
@@ -229,18 +224,6 @@ def package_all_flat(G: SignedColoredGraph, v: str, j: int) -> bool:
     return True
 
 
-def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
-    """Path (x, E_i(x), ..., u) to the first vertex past x's i-edge clear of
-    type W one color down; None when the walk dies."""
-    w = G.neighbor(x, i)
-    if w is None:
-        return None
-    detour = _w_detour(G, w, i)
-    if detour is None:
-        return None
-    return (x, w, *detour)
-
-
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
     # W_i: type W at color i (``has_type_w``), read off the two partner maps
     # in one pass, without the double edges
@@ -255,19 +238,15 @@ def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
             and sigma[v][i - 1] == -sigma[u][i - 1]
         )
     W0 = frozenset(w for w in W if package_all_flat(G, w, i - 1))
-    C: set[str] = set()
-    for chain in all_flat_chains(G, i):
-        # interior means at least two vertices on each side
-        for j in range(2, len(chain) - 2):
-            C.add(chain[j])
-    C0 = set()
-    for x in C:
-        path = psi_target(G, x, i)
-        if path is None:
-            continue
-        if all(package_all_flat(G, v, i - 2) for v in path):
-            C0.add(x)
-    return DefectSets(W, W0, frozenset(C), frozenset(C0))
+    # C_i: the interiors of the flat chains, two vertices in from each end
+    C = frozenset(v for chain in all_flat_chains(G, i) for v in chain[2:-2])
+    C0 = frozenset(
+        x
+        for x in C
+        if (path := psi_target(G, x, i)) is not None
+        and all(package_all_flat(G, v, i - 2) for v in path)
+    )
+    return DefectSets(W, W0, C, C0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +286,11 @@ def negatively_dominant(
     (i+1) restriction: a minus-signed restricted component of dominance-
     maximal shape, or the overall dominance maximum when every sign is plus.
     """
-    H_set = set(H_vertices)
     lower = frozenset(range(2, i))
-    pieces, _ = G.refine(H_set, lower)
+    pieces, _ = G.refine(H_vertices, lower)
     slice_graph = G.restrict_full(i)
     labeled: list[tuple[tuple[str, ...], Partition, int]] = []
     for piece in pieces:
-        if not H_set.issuperset(piece):
-            continue
         ident = identify_component(ComponentView(slice_graph, lower, piece))
         if ident is None:
             raise StructureError(f"restricted component at {piece[0]!r} is not standard")

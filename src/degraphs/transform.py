@@ -6,7 +6,8 @@ and every other color untouched, so the quasisymmetric generating function is
 preserved exactly.  Every map builds its new color class one way, in
 ``_rematch``: each i-matched vertex is given its new partner, and
 ``with_color_matching`` is the one check that the result is again a matching
-on the same vertices.
+on the same vertices.  The long phi variant and gamma's partner read the
+non-flat chain ahead of an i-edge, ``_chain_ahead``.
 
 At color i the orchestrator drains the defect sets W_i and C_i, then splits
 covers with theta until axiom 6 holds at colors 2..i.  A drain step is the
@@ -25,7 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .axioms import _axiom6_at, _axiom6_below, check_axiom, is_locally_schur_positive
+from .axioms import (
+    _axiom6_at,
+    _axiom6_below,
+    check_axiom,
+    is_dual_equivalence_graph,
+    is_locally_schur_positive,
+)
 from .graph import (
     ComponentView,
     GraphFormatError,
@@ -133,10 +140,10 @@ def _check_anchor(G: SignedColoredGraph, v: str, r: int = 0):
 
 def _chain_ahead(G: SignedColoredGraph, w: str, i: int) -> list[str]:
     """The non-flat chain grown ahead of w's own i-edge: E_{i-1}(w),
-    E_i E_{i-1}(w), ..., stopping before a vertex met already.  The long phi
-    variant r pairs w with entry 2r, u = E_{i-1}(E_i E_{i-1})^r (w), and
-    needs the entries before it in W_i0; a walk that wraps round a cyclic
-    chain never gets that far."""
+    E_i E_{i-1}(w), ..., stopping before a vertex met already.  Gamma's
+    partner is an even entry.  The long phi variant r pairs w with entry 2r,
+    u = E_{i-1}(E_i E_{i-1})^r (w), and needs the entries before it in W_i0,
+    so a walk that wraps round a cyclic chain never gets that far."""
     return extend_nonflat_chain(G, w, i, {w, G.neighbor(w, i)})
 
 
@@ -221,24 +228,18 @@ def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
 
 
 def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
-    """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's qualifications."""
-    y = z
-    visited = {z}
-    while True:
-        step = G.neighbor(y, i)
-        if step is None:
-            raise TransformError(f"walk from {z!r} leaves the graph")
-        y = G.neighbor(step, i - 1)
-        if y is None or y in visited:
-            raise TransformError(f"no eligible partner on the walk from {z!r}")
-        visited.add(y)
+    """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's qualifications: the
+    first such even entry of the non-flat chain grown ahead of z's i-edge."""
+    w = G.neighbor(z, i)
+    ahead = _chain_ahead(G, w, i) if w is not None else []
+    for y in ahead[::2]:
         if (
-            G.neighbor(y, i) is not None
-            and not has_type_w(G, y, i - 1)
+            not has_type_w(G, y, i - 1)
             and G.neighbor(y, i - 2) is not None
             and is_flat_edge(G, y, i - 2)
         ):
             return y
+    raise TransformError(f"no eligible partner on the walk from {z!r}")
 
 
 def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
@@ -605,7 +606,7 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
             return PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:
         return PipelineResult(G, log, None, False)
-    certified = all(check_axiom(G, k).holds for k in range(1, 7))
+    certified = is_dual_equivalence_graph(G)
     expansion = expand_in_schur(G.generating_function())
     components = None
     if G.n == G.N:

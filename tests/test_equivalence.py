@@ -2,8 +2,10 @@
 pipeline's output is pinned byte for byte, LSP witnesses match a per-window
 positivity check, the committed defect step is the first vertex of U_i,
 every candidate and split passes the one gate, the axiom 4 and axiom 6
-checkers match slower per-component checkers, and the direct JSON writer
-matches ``json.dumps`` byte for byte."""
+checkers match slower per-component checkers, the direct JSON writer
+matches ``json.dumps`` byte for byte, and the matching rebuild and every
+chain grown from the one non-flat chain walk match the code they
+replaced."""
 
 import functools
 import hashlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degraphs import axioms, cli, transform
+from degraphs import axioms, cli, structure, transform
 from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
@@ -26,7 +28,9 @@ from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphi
 from degraphs.standard import build_standard_deg
 from degraphs.structure import (
     defect_sets,
+    flat_chains_from,
     has_type_w,
+    is_flat_edge,
     nonflat_chain_through,
     set_U,
 )
@@ -1232,3 +1236,136 @@ def test_long_phi_partner_matches_the_walk(monkeypatch):
                     assert walk is not None and walk[-1] == p.args[0], (w, i, r)
                     both += 1
     assert both and wrapped
+
+
+# ---------------------------------------------------------------------------
+# gamma's partner, the W-detours and the flat hop, which now read the one
+# non-flat chain walk, against the hand-written walks they replaced
+
+
+def reference_gamma_partner(G, z, i):
+    """The first u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's
+    qualifications, found by stepping along the i- and (i-1)-edges."""
+    y = z
+    visited = {z}
+    while True:
+        step = G.neighbor(y, i)
+        if step is None:
+            raise TransformError(f"walk from {z!r} leaves the graph")
+        y = G.neighbor(step, i - 1)
+        if y is None or y in visited:
+            raise TransformError(f"no eligible partner on the walk from {z!r}")
+        visited.add(y)
+        if (
+            G.neighbor(y, i) is not None
+            and not has_type_w(G, y, i - 1)
+            and G.neighbor(y, i - 2) is not None
+            and is_flat_edge(G, y, i - 2)
+        ):
+            return y
+
+
+def reference_w_detour(G, start, i):
+    """The vertices E_{i-2}(y), E_{i-1}E_{i-2}(y), ... stepped through from
+    y = start while y has type W one color down; None when a step is
+    missing or revisits a vertex."""
+    detour = []
+    seen = {start}
+    y = start
+    while has_type_w(G, y, i - 1):
+        y2 = G.neighbor(y, i - 2)
+        if y2 is None:
+            return None
+        y = G.neighbor(y2, i - 1)
+        if y is None or y in seen:
+            return None
+        detour.extend((y2, y))
+        seen.add(y)
+    return detour
+
+
+def reference_flat_hop(G, v, i):
+    """Next odd-position vertex of a flat chain: follow i-2 with the smallest
+    number of i-1/i-2 detours landing clear of type W one color down."""
+    detour = reference_w_detour(G, v, i)
+    if detour is None:
+        return None
+    return G.neighbor(detour[-1] if detour else v, i - 2)
+
+
+def reference_flat_chain(G, x1, x2, i):
+    """``flat_chains_from`` as it was, stepping with ``reference_flat_hop``."""
+    chain = [x1, x2]
+    used = {x1, x2}
+    while True:
+        nxt = reference_flat_hop(G, chain[-1], i)
+        if nxt is None or nxt in used or G.neighbor(nxt, i - 2) is None:
+            return tuple(chain)
+        pair = G.neighbor(nxt, i)
+        if pair is None or pair in used or G.neighbor(pair, i - 2) is None:
+            return tuple(chain)
+        chain.extend([nxt, pair])
+        used.update((nxt, pair))
+
+
+@functools.cache
+def chain_states():
+    """Every graph that the runs on the fixtures, ``tests/data``, the
+    hexagon, ``gamma_instance`` and ``long_phi_union`` pass through."""
+    graphs = [G for G, _ in rewiring_states()]
+    G = long_phi_union()
+    graphs.append(G)
+    for step in full_pipeline(G).log.steps:
+        G = apply_step(G, step)
+        graphs.append(G)
+    return tuple(graphs)
+
+
+def test_w_detour_matches_the_walk():
+    """At every vertex and color, the detour read off the color-(i-1)
+    non-flat chain is the one the hand walk stepped through, None included.
+    Of the 23,756 detours 32 are non-empty, all on fixture and ``tests/data``
+    runs."""
+    seen = Counter()
+    for G in chain_states():
+        for i in G.colors():
+            for y in G.vertices():
+                want = reference_w_detour(G, y, i)
+                assert structure._w_detour(G, y, i) == want, (G, y, i)
+                seen["none" if want is None else "walk" if want else "empty"] += 1
+    assert seen["walk"] >= 32 and seen["empty"] and seen["none"], seen
+
+
+def test_flat_chains_match_the_flat_hop():
+    """From every oriented i-edge, ``flat_chains_from``, which takes psi's
+    partner as its next edge, grows the chain the flat hop grew."""
+    grown = 0
+    for G in chain_states():
+        for i in G.colors():
+            if i < 4:
+                continue
+            for x1, x2 in G.matching(i).items():
+                chain = flat_chains_from(G, x1, x2, i)
+                assert chain == reference_flat_chain(G, x1, x2, i), (G, x1, i)
+                grown += len(chain) > 2
+    assert grown
+
+
+def test_gamma_partner_matches_the_walk():
+    """At every vertex and color, ``gamma_partner`` finds the partner the
+    hand walk found, or both raise."""
+    found = Counter()
+    for G in chain_states():
+        for i in G.colors():
+            for z in G.vertices():
+                try:
+                    want = reference_gamma_partner(G, z, i)
+                except TransformError:
+                    want = None
+                try:
+                    got = transform.gamma_partner(G, z, i)
+                except TransformError:
+                    got = None
+                assert got == want, (G, z, i)
+                found[want is not None] += 1
+    assert found[True] and found[False]
