@@ -2,12 +2,18 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Axiom 4 is checked by lookup: each two- or three-color component is keyed
-by the window slices of its vertices, each paired with its partners' slices,
-and the key must be one of the allowed components' (templates', as listed or
-globally sign-flipped).  This keeps the axiom checkers independent of the
-symmetric function code, so agreement between axiom 4/6 and the
-multiplicity-free conditions is a genuine cross-check of two code paths.
+Axiom 4 is checked by lookup: each signature is read once into an integer,
+one bit per position, and each vertex gets a local code at a window, its
+slice packed with its partners' slices.  A two- or three-color component is
+keyed by its sorted codes, and the key must be one of the allowed
+components' (templates', as listed or globally sign-flipped), coded the same
+way.  This keeps the axiom checkers independent of the symmetric function
+code, so agreement between axiom 4/6 and the multiplicity-free conditions is
+a genuine cross-check of two code paths.
+
+``is_dual_equivalence_graph(G, base)`` re-checks axioms 1, 2, 3 and 5 only
+at the colors whose partner map differs from ``base``'s, which satisfies
+them; ``full_pipeline`` passes its input.
 """
 
 from __future__ import annotations
@@ -70,10 +76,42 @@ _THREE_COLOR_TEMPLATES = (
 )
 
 
+def _sig_bits(sigma) -> dict:
+    """Each vertex's signature as an integer whose bit p is set where
+    position p + 1 is -1, so that a window's slice is a shift and a mask."""
+    return {v: sum(1 << p for p, x in enumerate(s) if x < 0) for v, s in sigma.items()}
+
+
+def _window_codes(bits, partners, lo: int, width: int) -> dict:
+    """Each vertex's local code at the window of ``width`` positions from
+    ``lo``: its slice in the low ``width`` bits, then, for each partner map
+    in turn, ``width + 1`` bits holding its partner's slice plus one (0 for
+    no partner).  So two vertices share a code exactly when their slices
+    and their partners' slices agree; one pass over each map sets them."""
+    mask, low = (1 << width) - 1, lo - 1
+    sl = {v: (b >> low) & mask for v, b in bits.items()}
+    code = sl.copy()
+    shift = width
+    for m in partners:
+        for u, w in m.items():
+            code[u] += (sl[w] + 1) << shift
+        shift += width + 1
+    return code
+
+
+def _component_key(code, vertices) -> tuple:
+    """The sorted local codes of the vertices.
+
+    Within each template, as listed or flipped, the slices are pairwise
+    distinct, so a component has a template's key exactly when sending each
+    vertex to the template vertex with its slice is an isomorphism."""
+    return tuple(sorted(map(code.__getitem__, vertices)))
+
+
 @lru_cache(maxsize=None)
 def _template_keys(templates) -> frozenset:
-    """The ``_shape_key`` of each template, as listed and globally flipped,
-    with the roles in alphabetical order as the partner maps."""
+    """The ``_component_key`` of each template, as listed and globally
+    flipped, with the roles in alphabetical order as the partner maps."""
     keys = set()
     roles = sorted({role for edges, _ in templates for *_, role in edges})
     for edges, sigs in templates:
@@ -81,20 +119,10 @@ def _template_keys(templates) -> frozenset:
         for a, b, role in edges:
             partner[role].update({a: b, b: a})
         for flip in (1, -1):
-            sl = {k: tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
-            keys.add(_shape_key(sl, [partner[r] for r in roles], range(len(sigs))))
+            sigma = {k: [flip * x for x in sig_from_str(t)] for k, t in enumerate(sigs)}
+            code = _window_codes(_sig_bits(sigma), [partner[r] for r in roles], 1, len(sigs[0]))
+            keys.add(_component_key(code, range(len(sigs))))
     return frozenset(keys)
-
-
-def _shape_key(sl, partners, vertices) -> tuple:
-    """The sorted (slice of u, (slice of u's partner in each color, or ()))
-    pairs over the vertices, ``sl`` giving each vertex's window slice.
-
-    Within each template, as listed or flipped, the slices are pairwise
-    distinct, so a component has a template's key exactly when sending each
-    vertex to the template vertex with its slice is an isomorphism."""
-    pairs = ((sl[u], tuple(sl[m[u]] if u in m else () for m in partners)) for u in vertices)
-    return tuple(sorted(pairs))
 
 
 def _component_matches_template(
@@ -105,13 +133,13 @@ def _component_matches_template(
     templates,
 ) -> bool:
     """Exact match of an extracted component against one template, with the
-    template's signs as listed or globally flipped, by its ``_shape_key``."""
+    template's signs as listed or globally flipped, by its ``_component_key``."""
     lo, hi = window
     if lo < 1:  # a window reaching below position 1 matches no template
         return False
-    partners = [G.matching(c) for c in sorted(color_roles, key=color_roles.get)]
-    sl = {v: s[lo - 1 : hi] for v, s in G.sigma.items()}
-    return _shape_key(sl, partners, vertices) in _template_keys(templates)
+    partners = [G._partners(c) for c in sorted(color_roles, key=color_roles.get)]
+    code = _window_codes(_sig_bits(G.sigma), partners, lo, hi - lo + 1)
+    return _component_key(code, vertices) in _template_keys(templates)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +188,19 @@ def _check_axiom3(G: SignedColoredGraph, colors=None):
 
 def _check_axiom4(G: SignedColoredGraph):
     """Two-color components at colors i-1, i, then three-color ones at
-    colors i-2..i, each walked from its least vertex and looked up by key."""
+    colors i-2..i, each walked from its least vertex and looked up by the
+    key of its vertices' local codes at the window."""
     order = G.vertices()
+    bits = _sig_bits(G.sigma)
     kinds = ((3, _TWO_COLOR_TEMPLATES, "two-color"), (4, _THREE_COLOR_TEMPLATES, "three-color"))
-    for first, templates, what in kinds:
+    for width, templates, what in kinds:
         allowed = _template_keys(templates)
-        for i in range(first, G.n):
-            lo = i - first + 1
+        for i in range(width, G.n):
+            lo = i - width + 1
             colors = range(lo + 1, i + 1)
-            partners = [G._partners(c) for c in colors]
-            sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
+            code = _window_codes(bits, [G._partners(c) for c in colors], lo, width)
             for comp in G._walk(order, colors):
-                if _shape_key(sl, partners, comp) not in allowed:
+                if _component_key(code, comp) not in allowed:
                     yield (i, comp[0], f"{what} component not allowed")
 
 
@@ -258,14 +287,32 @@ _AXIOM_CHECKS = {
 }
 
 
-def check_axiom(G: SignedColoredGraph, k: int) -> AxiomReport:
+def check_axiom(G: SignedColoredGraph, k: int, colors=None) -> AxiomReport:
+    """Axiom k on G.  With ``colors``, axiom 1, 2, 3 or 5 is checked only at
+    those colors (axiom 5 on the pairs holding one of them); axioms 4 and 6
+    take no colors."""
     if k not in _AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {k}")
-    return AxiomReport.from_witnesses(k, _AXIOM_CHECKS[k](G))
+    check = _AXIOM_CHECKS[k]
+    return AxiomReport.from_witnesses(k, check(G) if colors is None else check(G, colors))
 
 
-def is_dual_equivalence_graph(G: SignedColoredGraph) -> bool:
-    return all(check_axiom(G, k).holds for k in range(1, 7))
+def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:
+    """Whether axioms 1 to 6 hold.
+
+    ``base``, when given, has G's vertices and signatures and satisfies
+    axioms 1, 2, 3 and 5.  Each of these reads the signatures and one
+    color's partner map (axiom 5 a pair's), so it holds at every color whose
+    partner map is base's, and is checked only at the others, if any.
+    Axioms 4 and 6 are checked on the whole graph either way.
+    """
+    if base is None:
+        return all(check_axiom(G, k).holds for k in range(1, 7))
+    changed = [i for i in G.colors() if G._partners(i) != base._partners(i)]
+    rechecked = (1, 2, 3, 5) if changed else ()
+    return all(check_axiom(G, k, changed).holds for k in rechecked) and all(
+        check_axiom(G, k).holds for k in (4, 6)
+    )
 
 
 # ---------------------------------------------------------------------------

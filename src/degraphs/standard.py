@@ -25,6 +25,7 @@ from .combinatorics import (
 from .graph import (
     ComponentView,
     SignedColoredGraph,
+    _forced_extension,
     count_component_isomorphisms,
 )
 
@@ -135,30 +136,53 @@ def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColored
     return SignedColoredGraph(n, N, sigma, triples)
 
 
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """Each partition of n with its number of SYT, in ``enumerate_partitions``
+    order."""
+    return tuple((lam, count_syt(lam)) for lam in enumerate_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _targets(lam: Partition) -> tuple[tuple, dict]:
+    """G_lam's sorted signatures, and its vertices by signature in id order.
+    Built on the first identification that reaches lam, not with G_lam."""
+    G = _standard_graph(lam)
+    by_sig: dict = {}
+    for v in G.vertices():
+        by_sig.setdefault(G.sigma[v], []).append(v)
+    return tuple(sorted(G.sigma.values())), {s: tuple(vs) for s, vs in by_sig.items()}
+
+
 def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] | None:
     """Match a component of a type (n, n) graph against some G_lam.
 
     Candidates are pruned by vertex count and signature multiset, scanned in
     dominance-descending order; the returned map sends component vertices to
-    tableau ids of the standard graph.
+    tableau ids of the standard graph.  The map is forced from the least
+    vertex of the component, tried in id order against the vertices of G_lam
+    with its signature: the forced extension rejects any other image at its
+    first check, as every signature position is preserved.
     """
     G = comp.graph
     if G.n != G.N:
         raise ValueError("identification requires a type (n, n) graph")
     n = G.n
     size = comp.size()
-    sigs = comp.signature_multiset()
-    for lam in enumerate_partitions(n):
-        if count_syt(lam) != size:
+    sigs = tuple(sorted(map(G.sigma.__getitem__, comp.vertices)))
+    anchor = min(comp.vertices)
+    members = set(comp.vertices)
+    for lam, count in _shapes(n):
+        if count != size:
+            continue
+        target_sigs, by_sig = _targets(lam)
+        if target_sigs != sigs:
             continue
         target = _standard_graph(lam)
-        if sorted(target.sigma.values()) != sigs:
-            continue
-        found = count_component_isomorphisms(
-            G, comp.vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
-        )
-        if found:
-            return lam, found[0]
+        for w in by_sig[G.sigma[anchor]]:
+            found = _forced_extension(G, target, {anchor: w}, range(2, n), range(1, n))
+            if found is not None and found.keys() == members:
+                return lam, found
     return None
 
 

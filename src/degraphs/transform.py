@@ -7,7 +7,8 @@ preserved exactly.  Every map builds its new color class one way, in
 ``_rematch``: each i-matched vertex is given its new partner, and
 ``with_color_matching`` is the one check that the result is again a matching
 on the same vertices.  The long phi variant and gamma's partner read the
-non-flat chain ahead of an i-edge, ``_chain_ahead``.
+non-flat chain ahead of an i-edge, ``_chain_ahead``; the long psi variant
+reads the flat chain grown from the anchor's i-edge.
 
 At color i the orchestrator drains the defect sets W_i and C_i, then splits
 covers with theta until axiom 6 holds at colors 2..i.  A drain step is the
@@ -49,6 +50,7 @@ from .structure import (
     StructureError,
     defect_sets,
     extend_nonflat_chain,
+    flat_chains_from,
     has_type_w,
     is_flat_edge,
     negatively_dominant,
@@ -178,21 +180,22 @@ def apply_psi(G: SignedColoredGraph, x: str, i: int, r: int = 0) -> SignedColore
 
 
 def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGraph:
-    """apply_psi given ``sets = defect_sets(G, i)``."""
+    """apply_psi given ``sets = defect_sets(G, i)``.  The long variant r
+    starts from entry 4r of the flat chain grown from (x, E_i(x)), with
+    entries 4, 8, ..., 4r in C_i0."""
     if x not in sets.C0:
         if x in sets.C:
             raise TransformError(f"{x!r} is in C_{i} but fails the package filter")
         raise TransformError(f"{x!r} is not in C_{i}")
     base = x
-    for _ in range(r):
-        step = base
-        for color in (i, i - 2, i, i - 2):
-            step = G.neighbor(step, color)
-            if step is None:
+    if r:
+        chain = flat_chains_from(G, x, G.neighbor(x, i), i)
+        for k in range(4, 4 * r + 1, 4):
+            if len(chain) <= k:
                 raise TransformError(f"long variant r={r} runs off the chain")
-        base = step
-        if base not in sets.C0:
-            raise TransformError(f"long variant r={r} leaves C0 at {base!r}")
+            base = chain[k]
+            if base not in sets.C0:
+                raise TransformError(f"long variant r={r} leaves C0 at {base!r}")
     path = psi_target(G, base, i)
     if path is None:
         raise TransformError(f"no eligible partner past {base!r}")
@@ -587,8 +590,15 @@ class PipelineResult:
 
 def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> PipelineResult:
     """Run the per-color step for every color in ascending order and certify
-    the result by the axiom checkers plus component identification."""
+    the result by the axiom checkers plus component identification.
+
+    Axioms 1, 2, 3 and 5 are checked on the input, and a run that goes on
+    has them; the steps replace partner maps only, so the certification
+    re-checks those four only at the colors whose partner map the run
+    changed.  Axioms 4 and 6 and the identification of every component run
+    on the whole result."""
     log = TransformLog()
+    original = G
     for k in (1, 2, 3, 5):
         rep = check_axiom(G, k)
         if not rep.holds:
@@ -606,7 +616,7 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
             return PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:
         return PipelineResult(G, log, None, False)
-    certified = is_dual_equivalence_graph(G)
+    certified = is_dual_equivalence_graph(G, original)
     expansion = expand_in_schur(G.generating_function())
     components = None
     if G.n == G.N:

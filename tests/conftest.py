@@ -1,4 +1,8 @@
+import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,36 @@ from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@functools.cache
+def benchmark_corpus():
+    """``benchmarks/corpus.py``, loaded unchanged."""
+    spec = importlib.util.spec_from_file_location("benchmark_corpus", BENCHMARKS / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def seed1_runs(workload: str):
+    """(case, ``full_pipeline`` result) for each input of a benchmark
+    workload at seed 1, in the order ``benchmarks/run.py`` runs them.  The
+    runs are made once per session, so no caller may patch the library
+    around its first call."""
+    from degraphs.transform import full_pipeline
+
+    bc = benchmark_corpus()
+    if workload == "scrambled":
+        cases = bc.scrambled_cases(1, bc.SCRAMBLED_MIX)
+    else:
+        cases = bc.standard_cases()
+        random.Random(1).shuffle(cases)
+    return tuple((case, full_pipeline(case.graph)) for case in cases)
 
 
 def corpus(max_n: int = 8):

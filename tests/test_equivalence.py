@@ -25,7 +25,15 @@ from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphism, i_package
-from degraphs.standard import build_standard_deg
+from degraphs.combinatorics import count_syt, enumerate_partitions
+from degraphs.graph import count_component_isomorphisms
+from degraphs.standard import (
+    _standard_graph,
+    build_augmented_deg,
+    build_standard_deg,
+    identify_component,
+    single_cell_augmentation,
+)
 from degraphs.structure import (
     defect_sets,
     flat_chains_from,
@@ -48,7 +56,7 @@ from degraphs.transform import (
     one_step,
 )
 
-from conftest import corpus, gamma_instance, relabel_random
+from conftest import corpus, gamma_instance, relabel_random, seed1_runs
 from test_properties import hexagon
 
 
@@ -1238,6 +1246,68 @@ def test_long_phi_partner_matches_the_walk(monkeypatch):
     assert both and wrapped
 
 
+def reference_long_psi_walk(G, x, i, r, C0):
+    """The walk the long psi variant once took: r times along the raw
+    (i, i-2, i, i-2) edges, each landing in C0.  Returns the vertices met
+    (x first) and the base, or None where a link was missing or a landing
+    left C0."""
+    walk = [x]
+    for _ in range(r):
+        for color in (i, i - 2, i, i - 2):
+            nxt = G.neighbor(walk[-1], color)
+            if nxt is None:
+                return walk, None
+            walk.append(nxt)
+        if walk[-1] not in C0:
+            return walk, None
+    return walk, walk[-1]
+
+
+class Base(Exception):
+    """The base ``_psi`` hands to ``psi_target``."""
+
+
+def test_long_psi_base_matches_the_walk(monkeypatch):
+    """For every anchor of C_i0 and r in 1..4, ``_psi`` takes base r as
+    entry 4r of the flat chain grown from (x, E_i(x)).  Where the raw walk
+    meets no W-detour (an i-edge whose far end has type W one color down)
+    and no vertex twice, the chain is that walk, so both accept the same
+    base or both reject.  fig8's chain from m4 leaves C0 at its entry 4,
+    where the walk ran off at t3."""
+
+    def base(G, x, i):
+        raise Base(x)
+
+    states = rewiring_states()  # the runs need the real rewiring
+    monkeypatch.setattr(transform, "psi_target", base)
+    plain = Counter()
+    for G, _ in states:
+        for i in G.colors():
+            sets = defect_sets(G, i)
+            for x, r in itertools.product(sorted(sets.C0), range(1, 5)):
+                walk, want = reference_long_psi_walk(G, x, i, r, sets.C0)
+                try:
+                    transform._psi(G, x, i, r, sets)
+                except TransformError:
+                    got = None
+                except Base as b:
+                    got = b.args[0]
+                if len(set(walk)) == len(walk) and not any(
+                    has_type_w(G, y, i - 1) for y in walk[1::2]
+                ):
+                    assert got == want, (x, i, r)
+                    plain[got is not None] += 1
+    assert plain[True] and plain[False]
+    fig8 = fixture("fig8")
+    assert flat_chains_from(fig8, "m4", "t4", 4) == ("m4", "t4", "t1", "m1", "m2", "t2")
+    assert reference_long_psi_walk(fig8, "m4", 4, 1, defect_sets(fig8, 4).C0) == (
+        ["m4", "t4", "t3"], None
+    )
+    monkeypatch.undo()
+    with pytest.raises(TransformError, match="long variant r=1 leaves C0 at 'm2'"):
+        apply_psi(fig8, "m4", 4, 1)
+
+
 # ---------------------------------------------------------------------------
 # gamma's partner, the W-detours and the flat hop, which now read the one
 # non-flat chain walk, against the hand-written walks they replaced
@@ -1369,3 +1439,268 @@ def test_gamma_partner_matches_the_walk():
                 assert got == want, (G, z, i)
                 found[want is not None] += 1
     assert found[True] and found[False]
+
+
+# ---------------------------------------------------------------------------
+# the final certification: axiom 4 on window codes and identification by
+# signature bucket, against the keyed checker and the scan they replaced
+
+
+def reference_shape_key(sl, partners, vertices):
+    """The sorted (slice of u, (slice of u's partner in each color, or ()))
+    pairs over the vertices, ``sl`` giving each vertex's window slice."""
+    pairs = ((sl[u], tuple(sl[m[u]] if u in m else () for m in partners)) for u in vertices)
+    return tuple(sorted(pairs))
+
+
+@functools.cache
+def reference_template_keys(templates):
+    keys = set()
+    roles = sorted({role for edges, _ in templates for *_, role in edges})
+    for edges, sigs in templates:
+        partner = {role: {} for role in roles}
+        for a, b, role in edges:
+            partner[role].update({a: b, b: a})
+        for flip in (1, -1):
+            sl = {k: tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
+            keys.add(reference_shape_key(sl, [partner[r] for r in roles], range(len(sigs))))
+    return frozenset(keys)
+
+
+def reference_axiom4_keyed(G):
+    """The axiom-4 witnesses with each component keyed by its vertices'
+    signature slices, each paired with its partners' slices."""
+    order = G.vertices()
+    kinds = ((3, axioms._TWO_COLOR_TEMPLATES, "two-color"),
+             (4, axioms._THREE_COLOR_TEMPLATES, "three-color"))
+    for first, templates, what in kinds:
+        allowed = reference_template_keys(templates)
+        for i in range(first, G.n):
+            lo = i - first + 1
+            colors = range(lo + 1, i + 1)
+            partners = [G._partners(c) for c in colors]
+            sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
+            for comp in G._walk(order, colors):
+                if reference_shape_key(sl, partners, comp) not in allowed:
+                    yield (i, comp[0], f"{what} component not allowed")
+
+
+def reference_identify_component(comp):
+    """Every lam of n with the component's size and signature multiset, in
+    dominance-descending order, tried at every vertex of G_lam."""
+    G = comp.graph
+    if G.n != G.N:
+        raise ValueError("identification requires a type (n, n) graph")
+    n = G.n
+    sigs = comp.signature_multiset()
+    for lam in enumerate_partitions(n):
+        if count_syt(lam) != comp.size():
+            continue
+        target = _standard_graph(lam)
+        if sorted(target.sigma.values()) != sigs:
+            continue
+        found = count_component_isomorphisms(
+            G, comp.vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
+        )
+        if found:
+            return lam, found[0]
+    return None
+
+
+def certification_graphs():
+    """The fixtures, ``tests/data``, and the inputs and outputs of the seed-1
+    ``scrambled`` and ``standard_certify`` benchmark runs."""
+    graphs = [G for _, G in carry_inputs()]
+    for workload in ("scrambled", "standard_certify"):
+        for case, res in seed1_runs(workload):
+            graphs += [case.graph, res.graph]
+    return graphs
+
+
+def test_axiom4_codes_match_keyed_checker():
+    """The same witnesses, in the same order; 176 of the seed-1 scrambled
+    inputs have some."""
+    for G in certification_graphs():
+        assert check_axiom(G, 4).witnesses == list(reference_axiom4_keyed(G)), G
+    failing = [case for case, _ in seed1_runs("scrambled") if not check_axiom(case.graph, 4).holds]
+    assert len(failing) == 176
+
+
+def test_template_keys_match_keyed_templates():
+    """A component matches a template by its codes exactly when it matches
+    by its slices, over every window of the graphs above."""
+    matched = Counter()
+    for G in [G for _, G in carry_inputs()]:
+        for i in range(3, G.n):
+            for width, templates in ((3, axioms._TWO_COLOR_TEMPLATES),
+                                     (4, axioms._THREE_COLOR_TEMPLATES)):
+                lo = i - width + 1
+                colors = range(lo + 1, i + 1)
+                roles = dict(zip(colors, "abc"))
+                sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
+                for comp in G.components(colors):
+                    want = lo >= 1 and reference_shape_key(
+                        sl, [G._partners(c) for c in colors], comp.vertices
+                    ) in reference_template_keys(templates)
+                    got = axioms._component_matches_template(
+                        G, comp.vertices, roles, (lo, i), templates
+                    )
+                    assert got == want, (G, i, comp.vertices)
+                    matched[want] += 1
+    assert matched[True] and matched[False]
+
+
+def test_identification_matches_the_scan():
+    """The same (lam, map), the map's order included, or None on both sides,
+    for every component of every type (n, n) graph above and of its
+    restrictions, which is where the pivot choice identifies."""
+    seen = Counter()
+    for G in certification_graphs():
+        if G.n != G.N:
+            continue
+        for H in [G] + [G.restrict_full(m) for m in range(3, G.n)]:
+            for comp in H.components(H.colors()):
+                want = reference_identify_component(comp)
+                got = identify_component(comp)
+                assert got == want, (G, comp.vertices)
+                if want is not None:
+                    assert list(got[1].items()) == list(want[1].items())
+                seen[want is not None] += 1
+    assert seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
+# the final certification re-checks axioms 1, 2, 3 and 5 only where rewired
+
+
+def broken_rewirings():
+    """(base, i, H, k): base is an augmented G_(3,2,1), of type (6, 7), so
+    that identification does not run on it, and H is base with its color-i
+    matching rebuilt, by one edge dropped or two edges crossed, so that of
+    axioms 1, 2, 3 and 5 only axiom k fails; the first such H for each k."""
+    base = build_augmented_deg((3, 2, 1), single_cell_augmentation((3, 2, 1), 0))
+    found = {}
+    for i in base.colors():
+        old = base.matching(i)
+        edges = sorted((u, w) for u, w in old.items() if u < w)
+        rebuilt = [{v: x for v, x in old.items() if v not in e} for e in edges]
+        for (a, b), (c, d) in itertools.combinations(edges, 2):
+            kept = {v: x for v, x in old.items() if v not in (a, b, c, d)}
+            rebuilt.append({**kept, a: c, c: a, b: d, d: b})
+            rebuilt.append({**kept, a: d, d: a, b: c, c: b})
+        for new in rebuilt:
+            H = base.with_color_matching(i, new)
+            fails = [k for k in (1, 2, 3, 5) if not check_axiom(H, k).holds]
+            if len(fails) == 1:
+                found.setdefault(fails[0], (base, i, H, fails[0]))
+    assert sorted(found) == [1, 2, 3, 5]
+    return [found[k] for k in sorted(found)]
+
+
+def test_final_check_sees_each_axiom_where_rewired():
+    """At the colors rewired, axioms 1, 2, 3 and 5 give the whole graph's
+    witnesses, so the check by difference decides as the full check."""
+    for base, i, H, k in broken_rewirings():
+        for j in (1, 2, 3, 5):
+            assert check_axiom(H, j, [i]).witnesses == check_axiom(H, j).witnesses, (j, i)
+        assert not axioms.is_dual_equivalence_graph(H, base)
+        assert not axioms.is_dual_equivalence_graph(H)
+
+
+def spy_checks(monkeypatch):
+    """Record (k, colors, holds) for each axiom checker run inside the final
+    certification, and (k, colors) in ``calls["input"]`` for each one run
+    on the input."""
+    calls = {"input": [], "final": []}
+    where = "other"
+
+    def certify(G, base=None):
+        nonlocal where
+        where = "final"
+        try:
+            return axioms.is_dual_equivalence_graph(G, base)
+        finally:
+            where = "other"
+
+    def check_input(G, k):
+        calls["input"].append((k, None))
+        return check_axiom(G, k)
+
+    for k, check in list(axioms._AXIOM_CHECKS.items()):
+        def spy(G, *colors, k=k, check=check):
+            witnesses = list(check(G, *colors))
+            if where == "final":
+                calls["final"].append((k, list(colors[0]) if colors else None, not witnesses))
+            return iter(witnesses)
+        monkeypatch.setitem(axioms._AXIOM_CHECKS, k, spy)
+    monkeypatch.setattr(transform, "is_dual_equivalence_graph", certify)
+    monkeypatch.setattr(transform, "check_axiom", check_input)
+    return calls
+
+
+def test_pipeline_output_broken_where_rewired_is_not_certified(monkeypatch):
+    """A run that ends on a graph rewired at color i so that axiom k breaks
+    there is not certified: the final check runs axiom k at color i alone
+    and finds the failure, after the axioms before it held there."""
+    real_step = transform._one_step
+    for base, i, H, k in broken_rewirings():
+        def step(G, c, below, piece, log, H=H):
+            G, piece = real_step(G, c, below, piece, log)
+            return (H if c == G.n - 1 else G), piece
+
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_one_step", step)
+            calls = spy_checks(m)
+            res = full_pipeline(base)
+        assert res.graph is H and not res.log.aborted and not res.certified, (k, i)
+        assert calls["input"] == [(j, None) for j in (1, 2, 3, 5)]
+        assert calls["final"] == [(j, [i], j != k) for j in (1, 2, 3, 5) if j <= k], (k, i)
+
+
+def test_unchanged_output_rechecks_only_axioms_4_and_6(monkeypatch):
+    """An input the run leaves as it is gets axioms 1, 2, 3 and 5 once, on
+    the input, then axioms 4 and 6 and the identification of every
+    component; a rewired one gets axioms 1, 2, 3 and 5 again at the colors
+    rewired."""
+    identified = []
+
+    def identify(comp):
+        identified.append(comp.min_vertex())
+        return identify_component(comp)
+
+    monkeypatch.setattr(transform, "identify_component", identify)
+    calls = spy_checks(monkeypatch)
+    G = build_standard_deg((4, 3, 2))
+    assert full_pipeline(G).certified
+    assert calls["input"] == [(k, None) for k in (1, 2, 3, 5)]
+    assert calls["final"] == [(4, None, True), (6, None, True)]
+    assert identified == [G.vertices()[0]]
+    calls["input"].clear()
+    calls["final"].clear()
+    fig8 = fixture("fig8")
+    res = full_pipeline(fig8)
+    changed = [i for i in fig8.colors() if res.graph.matching(i) != fig8.matching(i)]
+    assert res.certified and changed
+    assert calls["final"] == [(k, changed, True) for k in (1, 2, 3, 5)] + [
+        (4, None, True), (6, None, True)
+    ]
+
+
+def test_certification_decides_as_the_full_check():
+    """On every fixture, ``tests/data`` graph and seed-1 benchmark input,
+    a run that does not abort is certified exactly when its output passes
+    ``is_dual_equivalence_graph`` and, for type (n, n), every component
+    identifies."""
+    outcomes = Counter()
+    runs = [(G, full_pipeline(G)) for _, G in carry_inputs()]
+    runs += list(seed1_runs("scrambled")) + list(seed1_runs("standard_certify"))
+    for _, res in runs:
+        if res.log.aborted:
+            continue
+        H = res.graph
+        want = axioms.is_dual_equivalence_graph(H) and (
+            H.n != H.N or all(identify_component(c) for c in H.components(H.colors()))
+        )
+        assert res.certified == want
+        outcomes[want] += 1
+    assert outcomes[True]

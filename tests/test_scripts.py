@@ -2,12 +2,14 @@
 against the library in src/."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import benchmark_corpus, seed1_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,21 +69,30 @@ def load_spans():
     return spans
 
 
-def test_scrambled_benchmark_output_is_pinned(monkeypatch):
-    """The ``scrambled`` workload's results digest for seed 1, as
-    ``benchmarks/run.py`` prints it (``benchmarks/corpus.py``, loaded here
-    unchanged): a change to any step log or output graph of its 200 inputs
-    fails here, not only in the benchmark."""
-    from degraphs import transform
+def check_pinned(workload, digest, certified):
+    """A workload's results digest for seed 1, as ``benchmarks/run.py``
+    prints it (``benchmarks/corpus.py``, loaded unchanged): a change to any
+    step log or output graph fails here, not only in the benchmark.  Every
+    result matches its known answer, and the inputs certified are those
+    ``benchmarks/corpus_digests.json`` records."""
+    bc = benchmark_corpus()
+    runs = seed1_runs(workload)
+    assert bc.sha("".join(bc.result_digest(res) for _, res in runs)) == digest
+    for case, res in runs:
+        assert bc.check_result(case, res, may_abort=True) is None, case.name
+    recorded = json.loads((ROOT / "benchmarks" / "corpus_digests.json").read_text())[workload]
+    assert [name for name, _ in recorded["inputs"]] == [case.name for case, _ in runs]
+    names = [case.name for case, res in runs if res.certified]
+    assert names == recorded["certified"] and len(names) == certified
 
-    spec = importlib.util.spec_from_file_location("corpus", ROOT / "benchmarks" / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "corpus", corpus)  # its dataclass looks itself up there
-    spec.loader.exec_module(corpus)
-    cases = corpus.scrambled_cases(1, corpus.SCRAMBLED_MIX)
-    digests = [corpus.result_digest(transform.full_pipeline(c.graph)) for c in cases]
-    assert len(cases) == 200
-    assert corpus.sha("".join(digests)) == "1a2f7967cc983ed5"
+
+def test_scrambled_benchmark_output_is_pinned():
+    check_pinned("scrambled", "1a2f7967cc983ed5", 195)
+    assert len(seed1_runs("scrambled")) == 200
+
+
+def test_standard_certify_benchmark_output_is_pinned():
+    check_pinned("standard_certify", "6b9282617da72616", 32)
 
 
 def test_traced_run_wraps_and_restores_the_library():
