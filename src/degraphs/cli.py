@@ -166,6 +166,8 @@ def _cmd_analyze(args) -> int:
     if i is None:
         print("analyze requires --color", file=sys.stderr)
         return 2
+    if not 1 < i < G.n:
+        raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
     print(f"color {i}")
     print("types:")
     for v in G.vertices():

@@ -437,6 +437,19 @@ def seeded_isomorphism(
     return _forced_extension(G, H, dict(seeds), colors, positions)
 
 
+def anchored_maps(
+    G: SignedColoredGraph, anchor: str, H: SignedColoredGraph, images, colors, positions
+):
+    """The maps forced from ``anchor`` onto each of ``images`` in turn,
+    skipping the images it cannot be sent to.  Each map covers the anchor's
+    component under ``colors`` and sends it onto a whole component of H;
+    maps forced onto different images differ."""
+    for w in images:
+        m = _forced_extension(G, H, {anchor: w}, colors, positions)
+        if m is not None:
+            yield m
+
+
 def find_isomorphism(
     G: SignedColoredGraph,
     H: SignedColoredGraph,
@@ -480,44 +493,13 @@ def find_isomorphism(
         for v in comp.vertices:
             classes.setdefault(gkey[v], []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
-        for w in candidates[sig_key]:
-            if w in taken:
-                continue
-            local = _forced_extension(G, H, {members[0]: w}, colors, positions)
-            if local is not None:
-                mapping.update(local)
-                taken.update(local.values())
-                break
-        else:
+        images = (w for w in candidates[sig_key] if w not in taken)
+        local = next(anchored_maps(G, members[0], H, images, colors, positions), None)
+        if local is None:
             return None
+        mapping.update(local)
+        taken.update(local.values())
     return mapping
-
-
-def count_component_isomorphisms(
-    G: SignedColoredGraph,
-    gverts,
-    H: SignedColoredGraph,
-    hverts,
-    colors,
-    positions,
-    limit: int = 2,
-) -> list[dict[str, str]]:
-    """All isomorphisms between two connected pieces, up to ``limit`` found."""
-    gverts = tuple(sorted(gverts))
-    hverts = set(hverts)
-    if len(gverts) != len(hverts):
-        return []
-    anchor = gverts[0]
-    found = []
-    for w in sorted(hverts):
-        m = _forced_extension(G, H, {anchor: w}, colors, positions)
-        if m is None or set(m) != set(gverts) or set(m.values()) != hverts:
-            continue
-        # maps forced from the one anchor onto different images differ
-        found.append(m)
-        if len(found) >= limit:
-            break
-    return found
 
 
 def i_package(G: SignedColoredGraph, v: str, i: int) -> ComponentView:

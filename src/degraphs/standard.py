@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .combinatorics import (
     Partition,
@@ -22,12 +23,7 @@ from .combinatorics import (
     enumerate_syt,
     tableau_id,
 )
-from .graph import (
-    ComponentView,
-    SignedColoredGraph,
-    _forced_extension,
-    count_component_isomorphisms,
-)
+from .graph import ComponentView, SignedColoredGraph, anchored_maps
 
 
 @lru_cache(maxsize=None)
@@ -179,23 +175,19 @@ def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] 
         if target_sigs != sigs:
             continue
         target = _standard_graph(lam)
-        for w in by_sig[G.sigma[anchor]]:
-            found = _forced_extension(G, target, {anchor: w}, range(2, n), range(1, n))
-            if found is not None and found.keys() == members:
+        images = by_sig[G.sigma[anchor]]
+        for found in anchored_maps(G, anchor, target, images, range(2, n), range(1, n)):
+            if found.keys() == members:
                 return lam, found
     return None
 
 
 def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
-    """Number of self-isomorphisms of G_lam found, up to ``limit``."""
+    """Number of self-isomorphisms of G_lam found, up to ``limit``: G_lam is
+    connected, so each is forced from its least vertex, tried against the
+    vertices with that vertex's signature."""
     G = _standard_graph(lam)
-    maps = count_component_isomorphisms(
-        G,
-        G.vertices(),
-        G,
-        G.vertices(),
-        colors=G.colors(),
-        positions=range(1, G.N),
-        limit=limit,
-    )
-    return len(maps)
+    anchor = min(G.sigma)
+    images = _targets(lam)[1][G.sigma[anchor]]
+    maps = anchored_maps(G, anchor, G, images, G.colors(), range(1, G.N))
+    return sum(1 for _ in islice(maps, limit))

@@ -1,6 +1,6 @@
 """Vertex typing, flat and non-flat chains, defect sets, the set U_i,
-negatively dominant components, and the rooted node tree used to unblock
-stuck configurations.
+negatively dominant components, and the rooted node tree, a diagnostic that
+``degraphs analyze`` prints and the pipeline does not use.
 
 The defect sets W_i (overlong non-flat chains) and C_i (overlong flat
 chains) measure how far a graph is from having only allowed three-color

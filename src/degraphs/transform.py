@@ -39,7 +39,7 @@ from .graph import (
     GraphFormatError,
     SignedColoredGraph,
     _field,
-    count_component_isomorphisms,
+    anchored_maps,
     package_colors,
     package_positions,
     seeded_isomorphism,
@@ -287,29 +287,17 @@ def apply_theta(
     # isomorphic twin adjacent to the pivot; ``image`` holds all those maps
     need = {comp_of[old[u]] for u in ring if u in old} - adjacent - {pivot_idx}
     image: dict[str, str] = {}
-    positions = range(1, G.N)
     for k in sorted(need):
-        source = comps[k]
-        sigs = sorted(G.sigma[v] for v in source)
-        found = [
-            (t, m)
-            for t in sorted(adjacent)
-            if sorted(G.sigma[v] for v in comps[t]) == sigs
-            for m in count_component_isomorphisms(G, source, G, comps[t], lower, positions, limit=2)
-        ]
+        anchor = comps[k][0]
+        images = [w for t in sorted(adjacent) for w in comps[t] if G.sigma[w] == G.sigma[anchor]]
+        found = list(anchored_maps(G, anchor, G, images, lower, range(1, G.N)))
         if not found:
-            raise TransformError(
-                f"component at {source[0]!r} matches nothing adjacent to the pivot"
-            )
-        if len({t for t, _ in found}) > 1:
-            raise TransformError(
-                f"component at {source[0]!r} matches several adjacent components"
-            )
+            raise TransformError(f"component at {anchor!r} matches nothing adjacent to the pivot")
+        if len({comp_of[m[anchor]] for m in found}) > 1:
+            raise TransformError(f"component at {anchor!r} matches several adjacent components")
         if len(found) > 1:
-            raise TransformError(
-                f"component at {source[0]!r} has a non-unique isomorphism"
-            )
-        image.update(found[0][1])
+            raise TransformError(f"component at {anchor!r} has a non-unique isomorphism")
+        image.update(found[0])
 
     def target(v: str, w: str) -> str | None:
         if v in ring and w in image:
@@ -410,6 +398,8 @@ def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph
     if not 1 < step.color < G.n:
         raise TransformError(f"color {step.color} outside 1 < i < n = {G.n}")
     _check_anchor(G, step.anchor, step.variant)
+    if step.variant and step.kind in ("gamma", "theta"):
+        raise TransformError(f"{step.kind} takes no variant, got {step.variant}")
     if step.kind == "phi":
         return apply_phi(G, step.anchor, step.color, step.variant)
     if step.kind == "psi":
@@ -596,7 +586,10 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
     has them; the steps replace partner maps only, so the certification
     re-checks those four only at the colors whose partner map the run
     changed.  Axioms 4 and 6 and the identification of every component run
-    on the whole result."""
+    on the whole result.  ``stop_at``, in 1..n-1, ends the run after that
+    color, uncertified unless it is the last."""
+    if stop_at is not None and not 1 <= stop_at <= G.n - 1:
+        raise ValueError(f"stop_at {stop_at} outside 1 <= stop_at <= n - 1 = {G.n - 1}")
     log = TransformLog()
     original = G
     for k in (1, 2, 3, 5):

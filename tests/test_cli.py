@@ -142,12 +142,15 @@ class TestReplayRejects:
             ('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1"},'
              ' {"kind": "psi", "color": 3, "anchor": "zz"}]}',
              "error: log step 1: anchor 'zz' is not a vertex"),
+            ('{"steps": [{"kind": "gamma", "color": 4, "anchor": "b1", "variant": 2}]}',
+             "error: log step 0: gamma takes no variant, got 2"),
         ],
         ids=[
             "top-level-list", "top-level-string", "steps-not-list", "step-not-object",
             "missing-color", "color-string", "anchor-integer", "missing-kind",
             "unknown-kind", "variant-boolean", "negative-variant", "unknown-anchor",
             "theta-color-too-high", "psi-color-negative", "bad-second-step",
+            "gamma-variant",
         ],
     )
     def test_bad_log(self, capsys, tmp_path, log, message):
@@ -163,6 +166,24 @@ class TestReplayRejects:
         assert code == 2
         assert out == "" and not out_path.exists()
         assert err == message + "\n"
+
+
+    def test_theta_variant(self, capsys, tmp_path):
+        """fig6's run is one split; the same log with a variant on it is
+        rejected rather than replayed as if the variant were 0."""
+        G = fixture("fig6")
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(G.to_text())
+        log_path = tmp_path / "log.json"
+        code, _, _ = run(capsys, ["transform", str(graph_path), "--log", str(log_path)])
+        assert code == 0
+        doc = json.loads(log_path.read_text())
+        assert [s["kind"] for s in doc["steps"]] == ["theta"]
+        doc["steps"][0]["variant"] = 5
+        log_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["transform", str(graph_path), "--replay", str(log_path)])
+        assert code == 2 and out == ""
+        assert err == "error: log step 0: theta takes no variant, got 5\n"
 
 
 class TestExpand:
@@ -251,6 +272,17 @@ class TestTransform:
         assert exit_info.value.code == 2
         assert "--policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stop_at", ["99", "5", "0", "-4"])
+    def test_stop_at_out_of_range(self, capsys, tmp_path, stop_at):
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(fixture("fig8").to_text())
+        out_path = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, ["transform", str(graph_path), "--stop-at", stop_at, "--out", str(out_path)]
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == f"error: stop_at {stop_at} outside 1 <= stop_at <= n - 1 = 4\n"
+
     def test_abort_writes_offender(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "result.json"
         text = fixture("fig19").to_text()
@@ -269,6 +301,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, ["analyze", "-", "--color", "3"], text, monkeypatch)
         assert code == 0
         assert "W  = ['b1', 'm1', 't3', 't4']" in out
+
+    @pytest.mark.parametrize("color", ["99", "-3", "1", "5"])
+    def test_color_out_of_range(self, capsys, monkeypatch, color):
+        text = fixture("fig8").to_text()
+        code, out, err = run(capsys, ["analyze", "-", "--color", color], text, monkeypatch)
+        assert code == 2 and out == ""
+        assert err == f"error: color {color} outside 1 < i < n = 5\n"
 
     def test_conjecture_probe(self, capsys, monkeypatch):
         text = fixture("fig1").to_text()

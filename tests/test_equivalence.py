@@ -3,9 +3,9 @@ pipeline's output is pinned byte for byte, LSP witnesses match a per-window
 positivity check, the committed defect step is the first vertex of U_i,
 every candidate and split passes the one gate, the axiom 4 and axiom 6
 checkers match slower per-component checkers, the direct JSON writer
-matches ``json.dumps`` byte for byte, and the matching rebuild and every
-chain grown from the one non-flat chain walk match the code they
-replaced."""
+matches ``json.dumps`` byte for byte, and the matching rebuild, every
+chain grown from the one non-flat chain walk and every reader of the one
+anchored isomorphism search match the code they replaced."""
 
 import functools
 import hashlib
@@ -26,13 +26,13 @@ from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, _forced_extension, find_isomorphism, i_package
 from degraphs.combinatorics import count_syt, enumerate_partitions
-from degraphs.graph import count_component_isomorphisms
 from degraphs.standard import (
     _standard_graph,
     build_augmented_deg,
     build_standard_deg,
     identify_component,
     single_cell_augmentation,
+    standard_automorphisms,
 )
 from degraphs.structure import (
     defect_sets,
@@ -1485,6 +1485,26 @@ def reference_axiom4_keyed(G):
                     yield (i, comp[0], f"{what} component not allowed")
 
 
+def reference_count_component_isomorphisms(G, gverts, H, hverts, colors, positions, limit=2):
+    """All isomorphisms between two connected pieces, up to ``limit`` found:
+    forced from the least vertex of ``gverts`` onto each vertex of
+    ``hverts`` in id order, kept when the map is onto ``hverts``."""
+    gverts = tuple(sorted(gverts))
+    hverts = set(hverts)
+    if len(gverts) != len(hverts):
+        return []
+    anchor = gverts[0]
+    found = []
+    for w in sorted(hverts):
+        m = _forced_extension(G, H, {anchor: w}, colors, positions)
+        if m is None or set(m) != set(gverts) or set(m.values()) != hverts:
+            continue
+        found.append(m)
+        if len(found) >= limit:
+            break
+    return found
+
+
 def reference_identify_component(comp):
     """Every lam of n with the component's size and signature multiset, in
     dominance-descending order, tried at every vertex of G_lam."""
@@ -1499,7 +1519,7 @@ def reference_identify_component(comp):
         target = _standard_graph(lam)
         if sorted(target.sigma.values()) != sigs:
             continue
-        found = count_component_isomorphisms(
+        found = reference_count_component_isomorphisms(
             G, comp.vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
         )
         if found:
@@ -1567,6 +1587,105 @@ def test_identification_matches_the_scan():
                     assert list(got[1].items()) == list(want[1].items())
                 seen[want is not None] += 1
     assert seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
+# theta's twins and the automorphism count, which now read the one anchored
+# search, against the component count they replaced
+
+
+def reference_theta(G, pivot, i):
+    """The split as it paired pieces by the component count: for each piece
+    i-joined to the ring, up to two maps onto each piece adjacent to the
+    pivot with its signature multiset.  Returns those lists of maps and the
+    split graph, or the lists and the TransformError message."""
+    H = G.component_vertices(pivot.min_vertex(), range(2, i + 1))
+    lower = tuple(range(2, i))
+    comps, comp_of = G.refine(H, lower)
+    pivot_idx = comp_of[pivot.min_vertex()]
+    old = G.matching(i)
+    adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}
+    if not adjacent:
+        return [], "pivot component has no outgoing i-edges"
+    ring = set().union(*(comps[k] for k in adjacent))
+    need = {comp_of[old[u]] for u in ring if u in old} - adjacent - {pivot_idx}
+    image, twins = {}, []
+    for k in sorted(need):
+        source = comps[k]
+        sigs = sorted(G.sigma[v] for v in source)
+        found = [
+            (t, m)
+            for t in sorted(adjacent)
+            if sorted(G.sigma[v] for v in comps[t]) == sigs
+            for m in reference_count_component_isomorphisms(
+                G, source, G, comps[t], lower, range(1, G.N), limit=2
+            )
+        ]
+        twins.append([m for _, m in found])
+        if not found:
+            return twins, f"component at {source[0]!r} matches nothing adjacent to the pivot"
+        if len({t for t, _ in found}) > 1:
+            return twins, f"component at {source[0]!r} matches several adjacent components"
+        if len(found) > 1:
+            return twins, f"component at {source[0]!r} has a non-unique isomorphism"
+        image.update(found[0][1])
+
+    def target(v, w):
+        if v in ring and w in image:
+            return image[w]
+        if w in ring and v in image:
+            return G.neighbor(image[v], i)
+        return w
+
+    return twins, transform._rematch(G, i, target)
+
+
+def test_theta_twins_match_the_component_count(monkeypatch):
+    """At every split the runs on the fixtures and ``tests/data`` reach,
+    theta tries the same twin maps in the same order and gives the same
+    graph or the same error: fig6 commits a split, and s109-n7k3 aborts
+    because a piece matches nothing adjacent to the pivot."""
+    splits = []
+    real_theta = transform.apply_theta
+    monkeypatch.setattr(
+        transform, "apply_theta", lambda G, p, i: splits.append((G, p, i)) or real_theta(G, p, i)
+    )
+    runs = {name: full_pipeline(G) for name, G in carry_inputs()}
+    monkeypatch.undo()
+    assert runs["fig6"].log.steps[0].kind == "theta"
+    assert "matches nothing adjacent" in runs["s109-n7k3"].log.diagnostic
+
+    tried = []
+    real_maps = transform.anchored_maps
+
+    def spy(*args):
+        tried.append(list(real_maps(*args)))
+        return iter(tried[-1])
+
+    monkeypatch.setattr(transform, "anchored_maps", spy)
+    outcomes = Counter()
+    for G, pivot, i in splits:
+        tried.clear()
+        twins, want = reference_theta(G, pivot, i)
+        try:
+            got = transform.apply_theta(G, pivot, i)
+        except TransformError as e:
+            got = str(e)
+        assert got == want, (G, pivot.vertices, i)
+        assert tried == twins, (G, pivot.vertices, i)
+        outcomes[type(want).__name__] += 1
+    assert outcomes["SignedColoredGraph"] and outcomes["str"]
+
+
+def test_automorphism_count_matches_the_component_count():
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            G = _standard_graph(lam)
+            for limit in (1, 2, 3):
+                want = reference_count_component_isomorphisms(
+                    G, G.vertices(), G, G.vertices(), G.colors(), range(1, G.N), limit
+                )
+                assert standard_automorphisms(lam, limit) == len(want), (lam, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 matcher, with each vertex labelled by its signature and each edge by its set
 of colors.  Component identification, ``find_isomorphism`` and
 ``package_isomorphism`` must find a map exactly when VF2 does, and every map
-they return must preserve the colors and signature positions asked for."""
+they return must preserve the colors and signature positions asked for; the
+standard graphs' automorphism count must match VF2's."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -14,7 +16,7 @@ nx = pytest.importorskip("networkx")
 from degraphs.combinatorics import count_syt, enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import find_isomorphism, i_package, package_colors, package_positions
-from degraphs.standard import build_standard_deg
+from degraphs.standard import build_standard_deg, standard_automorphisms
 from degraphs.structure import defect_sets, psi_target
 from degraphs.transform import full_pipeline, package_isomorphism
 
@@ -50,6 +52,17 @@ def vf2_isomorphic(X, Y) -> bool:
     )
 
 
+def vf2_automorphisms(X, limit: int) -> int:
+    """The number of automorphisms of X that VF2 finds, up to ``limit``."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        X,
+        X,
+        node_match=lambda a, b: a["label"] == b["label"],
+        edge_match=lambda a, b: a["colors"] == b["colors"],
+    )
+    return sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), limit))
+
+
 def preserves(G, H, m, colors, positions):
     """Whether m maps G's vertices it covers onto H's, keeping every edge and
     non-edge of ``colors`` and the signature at ``positions``."""
@@ -83,6 +96,15 @@ def test_identified_components_match_only_their_standard_graph():
                     assert vf2_isomorphic(X, Y) == (mu == lam), (name, v, lam, mu)
                     compared += 1
     assert compared >= 49  # 89 over 19 certified outputs
+
+
+def test_standard_graphs_are_rigid_by_vf2():
+    """G_lam has no automorphism but the identity, by ``standard_automorphisms``
+    and by VF2 alike, for every lam with n <= 6."""
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            want = vf2_automorphisms(labelled(build_standard_deg(lam)), 2)
+            assert standard_automorphisms(lam) == want == 1, lam
 
 
 def test_find_isomorphism_agrees_with_vf2():

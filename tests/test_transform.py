@@ -388,3 +388,11 @@ class TestPipeline:
         res = full_pipeline(G, stop_at=3)
         assert defect_sets(res.graph, 3).all_empty()
         assert not defect_sets(res.graph, 4).all_empty()
+
+    def test_stop_at_range(self):
+        G = fixture("fig8")
+        assert not full_pipeline(G, stop_at=1).certified
+        assert full_pipeline(G, stop_at=4).certified
+        for stop_at in (-4, 0, 5, 99):
+            with pytest.raises(ValueError, match=f"stop_at {stop_at} outside"):
+                full_pipeline(G, stop_at=stop_at)
