@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload by alternating pairs of
+runs, and say whether a gain may be claimed.
+
+    python scripts/bench_pairs.py PARENT CHANGE --workload standard_certify --seed 5
+
+Each pair runs ``benchmarks/run.py`` once in each checkout, with end-to-end
+metrics only (``--trace 0``), the first of the two alternating from pair to
+pair.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
+median and quartiles of each side and the pairs the change won (ties count
+for neither side).  The claim rule: the change wins at least nine tenths of
+the pairs, and its median is better than the parent's by more than the
+distance between the parent's quartiles.  Nothing under ``benchmarks/`` is
+written to; the run length defaults to the benchmark's own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+    """One row per metric of ``better`` ({name: "higher" | "lower"}) from
+    paired runs, ``parent[k]`` and ``change[k]`` being pair k's
+    {name: value}: each side's quartiles, the pairs won and tied, and
+    whether the claim rule holds."""
+    rows = []
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        ties = sum(a == b for a, b in zip(p, c))
+        pq, cq = quartiles(p), quartiles(c)
+        gap = sign * (cq[1] - pq[1])
+        rows.append({
+            "metric": name,
+            "parent": pq,
+            "change": cq,
+            "pairs": len(p),
+            "wins": wins,
+            "ties": ties,
+            "gap": gap,
+            "parent_iqr": pq[2] - pq[0],
+            "claim": wins * 10 >= 9 * len(p) and gap > pq[2] - pq[0],
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    lines = []
+    for r in rows:
+        (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
+        tied = f", {r['ties']} tied" if r["ties"] else ""
+        lines.append(
+            f"{r['metric']}: parent {pm:.4g} ({p1:.4g}-{p3:.4g}) -> change {cm:.4g} "
+            f"({c1:.4g}-{c3:.4g}); change better in {r['wins']}/{r['pairs']}{tied}; "
+            f"median gap {r['gap']:+.4g} vs parent IQR {r['parent_iqr']:.4g}; "
+            f"claim rule {'holds' if r['claim'] else 'does not hold'}"
+        )
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, default_seed: int) -> dict:
+    """The end-to-end metrics of one run, {name: value}."""
+    argv = [
+        sys.executable, "benchmarks/run.py", "--default-seed", str(default_seed),
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: run in {checkout} failed:\n{proc.stderr}")
+    doc = json.loads(lines[-1])
+    if not doc["correct"]:
+        raise SystemExit(f"error: run in {checkout} reported failures:\n{proc.stdout}")
+    return {name: m["value"] for name, m in doc["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="Alternating benchmark pairs of two checkouts.")
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    args = p.parse_args(argv)
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    command = bench["command"]
+    default_seed = int(command[command.index("--default-seed") + 1])
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent, change = [], []
+    for k in range(args.pairs):
+        sides = [(args.parent, parent), (args.change, change)]
+        for checkout, runs in sides if k % 2 == 0 else sides[::-1]:
+            runs.append(run_once(checkout, args.workload, args.seed, seconds, default_seed))
+        print(f"pair {k + 1}: " + ", ".join(
+            f"{name} {parent[-1][name]:.4g} -> {change[-1][name]:.4g}" for name in better
+        ), flush=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
+    print(format_rows(summarize(parent, change, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,18 +2,24 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Axiom 4 is checked by lookup: each signature is read once into an integer,
-one bit per position, and each vertex gets a local code at a window, its
-slice packed with its partners' slices.  A two- or three-color component is
-keyed by its sorted codes, and the key must be one of the allowed
-components' (templates', as listed or globally sign-flipped), coded the same
-way.  This keeps the axiom checkers independent of the symmetric function
-code, so agreement between axiom 4/6 and the multiplicity-free conditions is
-a genuine cross-check of two code paths.
+Every check that compares signature positions reads the graph's integer
+signatures, ``G.bits`` (bit p set where position p + 1 is -1).  Axioms 1, 2
+and 3 take one mask test per vertex or edge and read the positions one by
+one only where it fails, to word the witness.  Axiom 4 is checked by
+lookup: each vertex gets a local code at a window, its slice packed with
+its partners' slices.  A two- or three-color component is keyed by its
+sorted codes, and the key must be one of the allowed components'
+(templates', as listed or globally sign-flipped), coded the same way.  This
+keeps the axiom checkers independent of the symmetric function code, so
+agreement between axiom 4/6 and the multiplicity-free conditions is a
+genuine cross-check of two code paths.  The window positivity verdicts are
+cached by the integer slices.
 
-``is_dual_equivalence_graph(G, base)`` re-checks axioms 1, 2, 3 and 5 only
-at the colors whose partner map differs from ``base``'s, which satisfies
-them; ``full_pipeline`` passes its input.
+``axiom_holds`` stops at the first witness; ``full_pipeline`` checks axioms
+4 and 6 on its input that way.  ``is_dual_equivalence_graph(G, base)``
+re-checks axioms 1, 2, 3 and 5 only at the colors whose partner map differs
+from ``base``'s, which satisfies them; ``full_pipeline`` passes its input.
+``lsp_holds`` answers the gate's question, stopping at the first violation.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import Partition, Signature, sig_from_str
-from .graph import ComponentView, SignedColoredGraph
+from .combinatorics import Partition, sig_from_str
+from .graph import ComponentView, SignedColoredGraph, signature_bits
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -76,12 +82,6 @@ _THREE_COLOR_TEMPLATES = (
 )
 
 
-def _sig_bits(sigma) -> dict:
-    """Each vertex's signature as an integer whose bit p is set where
-    position p + 1 is -1, so that a window's slice is a shift and a mask."""
-    return {v: sum(1 << p for p, x in enumerate(s) if x < 0) for v, s in sigma.items()}
-
-
 def _window_codes(bits, partners, lo: int, width: int) -> dict:
     """Each vertex's local code at the window of ``width`` positions from
     ``lo``: its slice in the low ``width`` bits, then, for each partner map
@@ -119,71 +119,103 @@ def _template_keys(templates) -> frozenset:
         for a, b, role in edges:
             partner[role].update({a: b, b: a})
         for flip in (1, -1):
-            sigma = {k: [flip * x for x in sig_from_str(t)] for k, t in enumerate(sigs)}
-            code = _window_codes(_sig_bits(sigma), [partner[r] for r in roles], 1, len(sigs[0]))
+            sigma = {k: tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
+            bits = {k: signature_bits(sig) for k, sig in sigma.items()}
+            code = _window_codes(bits, [partner[r] for r in roles], 1, len(sigs[0]))
             keys.add(_component_key(code, range(len(sigs))))
     return frozenset(keys)
-
-
-def _component_matches_template(
-    G: SignedColoredGraph,
-    vertices: tuple[str, ...],
-    color_roles: dict[int, str],
-    window: tuple[int, int],
-    templates,
-) -> bool:
-    """Exact match of an extracted component against one template, with the
-    template's signs as listed or globally flipped, by its ``_component_key``."""
-    lo, hi = window
-    if lo < 1:  # a window reaching below position 1 matches no template
-        return False
-    partners = [G._partners(c) for c in sorted(color_roles, key=color_roles.get)]
-    code = _window_codes(_sig_bits(G.sigma), partners, lo, hi - lo + 1)
-    return _component_key(code, vertices) in _template_keys(templates)
 
 
 # ---------------------------------------------------------------------------
 # the six axioms
 
 
+def _scope(G: SignedColoredGraph, colors) -> dict:
+    """{color: the vertices to check there, or None for all}: every color
+    of G when ``colors`` is None, or each listed color whole.  A
+    ``{color: vertices}`` map is taken as it is; its vertices must hold both
+    ends of each of their edges, as the vertices whose partner changed do."""
+    if colors is None:
+        colors = G.colors()
+    return colors if isinstance(colors, dict) else dict.fromkeys(colors)
+
+
 def _check_axiom1(G: SignedColoredGraph, colors=None):
-    matchings = [(i, G.matching(i)) for i in (G.colors() if colors is None else colors)]
-    for v in G.vertices():
+    """An i-edge exactly where positions i-1 and i differ, that is where bit
+    i-2 of ``b ^ b >> 1`` is set, b the signature bits.  At whole colors
+    each vertex takes one mask test against the colors it has edges in."""
+    scope = _scope(G, colors)
+    suspects = {v for vs in scope.values() if vs is not None for v in vs}
+    whole = [i for i, vs in scope.items() if vs is None]
+    if whole:
+        edged = dict.fromkeys(G.sigma, 0)  # bit i-2 set where v has an i-edge
+        for i in whole:
+            for v in G._partners(i):
+                edged[v] |= 1 << (i - 2)
+        cmask = sum(1 << (i - 2) for i in whole)
+        suspects.update(v for v, b in G.bits.items() if (b ^ b >> 1) & cmask != edged[v])
+    for v in sorted(suspects):
         s = G.sigma[v]
-        for i, m in matchings:
+        for i, vs in scope.items():
+            if vs is not None and v not in vs:
+                continue
             wants_edge = s[i - 2] == -s[i - 1]
-            has_edge = v in m
+            has_edge = v in G._partners(i)
             if wants_edge != has_edge:
                 yield (i, v, "edge present" if has_edge else "edge missing")
 
 
 def _edges(G: SignedColoredGraph, colors):
-    """The edges of the given colors, in ``edge_triples`` order."""
-    for i in G.colors() if colors is None else colors:
-        for u, w in G.matching(i).items():
-            if u < w:
-                yield i, u, w
+    """(i, the i-edges (u, w) with u < w) for each color of the scope, in
+    ``edge_triples`` order; at a color given with vertices, only the edges
+    at them."""
+    for i, vs in _scope(G, colors).items():
+        m = G._partners(i)
+        if vs is None:
+            yield i, [(u, w) for u, w in m.items() if u < w]
+        else:
+            yield i, [(v, w) for v in vs if (w := m.get(v)) is not None and v < w]
 
 
 def _check_axiom2(G: SignedColoredGraph, colors=None):
-    for i, u, w in _edges(G, colors):
-        su, sw = G.sigma[u], G.sigma[w]
-        for j in (i - 1, i):
-            if su[j - 1] != -sw[j - 1]:
-                yield (i, u, w, f"position {j} not reversed")
-        for h in range(1, G.N):
-            if (h < i - 2 or h > i + 1) and su[h - 1] != sw[h - 1]:
-                yield (i, u, w, f"position {h} not preserved")
+    """An i-edge reverses positions i-1 and i and keeps every position
+    outside i-2..i+1: one mask test on the xor of its ends' bits, and the
+    positions are read one by one only where that test fails."""
+    bits, full = G.bits, (1 << (G.N - 1)) - 1
+    for i, edges in _edges(G, colors):
+        flip = 3 << (i - 2)
+        tested = full & ~((1 << (i + 1)) - (1 << max(i - 3, 0))) | flip
+        for u, w in edges:
+            if (bits[u] ^ bits[w]) & tested == flip:
+                continue
+            su, sw = G.sigma[u], G.sigma[w]
+            for j in (i - 1, i):
+                if su[j - 1] != -sw[j - 1]:
+                    yield (i, u, w, f"position {j} not reversed")
+            for h in range(1, G.N):
+                if (h < i - 2 or h > i + 1) and su[h - 1] != sw[h - 1]:
+                    yield (i, u, w, f"position {h} not preserved")
 
 
 def _check_axiom3(G: SignedColoredGraph, colors=None):
-    for i, u, w in _edges(G, colors):
-        for a, b in ((u, w), (w, u)):
-            sa, sb = G.sigma[a], G.sigma[b]
-            if i - 2 >= 1 and sa[i - 3] == -sb[i - 3] and sa[i - 3] != -sa[i - 2]:
-                yield (i, a, b, f"position {i - 2} flips but equals sigma_{i - 1}")
-            if i + 1 <= G.N - 1 and sa[i] == -sb[i] and sa[i] != -sa[i - 1]:
-                yield (i, a, b, f"position {i + 1} flips but equals sigma_{i}")
+    """Where an i-edge flips position i-2 (i+1), each end's sign there
+    differs from its sign at position i-1 (i).  Bit q of ``~(b ^ b >> 1)``
+    is set where an end's bits q and q+1 agree, so one mask test per edge
+    finds every edge that breaks this, and only those are read again."""
+    bits = G.bits
+    for i, edges in _edges(G, colors):
+        low, high = (1 << (i - 3) if i >= 3 else 0), 1 << i
+        for u, w in edges:
+            bu, bw = bits[u], bits[w]
+            agree = ~(bu ^ bu >> 1) | ~(bw ^ bw >> 1)
+            if not (bu ^ bw) & (agree & low | agree << 1 & high):
+                continue
+            for a, b in ((u, w), (w, u)):
+                sa, sb = G.sigma[a], G.sigma[b]
+                if i - 2 >= 1 and sa[i - 3] == -sb[i - 3] and sa[i - 3] != -sa[i - 2]:
+                    yield (i, a, b, f"position {i - 2} flips but equals sigma_{i - 1}")
+                if i + 1 <= G.N - 1 and sa[i] == -sb[i] and sa[i] != -sa[i - 1]:
+                    yield (i, a, b, f"position {i + 1} flips but equals sigma_{i}")
 
 
 def _check_axiom4(G: SignedColoredGraph):
@@ -191,7 +223,7 @@ def _check_axiom4(G: SignedColoredGraph):
     colors i-2..i, each walked from its least vertex and looked up by the
     key of its vertices' local codes at the window."""
     order = G.vertices()
-    bits = _sig_bits(G.sigma)
+    bits = G.bits
     kinds = ((3, _TWO_COLOR_TEMPLATES, "two-color"), (4, _THREE_COLOR_TEMPLATES, "three-color"))
     for width, templates, what in kinds:
         allowed = _template_keys(templates)
@@ -206,14 +238,23 @@ def _check_axiom4(G: SignedColoredGraph):
 
 def _check_axiom5(G: SignedColoredGraph, colors=None):
     """Commutation of colors i and j, j - i >= 3; with ``colors``, only the
-    pairs with a color among them."""
-    colors = G.colors() if colors is None else colors
-    maps = {i: G.matching(i) for i in G.colors()}
+    pairs with a color among them.  The test at v reads the i- and
+    j-partners of v and the j-partner of E_i(v), the i-partner of E_j(v), so
+    at a color given with vertices only those vertices and their partners in
+    the pair's other color are tested."""
+    scope = _scope(G, colors)
+    maps = {i: G._partners(i) for i in G.colors()}
     for i, mi in maps.items():
-        order = sorted(mi)
+        every = sorted(mi)
         for j, mj in maps.items():
-            if j - i < 3 or (i not in colors and j not in colors):
+            if j - i < 3 or (i not in scope and j not in scope):
                 continue
+            if any(c in scope and scope[c] is None for c in (i, j)):
+                order = every
+            else:
+                at = ((scope.get(i), mj), (scope.get(j), mi))
+                near = {y for vs, other in at for x in vs or () for y in (x, other.get(x))}
+                order = sorted(v for v in near if v in mi)
             for v in order:
                 a, b = mi[v], mj.get(v)
                 if b is not None and (mj.get(a) is None or mj.get(a) != mi.get(b)):
@@ -274,7 +315,11 @@ def _axiom6_below(G: SignedColoredGraph, top: int):
 
 
 def _check_axiom6(G: SignedColoredGraph):
-    return _axiom6_below(G, G.n)[0]
+    """The witnesses of ``_axiom6_below(G, G.n)``, one color at a time."""
+    piece = {v: v for v in G.sigma}
+    for i in range(2, G.n):
+        at_i, piece = _axiom6_at(G, i, piece)
+        yield from at_i
 
 
 _AXIOM_CHECKS = {
@@ -297,6 +342,12 @@ def check_axiom(G: SignedColoredGraph, k: int, colors=None) -> AxiomReport:
     return AxiomReport.from_witnesses(k, check(G) if colors is None else check(G, colors))
 
 
+def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
+    """Whether axiom k holds on the whole of G, stopping at the first
+    witness."""
+    return next(_AXIOM_CHECKS[k](G), None) is None
+
+
 def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:
     """Whether axioms 1 to 6 hold.
 
@@ -308,7 +359,10 @@ def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | 
     """
     if base is None:
         return all(check_axiom(G, k).holds for k in range(1, 7))
-    changed = [i for i in G.colors() if G._partners(i) != base._partners(i)]
+    changed = [
+        i for i in G.colors()
+        if (m := G._partners(i)) is not (b := base._partners(i)) and m != b
+    ]
     rechecked = (1, 2, 3, 5) if changed else ()
     return all(check_axiom(G, k, changed).holds for k in rechecked) and all(
         check_axiom(G, k).holds for k in (4, 6)
@@ -352,23 +406,28 @@ def check_lsf(G: SignedColoredGraph, m: int) -> AxiomReport:
 
 
 @lru_cache(maxsize=None)
-def _window_violation(degree: int, counts: tuple[tuple[Signature, int], ...]) -> str | None:
-    """Why the window function with these (signature, count) pairs is not
-    Schur positive, or None when it is.
+def _window_violation(degree: int, counts: tuple[tuple[int, int], ...]) -> str | None:
+    """Why the window function with these (signature slice, count) pairs is
+    not Schur positive, or None when it is; a slice is the window's
+    ``degree - 1`` signature bits, as in ``G.bits``.
 
     The pairs are the whole function, so the key is exact: two windows with
     the same key have the same expansion, whatever graph they come from.
     """
-    return is_schur_positive(QSym(degree, dict(counts))).violation
+    width = degree - 1
+    coeffs = {tuple(-1 if b >> p & 1 else 1 for p in range(width)): c for b, c in counts}
+    return is_schur_positive(QSym(degree, coeffs)).violation
 
 
 def _component_violation(G: SignedColoredGraph, vertices, window) -> str | None:
     """``_window_violation`` of the window function of ``vertices``, keyed
     by the sorted (signature slice, count) pairs of their signatures."""
     lo, hi = window
-    counts: dict[Signature, int] = {}
+    low, mask = lo - 1, (1 << (hi - lo + 1)) - 1
+    bits = G.bits
+    counts: dict[int, int] = {}
     for v in vertices:
-        s = G.sigma[v][lo - 1 : hi]
+        s = bits[v] >> low & mask
         counts[s] = counts.get(s, 0) + 1
     return _window_violation(hi - lo + 2, tuple(sorted(counts.items())))
 
@@ -381,16 +440,33 @@ def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
 def _holds_by_difference(G: SignedColoredGraph, base: SignedColoredGraph) -> bool:
     """Whether G is locally Schur positive, given that ``base``, which has
     the same vertices and signatures, is.  Axioms 1, 2, 3 and 5 are checked
-    at the colors whose matching differs; the windows only on the components
-    under their colors that hold a vertex whose partner changed."""
+    at the vertices whose partner changed (axiom 5 also at their partners in
+    the other color of each pair), and the windows only on the components
+    under their colors that hold such a vertex.  Stops at the first
+    violation."""
     changed = {i: vs for i in G.colors() if (vs := G.changed_vertices(base, i))}
     for check in (_check_axiom1, _check_axiom2, _check_axiom3, _check_axiom5):
-        if next(check(G, list(changed)), None) is not None:
+        if next(check(G, changed), None) is not None:
             return False
     return not any(
         next(_window_witnesses(G, m, _component_violation, changed), None)
         for m in (4, 5, 6)
     )
+
+
+def lsp_holds(G: SignedColoredGraph) -> bool:
+    """``is_locally_schur_positive(G).holds``, answered False at the first
+    violation the check by difference finds, without the full witness scan;
+    a graph with no verified ancestor takes that scan.  Marks G as passed,
+    as that does, when it holds."""
+    base = G._lsp_base
+    if base is None:
+        return is_locally_schur_positive(G).holds
+    if base is not True:
+        if not _holds_by_difference(G, base):
+            return False
+        G._lsp_base = True
+    return True
 
 
 def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:
@@ -403,22 +479,21 @@ def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:
     colors whose vertices kept their partners in those colors is a component
     of the ancestor, with the same signatures, so it is positive.  When that
     finds a violation, or there is no verified ancestor, every window is
-    scanned, so the report is the same either way.
+    scanned, so the report is the same either way; ``lsp_holds`` gives the
+    verdict alone and skips that scan.
     """
-    base = G._lsp_base
-    if base is True or (base is not None and _holds_by_difference(G, base)):
-        report = AxiomReport("LSP", True)
-    else:
-        witnesses = []
-        for k in (1, 2, 3, 5):
-            rep = check_axiom(G, k)
-            if not rep.holds:
-                witnesses.extend((f"axiom {k}",) + w for w in rep.witnesses)
-        for m in (4, 5, 6):
-            rep = check_lsp(G, m)
-            if not rep.holds:
-                witnesses.extend((f"LSP{m}",) + w for w in rep.witnesses)
-        report = AxiomReport.from_witnesses("LSP", witnesses)
+    if G._lsp_base is not None and lsp_holds(G):
+        return AxiomReport("LSP", True)
+    witnesses = []
+    for k in (1, 2, 3, 5):
+        rep = check_axiom(G, k)
+        if not rep.holds:
+            witnesses.extend((f"axiom {k}",) + w for w in rep.witnesses)
+    for m in (4, 5, 6):
+        rep = check_lsp(G, m)
+        if not rep.holds:
+            witnesses.extend((f"LSP{m}",) + w for w in rep.witnesses)
+    report = AxiomReport.from_witnesses("LSP", witnesses)
     if report.holds:
         G._lsp_base = True
     return report

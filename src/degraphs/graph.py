@@ -6,12 +6,17 @@ N - 1.  Color classes are stored as involutive partner maps, which makes the
 matching requirement (no vertex on two same-color edges) structural.  Graphs
 are immutable; a derived graph (one color class replaced, or colors cut off)
 shares its signatures and unchanged partner maps with the graph it came from.
+
+Each signature is also held as one integer, ``G.bits[v]``, whose bit p is set
+where position p + 1 is -1, so that every check comparing signature
+positions reads a shift and a mask (``signature_bits``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import Signature, sig_from_str, sig_str
@@ -29,7 +34,7 @@ class SignedColoredGraph:
     # nothing is, True once this graph passed the check, otherwise the nearest
     # graph that passed and this one derives from by with_color_matching
     # (same vertices and signatures, some color classes replaced)
-    __slots__ = ("n", "N", "sigma", "_adj", "stats", "_lsp_base")
+    __slots__ = ("n", "N", "sigma", "bits", "_adj", "stats", "_lsp_base")
 
     def __init__(
         self,
@@ -45,6 +50,7 @@ class SignedColoredGraph:
         self.n = n
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
+        self.bits = {}
         for v, s in self.sigma.items():
             if type(v) is not str:
                 raise GraphFormatError(f"vertex {v!r}: id must be a string")
@@ -52,8 +58,10 @@ class SignedColoredGraph:
                 raise GraphFormatError(
                     f"vertex {v!r}: signature length {len(s)} != N-1 = {N - 1}"
                 )
-            if any(x not in (1, -1) for x in s):
-                raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1")
+            try:
+                self.bits[v] = signature_bits(s)
+            except (ValueError, TypeError):  # an unhashable entry is not +-1 either
+                raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1") from None
         if isinstance(edges, dict):
             self._adj = _insert_maps({}, n, self.sigma, edges)
         else:
@@ -65,7 +73,7 @@ class SignedColoredGraph:
         """A graph of type (n, N) with these partner maps, sharing this
         graph's signatures and statistics (graphs are never mutated)."""
         H = SignedColoredGraph.__new__(SignedColoredGraph)
-        H.n, H.N, H.sigma, H.stats = n, self.N, self.sigma, self.stats
+        H.n, H.N, H.sigma, H.bits, H.stats = n, self.N, self.sigma, self.bits, self.stats
         H._adj = adj
         H._lsp_base = None
         return H
@@ -91,7 +99,7 @@ class SignedColoredGraph:
     def changed_vertices(self, other: "SignedColoredGraph", i: int) -> list[str]:
         """Vertices whose i-partner differs between this graph and ``other``."""
         mine, theirs = self._adj.get(i, {}), other._adj.get(i, {})
-        if mine == theirs:
+        if mine is theirs or mine == theirs:
             return []
         return sorted(v for v in mine.keys() | theirs.keys() if mine.get(v) != theirs.get(v))
 
@@ -291,6 +299,22 @@ class SignedColoredGraph:
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=None)
+def signature_bits(s: tuple) -> int:
+    """The signature as an integer whose bit p is set where position p + 1
+    is -1, so that a window's slice is a shift and a mask; raises
+    ``ValueError`` for an entry other than +-1.  Cached: a graph has at most
+    2^(N-1) distinct signatures, and every graph built from the same
+    signatures reads them here."""
+    bits = 0
+    for p, x in enumerate(s):
+        if x == -1:
+            bits |= 1 << p
+        elif x != 1:
+            raise ValueError(f"signature entry {x!r} is not +-1")
+    return bits
+
+
 def _insert_edges(adj: dict[int, dict[str, str]], n: int, sigma, triples) -> dict:
     """Add (color, u, w) edges to the partner maps ``adj``, rejecting a color
     outside 1 < c < n, a loop, an endpoint not in ``sigma`` and a second
@@ -382,6 +406,11 @@ class ComponentView:
 # isomorphism search
 
 
+def _position_mask(positions) -> int:
+    """The signature bits of the positions, numbered from 1."""
+    return sum(1 << (p - 1) for p in set(positions))
+
+
 def _forced_extension(
     G: SignedColoredGraph,
     H: SignedColoredGraph,
@@ -389,9 +418,12 @@ def _forced_extension(
     colors,
     positions,
 ) -> dict[str, str] | None:
-    """Grow a partial map across matchings; matchings make the image forced."""
+    """Grow a partial map across matchings; matchings make the image forced.
+    Each pair must agree at ``positions``, tested as one mask on the
+    signature bits."""
     maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
-    cut = [p - 1 for p in sorted(set(positions))]
+    mask = _position_mask(positions)
+    gbits, hbits = G.bits, H.bits
     mapping: dict[str, str] = {}
     used: dict[str, str] = {}
     queue: list[tuple[str, str]] = list(seeds.items())
@@ -403,10 +435,8 @@ def _forced_extension(
             continue
         if used.get(y, x) != x:
             return None
-        sx, sy = G.sigma[x], H.sigma[y]
-        for j in cut:
-            if sx[j] != sy[j]:
-                return None
+        if (gbits[x] ^ hbits[y]) & mask:
+            return None
         mapping[x] = y
         used[y] = x
         for gm, hm in maps:
@@ -469,16 +499,15 @@ def find_isomorphism(
     if positions is None:
         positions = range(1, min(G.N, H.N))
     colors = sorted(set(colors))
-    positions = sorted(set(positions))
     if len(G.sigma) != len(H.sigma):
         return None
 
-    cut = [p - 1 for p in positions]
-    gkey = {v: tuple(map(s.__getitem__, cut)) for v, s in G.sigma.items()}
-    hkey = {v: tuple(map(s.__getitem__, cut)) for v, s in H.sigma.items()}
+    mask = _position_mask(positions)
+    gkey = {v: b & mask for v, b in G.bits.items()}
+    hkey = {v: b & mask for v, b in H.bits.items()}
     if sorted(gkey.values()) != sorted(hkey.values()):
         return None
-    candidates: dict[tuple, list[str]] = {}  # H's vertices by key, in id order
+    candidates: dict[int, list[str]] = {}  # H's vertices by key, in id order
     for w in sorted(hkey):
         candidates.setdefault(hkey[w], []).append(w)
 
@@ -489,7 +518,7 @@ def find_isomorphism(
     mapping: dict[str, str] = {}
     taken: set[str] = set()
     for comp in sorted(G.components(colors), key=lambda c: c.size()):
-        classes: dict[tuple, list[str]] = {}
+        classes: dict[int, list[str]] = {}
         for v in comp.vertices:
             classes.setdefault(gkey[v], []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))

@@ -11,6 +11,9 @@ and the search over U_i live in ``transform``.
 
 Every chain grows from i-edges plus one walk along alternating (c-1, c)
 edges, ``extend_nonflat_chain``; a W-detour is that walk one color down.
+A flat chain's next i-edge starts at ``_flat_successor``, and
+``defect_sets`` reads C_i off one map of those successors.  Type W and
+flatness compare one bit of the signature bits ``G.bits``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def has_type_w(G: SignedColoredGraph, v: str, i: int) -> bool:
     u = G.neighbor(v, i - 1)
     if u is None:
         return False
-    return G.sigma[v][i - 1] == -G.sigma[u][i - 1]
+    return bool((G.bits[v] ^ G.bits[u]) >> (i - 1) & 1)
 
 
 def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
@@ -83,7 +86,7 @@ def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
         raise ValueError(f"vertex {v!r} has no {i}-edge")
     if i < 3:
         return True
-    return G.sigma[v][i - 3] == G.sigma[w][i - 3]
+    return not (G.bits[v] ^ G.bits[w]) >> (i - 3) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +149,26 @@ def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
     return None if detour is None else (x, w, *detour)
 
 
+def _flat_successor(G: SignedColoredGraph, a: str, i: int) -> str | None:
+    """The start of the flat chain's next i-edge after the oriented i-edge
+    (a, E_i(a)): E_{i-2} of psi's partner, when that vertex, its i-partner
+    and the partner's i-2-partner exist; else None."""
+    path = psi_target(G, a, i)
+    nxt = None if path is None else G.neighbor(path[-1], i - 2)
+    pair = None if nxt is None else G.neighbor(nxt, i)
+    return nxt if pair is not None and G.neighbor(pair, i - 2) is not None else None
+
+
 def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[str, ...]:
-    """Grow a flat chain forward from the oriented starting i-edge (x1, x2)."""
+    """Grow a flat chain forward from the oriented starting i-edge (x1, x2),
+    until the next i-edge is missing or would revisit a vertex."""
     if G.neighbor(x2, i) != x1:
         raise ValueError("starting vertices are not an i-edge")
     chain = [x1, x2]
     used = {x1, x2}
     while True:
-        # psi's partner is the next edge of the flat chain
-        path = psi_target(G, chain[-2], i)
-        nxt = None if path is None else G.neighbor(path[-1], i - 2)
-        if nxt is None or nxt in used:
-            return tuple(chain)
-        pair = G.neighbor(nxt, i)
-        if pair is None or pair in used or G.neighbor(pair, i - 2) is None:
+        nxt = _flat_successor(G, chain[-2], i)
+        if nxt is None or nxt in used or (pair := G.neighbor(nxt, i)) in used:
             return tuple(chain)
         chain.extend([nxt, pair])
         used.update((nxt, pair))
@@ -224,22 +233,53 @@ def package_all_flat(G: SignedColoredGraph, v: str, j: int) -> bool:
     return True
 
 
+def _flat_interiors(G: SignedColoredGraph, i: int) -> frozenset[str]:
+    """C_i: the vertices of ``all_flat_chains(G, i)`` two or more in from
+    either end, read off one flat-successor map.
+
+    Each i-matched vertex's successor (``_flat_successor``) is computed
+    once, psi's partner inline where E_i(a) has no W-detour.  An i-edge is
+    interior to some grown chain exactly when it is interior to the
+    three-edge chain grown from its predecessor in that chain, which is a
+    start itself: that chain has used only vertices the longer one has, so
+    where the longer one goes on past the edge, it does too.
+    """
+    up, mid, low, bits = G._partners(i), G._partners(i - 1), G._partners(i - 2), G.bits
+    succ = {}
+    for a, b in up.items():
+        u = low.get(b)
+        if b in mid and u is not None and (bits[b] ^ bits[u]) >> (i - 2) & 1:
+            nxt = _flat_successor(G, a, i)  # b has type W one color down
+        else:
+            nxt = None if u is None or (pair := up.get(u)) is None or pair not in low else u
+        if nxt is not None:
+            succ[a] = nxt
+    inner: set[str] = set()
+    for p, a in succ.items():
+        q = up[p]
+        if p not in low or q not in low or a in (p, q) or (c := succ.get(a)) is None:
+            continue
+        b = up[a]
+        if c not in (p, q, a, b):
+            inner.update((a, b))
+    return frozenset(inner)
+
+
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
     # W_i: type W at color i (``has_type_w``), read off the two partner maps
     # in one pass, without the double edges
     W: frozenset[str] = frozenset()
     if 3 <= i < G.n:
-        down, sigma = G._partners(i - 1), G.sigma
+        down, bits = G._partners(i - 1), G.bits
         W = frozenset(
             v
             for v, w in G._partners(i).items()
             if (u := down.get(v)) is not None
             and u != w
-            and sigma[v][i - 1] == -sigma[u][i - 1]
+            and (bits[v] ^ bits[u]) >> (i - 1) & 1
         )
     W0 = frozenset(w for w in W if package_all_flat(G, w, i - 1))
-    # C_i: the interiors of the flat chains, two vertices in from each end
-    C = frozenset(v for chain in all_flat_chains(G, i) for v in chain[2:-2])
+    C = _flat_interiors(G, i) if 4 <= i < G.n else frozenset()
     C0 = frozenset(
         x
         for x in C

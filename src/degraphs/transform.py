@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 from .axioms import (
     _axiom6_at,
     _axiom6_below,
+    axiom_holds,
     check_axiom,
     is_dual_equivalence_graph,
-    is_locally_schur_positive,
+    lsp_holds,
 )
 from .graph import (
     ComponentView,
@@ -210,8 +211,9 @@ def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGr
 def _gate(H: SignedColoredGraph) -> bool:
     """Whether the pipeline may commit a step whose result is H: H must be
     locally Schur positive.  Every candidate of the search and every split
-    passes this one check before it is committed."""
-    return is_locally_schur_positive(H).holds
+    passes this one check before it is committed.  A rejection stops at
+    the first violation (``lsp_holds``)."""
+    return lsp_holds(H)
 
 
 def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
@@ -289,7 +291,7 @@ def apply_theta(
     image: dict[str, str] = {}
     for k in sorted(need):
         anchor = comps[k][0]
-        images = [w for t in sorted(adjacent) for w in comps[t] if G.sigma[w] == G.sigma[anchor]]
+        images = [w for t in sorted(adjacent) for w in comps[t] if G.bits[w] == G.bits[anchor]]
         found = list(anchored_maps(G, anchor, G, images, lower, range(1, G.N)))
         if not found:
             raise TransformError(f"component at {anchor!r} matches nothing adjacent to the pivot")
@@ -583,11 +585,17 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
     the result by the axiom checkers plus component identification.
 
     Axioms 1, 2, 3 and 5 are checked on the input, and a run that goes on
-    has them; the steps replace partner maps only, so the certification
-    re-checks those four only at the colors whose partner map the run
-    changed.  Axioms 4 and 6 and the identification of every component run
-    on the whole result.  ``stop_at``, in 1..n-1, ends the run after that
-    color, uncertified unless it is the last."""
+    has them.  Then axioms 4 and 6 are checked on the input, each stopping
+    at its first witness.  When both hold the input is a dual equivalence
+    graph, and no color of it can take a step: the two-color templates hold
+    no vertex of type W, the three-color ones no flat chain of three
+    i-edges, and axiom 6 leaves nothing to split.  So the color loop is
+    skipped and those checks are the certification.  Otherwise the steps
+    replace partner maps only, so the certification re-checks axioms 1, 2,
+    3 and 5 only at the colors whose partner map the run changed, and axioms
+    4 and 6 on the whole result.  The identification of every component
+    runs on the result either way.  ``stop_at``, in 1..n-1, ends the run
+    after that color, uncertified unless it is the last."""
     if stop_at is not None and not 1 <= stop_at <= G.n - 1:
         raise ValueError(f"stop_at {stop_at} outside 1 <= stop_at <= n - 1 = {G.n - 1}")
     log = TransformLog()
@@ -599,17 +607,19 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
             log.diagnostic = f"input fails axiom {k}: {rep.witnesses[:3]}"
             log.failure_graph = G
             return PipelineResult(G, log, None, False)
-    last = stop_at if stop_at is not None else G.n - 1
-    # a step that does not abort leaves axiom 6 holding at colors 2..i, and
-    # later steps rewire only higher colors, so its pieces carry over
-    piece = {v: v for v in G.sigma}
-    for i in range(2, last + 1):
-        G, piece = _one_step(G, i, [], piece, log)
-        if log.aborted:
-            return PipelineResult(G, log, None, False)
+    certified = all(axiom_holds(G, k) for k in (4, 6))
+    if not certified:
+        last = stop_at if stop_at is not None else G.n - 1
+        # a step that does not abort leaves axiom 6 holding at colors 2..i,
+        # and later steps rewire only higher colors, so its pieces carry over
+        piece = {v: v for v in G.sigma}
+        for i in range(2, last + 1):
+            G, piece = _one_step(G, i, [], piece, log)
+            if log.aborted:
+                return PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:
         return PipelineResult(G, log, None, False)
-    certified = is_dual_equivalence_graph(G, original)
+    certified = certified or is_dual_equivalence_graph(G, original)
     expansion = expand_in_schur(G.generating_function())
     components = None
     if G.n == G.N:

@@ -23,6 +23,18 @@ from degraphs.structure import defect_sets
 from conftest import corpus
 
 
+def _component_matches_template(G, vertices, color_roles, window, templates) -> bool:
+    """Exact match of an extracted component against one template, with the
+    template's signs as listed or globally flipped, by its
+    ``axioms._component_key``."""
+    lo, hi = window
+    if lo < 1:  # a window reaching below position 1 matches no template
+        return False
+    partners = [G._partners(c) for c in sorted(color_roles, key=color_roles.get)]
+    code = axioms._window_codes(G.bits, partners, lo, hi - lo + 1)
+    return axioms._component_key(code, vertices) in axioms._template_keys(templates)
+
+
 class TestAxiomsOnStandard:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_g32_passes(self, k):
@@ -216,7 +228,7 @@ class TestAxiom4Lookup:
         sigma = {v: sig_from_str(t) for v, t in zip("abcd", ("+-+", "-+-", "+-+", "-+-"))}
         edges = [(2, "a", "b"), (2, "c", "d"), (3, "b", "c"), (3, "d", "a")]
         G = SignedColoredGraph(4, 4, sigma, edges)
-        assert not axioms._component_matches_template(
+        assert not _component_matches_template(
             G, ("a", "b", "c", "d"), {2: "a", 3: "b"}, (1, 3), axioms._TWO_COLOR_TEMPLATES
         )
         assert check_axiom(G, 4).witnesses == [(3, "a", "two-color component not allowed")]

@@ -4,8 +4,11 @@ positivity check, the committed defect step is the first vertex of U_i,
 every candidate and split passes the one gate, the axiom 4 and axiom 6
 checkers match slower per-component checkers, the direct JSON writer
 matches ``json.dumps`` byte for byte, and the matching rebuild, every
-chain grown from the one non-flat chain walk and every reader of the one
-anchored isomorphism search match the code they replaced."""
+chain grown from the one non-flat chain walk, every reader of the one
+anchored isomorphism search, the pipeline that skips the color loop on a
+dual equivalence graph, the checks that read the integer signatures and
+the defect sets read off one flat-successor map match the code they
+replaced."""
 
 import functools
 import hashlib
@@ -42,7 +45,7 @@ from degraphs.structure import (
     nonflat_chain_through,
     set_U,
 )
-from degraphs.symfunc import is_schur_positive
+from degraphs.symfunc import QSym, expand_in_schur, is_schur_positive
 from degraphs.transform import (
     TransformError,
     TransformLog,
@@ -57,6 +60,7 @@ from degraphs.transform import (
 )
 
 from conftest import corpus, gamma_instance, relabel_random, seed1_runs
+from test_axioms import _component_matches_template
 from test_properties import hexagon
 
 
@@ -1562,7 +1566,7 @@ def test_template_keys_match_keyed_templates():
                     want = lo >= 1 and reference_shape_key(
                         sl, [G._partners(c) for c in colors], comp.vertices
                     ) in reference_template_keys(templates)
-                    got = axioms._component_matches_template(
+                    got = _component_matches_template(
                         G, comp.vertices, roles, (lo, i), templates
                     )
                     assert got == want, (G, i, comp.vertices)
@@ -1728,8 +1732,9 @@ def test_final_check_sees_each_axiom_where_rewired():
 
 def spy_checks(monkeypatch):
     """Record (k, colors, holds) for each axiom checker run inside the final
-    certification, and (k, colors) in ``calls["input"]`` for each one run
-    on the input."""
+    certification, and in ``calls["input"]``, in order, (k, colors) for each
+    one run on the input in full and (k, holds) for each one run on it up
+    to its first witness."""
     calls = {"input": [], "final": []}
     where = "other"
 
@@ -1745,6 +1750,11 @@ def spy_checks(monkeypatch):
         calls["input"].append((k, None))
         return check_axiom(G, k)
 
+    def first_witness(G, k):
+        holds = axioms.axiom_holds(G, k)
+        calls["input"].append((k, holds))
+        return holds
+
     for k, check in list(axioms._AXIOM_CHECKS.items()):
         def spy(G, *colors, k=k, check=check):
             witnesses = list(check(G, *colors))
@@ -1754,13 +1764,16 @@ def spy_checks(monkeypatch):
         monkeypatch.setitem(axioms._AXIOM_CHECKS, k, spy)
     monkeypatch.setattr(transform, "is_dual_equivalence_graph", certify)
     monkeypatch.setattr(transform, "check_axiom", check_input)
+    monkeypatch.setattr(transform, "axiom_holds", first_witness)
     return calls
 
 
 def test_pipeline_output_broken_where_rewired_is_not_certified(monkeypatch):
     """A run that ends on a graph rewired at color i so that axiom k breaks
     there is not certified: the final check runs axiom k at color i alone
-    and finds the failure, after the axioms before it held there."""
+    and finds the failure, after the axioms before it held there.  The base
+    is a dual equivalence graph, so the input check is made to fail for the
+    run to enter the color loop."""
     real_step = transform._one_step
     for base, i, H, k in broken_rewirings():
         def step(G, c, below, piece, log, H=H):
@@ -1770,6 +1783,7 @@ def test_pipeline_output_broken_where_rewired_is_not_certified(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(transform, "_one_step", step)
             calls = spy_checks(m)
+            m.setattr(transform, "axiom_holds", lambda G, k: False)
             res = full_pipeline(base)
         assert res.graph is H and not res.log.aborted and not res.certified, (k, i)
         assert calls["input"] == [(j, None) for j in (1, 2, 3, 5)]
@@ -1777,22 +1791,31 @@ def test_pipeline_output_broken_where_rewired_is_not_certified(monkeypatch):
 
 
 def test_unchanged_output_rechecks_only_axioms_4_and_6(monkeypatch):
-    """An input the run leaves as it is gets axioms 1, 2, 3 and 5 once, on
-    the input, then axioms 4 and 6 and the identification of every
-    component; a rewired one gets axioms 1, 2, 3 and 5 again at the colors
-    rewired."""
-    identified = []
+    """An input that is a dual equivalence graph gets axioms 1, 2, 3 and 5
+    on the input, then axioms 4 and 6 on it up to a first witness, and the
+    identification of every component: no color step and no final check.
+    Any other input gets axioms 4 and 6 up to the first that fails, then
+    the color loop, then axioms 1, 2, 3 and 5 again at the colors rewired
+    and axioms 4 and 6 on the whole result."""
+    identified, stepped = [], []
+    real_step = transform._one_step
 
     def identify(comp):
         identified.append(comp.min_vertex())
         return identify_component(comp)
 
+    def step(G, i, *rest):
+        stepped.append(i)
+        return real_step(G, i, *rest)
+
     monkeypatch.setattr(transform, "identify_component", identify)
+    monkeypatch.setattr(transform, "_one_step", step)
     calls = spy_checks(monkeypatch)
     G = build_standard_deg((4, 3, 2))
     assert full_pipeline(G).certified
-    assert calls["input"] == [(k, None) for k in (1, 2, 3, 5)]
-    assert calls["final"] == [(4, None, True), (6, None, True)]
+    assert calls["input"] == [(k, None) for k in (1, 2, 3, 5)] + [(4, True), (6, True)]
+    assert calls["final"] == []
+    assert stepped == []
     assert identified == [G.vertices()[0]]
     calls["input"].clear()
     calls["final"].clear()
@@ -1800,6 +1823,8 @@ def test_unchanged_output_rechecks_only_axioms_4_and_6(monkeypatch):
     res = full_pipeline(fig8)
     changed = [i for i in fig8.colors() if res.graph.matching(i) != fig8.matching(i)]
     assert res.certified and changed
+    assert calls["input"] == [(k, None) for k in (1, 2, 3, 5)] + [(4, False)]
+    assert stepped == list(fig8.colors())
     assert calls["final"] == [(k, changed, True) for k in (1, 2, 3, 5)] + [
         (4, None, True), (6, None, True)
     ]
@@ -1823,3 +1848,337 @@ def test_certification_decides_as_the_full_check():
         assert res.certified == want
         outcomes[want] += 1
     assert outcomes[True]
+
+
+# ---------------------------------------------------------------------------
+# an input that is already a dual equivalence graph skips the color loop
+
+
+def reference_full_pipeline(G, *, stop_at=None):
+    """``full_pipeline`` as it was before it checked axioms 4 and 6 on its
+    input: every input goes through the color loop."""
+    if stop_at is not None and not 1 <= stop_at <= G.n - 1:
+        raise ValueError(f"stop_at {stop_at} outside 1 <= stop_at <= n - 1 = {G.n - 1}")
+    log = TransformLog()
+    original = G
+    for k in (1, 2, 3, 5):
+        rep = check_axiom(G, k)
+        if not rep.holds:
+            log.aborted = True
+            log.diagnostic = f"input fails axiom {k}: {rep.witnesses[:3]}"
+            log.failure_graph = G
+            return transform.PipelineResult(G, log, None, False)
+    last = stop_at if stop_at is not None else G.n - 1
+    piece = {v: v for v in G.sigma}
+    for i in range(2, last + 1):
+        G, piece = transform._one_step(G, i, [], piece, log)
+        if log.aborted:
+            return transform.PipelineResult(G, log, None, False)
+    if stop_at is not None and stop_at < G.n - 1:
+        return transform.PipelineResult(G, log, None, False)
+    certified = axioms.is_dual_equivalence_graph(G, original)
+    expansion = expand_in_schur(G.generating_function())
+    components = None
+    if G.n == G.N:
+        components = []
+        for comp in G.components(G.colors()):
+            ident = identify_component(comp)
+            components.append((ident[0] if ident else None, comp.min_vertex()))
+        certified = certified and all(lam is not None for lam, _ in components)
+    if not certified:
+        log.diagnostic = log.diagnostic or "result failed final certification"
+    return transform.PipelineResult(G, log, expansion, certified, components)
+
+
+def outcome_text(res):
+    """Everything a pipeline result reports, as text."""
+    return (
+        res.log.to_text(),
+        res.graph.to_text(),
+        res.log.failure_graph and res.log.failure_graph.to_text(),
+        res.expansion and res.expansion.to_string(),
+        res.certified,
+        res.components,
+    )
+
+
+def deg_inputs():
+    """Dual equivalence graphs: G_lam for n <= 8, each single-cell
+    augmentation of those, the fixtures that are dual equivalence graphs,
+    and the certified outputs of the seed-1 benchmark runs fed back in."""
+    graphs = [G for name, G in corpus(8) if name.startswith("G")]
+    for n in range(3, 9):
+        for lam in enumerate_partitions(n):
+            for row in range(len(lam) + 1):
+                try:
+                    aug = single_cell_augmentation(lam, row)
+                except ValueError:
+                    continue
+                graphs.append(build_augmented_deg(lam, aug))
+    graphs += [fixture(name) for name in fixture_names()]
+    for workload in ("scrambled", "standard_certify"):
+        graphs += [res.graph for _, res in seed1_runs(workload) if res.certified]
+    return [G for G in graphs if axioms.is_dual_equivalence_graph(G)]
+
+
+def test_dual_equivalence_input_skips_the_color_loop():
+    """On every dual equivalence graph, the run that skips the color loop
+    reports byte for byte what the run through it reports, which takes no
+    step; with ``stop_at`` below the top color too."""
+    graphs = deg_inputs()
+    assert len(graphs) == 473
+    kinds = Counter()
+    for G in graphs:
+        want = reference_full_pipeline(G)
+        assert not want.log.steps and want.certified, G
+        assert outcome_text(full_pipeline(G)) == outcome_text(want), G
+        kinds[G.n == G.N] += 1
+    assert kinds[True] and kinds[False]
+    for G in graphs[::25]:
+        want = reference_full_pipeline(G, stop_at=G.n - 2)
+        assert outcome_text(full_pipeline(G, stop_at=G.n - 2)) == outcome_text(want), G
+
+
+# ---------------------------------------------------------------------------
+# the integer signatures against the tuple reads they replaced
+
+
+def reference_axiom1(G, colors=None):
+    matchings = [(i, G.matching(i)) for i in (G.colors() if colors is None else colors)]
+    for v in G.vertices():
+        s = G.sigma[v]
+        for i, m in matchings:
+            wants_edge = s[i - 2] == -s[i - 1]
+            has_edge = v in m
+            if wants_edge != has_edge:
+                yield (i, v, "edge present" if has_edge else "edge missing")
+
+
+def reference_edges(G, colors):
+    for i in G.colors() if colors is None else colors:
+        for u, w in G.matching(i).items():
+            if u < w:
+                yield i, u, w
+
+
+def reference_axiom2(G, colors=None):
+    for i, u, w in reference_edges(G, colors):
+        su, sw = G.sigma[u], G.sigma[w]
+        for j in (i - 1, i):
+            if su[j - 1] != -sw[j - 1]:
+                yield (i, u, w, f"position {j} not reversed")
+        for h in range(1, G.N):
+            if (h < i - 2 or h > i + 1) and su[h - 1] != sw[h - 1]:
+                yield (i, u, w, f"position {h} not preserved")
+
+
+def reference_axiom3(G, colors=None):
+    for i, u, w in reference_edges(G, colors):
+        for a, b in ((u, w), (w, u)):
+            sa, sb = G.sigma[a], G.sigma[b]
+            if i - 2 >= 1 and sa[i - 3] == -sb[i - 3] and sa[i - 3] != -sa[i - 2]:
+                yield (i, a, b, f"position {i - 2} flips but equals sigma_{i - 1}")
+            if i + 1 <= G.N - 1 and sa[i] == -sb[i] and sa[i] != -sa[i - 1]:
+                yield (i, a, b, f"position {i + 1} flips but equals sigma_{i}")
+
+
+REFERENCE_AXIOMS = {1: reference_axiom1, 2: reference_axiom2, 3: reference_axiom3}
+
+
+def reference_has_type_w(G, v, i):
+    if i < 3 or i >= G.n or G.neighbor(v, i) is None:
+        return False
+    u = G.neighbor(v, i - 1)
+    return u is not None and G.sigma[v][i - 1] == -G.sigma[u][i - 1]
+
+
+def reference_is_flat_edge(G, v, i):
+    w = G.neighbor(v, i)
+    return True if i < 3 else G.sigma[v][i - 3] == G.sigma[w][i - 3]
+
+
+def reference_component_violation(G, vertices, window):
+    """The window verdict keyed by the (signature slice, count) pairs."""
+    lo, hi = window
+    counts = Counter(G.sigma[v][lo - 1 : hi] for v in vertices)
+    return is_schur_positive(QSym(hi - lo + 2, dict(sorted(counts.items())))).violation
+
+
+def reference_forced_extension(G, H, seeds, colors, positions):
+    maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
+    cut = [p - 1 for p in sorted(set(positions))]
+    mapping, used, queue = {}, {}, list(seeds.items())
+    while queue:
+        x, y = queue.pop()
+        if x in mapping:
+            if mapping[x] != y:
+                return None
+            continue
+        if used.get(y, x) != x:
+            return None
+        sx, sy = G.sigma[x], H.sigma[y]
+        if any(sx[j] != sy[j] for j in cut):
+            return None
+        mapping[x] = y
+        used[y] = x
+        for gm, hm in maps:
+            xn, yn = gm.get(x), hm.get(y)
+            if (xn is None) != (yn is None):
+                return None
+            if xn is not None:
+                queue.append((xn, yn))
+    return mapping
+
+
+def perturbed_graph(seed):
+    """A graph of type (n, n) or (n, n+1), n <= 7: a standard or augmented
+    graph with a few signs flipped and a few same-color edges crossed, so
+    that each check mostly holds and sometimes fails, or, one time in four,
+    random signatures and matchings, which fail every way."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 8)
+    if rng.random() < 0.25:
+        G = random_signed_graph(rng, n, rng.randrange(2, 16))
+        if rng.random() < 0.5:
+            return G
+        sigma = {v: s + (rng.choice((1, -1)),) for v, s in G.sigma.items()}
+        return SignedColoredGraph(n, n + 1, sigma, G.edge_triples())
+    lam = rng.choice([lam for lam in enumerate_partitions(n) if count_syt(lam) <= 40])
+    if rng.random() < 0.5:
+        G = build_standard_deg(lam)
+    else:
+        G = build_augmented_deg(lam, single_cell_augmentation(lam, 0))
+    sigma = dict(G.sigma)
+    for _ in range(rng.randrange(3)):
+        v, p = rng.choice(sorted(sigma)), rng.randrange(G.N - 1)
+        sigma[v] = sigma[v][:p] + (-sigma[v][p],) + sigma[v][p + 1 :]
+    triples = G.edge_triples()
+    for _ in range(rng.randrange(3) if len(triples) > 1 else 0):
+        a, b = rng.sample(range(len(triples)), 2)
+        (c, u, w), (d, x, y) = triples[a], triples[b]
+        if c == d and len({u, w, x, y}) == 4:
+            triples[a], triples[b] = (c, u, x), (c, w, y)
+    return SignedColoredGraph(G.n, G.N, sigma, triples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_integer_checks_match_the_tuple_reads(seed):
+    """Axioms 1-3 (whole, at one color, and at a partner-closed vertex set
+    per color), type W, flatness, every window's positivity verdict, the
+    defect set C_i and the forced extension read the signature bits and
+    give what the tuple reads gave."""
+    G = perturbed_graph(seed)
+    rng = random.Random(seed)
+    for k, reference in REFERENCE_AXIOMS.items():
+        assert list(axioms._AXIOM_CHECKS[k](G)) == list(reference(G)), k
+        for i in G.colors():
+            assert list(axioms._AXIOM_CHECKS[k](G, [i])) == list(reference(G, [i])), (k, i)
+        scope = {}
+        for i in G.colors():
+            m = G._partners(i)
+            picked = {v for v in G.vertices() if rng.random() < 0.3}
+            scope[i] = sorted(picked | {m[v] for v in picked if v in m})
+        want = [
+            w for w in reference(G)
+            if w[1] in scope[w[0]] or (k > 1 and w[2] in scope[w[0]])
+        ]
+        assert sorted(axioms._AXIOM_CHECKS[k](G, scope)) == sorted(want), k
+    for i in range(G.n + 1):
+        for v in G.vertices():
+            assert has_type_w(G, v, i) == reference_has_type_w(G, v, i), (v, i)
+            if 1 < i < G.n and G.neighbor(v, i) is not None:
+                assert is_flat_edge(G, v, i) == reference_is_flat_edge(G, v, i), (v, i)
+        if 4 <= i < G.n:
+            grown = structure.all_flat_chains(G, i)
+            assert defect_sets(G, i).C == {v for chain in grown for v in chain[2:-2]}, i
+    for m in (4, 5, 6):
+        for i in range(m - 1, G.n):
+            window = (i - (m - 2), i)
+            for comp in G.components(range(i - (m - 3), i + 1)):
+                got = axioms._component_violation(G, comp.vertices, window)
+                assert got == reference_component_violation(G, comp.vertices, window)
+    vertices = G.vertices()
+    for _ in range(5):
+        seeds = {rng.choice(vertices): rng.choice(vertices)}
+        colors = [c for c in G.colors() if rng.random() < 0.7]
+        positions = [p for p in range(1, G.N) if rng.random() < 0.7]
+        got = _forced_extension(G, G, seeds, colors, positions)
+        assert got == reference_forced_extension(G, G, seeds, colors, positions)
+
+
+# ---------------------------------------------------------------------------
+# the gate's verdict without the witness scan
+
+
+def test_gate_verdict_matches_full_scan():
+    """``lsp_holds`` on a graph derived from a base, verified or not, gives
+    the full scan's verdict, and marks the graph exactly when it holds."""
+    verdicts = Counter()
+    for G, i, H in difference_cases():
+        fresh = G.with_color_matching(i, H.matching(i))
+        holds = axioms.lsp_holds(fresh)
+        assert holds == full_scan(H)[0], i
+        assert (fresh._lsp_base is True) == holds
+        verdicts[G._lsp_base is True, holds] += 1
+    assert verdicts[True, True] and verdicts[True, False] and verdicts[False, False]
+
+
+def test_gate_scans_the_windows_once_per_run(monkeypatch):
+    """A graph derived from a verified one is gated by difference, and a
+    rejection there stops at the first violation.  So each run on
+    ``tests/data``, the split abort s109-n7k3 among them, scans the windows
+    in full once: on the first graph it gates, which has no verified
+    ancestor.  With the full witness scan on every rejection, s156-n6k3
+    ran each degree's scan 5 times."""
+    calls = Counter()
+    real = axioms.check_lsp
+    monkeypatch.setattr(axioms, "check_lsp", lambda G, m: calls.update([m]) or real(G, m))
+    aborted = []
+    for path in sorted(DATA.glob("*.json")):
+        calls.clear()
+        res = full_pipeline(SignedColoredGraph.from_text(path.read_text()))
+        assert res.log.steps, path.stem
+        assert calls == {4: 1, 5: 1, 6: 1}, path.stem
+        aborted += [path.stem] if res.log.aborted else []
+    assert aborted == ["s109-n7k3"]
+
+
+# ---------------------------------------------------------------------------
+# the defect sets from one flat-successor map
+
+
+def reference_defect_sets(G, i):
+    """``defect_sets`` as it grew a flat chain from every oriented i-edge."""
+    W = frozenset()
+    if 3 <= i < G.n:
+        down = G._partners(i - 1)
+        W = frozenset(
+            v for v, w in G._partners(i).items()
+            if (u := down.get(v)) is not None and u != w
+            and G.sigma[v][i - 1] == -G.sigma[u][i - 1]
+        )
+    W0 = frozenset(w for w in W if structure.package_all_flat(G, w, i - 1))
+    C = frozenset(v for chain in structure.all_flat_chains(G, i) for v in chain[2:-2])
+    C0 = frozenset(
+        x for x in C
+        if (path := structure.psi_target(G, x, i)) is not None
+        and all(structure.package_all_flat(G, v, i - 2) for v in path)
+    )
+    return structure.DefectSets(W, W0, C, C0)
+
+
+def test_defect_sets_match_the_grown_chains():
+    """At every color of every graph the fixture, ``tests/data``, hexagon,
+    ``gamma_instance`` and ``long_phi_union`` runs pass through, and of
+    every seed-1 ``scrambled`` input, the defect sets equal the ones grown
+    chain by chain."""
+    graphs = list(chain_states()) + [case.graph for case, _ in seed1_runs("scrambled")]
+    nonempty = Counter()
+    for G in graphs:
+        for i in G.colors():
+            sets = defect_sets(G, i)
+            assert sets == reference_defect_sets(G, i), (G, i)
+            nonempty["C"] += bool(sets.C)
+            nonempty["W"] += bool(sets.W)
+    assert nonempty["C"] and nonempty["W"]

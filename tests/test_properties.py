@@ -2,7 +2,6 @@
 
 from degraphs.axioms import (
     _TWO_COLOR_TEMPLATES,
-    _component_matches_template,
     check_axiom,
     check_axiom4a,
     check_axiom4b,
@@ -14,6 +13,7 @@ from degraphs.structure import defect_sets, has_type_w, is_flat_edge
 from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step
 
 from conftest import corpus
+from test_axioms import _component_matches_template
 
 
 def hexagon() -> SignedColoredGraph:

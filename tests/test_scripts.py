@@ -145,3 +145,35 @@ def test_traced_fixture_run_does_not_depend_on_earlier_calls():
     finally:
         inst.remove()
     assert any(name.startswith("axioms.check_lsp.") for name in rec.layers())
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_applies_the_claim_rule():
+    """Medians, quartiles, pairs won and the claim rule, on fixed runs: a
+    throughput that wins 9 of 10 pairs by more than the parent's IQR may
+    be claimed; a latency that wins every pair by less than that IQR, and
+    one that loses, may not."""
+    bp = load_bench_pairs()
+    parent = [{"rate": r, "p50": 10.0 + k, "rss": 30.0} for k, r in enumerate(
+        [100, 102, 98, 110, 105, 99, 101, 103, 97, 104])]
+    change = [{"rate": r, "p50": 9.5 + k, "rss": 30.0 + k % 2} for k, r in enumerate(
+        [120, 125, 119, 130, 128, 121, 97, 124, 118, 126])]
+    rows = bp.summarize(parent, change, {"rate": "higher", "p50": "lower", "rss": "lower"})
+    rate, p50, rss = rows
+    assert rate["parent"] == (99.25, 101.5, 103.75)
+    assert rate["change"] == (119.25, 122.5, 125.75)
+    assert (rate["wins"], rate["ties"], rate["pairs"]) == (9, 0, 10)
+    assert rate["gap"] == 21.0 and rate["parent_iqr"] == 4.5 and rate["claim"]
+    assert p50["wins"] == 10 and p50["gap"] == 0.5 and p50["parent_iqr"] == 4.5
+    assert not p50["claim"]
+    assert (rss["wins"], rss["ties"]) == (0, 5) and not rss["claim"]
+    text = bp.format_rows(rows)
+    assert "rate: parent 101.5 (99.25-103.8) -> change 122.5 (119.2-125.8)" in text
+    assert "change better in 9/10; median gap +21 vs parent IQR 4.5; claim rule holds" in text
+    assert "rss: parent 30 (30-30) -> change 30.5 (30-31); change better in 0/10, 5 tied" in text

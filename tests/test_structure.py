@@ -151,7 +151,8 @@ class TestDefectSets:
                 continue
             for i in range(3, G.n):
                 # two-color components one level down in the templates?
-                from degraphs.axioms import _TWO_COLOR_TEMPLATES, _component_matches_template
+                from degraphs.axioms import _TWO_COLOR_TEMPLATES
+                from test_axioms import _component_matches_template
 
                 if i >= 4:
                     ok = all(
