@@ -43,8 +43,6 @@ from .axioms import (
 )
 from .structure import (
     DefectSets,
-    RLCTree,
-    build_rlc_tree,
     defect_sets,
     i_type,
     is_flat_edge,

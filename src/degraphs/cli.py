@@ -24,15 +24,7 @@ from .combinatorics import parse_partition, partition_str, sig_str
 from .fixtures import FIXTURES, fixture, fixture_names, verify_fixture
 from .graph import SignedColoredGraph, find_isomorphism
 from .standard import build_standard_deg, identify_component
-from .structure import (
-    RLCTreeError,
-    StructureError,
-    build_rlc_tree,
-    defect_sets,
-    i_type,
-    maximal_flat_chains,
-    set_U,
-)
+from .structure import StructureError, defect_sets, i_type, maximal_flat_chains, set_U
 from .symfunc import expand_in_schur
 from .transform import TransformLog, full_pipeline, replay
 
@@ -119,16 +111,16 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    if not args.graph:
+        command = "replay" if args.replay else "transform"
+        print(f"{command} requires the input graph", file=sys.stderr)
+        return 2
+    G = _read_graph(args.graph)
     if args.replay:
-        if not args.graph:
-            print("replay requires the input graph", file=sys.stderr)
-            return 2
-        G = _read_graph(args.graph)
         log = TransformLog.from_text(_read_text(args.replay))
         result = replay(G, log)
         _write(args.out, result.to_text())
         return 0
-    G = _read_graph(args.graph)
     res = full_pipeline(G, stop_at=args.stop_at)
     _write(args.out, res.graph.to_text())
     if args.log:
@@ -188,15 +180,6 @@ def _cmd_analyze(args) -> int:
         print("maximal flat chains:")
         for ch in chains:
             print("  " + " -> ".join(ch))
-        for comp in G.components((i - 2, i - 1, i)):
-            if comp.size() == 1:
-                continue
-            try:
-                tree = build_rlc_tree(G, comp, i)
-                print(f"node tree of component {comp.min_vertex()}:")
-                print(tree.describe())
-            except (RLCTreeError, StructureError) as e:
-                print(f"node tree of component {comp.min_vertex()}: n/a ({e})")
     return 0
 
 
@@ -277,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replay")
     sp.set_defaults(func=_cmd_transform)
 
-    sp = sub.add_parser("analyze", help="types, chains, defect sets, node trees")
+    sp = sub.add_parser("analyze", help="types, chains, defect sets, U")
     sp.add_argument("graph")
     sp.add_argument("--color", type=int)
     sp.add_argument("--conjecture-4prime", action="store_true", dest="conjecture_4prime")
@@ -314,7 +297,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

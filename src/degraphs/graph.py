@@ -397,10 +397,6 @@ class ComponentView:
     def subgraph(self) -> SignedColoredGraph:
         return self.graph.subgraph(self.vertices)
 
-    def signature_multiset(self, window: Window | None = None):
-        lo, hi = window if window is not None else self.graph.full_window()
-        return sorted(self.graph.sigma[v][lo - 1 : hi] for v in self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # isomorphism search

@@ -1,6 +1,5 @@
-"""Vertex typing, flat and non-flat chains, defect sets, the set U_i,
-negatively dominant components, and the rooted node tree, a diagnostic that
-``degraphs analyze`` prints and the pipeline does not use.
+"""Vertex typing, flat and non-flat chains, defect sets, the set U_i and
+negatively dominant components.
 
 The defect sets W_i (overlong non-flat chains) and C_i (overlong flat
 chains) measure how far a graph is from having only allowed three-color
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import Partition, dominance_ge, sig_str
+from .combinatorics import Partition, dominance_ge
 from .graph import ComponentView, SignedColoredGraph, i_package
 from .standard import identify_component
 
@@ -91,24 +90,6 @@ def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # chains
-
-
-def nonflat_chain_through(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
-    """The maximal alternating i / i-1 sequence around v's i-edge.
-
-    Pairs are joined by i-edges and linked by i-1-edges; growth stops when a
-    link is missing, would revisit a vertex, or the next pair is absent.
-    """
-    w = G.neighbor(v, i)
-    if w is None:
-        return ()
-    used = {v, w}
-    ahead = extend_nonflat_chain(G, w, i, used)
-    behind = extend_nonflat_chain(G, v, i, used)
-    chain = behind[::-1] + [v, w] + ahead
-    if chain[-1] < chain[0]:
-        chain.reverse()
-    return tuple(chain)
 
 
 def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]) -> list[str]:
@@ -341,187 +322,3 @@ def negatively_dominant(
         if all(dominance_ge(lam, other) for _, other, _ in pool):
             return ComponentView(G, lower, piece)
     return None
-
-
-# ---------------------------------------------------------------------------
-# the node tree
-
-
-@dataclass(frozen=True)
-class RLCNode:
-    index: int
-    kind: str  # 'R', 'L', 'C'
-    sign: int
-    vertices: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RLCTree:
-    nodes: tuple[RLCNode, ...]
-    edges: tuple[tuple[int, int, bool], ...]  # (parent, child, flat)
-    root: int
-
-    def describe(self) -> str:
-        lines = []
-        for node in self.nodes:
-            mark = "*" if node.index == self.root else " "
-            sign = "+" if node.sign > 0 else "-"
-            lines.append(
-                f"{mark}node {node.index}: {node.kind}{sign} {{{', '.join(node.vertices)}}}"
-            )
-        for a, b, flat in self.edges:
-            lines.append(f" edge {a} -> {b} [{'flat' if flat else 'non-flat'}]")
-        return "\n".join(lines)
-
-
-class RLCTreeError(StructureError):
-    pass
-
-
-def _left_type_b(G: SignedColoredGraph, v: str, i: int) -> bool:
-    """Type B with the double edge at the vertex itself."""
-    u = G.neighbor(v, i - 2)
-    return (
-        G.neighbor(v, i) is not None
-        and u is not None
-        and u == G.neighbor(v, i - 1)
-    )
-
-
-def _right_type_b(G: SignedColoredGraph, v: str, i: int) -> bool:
-    """Type B with the double edge one step across the i-2-edge."""
-    u = G.neighbor(v, i - 2)
-    if G.neighbor(v, i) is None or u is None:
-        return False
-    w = G.neighbor(u, i - 1)
-    return w is not None and w == G.neighbor(u, i)
-
-
-_L_SIGNS = {"+-++": 1, "-+--": -1}
-_R_SIGNS = {"-++-": 1, "+--+": -1}
-_C_SIGNS = {"++--": 1, "--++": -1}
-
-
-def _window(G: SignedColoredGraph, v: str, i: int) -> str:
-    return sig_str(G.sigma[v][i - 4 : i])
-
-
-def build_rlc_tree(G: SignedColoredGraph, comp: ComponentView, i: int) -> RLCTree:
-    """Label the two-color pieces of a stuck three-color component and orient
-    its i-edges away from the unique rooted double edge.
-
-    Raises RLCTreeError when the structure deviates from the rooted-tree shape
-    (which signals that the hypotheses are not met).
-    """
-    if i < 4:
-        raise ValueError("tree analysis needs i >= 4")
-    pieces, node_of = G.refine(comp.vertices, (i - 2, i - 1))
-
-    # root vertex: no i-2-neighbor, double edge in colors i-1 and i
-    roots = [
-        v
-        for v in comp.vertices
-        if G.neighbor(v, i - 2) is None
-        and G.neighbor(v, i - 1) is not None
-        and G.neighbor(v, i - 1) == G.neighbor(v, i)
-    ]
-    if not roots:
-        raise RLCTreeError("no rooted double edge found")
-    root_node = node_of[roots[0]]
-
-    nodes: list[RLCNode] = []
-    for idx, piece in enumerate(pieces):
-        kinds = set()
-        for v in piece:
-            if has_type_w(G, v, i):
-                kinds.add("W")
-            if _left_type_b(G, v, i):
-                kinds.add("LB")
-            if _right_type_b(G, v, i):
-                kinds.add("RB")
-            if G.neighbor(v, i) is not None and i_type(G, v, i) == "C":
-                kinds.add("C")
-        sign = 0
-        if "RB" in kinds or "W" in kinds:
-            kind = "R"
-            for v in piece:
-                if _right_type_b(G, v, i):
-                    sign = _R_SIGNS.get(_window(G, v, i), 0)
-                    break
-        elif "LB" in kinds:
-            kind = "L"
-            for v in piece:
-                if _left_type_b(G, v, i):
-                    sign = _L_SIGNS.get(_window(G, G.neighbor(v, i - 2), i), 0)
-                    break
-        elif "C" in kinds:
-            kind = "C"
-            for v in piece:
-                if G.neighbor(v, i - 2) is None and G.neighbor(v, i) is None:
-                    sign = _C_SIGNS.get(_window(G, v, i), 0)
-                    break
-        else:
-            raise RLCTreeError(f"piece at {piece[0]!r} carries no recognized type")
-        if sign == 0:
-            raise RLCTreeError(f"piece at {piece[0]!r} has no recognizable sign")
-        nodes.append(RLCNode(idx, kind, sign, piece))
-
-    # orient i-edges away from the root
-    adjacency: dict[int, list[tuple[int, str, str]]] = {k: [] for k in range(len(pieces))}
-    loop_count = 0
-    for u, w in G.matching(i).items():
-        if u < w and u in node_of and w in node_of:
-            a, b = node_of[u], node_of[w]
-            if a == b:
-                if a != root_node:
-                    raise RLCTreeError(f"internal i-edge loop away from root at {u!r}")
-                loop_count += 1
-                continue
-            adjacency[a].append((b, u, w))
-            adjacency[b].append((a, w, u))
-    if loop_count != 1:
-        raise RLCTreeError(f"expected exactly one root loop, found {loop_count}")
-
-    edges: list[tuple[int, int, bool]] = []
-    visited = {root_node}
-    stack = [root_node]
-    while stack:
-        a = stack.pop()
-        for b, u, _w in adjacency[a]:
-            if b in visited:
-                continue
-            visited.add(b)
-            edges.append((a, b, is_flat_edge(G, u, i)))
-            stack.append(b)
-    if len(visited) != len(pieces):
-        raise RLCTreeError("node graph is not connected")
-    if len(edges) != len(pieces) - 1:
-        raise RLCTreeError("node graph has a cycle")
-    tree = RLCTree(tuple(nodes), tuple(edges), root_node)
-
-    outgoing: dict[int, list[bool]] = {k: [] for k in range(len(pieces))}
-    for a, b, flat in edges:
-        outgoing[a].append(flat)
-    for node in nodes:
-        outs = outgoing[node.index]
-        if node.kind == "L" and outs:
-            raise RLCTreeError(f"L-node {node.index} is not a leaf")
-        if node.kind == "C" and outs != [True]:
-            raise RLCTreeError(f"C-node {node.index} lacks its single flat exit")
-        if node.kind == "R":
-            want = sorted([True]) if node.index == root_node else sorted([True, False])
-            if sorted(outs) != want:
-                raise RLCTreeError(f"R-node {node.index} has exits {outs}")
-    return tree
-
-
-def rlc_balance(tree: RLCTree) -> bool:
-    """Count balance satisfied by locally Schur positive components."""
-    tally = {("C", 1): 0, ("C", -1): 0, ("L", 1): 0, ("L", -1): 0, ("R", 1): 0, ("R", -1): 0}
-    for node in tree.nodes:
-        tally[(node.kind, node.sign)] += 1
-    return (
-        tally[("C", 1)] == tally[("C", -1)]
-        and tally[("L", 1)] == tally[("R", 1)]
-        and tally[("L", -1)] == tally[("R", -1)]
-    )

@@ -18,7 +18,6 @@ from .combinatorics import (
     Signature,
     check_partition,
     descent_signature,
-    dominance_ge,
     enumerate_partitions,
     enumerate_syt,
     partition_str,
@@ -177,13 +176,3 @@ def is_single_schur(f: QSym) -> Partition | None:
         return None
     ((lam, c),) = exp.coeffs.items()
     return lam if c == 1 else None
-
-
-def triangularity_holds(n: int) -> bool:
-    """Superstandard signature of lam occurs in s_mu only when mu >= lam."""
-    for lam in enumerate_partitions(n):
-        key = superstandard_signature(lam)
-        for mu in enumerate_partitions(n):
-            if schur_to_fundamental(mu).coefficient(key) != 0 and not dominance_ge(mu, lam):
-                return False
-    return True

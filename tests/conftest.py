@@ -10,6 +10,7 @@ from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
+from degraphs.structure import extend_nonflat_chain
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -61,6 +62,24 @@ def relabel_random(G: SignedColoredGraph, rng: random.Random):
     width = len(str(len(ids)))
     mapping = {v: f"v{str(k).zfill(width)}" for v, k in zip(ids, [perm.index(v) for v in ids])}
     return G.relabel(mapping), mapping
+
+
+def nonflat_chain_through(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
+    """The maximal alternating i / i-1 sequence around v's i-edge.
+
+    Pairs are joined by i-edges and linked by i-1-edges; growth stops when a
+    link is missing, would revisit a vertex, or the next pair is absent.
+    """
+    w = G.neighbor(v, i)
+    if w is None:
+        return ()
+    used = {v, w}
+    ahead = extend_nonflat_chain(G, w, i, used)
+    behind = extend_nonflat_chain(G, v, i, used)
+    chain = behind[::-1] + [v, w] + ahead
+    if chain[-1] < chain[0]:
+        chain.reverse()
+    return tuple(chain)
 
 
 def gamma_instance(flip: bool = False) -> SignedColoredGraph:

@@ -7,7 +7,7 @@ import pytest
 
 from degraphs import cli
 from degraphs.cli import main
-from degraphs.fixtures import fixture
+from degraphs.fixtures import FIXTURES, fixture
 from degraphs.graph import SignedColoredGraph
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -108,6 +108,21 @@ class TestBadInput:
             capsys, ["transform", str(graph_path), "--replay", str(tmp_path / "none.json")]
         )
         assert code == 2 and "error:" in err and "none.json" in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (None, "transform requires the input graph"),
+            ("--log", "transform requires the input graph"),
+            ("--replay", "replay requires the input graph"),
+        ],
+    )
+    def test_transform_without_graph(self, capsys, tmp_path, option, message):
+        """Without a graph, transform once died on open(None) with a
+        traceback; it stops with one line and exit 2, writing nothing."""
+        argv = ["transform"] + ([option, str(tmp_path / "log.json")] if option else [])
+        assert run(capsys, argv) == (2, "", message + "\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestReplayRejects:
@@ -351,6 +366,12 @@ class TestFixturesCommand:
     def test_verify(self, capsys):
         code, out, _ = run(capsys, ["fixtures", "verify", "--skip-large"])
         assert code == 0 and "all expectations hold" in out
+
+    def test_show_unknown_name(self, capsys):
+        """The message prints plain, not inside the quotes of str(KeyError)."""
+        code, out, err = run(capsys, ["fixtures", "show", "nope"])
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown fixture 'nope'; have {sorted(FIXTURES)}\n"
 
 
 class TestExport:

@@ -42,7 +42,6 @@ from degraphs.structure import (
     flat_chains_from,
     has_type_w,
     is_flat_edge,
-    nonflat_chain_through,
     set_U,
 )
 from degraphs.symfunc import QSym, expand_in_schur, is_schur_positive
@@ -59,7 +58,7 @@ from degraphs.transform import (
     one_step,
 )
 
-from conftest import corpus, gamma_instance, relabel_random, seed1_runs
+from conftest import corpus, gamma_instance, nonflat_chain_through, relabel_random, seed1_runs
 from test_axioms import _component_matches_template
 from test_properties import hexagon
 
@@ -615,40 +614,43 @@ def test_derived_graphs_equal_constructor_built():
 
 
 # ---------------------------------------------------------------------------
-# `degraphs analyze`: types, defect sets, U_i, chains and node trees
+# `degraphs analyze`: types, defect sets, U_i and chains
 
 
 # sha256 of the stdout of `degraphs analyze <fixture> --color i`, recorded
-# before the component refinement, chain walks and rewiring core were shared
+# before the component refinement, chain walks and rewiring core were shared.
+# The 14 pairs at colors >= 4 were re-recorded when the rooted node tree was
+# deleted: their new output is the old one without the node-tree lines, and
+# the 14 pairs at color 3, which printed no tree, kept their hashes.
 ANALYZE_GOLDEN = {
     ("fig1", 3): "631947e23637a04e7c5d3703670017cdcb532689c1d5df909139b13a1d2c824a",
-    ("fig1", 4): "b05b9228ae91c6dfc4633309b6600243b92fc319d8b04e604afd87182e00db33",
+    ("fig1", 4): "77c63fc535334f27374c8db17360b5d2ceae0145e99225e5b9f41c84243aa7e0",
     ("fig12", 3): "4d8fccb8bd8dc6d03b149552869a3f9629385655671bf35a41211481e5797e9e",
-    ("fig12", 4): "2662f9c4e61e29762760da633e74ad0b23610d560f8656688ef3e68b0509b543",
+    ("fig12", 4): "7d092882c8fc106602465c3587821c8894bb4242d9c55be9bd01e4e6aa6ef57e",
     ("fig13", 3): "a5a770b011e5f58dcb16aa1d2603ab352a3bcbd290535a942a9a6d17e3dc59eb",
-    ("fig13", 4): "90c4d02e4654ccc9c6f73e43259be46917b4bb177424160ccdb90b80f5086040",
+    ("fig13", 4): "628b9ec2f3b0c37e6392d32d3148ea8f472a6d44c877ea005db5b23a9c4d5d74",
     ("fig19", 3): "6953fb6a6c6e8ff9c36453d25a888fc123ccb1503568ec76faf7c625d97fdabc",
-    ("fig19", 4): "e7b821fd3a5006c66bddfe13e6c92b9674f6f2eed122cc69cbdd4443efa807fb",
-    ("fig19", 5): "f8992ff838bdc1e302c54f6649ee42deeb85d49ca65fc9f7577dd5c240679bf7",
+    ("fig19", 4): "576ecbfe6417f61de62ea30ed55656cbc26eea131f39e21ddc6b37ebdf7ca15f",
+    ("fig19", 5): "e375b8c8ff0b9a914c46664b5bf89fb28f1586fed0746e28a6a202da5556f1bf",
     ("fig21", 3): "76ef6f2e1e51356af256c3a0da0d2acdb4ab71d112c5c14c2b277f34a86348cf",
-    ("fig21", 4): "efdbdda3e7a21a3388f21dc8c72ae767084dbb80eb24b263821e0eb415ef0cec",
-    ("fig21", 5): "578d19a5a1bc0122c99d3ff785502abb99098b896882a804193ba5c7674540b0",
+    ("fig21", 4): "d74983c2cd4ab87948f25c4db15c68b340211dec8d036420f1448f8d3463c565",
+    ("fig21", 5): "d404c62c1f1d59fda161ad9c1c04bebd24ae47a6f1553e74e482084129b06e76",
     ("fig4a", 3): "c79f1187cf2494526c492fe57cf43284c7610f0ecfc90182bb472cf6d75e4f4b",
     ("fig4b", 3): "3ace5c2906009bdeeb415cb076fbf6d01ff6b7d4ea8e2923429f9c56605dbc84",
     ("fig4c", 3): "7dc8a950411b2898082ef27eb06fc5e5e4e009ce05a13ec9ab75fed17cbe0d95",
     ("fig5a", 3): "a3d381ebf35752a5d6fc8b150894bc39c6d990d903808224080495bb45509b4a",
-    ("fig5a", 4): "b81c23b7dd76bd3ede4140de3b0f024a3c3509685b5d6750dabc658fd9ca4f2e",
+    ("fig5a", 4): "747a55120f2af683ecec464776f0084f06eb507336960ddf5e2785b77ccdb9f8",
     ("fig5b", 3): "163ca9aebbcf36f3892fe6e93cdeae1c5633279a40c5e3eea3fbb280ee4d25be",
-    ("fig5b", 4): "1885f04972a9a1331955df854ea4421156d7f6c515d13e9c8c9db4b8d02c4eef",
+    ("fig5b", 4): "4638e326ba1d0161b0103ddad755792d1d45474458fb3892155f5b72c9e2acea",
     ("fig5c", 3): "0a7fcddf350e1f15109fd476665d8ca03da0f7852e719a7498f282f77a699ffb",
-    ("fig5c", 4): "508a70dcefc32e45702f86a727df1d2538eb24dd6df1e21bbc601b45fa454633",
+    ("fig5c", 4): "d86c4e3db1b9afb573a287317363fcbecbac61bedbfca01f3e4ef7b3e9779a6c",
     ("fig6", 3): "6dadfe052a12915b30589408b6fd2ef12fdb255181a68c6abbaae89f648c7b8c",
-    ("fig6", 4): "e55b75d68d0e903aac5ad68c8ff29800295d2e7e3d4f2348fdb58151d08e6b8b",
-    ("fig6", 5): "ccf00a4e1ad20c9d7e28b70b2e1e99341ab3f66c2ca5cd763c204238461df988",
+    ("fig6", 4): "789e9948364b1fc493a169dfbf1b68d706d942202f47a11f5ac6b38fdc917a62",
+    ("fig6", 5): "aef98fa9f31ff08ff47bb3146422f0161c9f672e7259dcaed7b5d2c9336d8821",
     ("fig8", 3): "e90a916fbd092f4eef1acbeb2bebb50735c833e338bd763c7b7eef398a3afc1e",
-    ("fig8", 4): "93d2e32649b01051e274d09314ad0f8363f16f6503e2a0338a29261984b214b4",
+    ("fig8", 4): "6dec7d7e931e212103df4321fbefd55d8749630035a4abb9c18dc0dd4d2b3bc1",
     ("fig9", 3): "e96d5ea92de3d4548225ca1c32078e88ce195b72b536a79144652327500b781a",
-    ("fig9", 4): "afa051f9a78237427fe510d27a44f75c2015ab99659bf48179d998d904560355",
+    ("fig9", 4): "bed951c0e6e66cf77532fef4de9f6fb65857fe7f2daa75bbcb3a527be8a5379b",
 }
 
 
@@ -662,9 +664,6 @@ def test_analyze_output_is_pinned(capsys, tmp_path):
             assert cli.main(["analyze", str(path), "--color", str(i)]) == 0
             outputs[name, i] = capsys.readouterr().out
     assert {key: sha(text) for key, text in outputs.items()} == ANALYZE_GOLDEN
-    trees = {name for (name, _), text in outputs.items() if "node tree of" in text}
-    assert {"fig1", "fig5a", "fig6"} <= trees
-    assert any(": n/a (" in text for text in outputs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1516,7 +1515,7 @@ def reference_identify_component(comp):
     if G.n != G.N:
         raise ValueError("identification requires a type (n, n) graph")
     n = G.n
-    sigs = comp.signature_multiset()
+    sigs = sorted(G.sigma[v] for v in comp.vertices)
     for lam in enumerate_partitions(n):
         if count_syt(lam) != comp.size():
             continue

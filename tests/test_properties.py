@@ -12,7 +12,7 @@ from degraphs.graph import SignedColoredGraph
 from degraphs.structure import defect_sets, has_type_w, is_flat_edge
 from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step
 
-from conftest import corpus
+from conftest import corpus, nonflat_chain_through
 from test_axioms import _component_matches_template
 
 
@@ -33,8 +33,6 @@ class TestLongVariant:
         G = hexagon()
         sets = defect_sets(G, 3)
         assert len(sets.W) == 6 and sets.W0 == sets.W
-        from degraphs.structure import nonflat_chain_through
-
         chain = nonflat_chain_through(G, "w2", 3)
         assert len(chain) == 6 and len(set(chain)) == 6
         H = apply_phi(G, "w1", 3, r=1)

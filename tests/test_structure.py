@@ -1,4 +1,4 @@
-"""Vertex types, chains, defect sets, pivots, and the node tree."""
+"""Vertex types, chains, defect sets, U_i and pivots."""
 
 import pytest
 
@@ -7,21 +7,17 @@ from degraphs.fixtures import fixture
 from degraphs.graph import ComponentView
 from degraphs.standard import build_standard_deg, single_cell_augmentation, build_augmented_deg
 from degraphs.structure import (
-    RLCTreeError,
     StructureError,
-    build_rlc_tree,
     defect_sets,
     has_type_w,
     i_type,
     is_flat_edge,
     maximal_flat_chains,
     negatively_dominant,
-    nonflat_chain_through,
-    rlc_balance,
     set_U,
 )
 
-from conftest import corpus, gamma_instance
+from conftest import corpus, nonflat_chain_through
 
 
 class TestTypes:
@@ -246,37 +242,3 @@ class TestNegativelyDominant:
         G = fixture("fig6")
         with pytest.raises(StructureError):
             negatively_dominant(G, G.vertices(), 6)
-
-
-class TestRLCTree:
-    def test_five_vertex_template_tree(self):
-        G = build_standard_deg((3, 2))
-        comp = G.components((2, 3, 4))[0]
-        tree = build_rlc_tree(G, comp, 4)
-        kinds = sorted(node.kind for node in tree.nodes)
-        assert kinds == ["L", "R"]
-        assert tree.nodes[tree.root].kind == "R"
-        assert all(node.sign == 1 for node in tree.nodes)
-        assert rlc_balance(tree)
-        ((a, b, flat),) = tree.edges
-        assert a == tree.root and flat
-
-    def test_flipped_template_signs(self):
-        G = build_standard_deg((2, 2, 1))
-        comp = G.components((2, 3, 4))[0]
-        tree = build_rlc_tree(G, comp, 4)
-        assert sorted(node.kind for node in tree.nodes) == ["L", "R"]
-        assert all(node.sign == -1 for node in tree.nodes)
-        assert rlc_balance(tree)
-
-    def test_no_root_diagnostic(self):
-        G = gamma_instance()
-        comp = G.components((2, 3, 4))[0]
-        with pytest.raises(RLCTreeError):
-            build_rlc_tree(G, comp, 4)
-
-    def test_type_c_cycle_diagnostic(self):
-        G = build_standard_deg((3, 1, 1))
-        comp = G.components((2, 3, 4))[0]
-        with pytest.raises(RLCTreeError):
-            build_rlc_tree(G, comp, 4)

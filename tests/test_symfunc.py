@@ -6,15 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degraphs.combinatorics import enumerate_partitions, sig_from_str, sig_str
+from degraphs.combinatorics import (
+    dominance_ge,
+    enumerate_partitions,
+    sig_from_str,
+    sig_str,
+    superstandard_signature,
+)
 from degraphs.symfunc import (
     QSym,
     expand_in_schur,
     is_schur_positive,
     is_single_schur,
     schur_to_fundamental,
-    triangularity_holds,
 )
+
+
+def triangularity_holds(n: int) -> bool:
+    """Superstandard signature of lam occurs in s_mu only when mu >= lam."""
+    for lam in enumerate_partitions(n):
+        key = superstandard_signature(lam)
+        for mu in enumerate_partitions(n):
+            if schur_to_fundamental(mu).coefficient(key) != 0 and not dominance_ge(mu, lam):
+                return False
+    return True
 
 
 class TestQSym:
