@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload by alternating pairs of
-runs, and say whether a gain may be claimed.
+"""Compare two checkouts on benchmark workloads by alternating pairs of
+runs, and say whether a gain may be claimed and whether a metric regressed.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload standard_certify --seed 5
+    python scripts/bench_pairs.py PARENT CHANGE --workload standard_certify \
+        --workload scrambled --seed 5
 
 Each pair runs ``benchmarks/run.py`` once in each checkout, with end-to-end
 metrics only (``--trace 0``), the first of the two alternating from pair to
@@ -10,8 +11,12 @@ pair.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
 median and quartiles of each side and the pairs the change won (ties count
 for neither side).  The claim rule: the change wins at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
-distance between the parent's quartiles.  Nothing under ``benchmarks/`` is
-written to; the run length defaults to the benchmark's own.
+distance between the parent's quartiles.  A metric whose change median is
+worse than the parent's by more than its ``bound`` (a fraction of the
+parent's median) is flagged.  With ``--workload`` given more than once, the
+workloads run one after another, one table each.  Nothing under
+``benchmarks/`` is written to; the run length defaults to the benchmark's
+own.
 """
 
 from __future__ import annotations
@@ -32,11 +37,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+def summarize(
+    parent: list[dict], change: list[dict], better: dict[str, str], bounds: dict | None = None
+) -> list[dict]:
     """One row per metric of ``better`` ({name: "higher" | "lower"}) from
     paired runs, ``parent[k]`` and ``change[k]`` being pair k's
-    {name: value}: each side's quartiles, the pairs won and tied, and
-    whether the claim rule holds."""
+    {name: value}: each side's quartiles, the pairs won and tied, whether
+    the claim rule holds, and whether the change median is worse than the
+    parent's by more than the metric's entry in ``bounds`` times the
+    parent's median (never, for a metric without one)."""
+    bounds = bounds or {}
     rows = []
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -56,6 +66,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "gap": gap,
             "parent_iqr": pq[2] - pq[0],
             "claim": wins * 10 >= 9 * len(p) and gap > pq[2] - pq[0],
+            "bound": bounds.get(name),
+            "regressed": name in bounds and -gap > bounds[name] * abs(pq[1]),
         })
     return rows
 
@@ -65,11 +77,14 @@ def format_rows(rows: list[dict]) -> str:
     for r in rows:
         (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
         tied = f", {r['ties']} tied" if r["ties"] else ""
+        worse = ""
+        if r["regressed"]:
+            worse = f"; WORSE than the parent by more than its bound of {r['bound']:.0%}"
         lines.append(
             f"{r['metric']}: parent {pm:.4g} ({p1:.4g}-{p3:.4g}) -> change {cm:.4g} "
             f"({c1:.4g}-{c3:.4g}); change better in {r['wins']}/{r['pairs']}{tied}; "
             f"median gap {r['gap']:+.4g} vs parent IQR {r['parent_iqr']:.4g}; "
-            f"claim rule {'holds' if r['claim'] else 'does not hold'}"
+            f"claim rule {'holds' if r['claim'] else 'does not hold'}{worse}"
         )
     return "\n".join(lines)
 
@@ -94,7 +109,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Alternating benchmark pairs of two checkouts.")
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload to compare; give it once per workload")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
@@ -104,16 +120,18 @@ def main(argv=None) -> int:
     default_seed = int(command[command.index("--default-seed") + 1])
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent, change = [], []
-    for k in range(args.pairs):
-        sides = [(args.parent, parent), (args.change, change)]
-        for checkout, runs in sides if k % 2 == 0 else sides[::-1]:
-            runs.append(run_once(checkout, args.workload, args.seed, seconds, default_seed))
-        print(f"pair {k + 1}: " + ", ".join(
-            f"{name} {parent[-1][name]:.4g} -> {change[-1][name]:.4g}" for name in better
-        ), flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
-    print(format_rows(summarize(parent, change, better)))
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
+    for workload in args.workload:
+        parent, change = [], []
+        for k in range(args.pairs):
+            sides = [(args.parent, parent), (args.change, change)]
+            for checkout, runs in sides if k % 2 == 0 else sides[::-1]:
+                runs.append(run_once(checkout, workload, args.seed, seconds, default_seed))
+            print(f"{workload} pair {k + 1}: " + ", ".join(
+                f"{name} {parent[-1][name]:.4g} -> {change[-1][name]:.4g}" for name in better
+            ), flush=True)
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
+        print(format_rows(summarize(parent, change, better, bounds)), flush=True)
     return 0
 
 

@@ -9,14 +9,21 @@ one only where it fails, to word the witness.  Axiom 4 is checked by
 lookup: each vertex gets a local code at a window, its slice packed with
 its partners' slices.  A two- or three-color component is keyed by its
 sorted codes, and the key must be one of the allowed components'
-(templates', as listed or globally sign-flipped), coded the same way.  This
-keeps the axiom checkers independent of the symmetric function code, so
-agreement between axiom 4/6 and the multiplicity-free conditions is a
-genuine cross-check of two code paths.  The window positivity verdicts are
-cached by the integer slices.
+(templates', as listed or globally sign-flipped), coded the same way.  For
+n >= 5 the three-color components decide axiom 4: each two-color component
+lies inside the three-color component at window max(i, 4), and each
+three-color template restricts to allowed two-color components at both of
+its sub-windows (``tests/test_axioms.py``,
+``test_three_color_templates_hold_two_color_axiom4``), so the two-color
+pass runs only to word the witnesses.  This keeps the axiom checkers
+independent of the symmetric function code, so agreement between axiom
+4/6 and the multiplicity-free conditions is a genuine cross-check of two
+code paths.  The window positivity verdicts are cached by the integer
+slices.
 
-``axiom_holds`` stops at the first witness; ``full_pipeline`` checks axioms
-4 and 6 on its input that way.  ``is_dual_equivalence_graph(G, base)``
+``axiom_holds`` stops at the first witness (for axiom 4 with n >= 5, the
+first three-color one); ``full_pipeline`` checks axioms 4 and 6 on its
+input that way.  ``is_dual_equivalence_graph(G, base)``
 re-checks axioms 1, 2, 3 and 5 only at the colors whose partner map differs
 from ``base``'s, which satisfies them; ``full_pipeline`` passes its input.
 ``lsp_holds`` answers the gate's question, stopping at the first violation.
@@ -218,22 +225,46 @@ def _check_axiom3(G: SignedColoredGraph, colors=None):
                     yield (i, a, b, f"position {i + 1} flips but equals sigma_{i}")
 
 
+_AXIOM4_KINDS = {  # window width: templates, witness wording
+    3: (_TWO_COLOR_TEMPLATES, "two-color"),
+    4: (_THREE_COLOR_TEMPLATES, "three-color"),
+}
+
+
+def _axiom4_pass(G: SignedColoredGraph, width: int):
+    """The axiom-4 witnesses of one kind: the components at colors
+    i-width+2..i, each walked from its least vertex and looked up by the
+    key of its vertices' local codes at the window of ``width`` positions
+    ending at i."""
+    templates, what = _AXIOM4_KINDS[width]
+    allowed = _template_keys(templates)
+    order = G.vertices()
+    for i in range(width, G.n):
+        lo = i - width + 1
+        colors = range(lo + 1, i + 1)
+        code = _window_codes(G.bits, [G._partners(c) for c in colors], lo, width)
+        for comp in G._walk(order, colors):
+            if _component_key(code, comp) not in allowed:
+                yield (i, comp[0], f"{what} component not allowed")
+
+
 def _check_axiom4(G: SignedColoredGraph):
     """Two-color components at colors i-1, i, then three-color ones at
-    colors i-2..i, each walked from its least vertex and looked up by the
-    key of its vertices' local codes at the window."""
-    order = G.vertices()
-    bits = G.bits
-    kinds = ((3, _TWO_COLOR_TEMPLATES, "two-color"), (4, _THREE_COLOR_TEMPLATES, "three-color"))
-    for width, templates, what in kinds:
-        allowed = _template_keys(templates)
-        for i in range(width, G.n):
-            lo = i - width + 1
-            colors = range(lo + 1, i + 1)
-            code = _window_codes(bits, [G._partners(c) for c in colors], lo, width)
-            for comp in G._walk(order, colors):
-                if _component_key(code, comp) not in allowed:
-                    yield (i, comp[0], f"{what} component not allowed")
+    colors i-2..i.
+
+    For n >= 5 the two-color pass can only find witnesses where the
+    three-color pass finds some.  Each two-color component lies inside the
+    three-color component at window max(i, 4), and each three-color
+    template, as listed or flipped, splits into allowed two-color
+    components at both of its sub-windows (``tests/test_axioms.py``,
+    ``test_three_color_templates_hold_two_color_axiom4``).  So the
+    three-color pass runs first, and the two-color one only to word the
+    witnesses, in the same order, when it finds any or when n < 5, where
+    there is no three-color window."""
+    three = list(_axiom4_pass(G, 4))
+    if three or G.n < 5:
+        yield from _axiom4_pass(G, 3)
+        yield from three
 
 
 def _check_axiom5(G: SignedColoredGraph, colors=None):
@@ -344,8 +375,11 @@ def check_axiom(G: SignedColoredGraph, k: int, colors=None) -> AxiomReport:
 
 def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
     """Whether axiom k holds on the whole of G, stopping at the first
-    witness."""
-    return next(_AXIOM_CHECKS[k](G), None) is None
+    witness.  For axiom 4 with n >= 5 that is the first three-color
+    witness: the two-color components are allowed wherever the three-color
+    ones are (see ``_check_axiom4``)."""
+    witnesses = _axiom4_pass(G, 4) if k == 4 and G.n >= 5 else _AXIOM_CHECKS[k](G)
+    return next(witnesses, None) is None
 
 
 def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:

@@ -115,6 +115,11 @@ def _cmd_transform(args) -> int:
         command = "replay" if args.replay else "transform"
         print(f"{command} requires the input graph", file=sys.stderr)
         return 2
+    if args.replay:
+        dropped = [opt for opt, value in (("--log", args.log), ("--stop-at", args.stop_at))
+                   if value is not None]
+        if dropped:
+            raise ValueError(f"--replay takes no {' or '.join(dropped)}")
     G = _read_graph(args.graph)
     if args.replay:
         log = TransformLog.from_text(_read_text(args.replay))
@@ -143,6 +148,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.conjecture_4prime and args.color is not None:
+        raise ValueError("--conjecture-4prime takes no --color")
     G = _read_graph(args.graph)
     if args.conjecture_4prime:
         hits = []

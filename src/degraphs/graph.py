@@ -416,7 +416,9 @@ def _forced_extension(
 ) -> dict[str, str] | None:
     """Grow a partial map across matchings; matchings make the image forced.
     Each pair must agree at ``positions``, tested as one mask on the
-    signature bits."""
+    signature bits.  A partner pair whose vertex is already mapped is
+    compared when found and not queued; one queued twice before it is
+    mapped is compared when popped."""
     maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
     mask = _position_mask(positions)
     gbits, hbits = G.bits, H.bits
@@ -440,7 +442,11 @@ def _forced_extension(
             if (xn is None) != (yn is None):
                 return None
             if xn is not None:
-                queue.append((xn, yn))
+                seen = mapping.get(xn)
+                if seen is None:
+                    queue.append((xn, yn))
+                elif seen != yn:
+                    return None
     return mapping
 
 

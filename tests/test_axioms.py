@@ -1,6 +1,7 @@
 """Axiom checkers, positivity conditions, classification, cross-checks."""
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -248,6 +249,61 @@ class TestAxiom4Lookup:
     def test_template_signatures_with_other_edges_fail(self, sigs, edges):
         G = SignedColoredGraph(4, 4, {v: sig_from_str(t) for v, t in zip("abc", sigs)}, edges)
         assert check_axiom(G, 4).witnesses == [(3, "a", "two-color component not allowed")]
+
+
+class TestAxiom4ThreeColorFirst:
+    """For n >= 5 the three-color pass decides axiom 4, and the two-color
+    pass runs only to word the witnesses."""
+
+    @pytest.mark.parametrize("edges, sigs", axioms._THREE_COLOR_TEMPLATES)
+    @pytest.mark.parametrize("flip", (1, -1))
+    def test_three_color_templates_hold_two_color_axiom4(self, edges, sigs, flip):
+        # each template embedded as a type (5, 5) graph, a, b, c = 2, 3, 4,
+        # so its signatures fill the window of color 4; the two-color pass
+        # looks at windows 3 (colors 2, 3) and 4 (colors 3, 4)
+        color = {"a": 2, "b": 3, "c": 4}
+        sigma = {str(k): tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
+        G = SignedColoredGraph(5, 5, sigma, [(color[r], str(u), str(w)) for u, w, r in edges])
+        assert list(axioms._axiom4_pass(G, 4)) == []
+        assert list(axioms._axiom4_pass(G, 3)) == []
+
+    @staticmethod
+    def _code_widths(monkeypatch, G, run):
+        """The widths of the local codes built at G's windows by ``run()``."""
+        widths = Counter()
+        real = axioms._window_codes
+
+        def spy(bits, partners, lo, width):
+            if bits is G.bits:
+                widths[width] += 1
+            return real(bits, partners, lo, width)
+
+        with monkeypatch.context() as m:
+            m.setattr(axioms, "_window_codes", spy)
+            run()
+        return widths
+
+    def test_no_two_color_code_where_three_color_components_hold(self, monkeypatch):
+        G = build_standard_deg((4, 3, 2, 1))
+        widths = self._code_widths(monkeypatch, G, lambda: check_axiom(G, 4))
+        assert widths == {4: G.n - 4}
+
+    def test_both_passes_where_a_three_color_component_fails(self, monkeypatch):
+        from test_equivalence import axiom4_inputs
+
+        def first_three_color_window(H):
+            return min((w[0] for w in check_axiom(H, 4).witnesses
+                        if w[2] == "three-color component not allowed"), default=None)
+
+        # the first swapped graph with a three-color witness below its top window
+        _, _, swapped = axiom4_inputs()
+        G = next(H for H in swapped if (first_three_color_window(H) or H.n) < H.n - 1)
+        first = first_three_color_window(G)
+        widths = self._code_widths(monkeypatch, G, lambda: check_axiom(G, 4))
+        assert widths == {3: G.n - 3, 4: G.n - 4}
+        # axiom_holds stops at the first three-color witness
+        widths = self._code_widths(monkeypatch, G, lambda: axioms.axiom_holds(G, 4))
+        assert widths == {4: first - 3} and first - 3 < G.n - 4
 
 
 class TestEquivalences:

@@ -287,6 +287,29 @@ class TestTransform:
         assert exit_info.value.code == 2
         assert "--policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--log", "LOG"], "--replay takes no --log"),
+            (["--stop-at", "99"], "--replay takes no --stop-at"),
+            (["--stop-at", "2"], "--replay takes no --stop-at"),
+            (["--stop-at", "2", "--log", "LOG"], "--replay takes no --log or --stop-at"),
+        ],
+    )
+    def test_replay_rejects_pipeline_options(self, capsys, tmp_path, options, message):
+        """A replay once dropped ``--log`` and ``--stop-at`` without a word,
+        writing no log and accepting any stop; it stops with one line and
+        exit 2, writing nothing."""
+        graph_path = tmp_path / "in.json"
+        graph_path.write_text(fixture("fig12").to_text())
+        log_path = tmp_path / "log.json"
+        assert run(capsys, ["transform", str(graph_path), "--log", str(log_path)])[0] == 0
+        out_path, new_log = tmp_path / "out.json", tmp_path / "new-log.json"
+        options = [str(new_log) if o == "LOG" else o for o in options]
+        argv = ["transform", str(graph_path), "--replay", str(log_path), "--out", str(out_path)]
+        assert run(capsys, argv + options) == (2, "", f"error: {message}\n")
+        assert not out_path.exists() and not new_log.exists()
+
     @pytest.mark.parametrize("stop_at", ["99", "5", "0", "-4"])
     def test_stop_at_out_of_range(self, capsys, tmp_path, stop_at):
         graph_path = tmp_path / "in.json"
@@ -331,6 +354,16 @@ class TestAnalyze:
         )
         assert code == 0
         assert "none" in out
+
+    @pytest.mark.parametrize("color", ["3", "99"])
+    def test_conjecture_probe_rejects_color(self, capsys, monkeypatch, color):
+        """The probe reads the fixtures, not the graph, and once dropped
+        ``--color`` without a word."""
+        text = fixture("fig8").to_text()
+        argv = ["analyze", "-", "--color", color, "--conjecture-4prime"]
+        assert run(capsys, argv, text, monkeypatch) == (
+            2, "", "error: --conjecture-4prime takes no --color\n"
+        )
 
 
 class TestIso:

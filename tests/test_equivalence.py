@@ -1549,6 +1549,24 @@ def test_axiom4_codes_match_keyed_checker():
     assert len(failing) == 176
 
 
+def test_axiom_holds_decides_axiom4_as_the_witness_list_does():
+    """``axiom_holds(G, 4)`` reads the three-color windows only when n >= 5
+    and both passes below; it agrees with the full witness list.  G_(2,1)
+    and G_(2,2) have no three-color window."""
+    base, copies, swapped = axiom4_inputs()
+    small = [build_standard_deg((2, 1)), build_standard_deg((2, 2))]
+    graphs = certification_graphs() + base + copies + swapped + small
+    for G in graphs:
+        assert axioms.axiom_holds(G, 4) == check_axiom(G, 4).holds, G
+    failing = [G for G in graphs if not check_axiom(G, 4).holds]
+    assert (len(graphs), len(failing), sum(G.n < 5 for G in failing)) == (692, 261, 9)
+    # the two-color pass is the whole check below n = 5
+    G = SignedColoredGraph(4, 4, {"a": sig_from_str("+-+"), "b": sig_from_str("-+-")},
+                           [(2, "a", "b")])
+    assert not axioms.axiom_holds(G, 4)
+    assert check_axiom(G, 4).witnesses == [(3, "a", "two-color component not allowed")]
+
+
 def test_template_keys_match_keyed_templates():
     """A component matches a template by its codes exactly when it matches
     by its slices, over every window of the graphs above."""

@@ -177,3 +177,60 @@ def test_bench_pairs_applies_the_claim_rule():
     assert "rate: parent 101.5 (99.25-103.8) -> change 122.5 (119.2-125.8)" in text
     assert "change better in 9/10; median gap +21 vs parent IQR 4.5; claim rule holds" in text
     assert "rss: parent 30 (30-30) -> change 30.5 (30-31); change better in 0/10, 5 tied" in text
+
+
+def test_bench_pairs_flags_a_metric_worse_than_its_bound():
+    """A change median worse than the parent's by more than the metric's
+    bound, as a fraction of the parent's median, is flagged in either
+    direction; one within its bound, better, or without a bound is not."""
+    bp = load_bench_pairs()
+    parent = [{"rate": r, "p50": p, "rss": 30.0, "free": 1.0} for r, p in zip(
+        [100, 102, 98, 104, 96], [4.0, 4.2, 3.8, 4.4, 3.6])]
+    change = [{"rate": r, "p50": p, "rss": 33.5, "free": 0.1} for r, p in zip(
+        [74, 76, 72, 78, 70], [4.9, 5.1, 4.7, 5.3, 4.5])]
+    better = {"rate": "higher", "p50": "lower", "rss": "lower", "free": "higher"}
+    bounds = {"rate": 0.25, "p50": 0.25, "rss": 0.1}
+    rows = {r["metric"]: r for r in bp.summarize(parent, change, better, bounds)}
+    # rate: 100 -> 74 is 26 % worse; p50: 4.0 -> 4.9 is 22.5 % worse;
+    # rss: 30 -> 33.5 is 11.7 % worse; free has no bound
+    assert rows["rate"]["regressed"] and rows["rss"]["regressed"]
+    assert not rows["p50"]["regressed"] and not rows["free"]["regressed"]
+    assert rows["rate"]["bound"] == 0.25 and rows["free"]["bound"] is None
+    text = bp.format_rows(list(rows.values())).splitlines()
+    assert text[0].endswith("claim rule does not hold; WORSE than the parent by more than "
+                            "its bound of 25%")
+    assert text[2].endswith("its bound of 10%")
+    unflagged = [line.endswith("claim rule does not hold") for line in text]
+    assert unflagged == [False, True, False, True]
+    # without bounds nothing is flagged, and a gain is never flagged
+    assert not any(r["regressed"] for r in bp.summarize(parent, change, better))
+    assert not any(r["regressed"] for r in bp.summarize(change, parent, better, bounds))
+
+
+def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
+    """``--workload`` given twice runs each workload's pairs in turn, parent
+    first in odd pairs, and prints a table for each, bounds read from
+    ``BENCHMARK.json``."""
+    bp = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, default_seed):
+        calls.append((checkout.name, workload, seed, seconds, default_seed))
+        value = 2.0 if checkout.name == "change" else 1.0
+        return dict.fromkeys(names, value)
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    argv = [str(ROOT), "change", "--workload", "a", "--workload", "b",
+            "--seed", "5", "--pairs", "2", "--seconds", "0.5"]
+    assert bp.main(argv) == 0
+    side = [(ROOT.name, "change"), ("change", ROOT.name)]
+    assert [c[:2] for c in calls] == [
+        (name, w) for w in ("a", "b") for pair in side for name in pair
+    ]
+    assert {c[2:] for c in calls} == {(5, 0.5, 1)}
+    out = capsys.readouterr().out
+    assert out.count("seed 5, 2 pairs of 0.5 s runs") == 2
+    assert out.index("a, seed 5") < out.index("b pair 1:") < out.index("b, seed 5")
+    # doubled latencies and memory are flagged, doubled throughput is not
+    assert out.count("WORSE") == 2 * (len(names) - 1)
