@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -138,8 +139,13 @@ def enumerate_syt(shape: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
+@lru_cache(maxsize=None)
 def count_syt(shape: Partition) -> int:
-    return len(enumerate_syt(shape))
+    """f^lam by the hook length formula: n! over the product of the hooks."""
+    shape = check_partition(shape)
+    cols = [sum(1 for p in shape if p > c) for c in range(shape[0] if shape else 0)]
+    hooks = prod(p - c + cols[c] - r - 1 for r, p in enumerate(shape) for c in range(p))
+    return factorial(sum(shape)) // hooks
 
 
 def tableau_id(t: Tableau) -> str:
@@ -198,6 +204,30 @@ def dual_equiv_involution(t: Tableau, i: int) -> Tableau:
         tuple(other if v == i else i if v == other else v for v in row) for row in t
     )
     return swapped
+
+
+def tableau_moves(t: Tableau) -> tuple[tuple[int, ...], Signature, dict[int, int]]:
+    """One read of t: the row of each entry 1..n, the descent signature, and
+    for each color 1 < i < n that d_i does not fix, the entry d_i exchanges
+    with i.  Agrees with ``descent_signature`` and ``dual_equiv_involution``,
+    which stay the single-color definitions.
+    """
+    n = sum(map(len, t))
+    row = [0] * (n + 1)
+    pos = [0] * (n + 1)
+    k = 0
+    for r in range(len(t) - 1, -1, -1):
+        for v in t[r]:
+            row[v] = r
+            pos[v] = k
+            k += 1
+    sig = tuple([1 if row[i] >= row[i + 1] else -1 for i in range(1, n)])
+    moves = {}
+    for i in range(2, n):
+        lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
+        if (lo < mid) != (mid < hi):
+            moves[i] = i - 1 if abs(mid - lo) > abs(mid - hi) else i + 1
+    return tuple(row[1:]), sig, moves
 
 
 def superstandard_signature(lam: Partition) -> Signature:

@@ -17,11 +17,10 @@ from .combinatorics import (
     Tableau,
     check_partition,
     count_syt,
-    descent_signature,
-    dual_equiv_involution,
     enumerate_partitions,
     enumerate_syt,
     tableau_id,
+    tableau_moves,
 )
 from .graph import ComponentView, SignedColoredGraph, anchored_maps
 
@@ -94,7 +93,7 @@ def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
     lam = check_partition(lam)
     n = sum(lam)
     rows = list(lam) + [0]
-    if row > len(lam) or (row > 0 and rows[row] >= rows[row - 1]):
+    if not 0 <= row <= len(lam) or (row > 0 and rows[row] >= rows[row - 1]):
         raise ValueError(f"cannot add a cell in row {row} of {lam}")
     rows[row] += 1
     outer = tuple(p for p in rows if p)
@@ -102,7 +101,15 @@ def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
 
 
 def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColoredGraph:
-    """Graph of type (n, N) on SYT of the outer shape restricting to aug."""
+    """Graph of type (n, N) on SYT of the outer shape restricting to aug.
+
+    Each embedded tableau is read once by ``tableau_moves`` and keyed by its
+    row word; an i-edge ends at the row word with the rows of i and its
+    partner swapped.  This is exact for i < n: d_i depends only on the order
+    of i-1, i, i+1 in the reading word, which the fixed cells keep.  Edges
+    come in ``enumerate_syt`` order, then by color; ``edge_triples``,
+    ``to_text`` and the benchmark's input digests depend on that order.
+    """
     lam = check_partition(lam)
     if aug.inner != lam:
         raise ValueError(f"augmentation inner shape {aug.inner} != {lam}")
@@ -118,17 +125,24 @@ def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColored
         return tuple(tuple(r) for r in rows)
 
     sigma: dict[str, tuple[int, ...]] = {}
-    ids: dict[Tableau, str] = {}
+    ids: dict[tuple[int, ...], str] = {}
+    reads = []
     for t in enumerate_syt(lam):
         full = embed(t)
-        ids[t] = tableau_id(full)
-        sigma[ids[t]] = descent_signature(full)
+        rows, sig, moves = tableau_moves(full)
+        ids[rows] = v = tableau_id(full)
+        sigma[v] = sig
+        reads.append((v, rows, moves))
     triples = []
-    for t in enumerate_syt(lam):
-        for i in range(2, n):
-            s = dual_equiv_involution(t, i)
-            if s != t and ids[t] < ids[s]:
-                triples.append((i, ids[t], ids[s]))
+    for v, rows, moves in reads:
+        for i, j in moves.items():
+            if i >= n:
+                continue
+            swapped = list(rows)
+            swapped[i - 1], swapped[j - 1] = rows[j - 1], rows[i - 1]
+            w = ids[tuple(swapped)]
+            if v < w:
+                triples.append((i, v, w))
     return SignedColoredGraph(n, N, sigma, triples)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degraphs.combinatorics import (
+    count_syt,
     descent_signature,
     dominance_ge,
     dual_equiv_involution,
@@ -19,6 +20,7 @@ from degraphs.combinatorics import (
     superstandard_signature,
     tableau_from_id,
     tableau_id,
+    tableau_moves,
 )
 
 
@@ -122,6 +124,19 @@ class TestSYT:
         for t in enumerate_syt((3, 2, 1)):
             assert tableau_from_id(tableau_id(t)) == t
 
+    def test_hook_length_count_matches_enumeration(self):
+        assert count_syt(()) == len(enumerate_syt(())) == 1
+        for n in range(1, 11):
+            for lam in enumerate_partitions(n):
+                assert count_syt(lam) == len(enumerate_syt(lam)), lam
+
+    def test_count_lists_no_tableaux(self):
+        count_syt.cache_clear()
+        before = enumerate_syt.cache_info().currsize
+        assert count_syt((6, 4, 2, 1)) == 17160
+        assert count_syt((4, 3, 2, 1)) == 768
+        assert enumerate_syt.cache_info().currsize == before
+
 
 class TestSignatures:
     def test_fig1_values(self):
@@ -219,3 +234,47 @@ class TestDualEquivalence:
 
     def test_reading_word(self):
         assert reading_word(((1, 2, 5), (3, 4))) == (3, 4, 1, 2, 5)
+
+
+def swap_entries(t, i, j):
+    return tuple(tuple(j if v == i else i if v == j else v for v in row) for row in t)
+
+
+def assert_read_matches_definitions(t):
+    """``tableau_moves`` against ``descent_signature`` and every d_i."""
+    rows, sig, moves = tableau_moves(t)
+    n = len(rows)
+    assert all(v in t[rows[v - 1]] for v in range(1, n + 1))
+    assert sig == descent_signature(t)
+    for i in range(2, n):
+        s = dual_equiv_involution(t, i)
+        if s == t:
+            assert i not in moves
+        else:
+            assert s == swap_entries(t, i, moves[i])
+    return moves
+
+
+class TestTableauMoves:
+    def test_every_small_tableau(self):
+        for n in range(1, 9):
+            for lam in enumerate_partitions(n):
+                for t in enumerate_syt(lam):
+                    assert_read_matches_definitions(t)
+
+    def test_single_cell_augmented_tableaux(self):
+        """With n+1 added at the end of a row, the moves below n are those
+        of the tableau without it: the read of an embedded tableau is exact
+        there."""
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                for r in range(len(lam) + 1):
+                    if r and (lam + (0,))[r] >= lam[r - 1]:
+                        continue
+                    for t in enumerate_syt(lam):
+                        rows = [list(row) for row in t] + [[]]
+                        rows[r].append(n + 1)
+                        full = tuple(tuple(row) for row in rows if row)
+                        moves = assert_read_matches_definitions(full)
+                        below = {i: j for i, j in moves.items() if i < n}
+                        assert below == tableau_moves(t)[2]

@@ -4,6 +4,7 @@ against the library in src/."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,19 +31,22 @@ def run_script(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv, line",
+    "argv, line, last",
     [
         (("run_fixture_pipelines.py", "--skip-large"),
-         "  steps: phi_3@b1, phi_3@t3, phi_4@b3, phi_4@t2"),
+         "  steps: phi_3@b1, phi_3@t3, phi_4@b3, phi_4@t2", None),
         (("survey_standard_graphs.py", "--max-n", "5"),
-         "           3,2     5      ok       ok     none      1 s[3,2]"),
+         "           3,2     5      ok       ok     none      1 s[3,2]",
+         r"elapsed: build \d+\.\d\ds, check \d+\.\d\ds"),
     ],
     ids=["run_fixture_pipelines", "survey_standard_graphs"],
 )
-def test_script_runs(argv, line):
+def test_script_runs(argv, line, last):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert line in lines
+    assert last is None or re.fullmatch(last, lines[-1]), lines[-1]
 
 
 def test_module_entry_point_pipes(capsys, monkeypatch):

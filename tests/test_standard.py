@@ -1,9 +1,17 @@
 """Standard and augmented graph construction plus identification."""
 
+import hashlib
+
 import pytest
 
 from degraphs.axioms import is_locally_schur_positive
-from degraphs.combinatorics import enumerate_partitions, sig_str
+from degraphs.combinatorics import (
+    descent_signature,
+    dual_equiv_involution,
+    enumerate_partitions,
+    sig_str,
+    tableau_from_id,
+)
 from degraphs.graph import ComponentView
 from degraphs.standard import (
     AugmentingTableau,
@@ -96,9 +104,49 @@ class TestAugmented:
                 out = identify_component(comp)
                 assert out is not None and out[0] == lam
 
+    @pytest.mark.parametrize("row", [-1, -2, 3])
+    def test_row_outside_the_shape_rejected(self, row):
+        with pytest.raises(ValueError, match=rf"^cannot add a cell in row {row} of \(2, 1\)$"):
+            single_cell_augmentation((2, 1), row)
+
     def test_invalid_filling_rejected(self):
         with pytest.raises(ValueError):
             AugmentingTableau.from_dict((2, 2), (2, 1), {(1, 1): 3}).validate()
+
+
+def pinned_graphs():
+    """Every G_lam with n <= 9, then every single-cell G_lam^A with n <= 8."""
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            yield build_standard_deg(lam)
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            for row in range(len(lam) + 1):
+                if row == 0 or (lam + (0,))[row] < lam[row - 1]:
+                    yield build_augmented_deg(lam, single_cell_augmentation(lam, row))
+
+
+class TestBuiltGraphs:
+    def test_signatures_and_edges_are_the_definitions(self):
+        """Each signature is its tableau's descent signature, each i-edge is
+        d_i, and there is no i-edge where d_i fixes the tableau."""
+        for G in pinned_graphs():
+            tableau = {v: tableau_from_id(v) for v in G.vertices()}
+            for v, t in tableau.items():
+                assert G.sigma[v] == descent_signature(t)
+                for i in range(2, G.n):
+                    s = dual_equiv_involution(t, i)
+                    w = G.neighbor(v, i)
+                    assert w is None if s == t else tableau[w] == s
+
+    def test_text_is_pinned(self):
+        """The edge order, which the benchmark's input digests read."""
+        digest = hashlib.sha256()
+        for G in pinned_graphs():
+            digest.update(G.to_text().encode())
+        assert digest.hexdigest() == (
+            "f6934285e8fb7cbd560b0219b5db779fbc4c5723a3bb6beccb993e71bcd7a198"
+        )
 
 
 class TestIdentify:
