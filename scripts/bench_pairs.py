@@ -13,8 +13,11 @@ for neither side).  The claim rule: the change wins at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
 distance between the parent's quartiles.  A metric whose change median is
 worse than the parent's by more than its ``bound`` (a fraction of the
-parent's median) is flagged.  With ``--workload`` given more than once, the
-workloads run one after another, one table each.  Nothing under
+parent's median) is flagged.  A metric whose parent runs spread wider than
+its bound (quartile distance over median) is marked UNRESOLVED, since
+pairs that noisy cannot show it unchanged, unless every run of the change
+is better than every run of the parent.  With ``--workload`` given more
+than once, the workloads run one after another, one table each.  Nothing under
 ``benchmarks/`` is written to; the run length defaults to the benchmark's
 own.
 """
@@ -43,9 +46,12 @@ def summarize(
     """One row per metric of ``better`` ({name: "higher" | "lower"}) from
     paired runs, ``parent[k]`` and ``change[k]`` being pair k's
     {name: value}: each side's quartiles, the pairs won and tied, whether
-    the claim rule holds, and whether the change median is worse than the
+    the claim rule holds, whether the change median is worse than the
     parent's by more than the metric's entry in ``bounds`` times the
-    parent's median (never, for a metric without one)."""
+    parent's median, and whether the metric is unresolved: the parent's
+    quartile distance exceeds that bound times its median, and some run of
+    the change is no better than some run of the parent (neither, for a
+    metric without a bound)."""
     bounds = bounds or {}
     rows = []
     for name, direction in better.items():
@@ -56,6 +62,8 @@ def summarize(
         ties = sum(a == b for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
         gap = sign * (cq[1] - pq[1])
+        spread = pq[2] - pq[0]
+        separated = min(sign * b for b in c) > max(sign * a for a in p)
         rows.append({
             "metric": name,
             "parent": pq,
@@ -64,10 +72,12 @@ def summarize(
             "wins": wins,
             "ties": ties,
             "gap": gap,
-            "parent_iqr": pq[2] - pq[0],
-            "claim": wins * 10 >= 9 * len(p) and gap > pq[2] - pq[0],
+            "parent_iqr": spread,
+            "claim": wins * 10 >= 9 * len(p) and gap > spread,
             "bound": bounds.get(name),
             "regressed": name in bounds and -gap > bounds[name] * abs(pq[1]),
+            "unresolved": name in bounds and spread > bounds[name] * abs(pq[1])
+            and not separated,
         })
     return rows
 
@@ -80,6 +90,8 @@ def format_rows(rows: list[dict]) -> str:
         worse = ""
         if r["regressed"]:
             worse = f"; WORSE than the parent by more than its bound of {r['bound']:.0%}"
+        if r["unresolved"]:
+            worse += f"; UNRESOLVED: the parent IQR is wider than {r['bound']:.0%} of its median"
         lines.append(
             f"{r['metric']}: parent {pm:.4g} ({p1:.4g}-{p3:.4g}) -> change {cm:.4g} "
             f"({c1:.4g}-{c3:.4g}); change better in {r['wins']}/{r['pairs']}{tied}; "

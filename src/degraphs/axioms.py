@@ -23,10 +23,10 @@ slices.
 
 ``axiom_holds`` stops at the first witness (for axiom 4 with n >= 5, the
 first three-color one); ``full_pipeline`` checks axioms 4 and 6 on its
-input that way.  ``is_dual_equivalence_graph(G, base)``
-re-checks axioms 1, 2, 3 and 5 only at the colors whose partner map differs
-from ``base``'s, which satisfies them; ``full_pipeline`` passes its input.
-``lsp_holds`` answers the gate's question, stopping at the first violation.
+input that way.  A graph derived from a verified one has axioms 1, 2, 3 and
+5 and the window positivity re-checked only on ``_changed_scope``, {color:
+the vertices whose partner there changed}: in the LSP report, in the gate
+(``lsp_holds``) and in ``is_dual_equivalence_graph(G, base)``.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def _template_keys(templates) -> frozenset:
 def _scope(G: SignedColoredGraph, colors) -> dict:
     """{color: the vertices to check there, or None for all}: every color
     of G when ``colors`` is None, or each listed color whole.  A
-    ``{color: vertices}`` map is taken as it is; its vertices must hold both
-    ends of each of their edges, as the vertices whose partner changed do."""
+    ``{color: set of vertices}`` map, such as ``_changed_scope``, is taken
+    as it is; its vertices must hold both ends of each of their edges, as
+    the vertices whose partner changed do."""
     if colors is None:
         colors = G.colors()
     return colors if isinstance(colors, dict) else dict.fromkeys(colors)
@@ -174,14 +175,14 @@ def _check_axiom1(G: SignedColoredGraph, colors=None):
 
 def _edges(G: SignedColoredGraph, colors):
     """(i, the i-edges (u, w) with u < w) for each color of the scope, in
-    ``edge_triples`` order; at a color given with vertices, only the edges
-    at them."""
+    ``edge_triples`` order; at a color given with vertices (a set), only the
+    edges at them, in the same order."""
     for i, vs in _scope(G, colors).items():
         m = G._partners(i)
         if vs is None:
             yield i, [(u, w) for u, w in m.items() if u < w]
         else:
-            yield i, [(v, w) for v in vs if (w := m.get(v)) is not None and v < w]
+            yield i, [(u, w) for u, w in m.items() if u < w and u in vs]
 
 
 def _check_axiom2(G: SignedColoredGraph, colors=None):
@@ -276,12 +277,12 @@ def _check_axiom5(G: SignedColoredGraph, colors=None):
     scope = _scope(G, colors)
     maps = {i: G._partners(i) for i in G.colors()}
     for i, mi in maps.items():
-        every = sorted(mi)
+        every = None
         for j, mj in maps.items():
             if j - i < 3 or (i not in scope and j not in scope):
                 continue
             if any(c in scope and scope[c] is None for c in (i, j)):
-                order = every
+                every = order = every or sorted(mi)
             else:
                 at = ((scope.get(i), mj), (scope.get(j), mi))
                 near = {y for vs, other in at for x in vs or () for y in (x, other.get(x))}
@@ -365,8 +366,9 @@ _AXIOM_CHECKS = {
 
 def check_axiom(G: SignedColoredGraph, k: int, colors=None) -> AxiomReport:
     """Axiom k on G.  With ``colors``, axiom 1, 2, 3 or 5 is checked only at
-    those colors (axiom 5 on the pairs holding one of them); axioms 4 and 6
-    take no colors."""
+    those colors (axiom 5 on the pairs holding one of them), or only at the
+    given vertices of each color of a ``{color: set of vertices}`` scope
+    (see ``_scope``); axioms 4 and 6 take no colors."""
     if k not in _AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {k}")
     check = _AXIOM_CHECKS[k]
@@ -382,23 +384,26 @@ def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
     return next(witnesses, None) is None
 
 
+def _changed_scope(G: SignedColoredGraph, base: SignedColoredGraph | None):
+    """{color: the set of vertices whose partner differs from ``base``'s},
+    at the colors where any does; None (the whole graph) for no base."""
+    if base is None:
+        return None
+    return {i: vs for i in G.colors() if (vs := G.changed_vertices(base, i))}
+
+
 def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:
     """Whether axioms 1 to 6 hold.
 
     ``base``, when given, has G's vertices and signatures and satisfies
-    axioms 1, 2, 3 and 5.  Each of these reads the signatures and one
-    color's partner map (axiom 5 a pair's), so it holds at every color whose
-    partner map is base's, and is checked only at the others, if any.
-    Axioms 4 and 6 are checked on the whole graph either way.
+    axioms 1, 2, 3 and 5.  Each of these reads, at a vertex or an edge, the
+    signatures and that vertex's partners (axiom 5 also its partners'
+    partners in the pair's other color), so it is checked only on the
+    ``_changed_scope``.  Axioms 4 and 6 are checked on the whole graph
+    either way.
     """
-    if base is None:
-        return all(check_axiom(G, k).holds for k in range(1, 7))
-    changed = [
-        i for i in G.colors()
-        if (m := G._partners(i)) is not (b := base._partners(i)) and m != b
-    ]
-    rechecked = (1, 2, 3, 5) if changed else ()
-    return all(check_axiom(G, k, changed).holds for k in rechecked) and all(
+    scope = _changed_scope(G, base)
+    return all(check_axiom(G, k, scope).holds for k in (1, 2, 3, 5)) and all(
         check_axiom(G, k).holds for k in (4, 6)
     )
 
@@ -407,23 +412,26 @@ def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | 
 # local Schur positivity
 
 
-def _window_witnesses(G: SignedColoredGraph, m: int, violation, changed=None):
+def _window_witnesses(G: SignedColoredGraph, m: int, violation, colors=None):
     """(i, least vertex, reason) for each component under the colors of a
-    degree-m window whose ``violation(G, vertices, window)`` is not None.
-    With ``changed`` ({color: vertices whose partner changed}), only the
-    components holding such a vertex of the window's colors are walked, and
-    each is named by the least such vertex it holds."""
+    degree-m window whose ``violation(G, vertices, window)`` is not None,
+    window by window and, within one, by least vertex.  With ``colors``, as
+    in ``check_axiom``, only the components holding a vertex of the scope
+    at one of the window's colors are walked."""
     if m not in (4, 5, 6):
         raise ValueError("degree must be 4, 5 or 6")
-    order = G.vertices() if changed is None else None
+    scope = _scope(G, colors)
     for i in range(m - 1, G.n):
-        colors = range(i - (m - 3), i + 1)
-        if changed is not None:
-            order = sorted({v for c in colors for v in changed.get(c, ())})
-        for comp in G._walk(order, colors):
+        window = range(i - (m - 3), i + 1)
+        at = [scope[c] for c in window if c in scope]
+        starts = G.sigma if None in at else {v for vs in at for v in vs}
+        failing = []
+        for comp in G._walk(starts, window):
             reason = violation(G, comp, (i - (m - 2), i))
             if reason is not None:
-                yield (i, comp[0], reason)
+                failing.append((min(comp), reason))
+        for v, reason in sorted(failing):
+            yield (i, v, reason)
 
 
 def _lsf_violation(G: SignedColoredGraph, vertices, window) -> str | None:
@@ -466,67 +474,47 @@ def _component_violation(G: SignedColoredGraph, vertices, window) -> str | None:
     return _window_violation(hi - lo + 2, tuple(sorted(counts.items())))
 
 
-def check_lsp(G: SignedColoredGraph, m: int) -> AxiomReport:
-    """Schur positive for degree m."""
-    return AxiomReport.from_witnesses(f"LSP{m}", _window_witnesses(G, m, _component_violation))
-
-
-def _holds_by_difference(G: SignedColoredGraph, base: SignedColoredGraph) -> bool:
-    """Whether G is locally Schur positive, given that ``base``, which has
-    the same vertices and signatures, is.  Axioms 1, 2, 3 and 5 are checked
-    at the vertices whose partner changed (axiom 5 also at their partners in
-    the other color of each pair), and the windows only on the components
-    under their colors that hold such a vertex.  Stops at the first
-    violation."""
-    changed = {i: vs for i in G.colors() if (vs := G.changed_vertices(base, i))}
-    for check in (_check_axiom1, _check_axiom2, _check_axiom3, _check_axiom5):
-        if next(check(G, changed), None) is not None:
-            return False
-    return not any(
-        next(_window_witnesses(G, m, _component_violation, changed), None)
-        for m in (4, 5, 6)
+def check_lsp(G: SignedColoredGraph, m: int, colors=None) -> AxiomReport:
+    """Schur positive for degree m.  With ``colors``, as in ``check_axiom``,
+    only the windows' components at the scope are checked."""
+    return AxiomReport.from_witnesses(
+        f"LSP{m}", _window_witnesses(G, m, _component_violation, colors)
     )
 
 
+def _lsp_reports(G: SignedColoredGraph):
+    """(tag, report) for axioms 1, 2, 3 and 5, then degrees 4, 5 and 6, on
+    the ``_changed_scope`` of G against its verified ancestor.  A vertex,
+    edge or window component whose partners are the ancestor's is the
+    ancestor's, with the same signatures, so the scoped reports hold the
+    whole graph's witnesses, in the same order."""
+    scope = _changed_scope(G, G._lsp_base)
+    for k in (1, 2, 3, 5):
+        yield f"axiom {k}", check_axiom(G, k, scope)
+    for m in (4, 5, 6):
+        yield f"LSP{m}", check_lsp(G, m, scope)
+
+
 def lsp_holds(G: SignedColoredGraph) -> bool:
-    """``is_locally_schur_positive(G).holds``, answered False at the first
-    violation the check by difference finds, without the full witness scan;
-    a graph with no verified ancestor takes that scan.  Marks G as passed,
-    as that does, when it holds."""
-    base = G._lsp_base
-    if base is None:
-        return is_locally_schur_positive(G).holds
-    if base is not True:
-        if not _holds_by_difference(G, base):
-            return False
+    """``is_locally_schur_positive(G).holds``, stopping at the first report
+    that fails.  Marks G as passed, as that does, when it holds."""
+    if G._lsp_base is not True and all(rep.holds for _, rep in _lsp_reports(G)):
         G._lsp_base = True
-    return True
+    return G._lsp_base is True
 
 
 def is_locally_schur_positive(G: SignedColoredGraph) -> AxiomReport:
-    """Axioms 1, 2, 3 and 5 together with degree 4, 5, 6 positivity.
+    """Axioms 1, 2, 3 and 5 together with degree 4, 5, 6 positivity, every
+    witness tagged with its check.
 
     Graphs are immutable, so a graph that passes is marked as passed, and a
     graph made from it by ``with_color_matching`` (directly or through graphs
-    that did not pass) names it as its verified ancestor.  Such a graph is
-    checked by difference from the ancestor: a component under a window's
-    colors whose vertices kept their partners in those colors is a component
-    of the ancestor, with the same signatures, so it is positive.  When that
-    finds a violation, or there is no verified ancestor, every window is
-    scanned, so the report is the same either way; ``lsp_holds`` gives the
-    verdict alone and skips that scan.
+    that did not pass) names it as its verified ancestor, against which it
+    is checked by difference (``_lsp_reports``).
     """
-    if G._lsp_base is not None and lsp_holds(G):
+    if G._lsp_base is True:
         return AxiomReport("LSP", True)
-    witnesses = []
-    for k in (1, 2, 3, 5):
-        rep = check_axiom(G, k)
-        if not rep.holds:
-            witnesses.extend((f"axiom {k}",) + w for w in rep.witnesses)
-    for m in (4, 5, 6):
-        rep = check_lsp(G, m)
-        if not rep.holds:
-            witnesses.extend((f"LSP{m}",) + w for w in rep.witnesses)
+    witnesses = [(tag,) + w for tag, rep in _lsp_reports(G) for w in rep.witnesses]
     report = AxiomReport.from_witnesses("LSP", witnesses)
     if report.holds:
         G._lsp_base = True

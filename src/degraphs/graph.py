@@ -96,12 +96,13 @@ class SignedColoredGraph:
         """The i-partner map itself, not a copy; callers must not mutate it."""
         return self._adj.get(i, {})
 
-    def changed_vertices(self, other: "SignedColoredGraph", i: int) -> list[str]:
-        """Vertices whose i-partner differs between this graph and ``other``."""
+    def changed_vertices(self, other: "SignedColoredGraph", i: int) -> set[str]:
+        """The set of vertices whose i-partner differs between this graph and
+        ``other``."""
         mine, theirs = self._adj.get(i, {}), other._adj.get(i, {})
         if mine is theirs or mine == theirs:
-            return []
-        return sorted(v for v in mine.keys() | theirs.keys() if mine.get(v) != theirs.get(v))
+            return set()
+        return {v for v in mine.keys() | theirs.keys() if mine.get(v) != theirs.get(v)}
 
     def edge_triples(self) -> list[tuple[int, str, str]]:
         out = []
@@ -289,12 +290,14 @@ class SignedColoredGraph:
         return SignedColoredGraph(n, N, sigma, triples, stats or None)
 
     def to_dot(self) -> str:
+        """Graphviz DOT text.  A label doubles the id's backslashes, so that
+        none reads as a label escape such as ``\\n``."""
         lines = ["graph G {"]
         for v in self.vertices():
-            label = f"{v}\\n{sig_str(self.sigma[v])}"
-            lines.append(f'  "{v}" [label="{label}"];')
+            label = v.replace("\\", "\\\\") + "\\n" + sig_str(self.sigma[v])
+            lines.append(f"  {_dot_quote(v)} [label={_dot_quote(label)}];")
         for c, u, w in self.edge_triples():
-            lines.append(f'  "{u}" -- "{w}" [label="{c}"];')
+            lines.append(f'  {_dot_quote(u)} -- {_dot_quote(w)} [label="{c}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -348,6 +351,11 @@ def _insert_maps(adj: dict[int, dict[str, str]], n: int, sigma, maps) -> dict:
             back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
             raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
     return adj
+
+
+def _dot_quote(text: str) -> str:
+    """``text`` as a quoted DOT string, its double quotes escaped."""
+    return '"' + text.replace('"', '\\"') + '"'
 
 
 def _json_list(items: list[str]) -> str:

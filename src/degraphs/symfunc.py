@@ -21,7 +21,6 @@ from .combinatorics import (
     enumerate_partitions,
     enumerate_syt,
     partition_str,
-    sig_from_str,
     sig_str,
     superstandard_signature,
 )
@@ -76,17 +75,6 @@ class QSym:
     def to_lines(self) -> str:
         items = sorted(self.coeffs.items())
         return "\n".join(f"{sig_str(s)} {c}" for s, c in items)
-
-    @staticmethod
-    def from_lines(degree: int, text: str) -> "QSym":
-        coeffs: dict[Signature, int] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            sig_text, coeff_text = line.split()
-            coeffs[sig_from_str(sig_text)] = int(coeff_text)
-        return QSym(degree, coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -212,7 +212,7 @@ def _gate(H: SignedColoredGraph) -> bool:
     """Whether the pipeline may commit a step whose result is H: H must be
     locally Schur positive.  Every candidate of the search and every split
     passes this one check before it is committed.  A rejection stops at
-    the first violation (``lsp_holds``)."""
+    the first check that fails (``lsp_holds``)."""
     return lsp_holds(H)
 
 

@@ -121,11 +121,15 @@ class TestLocallySchurPositive:
         assert not is_locally_schur_positive(fixture("fig19")).holds
 
     def test_only_color_rewiring_is_checked_by_difference(self, monkeypatch):
-        bases = []
-        real = axioms._holds_by_difference
-        monkeypatch.setattr(
-            axioms, "_holds_by_difference", lambda H, base: bases.append(base) or real(H, base)
-        )
+        bases = []  # the verified ancestors checked against
+        real = axioms._changed_scope
+
+        def spy(H, base):
+            if base is not None:
+                bases.append(base)
+            return real(H, base)
+
+        monkeypatch.setattr(axioms, "_changed_scope", spy)
         G = fixture("fig8")
         assert is_locally_schur_positive(G).holds and bases == []
         for H in (

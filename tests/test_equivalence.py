@@ -899,11 +899,15 @@ def test_lsp_by_difference_matches_full_scan():
 
 
 def test_non_positive_base_takes_the_full_scan(monkeypatch):
-    calls = []
-    real = axioms._holds_by_difference
-    monkeypatch.setattr(
-        axioms, "_holds_by_difference", lambda *a: calls.append(a) or real(*a)
-    )
+    calls = []  # the checks against a verified ancestor
+    real = axioms._changed_scope
+
+    def spy(H, base):
+        if base is not None:
+            calls.append((H, base))
+        return real(H, base)
+
+    monkeypatch.setattr(axioms, "_changed_scope", spy)
     for name in ("fig19", "fig21"):
         G = fixture(name)
         assert not is_locally_schur_positive(G).holds
@@ -2143,14 +2147,20 @@ def test_gate_verdict_matches_full_scan():
 
 def test_gate_scans_the_windows_once_per_run(monkeypatch):
     """A graph derived from a verified one is gated by difference, and a
-    rejection there stops at the first violation.  So each run on
+    rejection there stops at the first report that fails.  So each run on
     ``tests/data``, the split abort s109-n7k3 among them, scans the windows
     in full once: on the first graph it gates, which has no verified
     ancestor.  With the full witness scan on every rejection, s156-n6k3
     ran each degree's scan 5 times."""
-    calls = Counter()
+    calls = Counter()  # whole-graph scans, by degree
     real = axioms.check_lsp
-    monkeypatch.setattr(axioms, "check_lsp", lambda G, m: calls.update([m]) or real(G, m))
+
+    def spy(G, m, colors=None):
+        if colors is None:
+            calls.update([m])
+        return real(G, m, colors)
+
+    monkeypatch.setattr(axioms, "check_lsp", spy)
     aborted = []
     for path in sorted(DATA.glob("*.json")):
         calls.clear()
@@ -2159,6 +2169,44 @@ def test_gate_scans_the_windows_once_per_run(monkeypatch):
         assert calls == {4: 1, 5: 1, 6: 1}, path.stem
         aborted += [path.stem] if res.log.aborted else []
     assert aborted == ["s109-n7k3"]
+
+
+def spy_report_checks(monkeypatch):
+    """Record (name, axiom or degree, scope) for each ``check_axiom`` and
+    ``check_lsp`` call made through ``axioms``."""
+    calls = []
+    for name in ("check_axiom", "check_lsp"):
+        real = getattr(axioms, name)
+
+        def spy(G, k, colors=None, name=name, real=real):
+            calls.append((name, k, colors))
+            return real(G, k) if colors is None else real(G, k, colors)
+
+        monkeypatch.setattr(axioms, name, spy)
+    return calls
+
+
+def test_verified_ancestor_means_no_whole_graph_check(monkeypatch):
+    """A graph derived from one that passed is checked only on the changed
+    part, by the report and by the gate, also when it fails."""
+    cases = [(G, i, H) for G, i, H in difference_cases() if G._lsp_base is True]
+    calls = spy_report_checks(monkeypatch)
+    verdicts = Counter()
+    for G, i, H in cases:
+        fresh = G.with_color_matching(i, H.matching(i))
+        verdicts[is_locally_schur_positive(H).holds, axioms.lsp_holds(fresh)] += 1
+    assert set(verdicts) == {(True, True), (False, False)}
+    assert calls and all(colors is not None for *_, colors in calls)
+
+
+def test_gate_stops_at_the_first_failing_check(monkeypatch):
+    """With no verified ancestor the gate checks the whole graph, and stops
+    at the first check that fails: here axiom 1, before any window."""
+    H = fixture("fig8").with_color_matching(3, {})
+    calls = spy_report_checks(monkeypatch)
+    assert not axioms.lsp_holds(H)
+    assert calls == [("check_axiom", 1, None)]
+    assert H._lsp_base is None
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,18 @@ class TestSerialization:
         assert '"a" -- "b" [label="2"];' in dot
         assert '"a" [label="a\\n-++"];' in dot
 
+    def test_dot_escapes_ids(self):
+        """A double quote in an id is escaped wherever the id is written, and
+        a backslash in an id is doubled in its label, so that ``\\n`` in an
+        id is not read as a line break."""
+        G = SignedColoredGraph(3, 3, {'a"b': (-1, 1), "c\\nd": (1, -1)}, [(2, 'a"b', "c\\nd")])
+        assert G.to_dot() == r"""graph G {
+  "a\"b" [label="a\"b\n-+"];
+  "c\nd" [label="c\\nd\n+-"];
+  "a\"b" -- "c\nd" [label="2"];
+}
+"""
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 10**6))

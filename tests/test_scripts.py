@@ -211,6 +211,34 @@ def test_bench_pairs_flags_a_metric_worse_than_its_bound():
     assert not any(r["regressed"] for r in bp.summarize(change, parent, better, bounds))
 
 
+def test_bench_pairs_marks_a_metric_spread_wider_than_its_bound():
+    """A metric whose parent runs spread wider than its bound is unresolved,
+    whatever its median does, unless every change run beats every parent
+    run; a metric with a narrower spread, or without a bound, never is."""
+    bp = load_bench_pairs()
+    # setup: parent quartiles 0.45-0.6 around 0.5, an IQR of 30 % of the median
+    parent = [{"setup": s, "rate": r, "free": s} for s, r in zip(
+        [0.4, 0.45, 0.5, 0.6, 0.7], [100, 102, 98, 104, 96])]
+    change = [{"setup": s, "rate": r, "free": s} for s, r in zip(
+        [0.42, 0.44, 0.5, 0.55, 0.45], [101, 99, 100, 103, 97])]
+    better = {"setup": "lower", "rate": "higher", "free": "lower"}
+    bounds = {"setup": 0.25, "rate": 0.25}
+    rows = {r["metric"]: r for r in bp.summarize(parent, change, better, bounds)}
+    assert rows["setup"]["parent"] == (0.45, 0.5, 0.6)
+    assert rows["setup"]["unresolved"] and not rows["setup"]["regressed"]
+    assert not rows["rate"]["unresolved"] and not rows["free"]["unresolved"]
+    text = bp.format_rows(list(rows.values())).splitlines()
+    assert text[0].endswith("claim rule does not hold; UNRESOLVED: the parent IQR is wider "
+                            "than 25% of its median")
+    assert [line.endswith("claim rule does not hold") for line in text] == [False, True, True]
+    # every change run better than every parent run resolves it; worse ones do not
+    fast = [{**run, "setup": run["setup"] / 2} for run in parent]
+    slow = [{**run, "setup": run["setup"] * 2} for run in parent]
+    assert not bp.summarize(parent, fast, better, bounds)[0]["unresolved"]
+    row = bp.summarize(parent, slow, better, bounds)[0]
+    assert row["unresolved"] and row["regressed"]
+
+
 def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     """``--workload`` given twice runs each workload's pairs in turn, parent
     first in odd pairs, and prints a table for each, bounds read from
