@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import Partition, sig_from_str
-from .graph import ComponentView, SignedColoredGraph, signature_bits
+from .graph import SignedColoredGraph, signature_bits
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -545,17 +545,19 @@ _MIXED_FORMS = {
 _PURE_FORMS = {4: ((2, 2), "k_s22"), 5: ((3, 1, 1), "k_s311"), 6: ((3, 2, 1), "k_s321")}
 
 
-def classify_small_component(comp: ComponentView, degree: int) -> SmallClassification:
-    """Sort a connected low-degree component into its allowed generating
-    function shape, or report that the hypotheses are violated."""
+def classify_small_component(
+    G: SignedColoredGraph, vertices, degree: int
+) -> SmallClassification:
+    """Sort a connected low-degree component of G, given by its vertices,
+    into its allowed generating function shape, or report that the
+    hypotheses are violated."""
     if degree not in (4, 5, 6):
         raise ValueError("degree must be 4, 5 or 6")
-    G = comp.graph
     if (G.n, G.N) != (degree, degree):
         return SmallClassification(
             degree, False, "error", detail=f"graph type {(G.n, G.N)} != ({degree},{degree})"
         )
-    sub = comp.subgraph()
+    sub = G.subgraph(vertices)
     hypotheses = [check_axiom(sub, k) for k in (1, 2, 3, 5)]
     hypotheses.append(check_lsp(sub, degree))
     if degree >= 5:
@@ -567,7 +569,7 @@ def classify_small_component(comp: ComponentView, degree: int) -> SmallClassific
             return SmallClassification(
                 degree, False, "error", detail=f"hypothesis {rep.axiom} fails"
             )
-    exp = expand_in_schur(comp.generating_function())
+    exp = expand_in_schur(G.generating_function(vertices))
     if not exp.is_exact():
         return SmallClassification(degree, False, "error", detail="not symmetric")
     coeffs = exp.coeffs
@@ -603,10 +605,10 @@ def check_axiom4a(G: SignedColoredGraph) -> AxiomReport:
             for w in sorted(W):
                 if is_flat_edge(G, w, i - 1):
                     continue
-                left = G.component_of(w, (i - 2, i - 1))
-                right = G.component_of(w, (i - 1, i))
-                left_support = left.generating_function((i - 3, i - 1)).support()
-                right_support = right.generating_function((i - 2, i)).support()
+                left = G.component_vertices(w, (i - 2, i - 1))
+                right = G.component_vertices(w, (i - 1, i))
+                left_support = G.generating_function(left, (i - 3, i - 1)).support()
+                right_support = G.generating_function(right, (i - 2, i)).support()
                 if left_support != right_support:
                     yield (i, w, "degree-4 supports differ across the colors")
 

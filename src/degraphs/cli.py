@@ -91,13 +91,15 @@ def _cmd_expand(args) -> int:
     if G.stats and G.n == G.N:
         terms = []
         for comp in G.components(G.colors()):
-            ident = identify_component(comp)
-            values = {G.stats.get(v) for v in comp.vertices}
+            values = {G.stats.get(v) for v in comp}
             if len(values) != 1 or None in values:
-                print(f"warning: statistic not constant on {comp.min_vertex()}")
+                print(f"warning: statistic not constant on {comp[0]}")
                 continue
-            if ident:
-                terms.append((ident[0], values.pop()))
+            ident = identify_component(G, comp, G.n)
+            if ident is None:
+                print(f"warning: component at {comp[0]} is not a standard graph")
+                continue
+            terms.append((ident[0], values.pop()))
         if terms:
             rendered = " + ".join(
                 f"q^{a}*s[{partition_str(lam)}]" for lam, a in sorted(terms, reverse=True)

@@ -475,7 +475,7 @@ def verify_fixture(name: str) -> list[str]:
     if "classify" in exp:
         degree, kind, k = exp["classify"]
         comp = G.components(G.colors())[0]
-        got = classify_small_component(comp, degree)
+        got = classify_small_component(G, comp, degree)
         expect(
             got.ok and got.kind == kind and got.k == k,
             f"classification {got} != ({kind}, k={k})",

@@ -15,7 +15,6 @@ positions reads a shift and a mask (``signature_bits``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -196,18 +195,14 @@ class SignedColoredGraph:
             yield comp
 
     def component_vertices(self, start: str, colors) -> tuple[str, ...]:
+        """The component of ``start`` under ``colors``, as its sorted vertex
+        tuple."""
         return tuple(sorted(next(self._walk((start,), colors))))
 
-    def components(self, colors) -> list["ComponentView"]:
-        colors = frozenset(colors)
-        return [
-            ComponentView(self, colors, tuple(sorted(comp)))
-            for comp in self._walk(self.vertices(), colors)
-        ]
-
-    def component_of(self, v: str, colors) -> "ComponentView":
-        colors = frozenset(colors)
-        return ComponentView(self, colors, self.component_vertices(v, colors))
+    def components(self, colors) -> list[tuple[str, ...]]:
+        """Each component under ``colors`` as its sorted vertex tuple, in
+        least-vertex order."""
+        return [tuple(sorted(comp)) for comp in self._walk(self.vertices(), colors)]
 
     def refine(self, vertices, colors) -> tuple[list[tuple[str, ...]], dict[str, int]]:
         """Split a vertex set into its components under ``colors``: the
@@ -385,27 +380,6 @@ def _field(entry, key: str, kind: type, where: str, error: type = GraphFormatErr
     return value
 
 
-@dataclass(frozen=True)
-class ComponentView:
-    """A connected component of a graph under a chosen color subset."""
-
-    graph: SignedColoredGraph
-    colors: frozenset[int]
-    vertices: tuple[str, ...]
-
-    def min_vertex(self) -> str:
-        return self.vertices[0]
-
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def generating_function(self, window: Window | None = None) -> QSym:
-        return self.graph.generating_function(self.vertices, window)
-
-    def subgraph(self) -> SignedColoredGraph:
-        return self.graph.subgraph(self.vertices)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism search
 
@@ -527,9 +501,9 @@ def find_isomorphism(
     # isomorphism extends the fits so far, one also extends the first fit.
     mapping: dict[str, str] = {}
     taken: set[str] = set()
-    for comp in sorted(G.components(colors), key=lambda c: c.size()):
+    for comp in sorted(G.components(colors), key=len):
         classes: dict[int, list[str]] = {}
-        for v in comp.vertices:
+        for v in comp:
             classes.setdefault(gkey[v], []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
         images = (w for w in candidates[sig_key] if w not in taken)
@@ -541,11 +515,11 @@ def find_isomorphism(
     return mapping
 
 
-def i_package(G: SignedColoredGraph, v: str, i: int) -> ComponentView:
+def i_package(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
     """Component of v under all colors except i-2 .. i+2."""
     if not 1 < i < G.n:
         raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
-    return G.component_of(v, package_colors(G, i))
+    return G.component_vertices(v, package_colors(G, i))
 
 
 def package_colors(G: SignedColoredGraph, i: int) -> frozenset[int]:

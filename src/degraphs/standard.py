@@ -22,7 +22,7 @@ from .combinatorics import (
     tableau_id,
     tableau_moves,
 )
-from .graph import ComponentView, SignedColoredGraph, anchored_maps
+from .graph import SignedColoredGraph, anchored_maps
 
 
 @lru_cache(maxsize=None)
@@ -154,43 +154,48 @@ def _shapes(n: int) -> tuple[tuple[Partition, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _targets(lam: Partition) -> tuple[tuple, dict]:
-    """G_lam's sorted signatures, and its vertices by signature in id order.
-    Built on the first identification that reaches lam, not with G_lam."""
+def _targets(lam: Partition) -> tuple[tuple[int, ...], dict[int, tuple[str, ...]]]:
+    """G_lam's sorted signature bits, and its vertices by signature bits in
+    id order.  Built on the first identification that reaches lam, not with
+    G_lam."""
     G = _standard_graph(lam)
-    by_sig: dict = {}
+    by_sig: dict[int, list[str]] = {}
     for v in G.vertices():
-        by_sig.setdefault(G.sigma[v], []).append(v)
-    return tuple(sorted(G.sigma.values())), {s: tuple(vs) for s, vs in by_sig.items()}
+        by_sig.setdefault(G.bits[v], []).append(v)
+    return tuple(sorted(G.bits.values())), {b: tuple(vs) for b, vs in by_sig.items()}
 
 
-def identify_component(comp: ComponentView) -> tuple[Partition, dict[str, str]] | None:
-    """Match a component of a type (n, n) graph against some G_lam.
+def identify_component(
+    G: SignedColoredGraph, vertices, m: int
+) -> tuple[Partition, dict[str, str]] | None:
+    """Match a piece of G against some G_lam with lam a partition of m: the
+    piece is read under colors 2..m-1 and at signature positions 1..m-1, so
+    a component of the (m, m)-restriction is identified on G itself.
 
     Candidates are pruned by vertex count and signature multiset, scanned in
-    dominance-descending order; the returned map sends component vertices to
-    tableau ids of the standard graph.  The map is forced from the least
-    vertex of the component, tried in id order against the vertices of G_lam
-    with its signature: the forced extension rejects any other image at its
-    first check, as every signature position is preserved.
+    dominance-descending order; the returned map sends the piece's vertices
+    to tableau ids of the standard graph, and it is returned only when the
+    piece is a whole component under those colors.  The map is forced from
+    the least vertex of the piece, tried in id order against the vertices
+    of G_lam with its signature: the forced extension rejects any other
+    image at its first check, as every position read is preserved.
     """
-    G = comp.graph
-    if G.n != G.N:
-        raise ValueError("identification requires a type (n, n) graph")
-    n = G.n
-    size = comp.size()
-    sigs = tuple(sorted(map(G.sigma.__getitem__, comp.vertices)))
-    anchor = min(comp.vertices)
-    members = set(comp.vertices)
-    for lam, count in _shapes(n):
-        if count != size:
+    if not 1 <= m <= G.n:
+        raise ValueError(f"degree {m} outside 1..{G.n}")
+    mask = (1 << (m - 1)) - 1
+    bits = G.bits
+    members = set(vertices)
+    sigs = tuple(sorted(bits[v] & mask for v in members))
+    anchor = min(members)
+    for lam, count in _shapes(m):
+        if count != len(members):
             continue
         target_sigs, by_sig = _targets(lam)
         if target_sigs != sigs:
             continue
         target = _standard_graph(lam)
-        images = by_sig[G.sigma[anchor]]
-        for found in anchored_maps(G, anchor, target, images, range(2, n), range(1, n)):
+        images = by_sig[bits[anchor] & mask]
+        for found in anchored_maps(G, anchor, target, images, range(2, m), range(1, m)):
             if found.keys() == members:
                 return lam, found
     return None
@@ -202,6 +207,6 @@ def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
     vertices with that vertex's signature."""
     G = _standard_graph(lam)
     anchor = min(G.sigma)
-    images = _targets(lam)[1][G.sigma[anchor]]
+    images = _targets(lam)[1][G.bits[anchor]]
     maps = anchored_maps(G, anchor, G, images, G.colors(), range(1, G.N))
     return sum(1 for _ in islice(maps, limit))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import Partition, dominance_ge
-from .graph import ComponentView, SignedColoredGraph, i_package
+from .graph import SignedColoredGraph, i_package
 from .standard import identify_component
 
 
@@ -208,7 +208,7 @@ class DefectSets:
 
 def package_all_flat(G: SignedColoredGraph, v: str, j: int) -> bool:
     """Every vertex of the j-package of v admits a flat j-edge."""
-    for u in i_package(G, v, j).vertices:
+    for u in i_package(G, v, j):
         if G.neighbor(u, j) is None or not is_flat_edge(G, u, j):
             return False
     return True
@@ -302,17 +302,16 @@ def _component_sign(G: SignedColoredGraph, vertices, position: int) -> int:
 
 def negatively_dominant(
     G: SignedColoredGraph, H_vertices, i: int
-) -> ComponentView | None:
+) -> tuple[str, ...] | None:
     """Choose the rewiring pivot inside one component H of the colors-below-
     (i+1) restriction: a minus-signed restricted component of dominance-
     maximal shape, or the overall dominance maximum when every sign is plus.
+    Each restricted component is identified on G at degree i.
     """
-    lower = frozenset(range(2, i))
-    pieces, _ = G.refine(H_vertices, lower)
-    slice_graph = G.restrict_full(i)
+    pieces, _ = G.refine(H_vertices, range(2, i))
     labeled: list[tuple[tuple[str, ...], Partition, int]] = []
     for piece in pieces:
-        ident = identify_component(ComponentView(slice_graph, lower, piece))
+        ident = identify_component(G, piece, i)
         if ident is None:
             raise StructureError(f"restricted component at {piece[0]!r} is not standard")
         labeled.append((piece, ident[0], _component_sign(G, piece, i + 1)))
@@ -320,5 +319,5 @@ def negatively_dominant(
     pool = minus if minus else labeled
     for piece, lam, _sign in pool:
         if all(dominance_ge(lam, other) for _, other, _ in pool):
-            return ComponentView(G, lower, piece)
+            return piece
     return None

@@ -36,7 +36,6 @@ from .axioms import (
     lsp_holds,
 )
 from .graph import (
-    ComponentView,
     GraphFormatError,
     SignedColoredGraph,
     _field,
@@ -260,26 +259,25 @@ def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
     return _rewire(G, i, G.neighbor(z, i - 2), G.neighbor(u, i - 2), through_edge=True)
 
 
-def theta_pivot(G: SignedColoredGraph, i: int, H_vertices) -> ComponentView:
+def theta_pivot(G: SignedColoredGraph, i: int, H_vertices) -> tuple[str, ...]:
     pivot = negatively_dominant(G, H_vertices, i)
     if pivot is None:
         raise TransformError("no negatively dominant restricted component")
     return pivot
 
 
-def apply_theta(
-    G: SignedColoredGraph, pivot: ComponentView, i: int
-) -> SignedColoredGraph:
+def apply_theta(G: SignedColoredGraph, pivot: str, i: int) -> SignedColoredGraph:
     """Split an axiom-6 violating component: i-edges between the components
     adjacent to the pivot and their isomorphic copies are swapped so the
-    pivot's neighborhood closes up."""
-    H = G.component_vertices(pivot.min_vertex(), range(2, i + 1))
+    pivot's neighborhood closes up.  The pivot is the component under
+    colors 2..i-1 of the vertex ``pivot``, which may be any of its vertices."""
+    H = G.component_vertices(pivot, range(2, i + 1))
     lower = tuple(range(2, i))
     comps, comp_of = G.refine(H, lower)
-    pivot_idx = comp_of[pivot.min_vertex()]
+    pivot_idx = comp_of[pivot]
 
     # H is closed under color i, so the i-partner of a vertex of H is in H
-    old = G.matching(i)
+    old = G._partners(i)
     adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}
     if not adjacent:
         raise TransformError("pivot component has no outgoing i-edges")
@@ -409,8 +407,7 @@ def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph
     if step.kind == "gamma":
         return apply_gamma(G, step.anchor, step.color)
     if step.kind == "theta":
-        pivot = G.component_of(step.anchor, range(2, step.color))
-        return apply_theta(G, pivot, step.color)
+        return apply_theta(G, step.anchor, step.color)
     raise ValueError(f"unknown step kind {step.kind!r}")
 
 
@@ -437,7 +434,12 @@ def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
 
 
 class PipelineAbort(Exception):
-    def __init__(self, message: str, graph: SignedColoredGraph, component=None):
+    """A run that cannot go on: the graph it stopped at and, when the
+    failure is local, the sorted vertices of the component at fault."""
+
+    def __init__(
+        self, message: str, graph: SignedColoredGraph, component: tuple[str, ...] | None = None
+    ):
         super().__init__(message)
         self.graph = graph
         self.component = component
@@ -497,7 +499,7 @@ def _resolve_defects(G, i, log, limit) -> SignedColoredGraph:
         found = _next_step(G, i, sets, seen)
         if found is None:
             bad = min(sets.W | sets.C)
-            comp = G.component_of(bad, (i - 2, i - 1, i) if i >= 4 else (i - 1, i))
+            comp = G.component_vertices(bad, (i - 2, i - 1, i) if i >= 4 else (i - 1, i))
             raise PipelineAbort(
                 f"color {i}: defects remain but no eligible rewiring preserves "
                 "local Schur positivity",
@@ -533,15 +535,15 @@ def _resolve_axiom6(G, i, log, limit, below, piece):
             raise PipelineAbort(f"step budget exhausted during splits at color {i}", G)
         if not at_i:
             raise PipelineAbort(f"axiom 6 fails below color {i}: {below[:2]}", G)
-        H_comp = G.component_of(at_i[0][1], range(2, i + 1))
+        H_comp = G.component_vertices(at_i[0][1], range(2, i + 1))
         try:
-            pivot = theta_pivot(G, i, H_comp.vertices)
+            pivot = theta_pivot(G, i, H_comp)[0]
             H = apply_theta(G, pivot, i)
         except (TransformError, StructureError) as e:
             raise PipelineAbort(f"color {i}: split failed: {e}", G, H_comp) from None
         if not _gate(H):
             raise PipelineAbort(f"color {i}: split broke local Schur positivity", G)
-        log.record(TransformStep("theta", i, pivot.min_vertex()), f"cover split at color {i}")
+        log.record(TransformStep("theta", i, pivot), f"cover split at color {i}")
         G = H
 
 
@@ -567,7 +569,7 @@ def _one_step(G, i, below, piece, log):
     except PipelineAbort as e:
         log.aborted = True
         log.diagnostic = str(e)
-        log.failure_graph = e.component.subgraph() if e.component else e.graph
+        log.failure_graph = e.graph.subgraph(e.component) if e.component else e.graph
         return e.graph, None
 
 
@@ -625,10 +627,8 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
     if G.n == G.N:
         components = []
         for comp in G.components(G.colors()):
-            ident = identify_component(comp)
-            components.append(
-                (ident[0] if ident else None, comp.min_vertex())
-            )
+            ident = identify_component(G, comp, G.n)
+            components.append((ident[0] if ident else None, comp[0]))
         certified = certified and all(lam is not None for lam, _ in components)
     if not certified:
         log.diagnostic = log.diagnostic or "result failed final certification"

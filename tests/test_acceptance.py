@@ -105,7 +105,7 @@ def test_criterion_3_classification():
     for name, degree, kind, k in cases:
         G = fixture(name)
         comp = G.components(G.colors())[0]
-        got = classify_small_component(comp, degree)
+        got = classify_small_component(G, comp, degree)
         if not (got.ok and got.kind == kind and got.k == k):
             problems.append(f"{name}: {got}")
     _report(3, "small-degree classification", problems)
@@ -123,15 +123,15 @@ def test_criterion_4_cover_counterexample():
     if exp.to_string() != "2*s[3,2,1]":
         problems.append(f"expansion {exp.to_string()}")
     H_comp = G.components(range(2, 6))[0]
-    pivot = theta_pivot(G, 5, H_comp.vertices)
-    H = apply_theta(G, pivot, 5)
+    pivot = theta_pivot(G, 5, H_comp)
+    H = apply_theta(G, pivot[0], 5)
     comps = H.components(range(2, 6))
     if len(comps) != 2:
         problems.append(f"{len(comps)} components after split")
     for comp in comps:
-        out = identify_component(comp)
+        out = identify_component(H, comp, H.n)
         if out is None or out[0] != (3, 2, 1):
-            problems.append(f"component at {comp.min_vertex()} identifies as {out}")
+            problems.append(f"component at {comp[0]} identifies as {out}")
     _report(4, "cover counterexample and split", problems)
 
 

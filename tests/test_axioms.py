@@ -169,13 +169,13 @@ class TestClassification:
     def test_fixture_forms(self, name, degree, kind, k):
         G = fixture(name)
         comp = G.components(G.colors())[0]
-        got = classify_small_component(comp, degree)
+        got = classify_small_component(G, comp, degree)
         assert got.ok and got.kind == kind and got.k == k
 
     def test_single_schur_component(self):
         G = build_standard_deg((3, 1))
         comp = G.components(G.colors())[0]
-        got = classify_small_component(comp, 4)
+        got = classify_small_component(G, comp, 4)
         assert got.ok and got.kind == "single" and got.lam == (3, 1)
 
     def test_hypothesis_violation_reported(self):
@@ -184,7 +184,7 @@ class TestClassification:
             4, 4, {"a": (1, 1, -1), "b": (-1, -1, 1)}, [(3, "a", "b")]
         )
         comp = G.components(G.colors())[0]
-        got = classify_small_component(comp, 4)
+        got = classify_small_component(G, comp, 4)
         assert not got.ok
 
     def test_degree6_props_on_corpus(self):
@@ -193,7 +193,7 @@ class TestClassification:
         for lam in enumerate_partitions(6):
             G = build_standard_deg(lam)
             comp = G.components(G.colors())[0]
-            got = classify_small_component(comp, 6)
+            got = classify_small_component(G, comp, 6)
             assert got.ok and got.kind == "single" and got.lam == lam
 
 

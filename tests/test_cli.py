@@ -9,6 +9,7 @@ from degraphs import cli
 from degraphs.cli import main
 from degraphs.fixtures import FIXTURES, fixture
 from degraphs.graph import SignedColoredGraph
+from degraphs.standard import build_standard_deg
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -215,6 +216,25 @@ class TestExpand:
         code, out, _ = run(capsys, ["expand", "-"], G2.to_text(), monkeypatch)
         assert code == 0
         assert "graded: q^3*s[3,2] + q^3*s[3,1,1] + q^3*s[2,2,1]" in out
+
+    def test_graded_output_names_a_component_that_is_not_standard(self, capsys, monkeypatch):
+        """fig8, one component matching no G_lam, beside a relabelled
+        G_(3,2): the graded line keeps the standard one and a warning names
+        the other instead of dropping it silently."""
+        F = fixture("fig8")
+        T = build_standard_deg((3, 2))
+        T = T.relabel({v: f"s:{v}" for v in T.vertices()})
+        stats = {**dict.fromkeys(F.sigma, 1), **dict.fromkeys(T.sigma, 2)}
+        G = SignedColoredGraph(
+            F.n, F.N, {**F.sigma, **T.sigma}, F.edge_triples() + T.edge_triples(), stats
+        )
+        code, out, _ = run(capsys, ["expand", "-"], G.to_text(), monkeypatch)
+        assert code == 0
+        assert out.splitlines() == [
+            "2*s[3,2]+s[3,1,1]+s[2,2,1]",
+            f"warning: component at {min(F.sigma)} is not a standard graph",
+            "graded: q^2*s[3,2]",
+        ]
 
     def test_nonsymmetric_reports_residual(self, capsys, monkeypatch):
         G = SignedColoredGraph(4, 4, {"a": (1, 1, -1)}, [])

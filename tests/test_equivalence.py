@@ -210,6 +210,25 @@ def test_split_inputs_take_the_split_path():
     assert [s.kind for s in runs["s199-n6k4"].steps].count("theta") == 2
 
 
+def test_theta_replays_from_any_vertex_of_the_pivot():
+    """A theta step names its pivot piece by the piece's least vertex, and
+    replaying it gives the same graph whichever vertex of the piece is the
+    anchor."""
+    splits = 0
+    for name, G in [("fig6", fixture("fig6"))] + split_inputs():
+        for step in full_pipeline(G).log.steps:
+            H = apply_step(G, step)
+            if step.kind == "theta":
+                piece = G.component_vertices(step.anchor, range(2, step.color))
+                assert step.anchor == piece[0] and len(piece) > 1, name
+                for v in piece[1:]:
+                    K = apply_step(G, TransformStep("theta", step.color, v))
+                    assert K == H, (name, v)
+                splits += 1
+            G = H
+    assert splits == 4
+
+
 # two uncapped n = 8 draws of ``random.Random(5)`` (25 draws of 4 shapes by
 # ``rng.choice(edge_shapes(8))``, sorted descending; unions of 150 vertices
 # or more scrambled with the same rng; see ``benchmarks/corpus.py``)
@@ -516,16 +535,16 @@ def reference_axiom4_witnesses(G):
     for i in range(3, G.n):
         for comp in G.components((i - 1, i)):
             if not reference_matches_template(
-                G, comp.vertices, {i - 1: "a", i: "b"}, (i - 2, i), axioms._TWO_COLOR_TEMPLATES
+                G, comp, {i - 1: "a", i: "b"}, (i - 2, i), axioms._TWO_COLOR_TEMPLATES
             ):
-                out.append((i, comp.min_vertex(), "two-color component not allowed"))
+                out.append((i, comp[0], "two-color component not allowed"))
     for i in range(4, G.n):
         for comp in G.components((i - 2, i - 1, i)):
             if not reference_matches_template(
-                G, comp.vertices, {i - 2: "a", i - 1: "b", i: "c"}, (i - 3, i),
+                G, comp, {i - 2: "a", i - 1: "b", i: "c"}, (i - 3, i),
                 axioms._THREE_COLOR_TEMPLATES,
             ):
-                out.append((i, comp.min_vertex(), "three-color component not allowed"))
+                out.append((i, comp[0], "three-color component not allowed"))
     return out
 
 
@@ -677,7 +696,7 @@ def reference_axiom6_witnesses(G):
     out = []
     for i in G.colors():
         for comp in G.components(range(2, i + 1)):
-            sub, node_of = G.refine(comp.vertices, range(2, i))
+            sub, node_of = G.refine(comp, range(2, i))
             adjacent = set()
             for u, w in G.matching(i).items():
                 if u in node_of and w in node_of:
@@ -732,7 +751,7 @@ def test_chained_axiom6_steps_match_per_component_checker():
             witnesses += at_top
             assert witnesses == reference_axiom6_witnesses(G.restrict(top + 1)), (G, top)
             comps = G.components(range(2, top + 1))
-            assert piece == {v: c.min_vertex() for c in comps for v in c.vertices}, (G, top)
+            assert piece == {v: c[0] for c in comps for v in c}, (G, top)
 
 
 def carry_inputs():
@@ -932,8 +951,7 @@ def test_component_walk_matches_stack_walk():
                 colors = range(lo, hi + 1)
                 want = reference_components(G, colors)
                 comps = G.components(colors)
-                assert [c.vertices for c in comps] == want, (G, colors)
-                assert {c.colors for c in comps} <= {frozenset(colors)}
+                assert comps == want, (G, colors)
                 for piece in want:
                     assert G.component_vertices(piece[-1], colors) == piece
                 # each component under colors lo..hi, split by the colors
@@ -1054,7 +1072,7 @@ def test_package_isomorphism_covers_the_package():
                     for b in group[:3]:
                         m = transform.package_isomorphism(G, a, b, i)
                         if m is not None:
-                            assert set(m) == set(i_package(G, a, i).vertices)
+                            assert set(m) == set(i_package(G, a, i))
                             fits += a != b
     assert fits > 0
 
@@ -1512,22 +1530,21 @@ def reference_count_component_isomorphisms(G, gverts, H, hverts, colors, positio
     return found
 
 
-def reference_identify_component(comp):
+def reference_identify_component(G, vertices):
     """Every lam of n with the component's size and signature multiset, in
     dominance-descending order, tried at every vertex of G_lam."""
-    G = comp.graph
     if G.n != G.N:
         raise ValueError("identification requires a type (n, n) graph")
     n = G.n
-    sigs = sorted(G.sigma[v] for v in comp.vertices)
+    sigs = sorted(G.sigma[v] for v in vertices)
     for lam in enumerate_partitions(n):
-        if count_syt(lam) != comp.size():
+        if count_syt(lam) != len(vertices):
             continue
         target = _standard_graph(lam)
         if sorted(target.sigma.values()) != sigs:
             continue
         found = reference_count_component_isomorphisms(
-            G, comp.vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
+            G, vertices, target, target.vertices(), range(2, n), range(1, n), limit=1
         )
         if found:
             return lam, found[0]
@@ -1585,12 +1602,10 @@ def test_template_keys_match_keyed_templates():
                 sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
                 for comp in G.components(colors):
                     want = lo >= 1 and reference_shape_key(
-                        sl, [G._partners(c) for c in colors], comp.vertices
+                        sl, [G._partners(c) for c in colors], comp
                     ) in reference_template_keys(templates)
-                    got = _component_matches_template(
-                        G, comp.vertices, roles, (lo, i), templates
-                    )
-                    assert got == want, (G, i, comp.vertices)
+                    got = _component_matches_template(G, comp, roles, (lo, i), templates)
+                    assert got == want, (G, i, comp)
                     matched[want] += 1
     assert matched[True] and matched[False]
 
@@ -1598,20 +1613,29 @@ def test_template_keys_match_keyed_templates():
 def test_identification_matches_the_scan():
     """The same (lam, map), the map's order included, or None on both sides,
     for every component of every type (n, n) graph above and of its
-    restrictions, which is where the pivot choice identifies."""
-    seen = Counter()
+    restrictions, which is where the pivot choice identifies.  A piece of
+    the (m, m)-restriction identifies on G itself at degree m exactly as on
+    the restricted copy."""
+    seen, pieces = Counter(), Counter()
     for G in certification_graphs():
         if G.n != G.N:
             continue
         for H in [G] + [G.restrict_full(m) for m in range(3, G.n)]:
             for comp in H.components(H.colors()):
-                want = reference_identify_component(comp)
-                got = identify_component(comp)
-                assert got == want, (G, comp.vertices)
+                want = reference_identify_component(H, comp)
+                got = identify_component(H, comp, H.n)
+                assert got == want, (G, comp)
                 if want is not None:
                     assert list(got[1].items()) == list(want[1].items())
                 seen[want is not None] += 1
+                if H is not G:
+                    direct = identify_component(G, comp, H.n)
+                    assert direct == got, (G, H.n, comp)
+                    if got is not None:
+                        assert list(direct[1].items()) == list(got[1].items())
+                    pieces[got is not None] += 1
     assert seen[True] and seen[False]
+    assert pieces[True] and pieces[False]
 
 
 # ---------------------------------------------------------------------------
@@ -1624,10 +1648,10 @@ def reference_theta(G, pivot, i):
     i-joined to the ring, up to two maps onto each piece adjacent to the
     pivot with its signature multiset.  Returns those lists of maps and the
     split graph, or the lists and the TransformError message."""
-    H = G.component_vertices(pivot.min_vertex(), range(2, i + 1))
+    H = G.component_vertices(pivot, range(2, i + 1))
     lower = tuple(range(2, i))
     comps, comp_of = G.refine(H, lower)
-    pivot_idx = comp_of[pivot.min_vertex()]
+    pivot_idx = comp_of[pivot]
     old = G.matching(i)
     adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}
     if not adjacent:
@@ -1696,8 +1720,8 @@ def test_theta_twins_match_the_component_count(monkeypatch):
             got = transform.apply_theta(G, pivot, i)
         except TransformError as e:
             got = str(e)
-        assert got == want, (G, pivot.vertices, i)
-        assert tried == twins, (G, pivot.vertices, i)
+        assert got == want, (G, pivot, i)
+        assert tried == twins, (G, pivot, i)
         outcomes[type(want).__name__] += 1
     assert outcomes["SignedColoredGraph"] and outcomes["str"]
 
@@ -1821,9 +1845,9 @@ def test_unchanged_output_rechecks_only_axioms_4_and_6(monkeypatch):
     identified, stepped = [], []
     real_step = transform._one_step
 
-    def identify(comp):
-        identified.append(comp.min_vertex())
-        return identify_component(comp)
+    def identify(G, comp, m):
+        identified.append(comp[0])
+        return identify_component(G, comp, m)
 
     def step(G, i, *rest):
         stepped.append(i)
@@ -1864,7 +1888,7 @@ def test_certification_decides_as_the_full_check():
             continue
         H = res.graph
         want = axioms.is_dual_equivalence_graph(H) and (
-            H.n != H.N or all(identify_component(c) for c in H.components(H.colors()))
+            H.n != H.N or all(identify_component(H, c, H.n) for c in H.components(H.colors()))
         )
         assert res.certified == want
         outcomes[want] += 1
@@ -1903,8 +1927,8 @@ def reference_full_pipeline(G, *, stop_at=None):
     if G.n == G.N:
         components = []
         for comp in G.components(G.colors()):
-            ident = identify_component(comp)
-            components.append((ident[0] if ident else None, comp.min_vertex()))
+            ident = identify_component(G, comp, G.n)
+            components.append((ident[0] if ident else None, comp[0]))
         certified = certified and all(lam is not None for lam, _ in components)
     if not certified:
         log.diagnostic = log.diagnostic or "result failed final certification"
@@ -2117,8 +2141,8 @@ def test_integer_checks_match_the_tuple_reads(seed):
         for i in range(m - 1, G.n):
             window = (i - (m - 2), i)
             for comp in G.components(range(i - (m - 3), i + 1)):
-                got = axioms._component_violation(G, comp.vertices, window)
-                assert got == reference_component_violation(G, comp.vertices, window)
+                got = axioms._component_violation(G, comp, window)
+                assert got == reference_component_violation(G, comp, window)
     vertices = G.vertices()
     for _ in range(5):
         seeds = {rng.choice(vertices): rng.choice(vertices)}

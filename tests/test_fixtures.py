@@ -79,7 +79,7 @@ class TestFig6:
     def test_restriction_pairs_up(self):
         G = fixture("fig6")
         comps = G.restrict(5).components(range(2, 5))
-        sizes = sorted(c.size() for c in comps)
+        sizes = sorted(len(c) for c in comps)
         assert sizes == [5, 5, 5, 5, 6, 6]  # shapes (3,2), (2,2,1) twice, (3,1,1) twice
 
 

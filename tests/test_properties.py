@@ -72,7 +72,7 @@ class TestFlatnessEquivalences:
             for i in range(4, G.n):
                 ok = all(
                     _component_matches_template(
-                        G, c.vertices, {i - 3: "a", i - 2: "b"}, (i - 4, i - 2),
+                        G, c, {i - 3: "a", i - 2: "b"}, (i - 4, i - 2),
                         _TWO_COLOR_TEMPLATES,
                     )
                     for c in G.components((i - 3, i - 2))

@@ -36,7 +36,7 @@ def run_script(*argv):
         (("run_fixture_pipelines.py", "--skip-large"),
          "  steps: phi_3@b1, phi_3@t3, phi_4@b3, phi_4@t2", None),
         (("survey_standard_graphs.py", "--max-n", "5"),
-         "           3,2     5      ok       ok     none      1 s[3,2]",
+         "           3,2     5      ok       ok     none     ok      1 s[3,2]",
          r"elapsed: build \d+\.\d\ds, check \d+\.\d\ds"),
     ],
     ids=["run_fixture_pipelines", "survey_standard_graphs"],

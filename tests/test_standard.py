@@ -12,7 +12,6 @@ from degraphs.combinatorics import (
     sig_str,
     tableau_from_id,
 )
-from degraphs.graph import ComponentView
 from degraphs.standard import (
     AugmentingTableau,
     build_augmented_deg,
@@ -92,7 +91,7 @@ class TestAugmented:
         assert (G.n, G.N) == (4, 5)
         R = G.restrict_full(4)
         comp = R.components(range(2, 4))[0]
-        out = identify_component(comp)
+        out = identify_component(R, comp, 4)
         assert out is not None and out[0] == lam
 
     def test_every_component_of_restriction_is_standard(self):
@@ -101,7 +100,7 @@ class TestAugmented:
             G = build_augmented_deg(lam, single_cell_augmentation(lam, row))
             R = G.restrict_full(n)
             for comp in R.components(range(2, n)):
-                out = identify_component(comp)
+                out = identify_component(R, comp, n)
                 assert out is not None and out[0] == lam
 
     @pytest.mark.parametrize("row", [-1, -2, 3])
@@ -154,14 +153,12 @@ class TestIdentify:
         for n in range(2, 7):
             for lam in enumerate_partitions(n):
                 G, _ = relabel_random(build_standard_deg(lam), rng)
-                comp = ComponentView(G, frozenset(G.colors()), G.vertices())
-                out = identify_component(comp)
+                out = identify_component(G, G.vertices(), G.n)
                 assert out is not None and out[0] == lam
 
     def test_identification_map_is_isomorphism(self, rng):
         G, _ = relabel_random(build_standard_deg((3, 2, 1)), rng)
-        comp = ComponentView(G, frozenset(G.colors()), G.vertices())
-        lam, mapping = identify_component(comp)
+        lam, mapping = identify_component(G, G.vertices(), G.n)
         target = build_standard_deg(lam)
         for c, u, w in G.edge_triples():
             assert target.neighbor(mapping[u], c) == mapping[w]
@@ -172,14 +169,18 @@ class TestIdentify:
         from degraphs.fixtures import fixture
 
         G = fixture("fig6")
-        comp = ComponentView(G, frozenset(G.colors()), G.vertices())
-        assert identify_component(comp) is None
+        assert identify_component(G, G.vertices(), G.n) is None
 
     def test_single_all_plus_vertex(self):
         G = build_standard_deg((4,))
-        comp = ComponentView(G, frozenset(G.colors()), G.vertices())
-        out = identify_component(comp)
+        out = identify_component(G, G.vertices(), G.n)
         assert out is not None and out[0] == (4,)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_degree_outside_the_colors_rejected(self, m):
+        G = build_standard_deg((3, 1))
+        with pytest.raises(ValueError, match=rf"^degree {m} outside 1\.\.4$"):
+            identify_component(G, G.vertices(), m)
 
 
 class TestRigidity:

@@ -4,7 +4,6 @@ import pytest
 
 from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture
-from degraphs.graph import ComponentView
 from degraphs.standard import build_standard_deg, single_cell_augmentation, build_augmented_deg
 from degraphs.structure import (
     StructureError,
@@ -153,7 +152,7 @@ class TestDefectSets:
                 if i >= 4:
                     ok = all(
                         _component_matches_template(
-                            G, c.vertices, {i - 2: "a", i - 1: "b"}, (i - 3, i - 1),
+                            G, c, {i - 2: "a", i - 1: "b"}, (i - 3, i - 1),
                             _TWO_COLOR_TEMPLATES,
                         )
                         for c in G.components((i - 2, i - 1))
@@ -198,44 +197,38 @@ class TestNegativelyDominant:
     def test_fig6_picks_maximal_shape(self):
         G = fixture("fig6")
         H = G.components(range(2, 6))[0]
-        pivot = negatively_dominant(G, H.vertices, 5)
+        pivot = negatively_dominant(G, H, 5)
         assert pivot is not None
         from degraphs.standard import identify_component
 
-        slice5 = G.restrict_full(5)
-        lam, _ = identify_component(
-            ComponentView(slice5, frozenset(range(2, 5)), pivot.vertices)
-        )
+        lam, _ = identify_component(G, pivot, 5)
         assert lam == (3, 2)
 
     def test_single_component(self):
         G = build_standard_deg((3, 2))
         H = G.components(range(2, 5))[0]
-        pivot = negatively_dominant(G, H.vertices, 4)
+        pivot = negatively_dominant(G, H, 4)
         assert pivot is not None
-        assert set(pivot.vertices) <= set(H.vertices)
+        assert set(pivot) <= set(H)
 
     def test_augmented_mixed_signs(self):
         # type (4, 5): the sign at position 4 separates the restricted
         # components, so the minus branch must win over dominance
         G = build_augmented_deg((3, 1), single_cell_augmentation((3, 1), 1))
         H = G.components(range(2, 4))[0]
-        pivot = negatively_dominant(G, H.vertices, 3)
+        pivot = negatively_dominant(G, H, 3)
         assert pivot is not None
-        assert {G.sigma[v][3] for v in pivot.vertices} == {-1}
-        assert pivot.size() == 2  # the minus-signed pair, not the plus singleton
+        assert {G.sigma[v][3] for v in pivot} == {-1}
+        assert len(pivot) == 2  # the minus-signed pair, not the plus singleton
 
     def test_all_plus_branch_takes_dominance_maximum(self):
         G = build_augmented_deg((3, 2), single_cell_augmentation((3, 2), 0))
         H = G.components(range(2, 5))[0]
-        pivot = negatively_dominant(G, H.vertices, 4)
+        pivot = negatively_dominant(G, H, 4)
         assert pivot is not None
         from degraphs.standard import identify_component
 
-        slice4 = G.restrict_full(4)
-        lam, _ = identify_component(
-            ComponentView(slice4, frozenset(range(2, 4)), pivot.vertices)
-        )
+        lam, _ = identify_component(G, pivot, 4)
         assert lam == (3, 1)
 
     def test_unidentifiable_raises(self):

@@ -193,7 +193,7 @@ class TestGamma:
             K = apply_phi(H, "a1", 4)
             comps = K.components((2, 3, 4))
             assert len(comps) == 2
-            got = {classify_small_component(c, 5).lam for c in comps}
+            got = {classify_small_component(K, c, 5).lam for c in comps}
             assert got == {want}
 
     def test_precondition_flat_edge(self):
@@ -206,13 +206,13 @@ class TestTheta:
     def test_fig6_split(self):
         G = fixture("fig6")
         H_comp = G.components(range(2, 6))[0]
-        pivot = theta_pivot(G, 5, H_comp.vertices)
-        H = apply_theta(G, pivot, 5)
+        pivot = theta_pivot(G, 5, H_comp)
+        H = apply_theta(G, pivot[0], 5)
         preserved_apart_from_color(G, H, 5)
         comps = H.components(range(2, 6))
         assert len(comps) == 2
         for comp in comps:
-            out = identify_component(comp)
+            out = identify_component(H, comp, H.n)
             assert out is not None and out[0] == (3, 2, 1)
         for k in range(1, 7):
             assert check_axiom(H, k).holds, k
@@ -238,12 +238,12 @@ class TestTheta:
         GG = SignedColoredGraph(6, 6, double, triples)
         assert not check_axiom(GG, 6).holds
         H_comp = GG.components(range(2, 6))[0]
-        pivot = theta_pivot(GG, 5, H_comp.vertices)
-        HH = apply_theta(GG, pivot, 5)
+        pivot = theta_pivot(GG, 5, H_comp)
+        HH = apply_theta(GG, pivot[0], 5)
         comps = HH.components(range(2, 6))
         assert len(comps) == 2
         for comp in comps:
-            out = identify_component(comp)
+            out = identify_component(HH, comp, HH.n)
             assert out is not None and out[0] == (3, 2, 1)
 
 
