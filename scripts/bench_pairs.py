@@ -17,9 +17,12 @@ parent's median) is flagged.  A metric whose parent runs spread wider than
 its bound (quartile distance over median) is marked UNRESOLVED, since
 pairs that noisy cannot show it unchanged, unless every run of the change
 is better than every run of the parent.  With ``--workload`` given more
-than once, the workloads run one after another, one table each.  Nothing under
-``benchmarks/`` is written to; the run length defaults to the benchmark's
-own.
+than once, the workloads run one after another, one table each.  Under
+each table it prints the ``results digest:`` line of the parent's runs and
+of the change's, and ``OUTPUT DIFFERS`` when they differ, so that a change
+claimed to leave every output unchanged is checked on the seed of the
+pairs too.  Nothing under ``benchmarks/`` is written to; the run length
+defaults to the benchmark's own.
 """
 
 from __future__ import annotations
@@ -101,8 +104,11 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, default_seed: int) -> dict:
-    """The end-to-end metrics of one run, {name: value}."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, default_seed: int
+) -> tuple[dict, str | None]:
+    """The end-to-end metrics of one run, {name: value}, and its results
+    digest (None when the run printed none)."""
     argv = [
         sys.executable, "benchmarks/run.py", "--default-seed", str(default_seed),
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -114,7 +120,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, default_s
     doc = json.loads(lines[-1])
     if not doc["correct"]:
         raise SystemExit(f"error: run in {checkout} reported failures:\n{proc.stdout}")
-    return {name: m["value"] for name, m in doc["metrics"].items()}
+    digests = [line.split(":", 1)[1].strip() for line in lines if line.startswith("results digest:")]
+    metrics = {name: m["value"] for name, m in doc["metrics"].items()}
+    return metrics, digests[-1] if digests else None
+
+
+def digest_line(workload: str, parent: list, change: list) -> str:
+    """The results digests each side's runs printed, and ``OUTPUT
+    DIFFERS`` when the two sides' digests are not the same."""
+    sides = [sorted({str(d) for d in digests}) for digests in (parent, change)]
+    line = f"{workload} results digest: parent {', '.join(sides[0])}; change {', '.join(sides[1])}"
+    return line + ("; OUTPUT DIFFERS" if sides[0] != sides[1] else "")
 
 
 def main(argv=None) -> int:
@@ -134,16 +150,19 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     for workload in args.workload:
-        parent, change = [], []
+        parent, change, parent_digests, change_digests = [], [], [], []
         for k in range(args.pairs):
-            sides = [(args.parent, parent), (args.change, change)]
-            for checkout, runs in sides if k % 2 == 0 else sides[::-1]:
-                runs.append(run_once(checkout, workload, args.seed, seconds, default_seed))
+            sides = [(args.parent, parent, parent_digests), (args.change, change, change_digests)]
+            for checkout, runs, digests in sides if k % 2 == 0 else sides[::-1]:
+                metrics, digest = run_once(checkout, workload, args.seed, seconds, default_seed)
+                runs.append(metrics)
+                digests.append(digest)
             print(f"{workload} pair {k + 1}: " + ", ".join(
                 f"{name} {parent[-1][name]:.4g} -> {change[-1][name]:.4g}" for name in better
             ), flush=True)
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
-        print(format_rows(summarize(parent, change, better, bounds)), flush=True)
+        print(format_rows(summarize(parent, change, better, bounds)))
+        print(digest_line(workload, parent_digests, change_digests), flush=True)
     return 0
 
 

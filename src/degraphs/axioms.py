@@ -2,18 +2,21 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Every check that compares signature positions reads the graph's integer
-signatures, ``G.bits`` (bit p set where position p + 1 is -1).  Axioms 1, 2
-and 3 take one mask test per vertex or edge and read the positions one by
-one only where it fails, to word the witness.  Axiom 4 is checked by
-lookup: each vertex gets a local code at a window, its slice packed with
-its partners' slices.  A two- or three-color component is keyed by its
-sorted codes, and the key must be one of the allowed components'
-(templates', as listed or globally sign-flipped), coded the same way.  For
-n >= 5 the three-color components decide axiom 4: each two-color component
-lies inside the three-color component at window max(i, 4), and each
-three-color template restricts to allowed two-color components at both of
-its sub-windows (``tests/test_axioms.py``,
+Every checker reads the graph's positional index (``graph``): vertices are
+positions in id order, each color a partner list, each signature one
+integer (bit p set where position p + 1 is -1).  Ids appear only in the
+witnesses, ordered by least vertex, and for axioms 2 and 3 in
+``edge_triples`` order, which is read off the partner maps only to word a
+failing edge.  Axioms 1, 2 and 3 take one mask test per vertex or edge and
+read the positions one by one only where it fails, to word the witness.
+Axiom 4 is checked by lookup: each vertex gets a local code at a window,
+its slice packed with its partners' slices.  A two- or three-color
+component is keyed by its sorted codes, and the key must be one of the
+allowed components' (templates', as listed or globally sign-flipped),
+coded the same way.  For n >= 5 the three-color components decide axiom 4:
+each two-color component lies inside the three-color component at window
+max(i, 4), and each three-color template restricts to allowed two-color
+components at both of its sub-windows (``tests/test_axioms.py``,
 ``test_three_color_templates_hold_two_color_axiom4``), so the two-color
 pass runs only to word the witnesses.  This keeps the axiom checkers
 independent of the symmetric function code, so agreement between axiom
@@ -25,8 +28,10 @@ slices.
 first three-color one); ``full_pipeline`` checks axioms 4 and 6 on its
 input that way.  A graph derived from a verified one has axioms 1, 2, 3 and
 5 and the window positivity re-checked only on ``_changed_scope``, {color:
-the vertices whose partner there changed}: in the LSP report, in the gate
-(``lsp_holds``) and in ``is_dual_equivalence_graph(G, base)``.
+the positions whose partner there changed}: in the LSP report, in the gate
+(``lsp_holds``) and in ``is_dual_equivalence_graph(G, base)``.  The
+supplementary axioms 4a and 4b read the defect sets and chains of
+``structure``, which still walk the string-keyed partner maps.
 """
 
 from __future__ import annotations
@@ -89,19 +94,20 @@ _THREE_COLOR_TEMPLATES = (
 )
 
 
-def _window_codes(bits, partners, lo: int, width: int) -> dict:
-    """Each vertex's local code at the window of ``width`` positions from
-    ``lo``: its slice in the low ``width`` bits, then, for each partner map
-    in turn, ``width + 1`` bits holding its partner's slice plus one (0 for
-    no partner).  So two vertices share a code exactly when their slices
-    and their partners' slices agree; one pass over each map sets them."""
+def _window_codes(bits, partners, lo: int, width: int) -> list[int]:
+    """Each position's local code at the window of ``width`` positions from
+    ``lo``, ``bits`` being the signature bits by position: its slice in the
+    low ``width`` bits, then, for each partner list in turn, ``width + 1``
+    bits holding its partner's slice plus one (0 for no partner).  So two
+    vertices share a code exactly when their slices and their partners'
+    slices agree; one pass over each list sets them."""
     mask, low = (1 << width) - 1, lo - 1
-    sl = {v: (b >> low) & mask for v, b in bits.items()}
-    code = sl.copy()
+    code = [(b >> low) & mask for b in bits]
+    # each slice plus one, and a last entry 0 that partner -1 reads
+    above = [c + 1 for c in code] + [0]
     shift = width
-    for m in partners:
-        for u, w in m.items():
-            code[u] += (sl[w] + 1) << shift
+    for a in partners:
+        code = [c + (above[w] << shift) for c, w in zip(code, a)]
         shift += width + 1
     return code
 
@@ -118,16 +124,15 @@ def _component_key(code, vertices) -> tuple:
 @lru_cache(maxsize=None)
 def _template_keys(templates) -> frozenset:
     """The ``_component_key`` of each template, as listed and globally
-    flipped, with the roles in alphabetical order as the partner maps."""
+    flipped, with the roles in alphabetical order as the partner lists."""
     keys = set()
     roles = sorted({role for edges, _ in templates for *_, role in edges})
     for edges, sigs in templates:
-        partner = {role: {} for role in roles}
+        partner = {role: [-1] * len(sigs) for role in roles}
         for a, b, role in edges:
-            partner[role].update({a: b, b: a})
+            partner[role][a], partner[role][b] = b, a
         for flip in (1, -1):
-            sigma = {k: tuple(flip * x for x in sig_from_str(t)) for k, t in enumerate(sigs)}
-            bits = {k: signature_bits(sig) for k, sig in sigma.items()}
+            bits = [signature_bits(tuple(flip * x for x in sig_from_str(t))) for t in sigs]
             code = _window_codes(bits, [partner[r] for r in roles], 1, len(sigs[0]))
             keys.add(_component_key(code, range(len(sigs))))
     return frozenset(keys)
@@ -138,11 +143,11 @@ def _template_keys(templates) -> frozenset:
 
 
 def _scope(G: SignedColoredGraph, colors) -> dict:
-    """{color: the vertices to check there, or None for all}: every color
+    """{color: the positions to check there, or None for all}: every color
     of G when ``colors`` is None, or each listed color whole.  A
-    ``{color: set of vertices}`` map, such as ``_changed_scope``, is taken
-    as it is; its vertices must hold both ends of each of their edges, as
-    the vertices whose partner changed do."""
+    ``{color: set of positions}`` map, such as ``_changed_scope``, is taken
+    as it is; its positions must hold both ends of each of their edges, as
+    the positions whose partner changed do."""
     if colors is None:
         colors = G.colors()
     return colors if isinstance(colors, dict) else dict.fromkeys(colors)
@@ -153,49 +158,55 @@ def _check_axiom1(G: SignedColoredGraph, colors=None):
     i-2 of ``b ^ b >> 1`` is set, b the signature bits.  At whole colors
     each vertex takes one mask test against the colors it has edges in."""
     scope = _scope(G, colors)
-    suspects = {v for vs in scope.values() if vs is not None for v in vs}
-    whole = [i for i, vs in scope.items() if vs is None]
+    bits = G.pbits
+    suspects = {p for ps in scope.values() if ps is not None for p in ps}
+    whole = [i for i, ps in scope.items() if ps is None]
     if whole:
-        edged = dict.fromkeys(G.sigma, 0)  # bit i-2 set where v has an i-edge
+        edged = [0] * len(bits)  # bit i-2 set where the vertex has an i-edge
         for i in whole:
-            for v in G._partners(i):
-                edged[v] |= 1 << (i - 2)
+            bit = 1 << (i - 2)
+            edged = [e | bit if w >= 0 else e for e, w in zip(edged, G.partner[i])]
         cmask = sum(1 << (i - 2) for i in whole)
-        suspects.update(v for v, b in G.bits.items() if (b ^ b >> 1) & cmask != edged[v])
-    for v in sorted(suspects):
-        s = G.sigma[v]
-        for i, vs in scope.items():
-            if vs is not None and v not in vs:
+        suspects.update(
+            p for p, (b, e) in enumerate(zip(bits, edged)) if (b ^ b >> 1) & cmask != e
+        )
+    for p in sorted(suspects):
+        b = bits[p] ^ bits[p] >> 1
+        for i, ps in scope.items():
+            if ps is not None and p not in ps:
                 continue
-            wants_edge = s[i - 2] == -s[i - 1]
-            has_edge = v in G._partners(i)
-            if wants_edge != has_edge:
-                yield (i, v, "edge present" if has_edge else "edge missing")
+            has_edge = G.partner[i][p] >= 0
+            if bool(b >> (i - 2) & 1) != has_edge:
+                yield (i, G.ids[p], "edge present" if has_edge else "edge missing")
 
 
 def _edges(G: SignedColoredGraph, colors):
-    """(i, the i-edges (u, w) with u < w) for each color of the scope, in
-    ``edge_triples`` order; at a color given with vertices (a set), only the
-    edges at them, in the same order."""
-    for i, vs in _scope(G, colors).items():
-        m = G._partners(i)
-        if vs is None:
-            yield i, [(u, w) for u, w in m.items() if u < w]
-        else:
-            yield i, [(u, w) for u, w in m.items() if u < w and u in vs]
+    """(i, the i-partner list, the positions to read) for each color of the
+    scope: every position at a whole color, else the given ones (a set).
+    An i-edge (u, w) is read at its lesser end, u < w."""
+    every = range(len(G.ids))
+    for i, ps in _scope(G, colors).items():
+        yield i, G.partner[i], every if ps is None else ps
+
+
+def _in_edge_order(G: SignedColoredGraph, i: int, edges) -> list[tuple[str, str]]:
+    """The i-edges among the position pairs ``edges``, as id pairs in
+    ``edge_triples`` order, in which the witnesses are worded."""
+    ids = G.ids
+    wanted = {(ids[u], ids[w]) for u, w in edges}
+    return [(u, w) for u, w in G._adj[i].items() if (u, w) in wanted] if wanted else []
 
 
 def _check_axiom2(G: SignedColoredGraph, colors=None):
     """An i-edge reverses positions i-1 and i and keeps every position
     outside i-2..i+1: one mask test on the xor of its ends' bits, and the
     positions are read one by one only where that test fails."""
-    bits, full = G.bits, (1 << (G.N - 1)) - 1
-    for i, edges in _edges(G, colors):
+    bits, full = G.pbits, (1 << (G.N - 1)) - 1
+    for i, a, at in _edges(G, colors):
         flip = 3 << (i - 2)
         tested = full & ~((1 << (i + 1)) - (1 << max(i - 3, 0))) | flip
-        for u, w in edges:
-            if (bits[u] ^ bits[w]) & tested == flip:
-                continue
+        bad = [(u, w) for u in at if u < (w := a[u]) and (bits[u] ^ bits[w]) & tested != flip]
+        for u, w in _in_edge_order(G, i, bad):
             su, sw = G.sigma[u], G.sigma[w]
             for j in (i - 1, i):
                 if su[j - 1] != -sw[j - 1]:
@@ -210,14 +221,17 @@ def _check_axiom3(G: SignedColoredGraph, colors=None):
     differs from its sign at position i-1 (i).  Bit q of ``~(b ^ b >> 1)``
     is set where an end's bits q and q+1 agree, so one mask test per edge
     finds every edge that breaks this, and only those are read again."""
-    bits = G.bits
-    for i, edges in _edges(G, colors):
+    bits = G.pbits
+    for i, a, at in _edges(G, colors):
         low, high = (1 << (i - 3) if i >= 3 else 0), 1 << i
-        for u, w in edges:
-            bu, bw = bits[u], bits[w]
-            agree = ~(bu ^ bu >> 1) | ~(bw ^ bw >> 1)
-            if not (bu ^ bw) & (agree & low | agree << 1 & high):
-                continue
+        bad = []
+        for u in at:
+            if u < (w := a[u]):
+                bu, bw = bits[u], bits[w]
+                agree = ~(bu ^ bu >> 1) | ~(bw ^ bw >> 1)
+                if (bu ^ bw) & (agree & low | agree << 1 & high):
+                    bad.append((u, w))
+        for u, w in _in_edge_order(G, i, bad):
             for a, b in ((u, w), (w, u)):
                 sa, sb = G.sigma[a], G.sigma[b]
                 if i - 2 >= 1 and sa[i - 3] == -sb[i - 3] and sa[i - 3] != -sa[i - 2]:
@@ -239,14 +253,14 @@ def _axiom4_pass(G: SignedColoredGraph, width: int):
     ending at i."""
     templates, what = _AXIOM4_KINDS[width]
     allowed = _template_keys(templates)
-    order = G.vertices()
+    order = range(len(G.ids))
     for i in range(width, G.n):
         lo = i - width + 1
         colors = range(lo + 1, i + 1)
-        code = _window_codes(G.bits, [G._partners(c) for c in colors], lo, width)
+        code = _window_codes(G.pbits, [G.partner[c] for c in colors], lo, width)
         for comp in G._walk(order, colors):
             if _component_key(code, comp) not in allowed:
-                yield (i, comp[0], f"{what} component not allowed")
+                yield (i, G.ids[comp[0]], f"{what} component not allowed")
 
 
 def _check_axiom4(G: SignedColoredGraph):
@@ -272,74 +286,74 @@ def _check_axiom5(G: SignedColoredGraph, colors=None):
     """Commutation of colors i and j, j - i >= 3; with ``colors``, only the
     pairs with a color among them.  The test at v reads the i- and
     j-partners of v and the j-partner of E_i(v), the i-partner of E_j(v), so
-    at a color given with vertices only those vertices and their partners in
-    the pair's other color are tested."""
+    at a color given with positions only those positions and their partners
+    in the pair's other color are tested."""
     scope = _scope(G, colors)
-    maps = {i: G._partners(i) for i in G.colors()}
-    for i, mi in maps.items():
+    lists = G.partner
+    for i, mi in lists.items():
         every = None
-        for j, mj in maps.items():
+        for j, mj in lists.items():
             if j - i < 3 or (i not in scope and j not in scope):
                 continue
             if any(c in scope and scope[c] is None for c in (i, j)):
-                every = order = every or sorted(mi)
+                every = order = every or [v for v, a in enumerate(mi) if a >= 0]
             else:
                 at = ((scope.get(i), mj), (scope.get(j), mi))
-                near = {y for vs, other in at for x in vs or () for y in (x, other.get(x))}
-                order = sorted(v for v in near if v in mi)
-            for v in order:
-                a, b = mi[v], mj.get(v)
-                if b is not None and (mj.get(a) is None or mj.get(a) != mi.get(b)):
-                    yield (i, j, v, "colors do not commute")
+                near = {y for ps, other in at for x in ps or () for y in (x, other[x])}
+                order = sorted(v for v in near if v >= 0 and mi[v] >= 0)
+            # E_j E_i(v) must exist and be E_i E_j(v) wherever E_j(v) does
+            bad = [v for v in order if (b := mj[v]) >= 0 and not 0 <= mj[mi[v]] == mi[b]]
+            for v in bad:
+                yield (i, j, G.ids[v], "colors do not commute")
 
 
-def _find(parent: dict[str, str], p: str) -> str:
-    """Root of p in a union-find holding an entry for non-roots only."""
-    while p in parent:
-        q = parent[p]
-        if q in parent:
-            parent[p] = q = parent[q]
-        p = q
-    return p
-
-
-def _axiom6_at(G: SignedColoredGraph, i: int, piece: dict[str, str]):
+def _axiom6_at(G: SignedColoredGraph, i: int, piece: list[int]):
     """The axiom-6 witnesses at color i, and the pieces under colors 2..i.
 
-    ``piece[v]`` is the least vertex of v's component under colors 2..i-1
-    (its piece).  The components under colors 2..i are exactly these pieces
-    joined along the i-edges, so one pass over the i-matching records which
-    pairs of pieces an i-edge joins and unions them; each component's
-    missing pairs are the witnesses, components by least vertex and pieces
-    by least vertex inside each.
+    ``piece[p]`` is the least position of p's component under colors
+    2..i-1 (its piece).  The components under colors 2..i are exactly these
+    pieces joined along the i-edges, so one pass over the i-partner list
+    records which pairs of pieces an i-edge joins, and a walk over those
+    pairs joins the pieces.  Each component's missing pairs are the
+    witnesses, components by least vertex and pieces by least vertex inside
+    each; when the joined pairs are as many as the pairs of pieces within
+    the components, none is missing.
     """
-    parent: dict[str, str] = {}  # union-find over pieces, rooted at the least
-    joined: set[tuple[str, str]] = set()
-    for u, w in G._partners(i).items():
-        a, b = piece[u], piece[w]
-        if a < b:
-            joined.add((a, b))
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    root_of = {p: _find(parent, p) for p in sorted(parent)}
-    members: dict[str, list[str]] = {}
-    for p, r in root_of.items():
-        members.setdefault(r, []).append(p)
+    joined = {(a, b) for a, w in zip(piece, G.partner[i]) if w >= 0 and a < (b := piece[w])}
+    if not joined:
+        return [], piece
+    near: dict[int, list[int]] = {}
+    for a, b in joined:
+        near.setdefault(a, []).append(b)
+        near.setdefault(b, []).append(a)
+    root_of: dict[int, int] = {}  # each joined piece's least piece
+    comps = []
+    for root in sorted(near):
+        if root not in root_of:
+            root_of[root] = root
+            comp = [root]
+            for a in comp:
+                for b in near[a]:
+                    if b not in root_of:
+                        root_of[b] = root
+                        comp.append(b)
+            comps.append(comp)
     witnesses = []
-    for root in sorted(members):
-        pieces = [root] + members[root]
-        for x, a in enumerate(pieces):
-            for b in pieces[x + 1 :]:
-                if (a, b) not in joined:
-                    witnesses.append((i, a, b, "needs two or more crossings"))
-    return witnesses, {v: root_of.get(p, p) for v, p in piece.items()}
+    if len(joined) < sum(len(comp) * (len(comp) - 1) // 2 for comp in comps):
+        ids = G.ids
+        for comp in comps:
+            comp.sort()
+            for x, a in enumerate(comp):
+                for b in comp[x + 1 :]:
+                    if (a, b) not in joined:
+                        witnesses.append((i, ids[a], ids[b], "needs two or more crossings"))
+    return witnesses, list(map(root_of.get, piece, piece))
 
 
 def _axiom6_below(G: SignedColoredGraph, top: int):
     """The axiom-6 witnesses at colors 2..top-1 and the pieces under those
     colors, by one ascending sweep."""
-    witnesses, piece = [], {v: v for v in G.sigma}
+    witnesses, piece = [], list(range(len(G.ids)))
     for i in range(2, top):
         at_i, piece = _axiom6_at(G, i, piece)
         witnesses += at_i
@@ -348,7 +362,7 @@ def _axiom6_below(G: SignedColoredGraph, top: int):
 
 def _check_axiom6(G: SignedColoredGraph):
     """The witnesses of ``_axiom6_below(G, G.n)``, one color at a time."""
-    piece = {v: v for v in G.sigma}
+    piece = list(range(len(G.ids)))
     for i in range(2, G.n):
         at_i, piece = _axiom6_at(G, i, piece)
         yield from at_i
@@ -367,12 +381,21 @@ _AXIOM_CHECKS = {
 def check_axiom(G: SignedColoredGraph, k: int, colors=None) -> AxiomReport:
     """Axiom k on G.  With ``colors``, axiom 1, 2, 3 or 5 is checked only at
     those colors (axiom 5 on the pairs holding one of them), or only at the
-    given vertices of each color of a ``{color: set of vertices}`` scope
+    given positions of each color of a ``{color: set of positions}`` scope
     (see ``_scope``); axioms 4 and 6 take no colors."""
+    check = _axiom_check(k)
+    if colors is None:
+        return AxiomReport.from_witnesses(k, check(G))
+    if k in (4, 6):
+        raise ValueError(f"axiom {k} takes no colors")
+    return AxiomReport.from_witnesses(k, check(G, colors))
+
+
+def _axiom_check(k: int):
+    """The checker of axiom k; a ValueError for any other k."""
     if k not in _AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {k}")
-    check = _AXIOM_CHECKS[k]
-    return AxiomReport.from_witnesses(k, check(G) if colors is None else check(G, colors))
+    return _AXIOM_CHECKS[k]
 
 
 def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
@@ -380,16 +403,21 @@ def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
     witness.  For axiom 4 with n >= 5 that is the first three-color
     witness: the two-color components are allowed wherever the three-color
     ones are (see ``_check_axiom4``)."""
-    witnesses = _axiom4_pass(G, 4) if k == 4 and G.n >= 5 else _AXIOM_CHECKS[k](G)
+    witnesses = _axiom4_pass(G, 4) if k == 4 and G.n >= 5 else _axiom_check(k)(G)
     return next(witnesses, None) is None
 
 
 def _changed_scope(G: SignedColoredGraph, base: SignedColoredGraph | None):
-    """{color: the set of vertices whose partner differs from ``base``'s},
+    """{color: the set of positions whose partner differs from ``base``'s},
     at the colors where any does; None (the whole graph) for no base."""
     if base is None:
         return None
-    return {i: vs for i in G.colors() if (vs := G.changed_vertices(base, i))}
+    scope = {}
+    for i, a in G.partner.items():
+        b = base.partner.get(i) or [-1] * len(a)
+        if a is not b and a != b:
+            scope[i] = {p for p, (x, y) in enumerate(zip(a, b)) if x != y}
+    return scope
 
 
 def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:
@@ -414,7 +442,7 @@ def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | 
 
 def _window_witnesses(G: SignedColoredGraph, m: int, violation, colors=None):
     """(i, least vertex, reason) for each component under the colors of a
-    degree-m window whose ``violation(G, vertices, window)`` is not None,
+    degree-m window whose ``violation(G, positions, window)`` is not None,
     window by window and, within one, by least vertex.  With ``colors``, as
     in ``check_axiom``, only the components holding a vertex of the scope
     at one of the window's colors are walked."""
@@ -424,20 +452,21 @@ def _window_witnesses(G: SignedColoredGraph, m: int, violation, colors=None):
     for i in range(m - 1, G.n):
         window = range(i - (m - 3), i + 1)
         at = [scope[c] for c in window if c in scope]
-        starts = G.sigma if None in at else {v for vs in at for v in vs}
+        starts = range(len(G.ids)) if None in at else {p for ps in at for p in ps}
         failing = []
         for comp in G._walk(starts, window):
             reason = violation(G, comp, (i - (m - 2), i))
             if reason is not None:
                 failing.append((min(comp), reason))
-        for v, reason in sorted(failing):
-            yield (i, v, reason)
+        for p, reason in sorted(failing):
+            yield (i, G.ids[p], reason)
 
 
-def _lsf_violation(G: SignedColoredGraph, vertices, window) -> str | None:
-    """The Schur expansion of the window function of ``vertices`` when it is
-    not a single Schur function, or None when it is."""
-    f = G.generating_function(vertices, window)
+def _lsf_violation(G: SignedColoredGraph, positions, window) -> str | None:
+    """The Schur expansion of the window function of the vertices at
+    ``positions`` when it is not a single Schur function, or None when it
+    is."""
+    f = G.generating_function(map(G.ids.__getitem__, positions), window)
     return None if is_single_schur(f) is not None else expand_in_schur(f).to_string()
 
 
@@ -461,15 +490,16 @@ def _window_violation(degree: int, counts: tuple[tuple[int, int], ...]) -> str |
     return is_schur_positive(QSym(degree, coeffs)).violation
 
 
-def _component_violation(G: SignedColoredGraph, vertices, window) -> str | None:
-    """``_window_violation`` of the window function of ``vertices``, keyed
-    by the sorted (signature slice, count) pairs of their signatures."""
+def _component_violation(G: SignedColoredGraph, positions, window) -> str | None:
+    """``_window_violation`` of the window function of the vertices at
+    ``positions``, keyed by the sorted (signature slice, count) pairs of
+    their signatures."""
     lo, hi = window
     low, mask = lo - 1, (1 << (hi - lo + 1)) - 1
-    bits = G.bits
+    bits = G.pbits
     counts: dict[int, int] = {}
-    for v in vertices:
-        s = bits[v] >> low & mask
+    for p in positions:
+        s = bits[p] >> low & mask
         counts[s] = counts.get(s, 0) + 1
     return _window_violation(hi - lo + 2, tuple(sorted(counts.items())))
 

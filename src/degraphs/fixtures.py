@@ -428,7 +428,7 @@ def fixture(name: str) -> SignedColoredGraph:
     """The named fixture, built once per process; each caller gets its own
     unmarked graph object sharing the built one's maps and signatures."""
     G = _built(name)
-    return G._derive(G.n, G._adj)
+    return G._derive(G.n, G._adj, G.partner)
 
 
 def fixture_names(skip_large: bool = False) -> list[str]:

@@ -10,6 +10,18 @@ shares its signatures and unchanged partner maps with the graph it came from.
 Each signature is also held as one integer, ``G.bits[v]``, whose bit p is set
 where position p + 1 is -1, so that every check comparing signature
 positions reads a shift and a mask (``signature_bits``).
+
+Every graph also carries a positional index, built with its partner maps:
+``G.ids`` lists the vertex ids in sorted order, so that a vertex's position
+orders as its id does and the least position is the least vertex;
+``G.pbits[p]`` is the signature bits of position p; and
+``G.partner[i][p]`` is the position of p's i-partner, -1 for none, one list
+per color.  A derived graph shares the index and builds only the lists of
+the colors it replaces.  The component walk, the forced extension behind
+every isomorphism search, the axiom checkers and identification read the
+index, and ids appear only in what they return.  The string-keyed partner
+maps (``neighbor``, ``matching``) serve the structure code and the rewiring
+maps.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ class SignedColoredGraph:
     # nothing is, True once this graph passed the check, otherwise the nearest
     # graph that passed and this one derives from by with_color_matching
     # (same vertices and signatures, some color classes replaced)
-    __slots__ = ("n", "N", "sigma", "bits", "_adj", "stats", "_lsp_base")
+    __slots__ = ("n", "N", "sigma", "bits", "_adj", "stats", "_lsp_base", "ids", "pbits", "partner")
 
     def __init__(
         self,
@@ -61,26 +73,35 @@ class SignedColoredGraph:
                 self.bits[v] = signature_bits(s)
             except (ValueError, TypeError):  # an unhashable entry is not +-1 either
                 raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1") from None
-        if isinstance(edges, dict):
-            self._adj = _insert_maps({}, n, self.sigma, edges)
-        else:
-            self._adj = _insert_edges({}, n, self.sigma, edges)
+        self.ids = tuple(sorted(self.sigma))
+        self.pbits = list(map(self.bits.__getitem__, self.ids))
+        self.partner = {c: [-1] * len(self.ids) for c in range(2, n)}
+        insert = _insert_maps if isinstance(edges, dict) else _insert_edges
+        self._adj = insert({}, self.partner, n, self._positions(), edges)
         self.stats = dict(stats) if stats else None
         self._lsp_base: SignedColoredGraph | bool | None = None
 
-    def _derive(self, n: int, adj: dict[int, dict[str, str]]) -> "SignedColoredGraph":
-        """A graph of type (n, N) with these partner maps, sharing this
-        graph's signatures and statistics (graphs are never mutated)."""
+    def _derive(self, n: int, adj: dict, partner: dict) -> "SignedColoredGraph":
+        """A graph of type (n, N) with these partner maps and lists, sharing
+        this graph's signatures, statistics and index (graphs are never
+        mutated)."""
         H = SignedColoredGraph.__new__(SignedColoredGraph)
         H.n, H.N, H.sigma, H.bits, H.stats = n, self.N, self.sigma, self.bits, self.stats
-        H._adj = adj
+        H.ids, H.pbits = self.ids, self.pbits
+        H._adj, H.partner = adj, partner
         H._lsp_base = None
         return H
+
+    def _positions(self) -> dict[str, int]:
+        """A fresh map from each id to its position, for a caller that looks
+        ids up.  A graph keeps none: one per graph would cost about as much
+        memory as its partner lists."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
     # -- basic queries ------------------------------------------------------
 
     def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sigma))
+        return self.ids
 
     def colors(self) -> tuple[int, ...]:
         return tuple(range(2, self.n))
@@ -94,14 +115,6 @@ class SignedColoredGraph:
     def _partners(self, i: int) -> dict[str, str]:
         """The i-partner map itself, not a copy; callers must not mutate it."""
         return self._adj.get(i, {})
-
-    def changed_vertices(self, other: "SignedColoredGraph", i: int) -> set[str]:
-        """The set of vertices whose i-partner differs between this graph and
-        ``other``."""
-        mine, theirs = self._adj.get(i, {}), other._adj.get(i, {})
-        if mine is theirs or mine == theirs:
-            return set()
-        return {v for v in mine.keys() | theirs.keys() if mine.get(v) != theirs.get(v)}
 
     def edge_triples(self) -> list[tuple[int, str, str]]:
         out = []
@@ -134,8 +147,11 @@ class SignedColoredGraph:
         validated, as the constructor validates a partner map; every other
         partner map is shared with this graph."""
         adj = {c: m for c, m in self._adj.items() if c != i}
-        _insert_maps(adj, self.n, self.sigma, {i: matching})
-        H = self._derive(self.n, adj)
+        partner = dict(self.partner)
+        if i in partner:
+            partner[i] = [-1] * len(self.ids)
+        _insert_maps(adj, partner, self.n, self._positions(), {i: matching})
+        H = self._derive(self.n, adj, partner)
         H._lsp_base = self if self._lsp_base is True else self._lsp_base
         return H
 
@@ -144,7 +160,8 @@ class SignedColoredGraph:
         kept partner maps are shared with this graph."""
         if not 2 <= m <= self.n:
             raise ValueError(f"restriction bound {m} outside 2..{self.n}")
-        return self._derive(m, {c: mp for c, mp in self._adj.items() if c < m})
+        adj = {c: mp for c, mp in self._adj.items() if c < m}
+        return self._derive(m, adj, {c: a for c, a in self.partner.items() if c < m})
 
     def restrict_full(self, m: int) -> "SignedColoredGraph":
         """(m, m)-restriction: also truncate signatures to length m - 1."""
@@ -176,33 +193,40 @@ class SignedColoredGraph:
     # -- components ---------------------------------------------------------
 
     def _walk(self, starts, colors):
-        """Each component under ``colors`` that holds a vertex of ``starts``,
-        once, as a list beginning at the first start it holds; with
-        ``starts`` in id order, that is the component's least vertex."""
-        maps = [self._adj[c] for c in colors if c in self._adj]
-        seen: set[str] = set()
+        """Each component under ``colors`` that holds a position of
+        ``starts``, once, as a list of positions beginning at the first
+        start it holds; with ``starts`` ascending, that is the component's
+        least vertex."""
+        lists = [self.partner[c] for c in colors if c in self.partner]
+        seen = bytearray(len(self.ids) + 1)
+        seen[-1] = 1  # what partner -1 reads: never walked to
         for v in starts:
-            if v in seen:
+            if seen[v]:
                 continue
-            seen.add(v)
+            seen[v] = 1
             comp = [v]
             for u in comp:
-                for m in maps:
-                    w = m.get(u)
-                    if w is not None and w not in seen:
-                        seen.add(w)
+                for a in lists:
+                    w = a[u]
+                    if not seen[w]:
+                        seen[w] = 1
                         comp.append(w)
             yield comp
+
+    def _id_tuple(self, positions) -> tuple[str, ...]:
+        """The ids of the positions, as a sorted tuple."""
+        ids = self.ids
+        return tuple([ids[p] for p in sorted(positions)])
 
     def component_vertices(self, start: str, colors) -> tuple[str, ...]:
         """The component of ``start`` under ``colors``, as its sorted vertex
         tuple."""
-        return tuple(sorted(next(self._walk((start,), colors))))
+        return self._id_tuple(next(self._walk((self._positions()[start],), colors)))
 
     def components(self, colors) -> list[tuple[str, ...]]:
         """Each component under ``colors`` as its sorted vertex tuple, in
         least-vertex order."""
-        return [tuple(sorted(comp)) for comp in self._walk(self.vertices(), colors)]
+        return [self._id_tuple(comp) for comp in self._walk(range(len(self.ids)), colors)]
 
     def refine(self, vertices, colors) -> tuple[list[tuple[str, ...]], dict[str, int]]:
         """Split a vertex set into its components under ``colors``: the
@@ -211,7 +235,8 @@ class SignedColoredGraph:
         Pieces are not cut back to ``vertices``; callers pass a component
         of a larger color set, which holds each of its pieces whole.
         """
-        pieces = [tuple(sorted(p)) for p in self._walk(sorted(vertices), colors)]
+        starts = sorted(map(self._positions().__getitem__, vertices))
+        pieces = [self._id_tuple(p) for p in self._walk(starts, colors)]
         return pieces, {v: k for k, piece in enumerate(pieces) for v in piece}
 
     # -- generating functions -------------------------------------------------
@@ -261,7 +286,7 @@ class SignedColoredGraph:
         edges = _field(doc, "edges", list, "top level")
         # an entry failing a type test goes through _field, which raises naming
         # the field (a duplicate id first)
-        sigma, stats = {}, {}
+        sigma, stats, read = {}, {}, {}  # read: each signature text parsed once
         for k, entry in enumerate(vertices):
             if not (type(entry) is dict and type(entry.get("id")) is str
                     and type(entry.get("sigma")) is str):
@@ -270,10 +295,13 @@ class SignedColoredGraph:
             v = entry["id"]
             if v in sigma:
                 raise GraphFormatError(f"vertex entry {k}: duplicate vertex id {v!r}")
-            try:
-                sigma[v] = sig_from_str(entry["sigma"])
-            except ValueError as e:
-                raise GraphFormatError(f"vertex entry {k}: {e}") from None
+            text = entry["sigma"]
+            if text not in read:
+                try:
+                    read[text] = sig_from_str(text)
+                except ValueError as e:
+                    raise GraphFormatError(f"vertex entry {k}: {e}") from None
+            sigma[v] = read[text]
             if "stat" in entry:
                 stats[v] = _field(entry, "stat", int, f"vertex entry {k}")
         for k, entry in enumerate(edges):
@@ -313,33 +341,35 @@ def signature_bits(s: tuple) -> int:
     return bits
 
 
-def _insert_edges(adj: dict[int, dict[str, str]], n: int, sigma, triples) -> dict:
-    """Add (color, u, w) edges to the partner maps ``adj``, rejecting a color
-    outside 1 < c < n, a loop, an endpoint not in ``sigma`` and a second
+def _insert_edges(adj: dict[int, dict[str, str]], partner, n: int, pos, triples) -> dict:
+    """Add (color, u, w) edges to the partner maps ``adj`` and to the
+    partner lists ``partner`` (vertex positions ``pos``), rejecting a color
+    outside 1 < c < n, a loop, an endpoint that is not a vertex and a second
     edge of one color at a vertex; returns ``adj``."""
     for c, u, w in triples:
         if not 1 < c < n:
             raise GraphFormatError(f"edge color {c} outside 1 < i < n = {n}")
         if u == w:
             raise GraphFormatError(f"loop at {u!r} in color {c}")
-        for x in (u, w):
-            if x not in sigma:
-                raise GraphFormatError(f"edge endpoint {x!r} not a vertex")
-        m = adj.setdefault(c, {})
-        if m.get(u, w) != w or m.get(w, u) != u:
+        pu, pw = pos.get(u), pos.get(w)
+        if pu is None or pw is None:
+            raise GraphFormatError(f"edge endpoint {(u if pu is None else w)!r} not a vertex")
+        a = partner[c]
+        if a[pu] not in (-1, pw) or a[pw] not in (-1, pu):
             raise GraphFormatError(f"color {c} is not a matching at {u!r}/{w!r}")
+        a[pu], a[pw] = pw, pu
+        m = adj.setdefault(c, {})
         m[u] = w
         m[w] = u
     return adj
 
 
-def _insert_maps(adj: dict[int, dict[str, str]], n: int, sigma, maps) -> dict:
-    """Add the partner maps ``{color: {u: w}}`` to ``adj`` by their pairs
-    u <= w, with the checks of ``_insert_edges``, and reject a map that is
-    not an involution (a vertex whose partner does not have it as partner);
-    returns ``adj``."""
+def _insert_maps(adj: dict[int, dict[str, str]], partner, n: int, pos, maps) -> dict:
+    """Add the partner maps ``{color: {u: w}}`` by their pairs u <= w, as
+    ``_insert_edges`` adds edges, and reject a map that is not an involution
+    (a vertex whose partner does not have it as partner); returns ``adj``."""
     for c, m in maps.items():
-        _insert_edges(adj, n, sigma, ((c, u, w) for u, w in m.items() if u <= w))
+        _insert_edges(adj, partner, n, pos, ((c, u, w) for u, w in m.items() if u <= w))
         if adj.get(c, {}) != m:
             # the pairs u <= w, inserted both ways, give m only if m is one
             u, w = next((u, w) for u, w in m.items() if m.get(w) != u)
@@ -389,47 +419,54 @@ def _position_mask(positions) -> int:
     return sum(1 << (p - 1) for p in set(positions))
 
 
-def _forced_extension(
-    G: SignedColoredGraph,
-    H: SignedColoredGraph,
-    seeds: dict[str, str],
-    colors,
-    positions,
-) -> dict[str, str] | None:
-    """Grow a partial map across matchings; matchings make the image forced.
-    Each pair must agree at ``positions``, tested as one mask on the
-    signature bits.  A partner pair whose vertex is already mapped is
-    compared when found and not queued; one queued twice before it is
-    mapped is compared when popped."""
-    maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
-    mask = _position_mask(positions)
-    gbits, hbits = G.bits, H.bits
-    mapping: dict[str, str] = {}
-    used: dict[str, str] = {}
-    queue: list[tuple[str, str]] = list(seeds.items())
-    while queue:
-        x, y = queue.pop()
-        if x in mapping:
-            if mapping[x] != y:
-                return None
-            continue
-        if used.get(y, x) != x:
+def _list_pairs(G: SignedColoredGraph, H: SignedColoredGraph, colors) -> list:
+    """(G's partner list, H's) at each of ``colors``, ascending; a color
+    that one graph lacks reads as no edges there."""
+    pairs = []
+    for c in sorted(set(colors)):
+        g, h = G.partner.get(c), H.partner.get(c)
+        if g is not None or h is not None:
+            pairs.append((g or [-1] * len(G.ids), h or [-1] * len(H.ids)))
+    return pairs
+
+
+def _forced_extension(gbits, hbits, pairs, mask: int, seeds) -> dict[int, int] | None:
+    """Grow a partial map of positions, from the (x, y) pairs ``seeds``,
+    across the partner lists ``pairs`` (``_list_pairs``); matchings make the
+    image forced.  Each pair must agree on the signature bits in ``mask``.
+    A vertex is mapped when first reached and compared when reached again,
+    so the map is grown breadth first from the seeds."""
+    image: dict[int, int] = {}
+    used: set[int] = set()
+    for x, y in seeds:
+        if y in used or (gbits[x] ^ hbits[y]) & mask:
             return None
-        if (gbits[x] ^ hbits[y]) & mask:
-            return None
-        mapping[x] = y
-        used[y] = x
-        for gm, hm in maps:
-            xn, yn = gm.get(x), hm.get(y)
-            if (xn is None) != (yn is None):
-                return None
-            if xn is not None:
-                seen = mapping.get(xn)
-                if seen is None:
-                    queue.append((xn, yn))
-                elif seen != yn:
+        image[x] = y
+        used.add(y)
+    queue = list(image)
+    for x in queue:
+        y = image[x]
+        for gm, hm in pairs:
+            xn, yn = gm[x], hm[y]
+            if xn < 0 or yn < 0:
+                if xn != yn:
                     return None
-    return mapping
+            elif xn in image:
+                if image[xn] != yn:
+                    return None
+            elif yn in used or (gbits[xn] ^ hbits[yn]) & mask:
+                return None
+            else:
+                image[xn] = yn
+                used.add(yn)
+                queue.append(xn)
+    return image
+
+
+def _id_map(G: SignedColoredGraph, H: SignedColoredGraph, mapping: dict[int, int]) -> dict[str, str]:
+    """A map of positions as a map of ids, in the same order."""
+    gids, hids = G.ids, H.ids
+    return {gids[x]: hids[y] for x, y in mapping.items()}
 
 
 def seeded_isomorphism(
@@ -448,18 +485,25 @@ def seeded_isomorphism(
         colors = set(G.colors()) | set(H.colors())
     if positions is None:
         positions = range(1, min(G.N, H.N))
-    return _forced_extension(G, H, dict(seeds), colors, positions)
+    gpos, hpos = G._positions(), H._positions()
+    seeds = [(gpos[x], hpos[y]) for x, y in dict(seeds).items()]
+    pairs = _list_pairs(G, H, colors)
+    found = _forced_extension(G.pbits, H.pbits, pairs, _position_mask(positions), seeds)
+    return None if found is None else _id_map(G, H, found)
 
 
 def anchored_maps(
-    G: SignedColoredGraph, anchor: str, H: SignedColoredGraph, images, colors, positions
+    G: SignedColoredGraph, anchor: int, H: SignedColoredGraph, images, colors, positions
 ):
-    """The maps forced from ``anchor`` onto each of ``images`` in turn,
-    skipping the images it cannot be sent to.  Each map covers the anchor's
-    component under ``colors`` and sends it onto a whole component of H;
-    maps forced onto different images differ."""
+    """The maps of positions forced from the position ``anchor`` onto each
+    position of ``images`` in turn, skipping the images it cannot be sent
+    to.  Each map covers the anchor's component under ``colors`` and sends
+    it onto a whole component of H; maps forced onto different images
+    differ."""
+    pairs = _list_pairs(G, H, colors)
+    mask = _position_mask(positions)
     for w in images:
-        m = _forced_extension(G, H, {anchor: w}, colors, positions)
+        m = _forced_extension(G.pbits, H.pbits, pairs, mask, ((anchor, w),))
         if m is not None:
             yield m
 
@@ -483,26 +527,27 @@ def find_isomorphism(
     if positions is None:
         positions = range(1, min(G.N, H.N))
     colors = sorted(set(colors))
-    if len(G.sigma) != len(H.sigma):
+    if len(G.ids) != len(H.ids):
         return None
 
     mask = _position_mask(positions)
-    gkey = {v: b & mask for v, b in G.bits.items()}
-    hkey = {v: b & mask for v, b in H.bits.items()}
-    if sorted(gkey.values()) != sorted(hkey.values()):
+    gkey = [b & mask for b in G.pbits]
+    hkey = [b & mask for b in H.pbits]
+    if sorted(gkey) != sorted(hkey):
         return None
-    candidates: dict[int, list[str]] = {}  # H's vertices by key, in id order
-    for w in sorted(hkey):
-        candidates.setdefault(hkey[w], []).append(w)
+    candidates: dict[int, list[int]] = {}  # H's positions by key, ascending
+    for w, key in enumerate(hkey):
+        candidates.setdefault(key, []).append(w)
 
     # One pass, no backtracking: a forced extension that succeeds covers the
     # anchor's component and maps it onto a whole component of H, so images
     # never overlap, and isomorphic components are interchangeable, so if any
     # isomorphism extends the fits so far, one also extends the first fit.
-    mapping: dict[str, str] = {}
-    taken: set[str] = set()
-    for comp in sorted(G.components(colors), key=len):
-        classes: dict[int, list[str]] = {}
+    mapping: dict[int, int] = {}
+    taken: set[int] = set()
+    comps = sorted((sorted(c) for c in G._walk(range(len(G.ids)), colors)), key=len)
+    for comp in comps:
+        classes: dict[int, list[int]] = {}
         for v in comp:
             classes.setdefault(gkey[v], []).append(v)
         sig_key, members = min(classes.items(), key=lambda kv: len(kv[1]))
@@ -512,7 +557,7 @@ def find_isomorphism(
             return None
         mapping.update(local)
         taken.update(local.values())
-    return mapping
+    return _id_map(G, H, mapping)
 
 
 def i_package(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:

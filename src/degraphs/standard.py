@@ -22,7 +22,7 @@ from .combinatorics import (
     tableau_id,
     tableau_moves,
 )
-from .graph import SignedColoredGraph, anchored_maps
+from .graph import SignedColoredGraph, _id_map, anchored_maps
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ def build_standard_deg(lam: Partition) -> SignedColoredGraph:
     """The graph G_lam of type (n, n) on SYT(lam).  Each caller gets its own
     unmarked graph sharing the built one's maps and signatures."""
     G = _standard_graph(lam)
-    return G._derive(G.n, G._adj)
+    return G._derive(G.n, G._adj, G.partner)
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,15 @@ def _shapes(n: int) -> tuple[tuple[Partition, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _targets(lam: Partition) -> tuple[tuple[int, ...], dict[int, tuple[str, ...]]]:
-    """G_lam's sorted signature bits, and its vertices by signature bits in
-    id order.  Built on the first identification that reaches lam, not with
-    G_lam."""
+def _targets(lam: Partition) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """G_lam's sorted signature bits, and its positions by signature bits,
+    ascending.  Built on the first identification that reaches lam, not
+    with G_lam."""
     G = _standard_graph(lam)
-    by_sig: dict[int, list[str]] = {}
-    for v in G.vertices():
-        by_sig.setdefault(G.bits[v], []).append(v)
-    return tuple(sorted(G.bits.values())), {b: tuple(vs) for b, vs in by_sig.items()}
+    by_sig: dict[int, list[int]] = {}
+    for p, b in enumerate(G.pbits):
+        by_sig.setdefault(b, []).append(p)
+    return tuple(sorted(G.pbits)), {b: tuple(ps) for b, ps in by_sig.items()}
 
 
 def identify_component(
@@ -183,9 +183,9 @@ def identify_component(
     if not 1 <= m <= G.n:
         raise ValueError(f"degree {m} outside 1..{G.n}")
     mask = (1 << (m - 1)) - 1
-    bits = G.bits
-    members = set(vertices)
-    sigs = tuple(sorted(bits[v] & mask for v in members))
+    bits = G.pbits
+    members = set(map(G._positions().__getitem__, vertices))
+    sigs = tuple(sorted(bits[p] & mask for p in members))
     anchor = min(members)
     for lam, count in _shapes(m):
         if count != len(members):
@@ -197,7 +197,7 @@ def identify_component(
         images = by_sig[bits[anchor] & mask]
         for found in anchored_maps(G, anchor, target, images, range(2, m), range(1, m)):
             if found.keys() == members:
-                return lam, found
+                return lam, _id_map(G, target, found)
     return None
 
 
@@ -206,7 +206,6 @@ def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
     connected, so each is forced from its least vertex, tried against the
     vertices with that vertex's signature."""
     G = _standard_graph(lam)
-    anchor = min(G.sigma)
-    images = _targets(lam)[1][G.bits[anchor]]
-    maps = anchored_maps(G, anchor, G, images, G.colors(), range(1, G.N))
+    images = _targets(lam)[1][G.pbits[0]]
+    maps = anchored_maps(G, 0, G, images, G.colors(), range(1, G.N))
     return sum(1 for _ in islice(maps, limit))

@@ -39,6 +39,7 @@ from .graph import (
     GraphFormatError,
     SignedColoredGraph,
     _field,
+    _id_map,
     anchored_maps,
     package_colors,
     package_positions,
@@ -133,7 +134,12 @@ def _rewire(
 # the four involutions
 
 
-def _check_anchor(G: SignedColoredGraph, v: str, r: int = 0):
+def _check_anchor(G: SignedColoredGraph, v: str, i: int, r: int = 0):
+    """Reject a color outside 1 < i < n, an anchor that is not a vertex and
+    a negative variant, in that order: every map and every replayed step
+    is checked here first."""
+    if not 1 < i < G.n:
+        raise TransformError(f"color {i} outside 1 < i < n = {G.n}")
     if v not in G.sigma:
         raise TransformError(f"anchor {v!r} is not a vertex")
     if r < 0:
@@ -152,7 +158,7 @@ def _chain_ahead(G: SignedColoredGraph, w: str, i: int) -> list[str]:
 def apply_phi(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> SignedColoredGraph:
     """Rewire so the overlong non-flat chain through w closes into a double
     edge at w, swapping the i-edges of two isomorphic packages."""
-    _check_anchor(G, w, r)
+    _check_anchor(G, w, i, r)
     return _phi(G, w, i, r, defect_sets(G, i))
 
 
@@ -175,7 +181,7 @@ def _phi(G: SignedColoredGraph, w: str, i: int, r: int, sets) -> SignedColoredGr
 def apply_psi(G: SignedColoredGraph, x: str, i: int, r: int = 0) -> SignedColoredGraph:
     """Rewire so the overlong flat chain through x shortens, swapping i-edges
     across the i-2-edges at x and at the first clear vertex past E_i(x)."""
-    _check_anchor(G, x, r)
+    _check_anchor(G, x, i, r)
     return _psi(G, x, i, r, defect_sets(G, i))
 
 
@@ -249,6 +255,7 @@ def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
 def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
     """Exchange the subtrees hanging below z and its partner along the
     non-flat walk, unblocking the other two maps."""
+    _check_anchor(G, z, i)
     if G.neighbor(z, i) is None or is_flat_edge(G, z, i):
         raise TransformError(f"{z!r} lacks a non-flat {i}-edge")
     if has_type_w(G, z, i - 1):
@@ -271,6 +278,7 @@ def apply_theta(G: SignedColoredGraph, pivot: str, i: int) -> SignedColoredGraph
     adjacent to the pivot and their isomorphic copies are swapped so the
     pivot's neighborhood closes up.  The pivot is the component under
     colors 2..i-1 of the vertex ``pivot``, which may be any of its vertices."""
+    _check_anchor(G, pivot, i)
     H = G.component_vertices(pivot, range(2, i + 1))
     lower = tuple(range(2, i))
     comps, comp_of = G.refine(H, lower)
@@ -287,10 +295,12 @@ def apply_theta(G: SignedColoredGraph, pivot: str, i: int) -> SignedColoredGraph
     # isomorphic twin adjacent to the pivot; ``image`` holds all those maps
     need = {comp_of[old[u]] for u in ring if u in old} - adjacent - {pivot_idx}
     image: dict[str, str] = {}
+    pos = G._positions()
     for k in sorted(need):
         anchor = comps[k][0]
-        images = [w for t in sorted(adjacent) for w in comps[t] if G.bits[w] == G.bits[anchor]]
-        found = list(anchored_maps(G, anchor, G, images, lower, range(1, G.N)))
+        images = [pos[w] for t in sorted(adjacent) for w in comps[t] if G.bits[w] == G.bits[anchor]]
+        maps = anchored_maps(G, pos[anchor], G, images, lower, range(1, G.N))
+        found = [_id_map(G, G, m) for m in maps]
         if not found:
             raise TransformError(f"component at {anchor!r} matches nothing adjacent to the pivot")
         if len({comp_of[m[anchor]] for m in found}) > 1:
@@ -395,9 +405,7 @@ class TransformLog:
 
 
 def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph:
-    if not 1 < step.color < G.n:
-        raise TransformError(f"color {step.color} outside 1 < i < n = {G.n}")
-    _check_anchor(G, step.anchor, step.variant)
+    _check_anchor(G, step.anchor, step.color, step.variant)
     if step.variant and step.kind in ("gamma", "theta"):
         raise TransformError(f"{step.kind} takes no variant, got {step.variant}")
     if step.kind == "phi":
@@ -448,7 +456,7 @@ class PipelineAbort(Exception):
 def _state(G: SignedColoredGraph, i: int) -> frozenset:
     """The color-i matching, which identifies a graph state among graphs
     that differ in color i only."""
-    return frozenset(G._partners(i).items())
+    return tuple(G.partner[i])
 
 
 def _next_step(G, i, sets, seen):
@@ -614,7 +622,7 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
         last = stop_at if stop_at is not None else G.n - 1
         # a step that does not abort leaves axiom 6 holding at colors 2..i,
         # and later steps rewire only higher colors, so its pieces carry over
-        piece = {v: v for v in G.sigma}
+        piece = list(range(len(G.ids)))
         for i in range(2, last + 1):
             G, piece = _one_step(G, i, [], piece, log)
             if log.aborted:

@@ -64,6 +64,23 @@ def relabel_random(G: SignedColoredGraph, rng: random.Random):
     return G.relabel(mapping), mapping
 
 
+def unsorted_relabel(G: SignedColoredGraph, seed: int) -> SignedColoredGraph:
+    """G with its vertices renamed v0, v1, ... in a shuffled order, unpadded
+    so that v10 sorts before v9, with v1 upper-cased (it sorts before every
+    lower-case id) and v2 renamed to a non-ASCII id (it sorts after every
+    other), built with its vertices and edges inserted in reverse.  So the
+    insertion order, the numbering and the sorted id order all differ, and
+    the position order must follow the sorted ids."""
+    old = list(G.vertices())
+    random.Random(seed).shuffle(old)
+    names = [f"v{k}" for k in range(len(old))]
+    names[1], names[2] = "V1", "\u00e92"
+    mapping = dict(zip(old, names))
+    sigma = {mapping[v]: G.sigma[v] for v in reversed(G.vertices())}
+    triples = [(c, mapping[w], mapping[u]) for c, u, w in reversed(G.edge_triples())]
+    return SignedColoredGraph(G.n, G.N, sigma, triples)
+
+
 def nonflat_chain_through(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
     """The maximal alternating i / i-1 sequence around v's i-edge.
 

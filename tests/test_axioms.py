@@ -31,9 +31,10 @@ def _component_matches_template(G, vertices, color_roles, window, templates) -> 
     lo, hi = window
     if lo < 1:  # a window reaching below position 1 matches no template
         return False
-    partners = [G._partners(c) for c in sorted(color_roles, key=color_roles.get)]
-    code = axioms._window_codes(G.bits, partners, lo, hi - lo + 1)
-    return axioms._component_key(code, vertices) in axioms._template_keys(templates)
+    partners = [G.partner[c] for c in sorted(color_roles, key=color_roles.get)]
+    code = axioms._window_codes(G.pbits, partners, lo, hi - lo + 1)
+    positions = [G.ids.index(v) for v in vertices]
+    return axioms._component_key(code, positions) in axioms._template_keys(templates)
 
 
 class TestAxiomsOnStandard:
@@ -82,6 +83,24 @@ class TestAxiomFailures:
         assert check_axiom(good, 5).holds
         bad = SignedColoredGraph(6, 6, sig, [(2, "a", "b"), (5, "a", "c")])
         assert not check_axiom(bad, 5).holds
+
+
+class TestAxiomArguments:
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("colors", [[3], {3: {0, 1}}, []])
+    def test_axioms_4_and_6_take_no_colors(self, k, colors):
+        with pytest.raises(ValueError) as err:
+            check_axiom(fixture("fig8"), k, colors)
+        assert str(err.value) == f"axiom {k} takes no colors"
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_unknown_axiom(self, k):
+        G = fixture("fig8")
+        for call in (lambda: check_axiom(G, k), lambda: check_axiom(G, k, [3]),
+                     lambda: axioms.axiom_holds(G, k)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown axiom {k}"
 
 
 class TestLSF:
@@ -278,7 +297,7 @@ class TestAxiom4ThreeColorFirst:
         real = axioms._window_codes
 
         def spy(bits, partners, lo, width):
-            if bits is G.bits:
+            if bits is G.pbits:
                 widths[width] += 1
             return real(bits, partners, lo, width)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degraphs.combinatorics import enumerate_partitions, sig_from_str
-from degraphs.fixtures import fixture
+from degraphs.fixtures import _built, fixture
 from degraphs.graph import (
     GraphFormatError,
     SignedColoredGraph,
@@ -15,10 +15,10 @@ from degraphs.graph import (
     i_package,
     seeded_isomorphism,
 )
-from degraphs.standard import build_standard_deg
+from degraphs.standard import _standard_graph, build_standard_deg
 from degraphs.symfunc import expand_in_schur
 
-from conftest import corpus, relabel_random
+from conftest import corpus, relabel_random, unsorted_relabel
 
 
 def tiny():
@@ -176,6 +176,59 @@ class TestDerivation:
         assert H.to_text() != text and R.n == 4
         assert G.to_text() == text and G.sigma == sigma
         assert {c: G.matching(c) for c in G.colors()} == matchings
+
+
+def _made(how):
+    """(graph, the graph it derives from or None, the colors it replaced),
+    for each way a graph is made; the bases have ids whose insertion,
+    numbering and sorted orders differ."""
+    G = unsorted_relabel(fixture("fig8"), 5)
+    if how == "triples":
+        return SignedColoredGraph(G.n, G.N, G.sigma, reversed(G.edge_triples())), None, ()
+    if how == "maps":
+        return SignedColoredGraph(G.n, G.N, G.sigma, {c: G.matching(c) for c in G.colors()}), None, ()
+    if how == "from_text":
+        return SignedColoredGraph.from_text(G.to_text()), None, ()
+    if how == "with_color_matching":
+        return G.with_color_matching(3, G.matching(4)), G, (3,)
+    if how == "with_color_matching_empty":
+        return G.with_color_matching(2, {}), G, (2,)
+    if how == "restrict":
+        return G.restrict(4), G, ()
+    if how == "subgraph":
+        return G.subgraph(G.vertices()[3:]), None, ()
+    if how == "relabel":
+        return G.relabel({v: f"x{v}" if v < "v5" else v.upper() for v in G.vertices()}), None, ()
+    if how == "build_standard_deg":
+        return build_standard_deg((3, 2, 1)), _standard_graph((3, 2, 1)), ()
+    if how == "fixture":
+        return fixture("fig6"), _built("fig6"), ()
+    raise AssertionError(how)
+
+
+class TestPositionalIndex:
+    @pytest.mark.parametrize("how", [
+        "triples", "maps", "from_text", "with_color_matching", "with_color_matching_empty",
+        "restrict", "subgraph", "relabel", "build_standard_deg", "fixture",
+    ])
+    def test_index_agrees_with_the_maps(self, how):
+        """Positions follow the sorted ids, the positional bits are ``bits``
+        and each color's partner list is ``matching(i)``; a derived graph
+        holds the same lists as its parent at every color it kept."""
+        G, parent, replaced = _made(how)
+        assert G.vertices() == G.ids == tuple(sorted(G.sigma))
+        assert G._positions() == {v: p for p, v in enumerate(G.ids)}
+        assert G.pbits == [G.bits[v] for v in G.ids]
+        assert sorted(G.partner) == list(G.colors())
+        for i in G.colors():
+            part = G.partner[i]
+            assert len(part) == len(G.ids)
+            got = {G.ids[p]: G.ids[q] for p, q in enumerate(part) if q >= 0}
+            assert got == G.matching(i), i
+        if parent is not None:
+            assert G.ids is parent.ids and G.pbits is parent.pbits
+            for i in G.colors():
+                assert (G.partner[i] is parent.partner[i]) == (i not in replaced), i
 
 
 class TestComponents:

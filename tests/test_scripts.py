@@ -242,7 +242,8 @@ def test_bench_pairs_marks_a_metric_spread_wider_than_its_bound():
 def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     """``--workload`` given twice runs each workload's pairs in turn, parent
     first in odd pairs, and prints a table for each, bounds read from
-    ``BENCHMARK.json``."""
+    ``BENCHMARK.json``, then each side's results digests, flagging a
+    workload whose two sides' digests differ."""
     bp = load_bench_pairs()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     calls = []
@@ -250,7 +251,9 @@ def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     def run_once(checkout, workload, seed, seconds, default_seed):
         calls.append((checkout.name, workload, seed, seconds, default_seed))
         value = 2.0 if checkout.name == "change" else 1.0
-        return dict.fromkeys(names, value)
+        # the two sides print the same digest on workload a, not on b
+        digest = f"{workload}-{checkout.name if workload == 'b' else 'same'}"
+        return dict.fromkeys(names, value), digest
 
     monkeypatch.setattr(bp, "run_once", run_once)
     argv = [str(ROOT), "change", "--workload", "a", "--workload", "b",
@@ -266,3 +269,22 @@ def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     assert out.index("a, seed 5") < out.index("b pair 1:") < out.index("b, seed 5")
     # doubled latencies and memory are flagged, doubled throughput is not
     assert out.count("WORSE") == 2 * (len(names) - 1)
+    assert "a results digest: parent a-same; change a-same\n" in out
+    assert f"b results digest: parent b-{ROOT.name}; change b-change; OUTPUT DIFFERS\n" in out
+    assert out.count("OUTPUT DIFFERS") == 1
+
+
+def test_bench_pairs_reads_the_results_digest(monkeypatch):
+    """``run_once`` returns the metrics of the last line and the digest of
+    the ``results digest:`` line, or None when the run printed none."""
+    import subprocess
+
+    bp = load_bench_pairs()
+    result = json.dumps({"correct": True, "metrics": {"graphs_per_s": {"value": 3.0}}})
+    for stdout, digest in (
+        (f"workload x\nresults digest: 6b9282617da72616\n{result}\n", "6b9282617da72616"),
+        (f"workload x\n{result}\n", None),
+    ):
+        done = subprocess.CompletedProcess([], 0, stdout=stdout, stderr="")
+        monkeypatch.setattr(bp.subprocess, "run", lambda *args, **kwargs: done)
+        assert bp.run_once(ROOT, "x", 2, 0.5, 1) == ({"graphs_per_s": 3.0}, digest)

@@ -307,6 +307,25 @@ class TestLogging:
         with pytest.raises(TransformError, match="variant r=-1 is negative"):
             apply_step(G, TransformStep("phi", 3, "b1", -1))
 
+    @pytest.mark.parametrize("apply", [apply_phi, apply_psi, apply_gamma, apply_theta])
+    def test_maps_reject_what_replay_rejects(self, apply):
+        """Each map, called directly, rejects an unknown anchor and a color
+        outside 1 < i < n with ``apply_step``'s messages, the color first."""
+        G = fixture("fig8")
+        for anchor, color, message in (
+            ("zz", 3, "anchor 'zz' is not a vertex"),
+            ("b1", 9, "color 9 outside 1 < i < n = 5"),
+            ("b1", 1, "color 1 outside 1 < i < n = 5"),
+            ("zz", 9, "color 9 outside 1 < i < n = 5"),
+        ):
+            with pytest.raises(TransformError) as direct:
+                apply(G, anchor, color)
+            assert str(direct.value) == message
+            kind = apply.__name__.removeprefix("apply_")
+            with pytest.raises(TransformError) as replayed:
+                apply_step(G, TransformStep(kind, color, anchor))
+            assert str(replayed.value) == message
+
     def test_apply_step_kinds(self):
         G = gamma_instance()
         step = TransformStep("gamma", 4, "a2")
