@@ -250,7 +250,10 @@ def sig_str(sig: Signature) -> str:
     return "".join("+" if s > 0 else "-" for s in sig)
 
 
+@lru_cache(maxsize=None)
 def sig_from_str(text: str) -> Signature:
+    """The signature written as ``text``, one of + and - per position.
+    Cached: a graph repeats its few signatures over all its vertices."""
     out = []
     for ch in text.strip():
         if ch == "+":

@@ -286,7 +286,7 @@ class SignedColoredGraph:
         edges = _field(doc, "edges", list, "top level")
         # an entry failing a type test goes through _field, which raises naming
         # the field (a duplicate id first)
-        sigma, stats, read = {}, {}, {}  # read: each signature text parsed once
+        sigma, stats = {}, {}
         for k, entry in enumerate(vertices):
             if not (type(entry) is dict and type(entry.get("id")) is str
                     and type(entry.get("sigma")) is str):
@@ -295,13 +295,10 @@ class SignedColoredGraph:
             v = entry["id"]
             if v in sigma:
                 raise GraphFormatError(f"vertex entry {k}: duplicate vertex id {v!r}")
-            text = entry["sigma"]
-            if text not in read:
-                try:
-                    read[text] = sig_from_str(text)
-                except ValueError as e:
-                    raise GraphFormatError(f"vertex entry {k}: {e}") from None
-            sigma[v] = read[text]
+            try:
+                sigma[v] = sig_from_str(entry["sigma"])
+            except ValueError as e:
+                raise GraphFormatError(f"vertex entry {k}: {e}") from None
             if "stat" in entry:
                 stats[v] = _field(entry, "stat", int, f"vertex entry {k}")
         for k, entry in enumerate(edges):
