@@ -352,7 +352,7 @@ def _insert_edges(adj: dict[int, dict[str, str]], partner, n: int, pos, triples)
         if pu is None or pw is None:
             raise GraphFormatError(f"edge endpoint {(u if pu is None else w)!r} not a vertex")
         a = partner[c]
-        if a[pu] not in (-1, pw) or a[pw] not in (-1, pu):
+        if -1 != a[pu] != pw or -1 != a[pw] != pu:
             raise GraphFormatError(f"color {c} is not a matching at {u!r}/{w!r}")
         a[pu], a[pw] = pw, pu
         m = adj.setdefault(c, {})
