@@ -21,14 +21,20 @@ than once, the workloads run one after another, one table each.  Under
 each table it prints the ``results digest:`` line of the parent's runs and
 of the change's, and ``OUTPUT DIFFERS`` when they differ, so that a change
 claimed to leave every output unchanged is checked on the seed of the
-pairs too.  Nothing under ``benchmarks/`` is written to; the run length
-defaults to the benchmark's own.
+pairs too.  With ``--record BENCH_<label>.json`` it also writes, per
+workload, both checkouts' commits, the seed, the processor count, the
+Python version, every run's metrics, each side's median and quartile
+distance per metric, the pairs won and tied, the WORSE and UNRESOLVED
+flags and both sides' digests.  Nothing under ``benchmarks/`` is written
+to; the run length defaults to the benchmark's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -133,6 +139,47 @@ def digest_line(workload: str, parent: list, change: list) -> str:
     return line + ("; OUTPUT DIFFERS" if sides[0] != sides[1] else "")
 
 
+def commit(checkout: Path) -> str | None:
+    """The commit checked out at ``checkout``, marked ``+dirty`` when its
+    tracked files differ from it; None outside a git checkout."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    status = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
+                            capture_output=True, text=True)
+    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
+
+
+def record(workload: str, args, seconds: float, runs: dict, digests: dict, rows) -> dict:
+    """The record of one workload's pairs that ``--record`` writes; ``runs``
+    and ``digests`` hold each side's runs, by side name."""
+    return {
+        "workload": workload,
+        "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": seconds,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "runs": runs,
+        "digests": digests,
+        "metrics": {
+            r["metric"]: {
+                "parent_median": r["parent"][1],
+                "parent_iqr": r["parent_iqr"],
+                "change_median": r["change"][1],
+                "change_iqr": r["change"][2] - r["change"][0],
+                "wins": r["wins"],
+                "ties": r["ties"],
+                "worse": r["regressed"],
+                "unresolved": r["unresolved"],
+            }
+            for r in rows
+        },
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Alternating benchmark pairs of two checkouts.")
     p.add_argument("parent", type=Path)
@@ -142,6 +189,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    p.add_argument("--record", type=Path, help="write every run and the summary here as JSON")
     args = p.parse_args(argv)
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     command = bench["command"]
@@ -149,6 +197,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
+    records = []
     for workload in args.workload:
         parent, change, parent_digests, change_digests = [], [], [], []
         for k in range(args.pairs):
@@ -160,9 +209,15 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}: " + ", ".join(
                 f"{name} {parent[-1][name]:.4g} -> {change[-1][name]:.4g}" for name in better
             ), flush=True)
+        rows = summarize(parent, change, better, bounds)
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
-        print(format_rows(summarize(parent, change, better, bounds)))
+        print(format_rows(rows))
         print(digest_line(workload, parent_digests, change_digests), flush=True)
+        if args.record:
+            runs = {"parent": parent, "change": change}
+            digests = {"parent": parent_digests, "change": change_digests}
+            records.append(record(workload, args, seconds, runs, digests, rows))
+            args.record.write_text(json.dumps({"workloads": records}, indent=2) + "\n")
     return 0
 
 

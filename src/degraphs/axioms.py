@@ -2,11 +2,11 @@
 multiplicity-free conditions, the small-degree classification, and the two
 supplementary axioms governing structure above the active color.
 
-Every checker reads the graph's positional index (``graph``): vertices are
+Every checker reads the graph's positional store (``graph``): vertices are
 positions in id order, each color a partner list, each signature one
 integer (bit p set where position p + 1 is -1).  Ids appear only in the
 witnesses, ordered by least vertex, and for axioms 2 and 3 in
-``edge_triples`` order, which is read off the partner maps only to word a
+``edge_triples`` order, which is read off ``G.edge_order`` only to word a
 failing edge.  Axioms 1, 2 and 3 take one mask test per vertex or edge and
 read the positions one by one only where it fails, to word the witness.
 Axiom 4 is checked by lookup: each vertex gets a local code at a window,
@@ -31,7 +31,7 @@ input that way.  A graph derived from a verified one has axioms 1, 2, 3 and
 the positions whose partner there changed}: in the LSP report, in the gate
 (``lsp_holds``) and in ``is_dual_equivalence_graph(G, base)``.  The
 supplementary axioms 4a and 4b read the defect sets and chains of
-``structure``, which still walk the string-keyed partner maps.
+``structure``.
 """
 
 from __future__ import annotations
@@ -192,9 +192,10 @@ def _edges(G: SignedColoredGraph, colors):
 def _in_edge_order(G: SignedColoredGraph, i: int, edges) -> list[tuple[str, str]]:
     """The i-edges among the position pairs ``edges``, as id pairs in
     ``edge_triples`` order, in which the witnesses are worded."""
-    ids = G.ids
-    wanted = {(ids[u], ids[w]) for u, w in edges}
-    return [(u, w) for u, w in G._adj[i].items() if (u, w) in wanted] if wanted else []
+    if not edges:
+        return []
+    wanted, a, ids = set(edges), G.partner[i], G.ids
+    return [(ids[u], ids[a[u]]) for u in G.edge_order[i] if (u, a[u]) in wanted]
 
 
 def _check_axiom2(G: SignedColoredGraph, colors=None):
@@ -480,7 +481,7 @@ def check_lsf(G: SignedColoredGraph, m: int) -> AxiomReport:
 def _window_violation(degree: int, counts: tuple[tuple[int, int], ...]) -> str | None:
     """Why the window function with these (signature slice, count) pairs is
     not Schur positive, or None when it is; a slice is the window's
-    ``degree - 1`` signature bits, as in ``G.bits``.
+    ``degree - 1`` signature bits, as in ``G.pbits``.
 
     The pairs are the whole function, so the key is exact: two windows with
     the same key have the same expansion, whatever graph they come from.

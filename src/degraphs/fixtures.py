@@ -37,36 +37,31 @@ def signatures_from_structure(
     """
     if n != N:
         raise ValueError("structural reconstruction needs type (n, n)")
-    vertices = sorted(vertices)
-    adj: dict[str, dict[int, str]] = {v: {} for v in vertices}
-    for c, u, w in triples:
-        adj[u][c] = w
-        adj[w][c] = u
+    G = SignedColoredGraph(n, N, dict.fromkeys(vertices, (1,) * (N - 1)), triples)
+    lists = list(G.partner.values())
 
-    def build(v: str, lead: int) -> tuple[int, ...]:
+    def build(v: int, lead: int) -> tuple[int, ...]:
         sig = [lead]
-        for pos in range(2, N):
-            sig.append(-sig[-1] if pos in adj[v] else sig[-1])
+        for a in lists:
+            sig.append(-sig[-1] if a[v] >= 0 else sig[-1])
         return tuple(sig)
 
-    sigma: dict[str, tuple[int, ...]] = {}
-    for start in vertices:
-        if start in sigma:
-            continue
-        sigma[start] = build(start, 1)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for c, w in adj[v].items():
+    signs: list = [None] * len(G.ids)
+    for comp in G._walk(range(len(G.ids)), G.colors()):
+        # walk order: each vertex after one it is joined to, so it has a sign
+        signs[comp[0]] = build(comp[0], 1)
+        for v in comp:
+            for k, w in enumerate(a[v] for a in lists):
+                if w < 0:
+                    continue
                 cand = build(w, 1)
-                if cand[c - 2] != -sigma[v][c - 2]:
+                if cand[k] != -signs[v][k]:
                     cand = build(w, -1)
-                if w in sigma:
-                    if sigma[w] != cand:
-                        raise ValueError(f"inconsistent signatures at {w!r}")
-                else:
-                    sigma[w] = cand
-                    stack.append(w)
+                if signs[w] is None:
+                    signs[w] = cand
+                elif signs[w] != cand:
+                    raise ValueError(f"inconsistent signatures at {G.ids[w]!r}")
+    sigma = dict(zip(G.ids, signs))
     report = check_axiom(SignedColoredGraph(n, N, sigma, triples), 2)
     if not report.holds:
         c, u, w, why = report.witnesses[0]
@@ -426,9 +421,9 @@ def _built(name: str) -> SignedColoredGraph:
 
 def fixture(name: str) -> SignedColoredGraph:
     """The named fixture, built once per process; each caller gets its own
-    unmarked graph object sharing the built one's maps and signatures."""
+    unmarked graph object sharing the built one's lists and signatures."""
     G = _built(name)
-    return G._derive(G.n, G._adj, G.partner)
+    return G._derive(G.n, G.partner, G.edge_order)
 
 
 def fixture_names(skip_large: bool = False) -> list[str]:

@@ -2,26 +2,16 @@
 matching per edge color.
 
 A graph of type (n, N) has colors i with 1 < i < n and signatures of length
-N - 1.  Color classes are stored as involutive partner maps, which makes the
-matching requirement (no vertex on two same-color edges) structural.  Graphs
-are immutable; a derived graph (one color class replaced, or colors cut off)
-shares its signatures and unchanged partner maps with the graph it came from.
-
-Each signature is also held as one integer, ``G.bits[v]``, whose bit p is set
-where position p + 1 is -1, so that every check comparing signature
-positions reads a shift and a mask (``signature_bits``).
-
-Every graph also carries a positional index, built with its partner maps:
-``G.ids`` lists the vertex ids in sorted order, so that a vertex's position
-orders as its id does and the least position is the least vertex;
-``G.pbits[p]`` is the signature bits of position p; and
-``G.partner[i][p]`` is the position of p's i-partner, -1 for none, one list
-per color.  A derived graph shares the index and builds only the lists of
-the colors it replaces.  The component walk, the forced extension behind
-every isomorphism search, the axiom checkers and identification read the
-index, and ids appear only in what they return.  The string-keyed partner
-maps (``neighbor``, ``matching``) serve the structure code and the rewiring
-maps.
+N - 1.  It is stored by vertex position: ``G.ids`` lists the vertex ids in
+sorted order, so that positions order as ids do, and ``G.pos`` maps each id
+back to its position.  ``G.pbits[p]`` is the signature of position p as one
+integer (``signature_bits``), ``G.partner[i][p]`` the position of p's
+i-partner, -1 for none, which makes the matching requirement structural,
+and ``G.edge_order[i]`` the lesser end of each i-edge in first-insertion
+order, the order in which ``edge_triples`` and the writers list edges.
+Graphs are immutable; a derived graph (one color class replaced, or colors
+cut off) shares ids, positions, signatures and every list it keeps.  Ids
+appear only in public arguments and results and in serialization.
 """
 
 from __future__ import annotations
@@ -45,7 +35,7 @@ class SignedColoredGraph:
     # nothing is, True once this graph passed the check, otherwise the nearest
     # graph that passed and this one derives from by with_color_matching
     # (same vertices and signatures, some color classes replaced)
-    __slots__ = ("n", "N", "sigma", "bits", "_adj", "stats", "_lsp_base", "ids", "pbits", "partner")
+    __slots__ = ("n", "N", "sigma", "stats", "_lsp_base", "ids", "pos", "pbits", "partner", "edge_order")
 
     def __init__(
         self,
@@ -61,7 +51,7 @@ class SignedColoredGraph:
         self.n = n
         self.N = N
         self.sigma = {v: tuple(s) for v, s in sigma.items()}
-        self.bits = {}
+        bits = {}
         for v, s in self.sigma.items():
             if type(v) is not str:
                 raise GraphFormatError(f"vertex {v!r}: id must be a string")
@@ -70,33 +60,37 @@ class SignedColoredGraph:
                     f"vertex {v!r}: signature length {len(s)} != N-1 = {N - 1}"
                 )
             try:
-                self.bits[v] = signature_bits(s)
+                bits[v] = signature_bits(s)
             except (ValueError, TypeError):  # an unhashable entry is not +-1 either
                 raise GraphFormatError(f"vertex {v!r}: signature entries must be +-1") from None
-        self.ids = tuple(sorted(self.sigma))
-        self.pbits = list(map(self.bits.__getitem__, self.ids))
+        self.ids = tuple(sorted(bits))
+        self.pos = dict(zip(self.ids, range(len(self.ids))))
+        self.pbits = list(map(bits.__getitem__, self.ids))
         self.partner = {c: [-1] * len(self.ids) for c in range(2, n)}
+        self.edge_order = {c: [] for c in range(2, n)}
         insert = _insert_maps if isinstance(edges, dict) else _insert_edges
-        self._adj = insert({}, self.partner, n, self._positions(), edges)
+        insert(self.partner, self.edge_order, n, self.pos, edges)
         self.stats = dict(stats) if stats else None
         self._lsp_base: SignedColoredGraph | bool | None = None
 
-    def _derive(self, n: int, adj: dict, partner: dict) -> "SignedColoredGraph":
-        """A graph of type (n, N) with these partner maps and lists, sharing
-        this graph's signatures, statistics and index (graphs are never
-        mutated)."""
+    def _derive(self, n: int, partner: dict, edge_order: dict) -> "SignedColoredGraph":
+        """A graph of type (n, N) with these partner lists and write orders,
+        sharing this graph's signatures, statistics and positions (graphs
+        are never mutated)."""
         H = SignedColoredGraph.__new__(SignedColoredGraph)
-        H.n, H.N, H.sigma, H.bits, H.stats = n, self.N, self.sigma, self.bits, self.stats
-        H.ids, H.pbits = self.ids, self.pbits
-        H._adj, H.partner = adj, partner
+        H.n, H.N, H.sigma, H.stats = n, self.N, self.sigma, self.stats
+        H.ids, H.pos, H.pbits = self.ids, self.pos, self.pbits
+        H.partner, H.edge_order = partner, edge_order
         H._lsp_base = None
         return H
 
-    def _positions(self) -> dict[str, int]:
-        """A fresh map from each id to its position, for a caller that looks
-        ids up.  A graph keeps none: one per graph would cost about as much
-        memory as its partner lists."""
-        return dict(zip(self.ids, range(len(self.ids))))
+    def position(self, v: str) -> int:
+        """The position of vertex ``v``; a KeyError naming ``v`` when it is
+        not a vertex."""
+        p = self.pos.get(v)
+        if p is None:
+            raise KeyError(f"{v!r} is not a vertex")
+        return p
 
     # -- basic queries ------------------------------------------------------
 
@@ -107,22 +101,26 @@ class SignedColoredGraph:
         return tuple(range(2, self.n))
 
     def neighbor(self, v: str, i: int) -> str | None:
-        return self._adj.get(i, {}).get(v)
+        a, p = self.partner.get(i), self.pos.get(v)
+        return None if a is None or p is None or a[p] < 0 else self.ids[a[p]]
 
     def matching(self, i: int) -> dict[str, str]:
-        return dict(self._adj.get(i, {}))
-
-    def _partners(self, i: int) -> dict[str, str]:
-        """The i-partner map itself, not a copy; callers must not mutate it."""
-        return self._adj.get(i, {})
+        """The i-partner of each i-matched vertex, edge by edge in write
+        order, the lesser end first."""
+        ids, a, m = self.ids, self.partner.get(i), {}
+        for p in self.edge_order.get(i, ()):
+            u, w = ids[p], ids[a[p]]
+            m[u] = w
+            m[w] = u
+        return m
 
     def edge_triples(self) -> list[tuple[int, str, str]]:
-        out = []
-        for c in sorted(self._adj):
-            for u, w in self._adj[c].items():
-                if u < w:
-                    out.append((c, u, w))
-        return out
+        """Each edge (color, lesser end, greater end), by color, then in
+        write order."""
+        ids = self.ids
+        return [
+            (c, ids[p], ids[a[p]]) for c, a in self.partner.items() for p in self.edge_order[c]
+        ]
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,14 +128,14 @@ class SignedColoredGraph:
             and self.n == other.n
             and self.N == other.N
             and self.sigma == other.sigma
-            and self._adj == other._adj
+            and self.partner == other.partner
             and self.stats == other.stats
         )
 
     def __repr__(self) -> str:
         return (
             f"SignedColoredGraph(type=({self.n},{self.N}), "
-            f"|V|={len(self.sigma)}, |E|={len(self.edge_triples())})"
+            f"|V|={len(self.sigma)}, |E|={sum(map(len, self.edge_order.values()))})"
         )
 
     # -- derived graphs -----------------------------------------------------
@@ -145,23 +143,31 @@ class SignedColoredGraph:
     def with_color_matching(self, i: int, matching: dict[str, str]) -> "SignedColoredGraph":
         """New graph with color class i replaced.  Only the new class is
         validated, as the constructor validates a partner map; every other
-        partner map is shared with this graph."""
-        adj = {c: m for c, m in self._adj.items() if c != i}
-        partner = dict(self.partner)
+        color's list is shared with this graph."""
+        a, order = [-1] * len(self.ids), []
+        _insert_maps({i: a}, {i: order}, self.n, self.pos, {i: matching})
+        return self._with_partner(i, a, order)
+
+    def _with_partner(self, i: int, a: list[int], order: list[int]) -> "SignedColoredGraph":
+        """New graph with color i's partner list ``a`` and write order
+        ``order``, taken as they are; the verified ancestor carries over."""
+        partner, edge_order = dict(self.partner), dict(self.edge_order)
         if i in partner:
-            partner[i] = [-1] * len(self.ids)
-        _insert_maps(adj, partner, self.n, self._positions(), {i: matching})
-        H = self._derive(self.n, adj, partner)
+            partner[i], edge_order[i] = a, order
+        H = self._derive(self.n, partner, edge_order)
         H._lsp_base = self if self._lsp_base is True else self._lsp_base
         return H
 
     def restrict(self, m: int) -> "SignedColoredGraph":
         """(m, N)-restriction: keep colors below m, signatures intact; the
-        kept partner maps are shared with this graph."""
+        kept partner lists are shared with this graph."""
         if not 2 <= m <= self.n:
             raise ValueError(f"restriction bound {m} outside 2..{self.n}")
-        adj = {c: mp for c, mp in self._adj.items() if c < m}
-        return self._derive(m, adj, {c: a for c, a in self.partner.items() if c < m})
+        return self._derive(
+            m,
+            {c: a for c, a in self.partner.items() if c < m},
+            {c: o for c, o in self.edge_order.items() if c < m},
+        )
 
     def restrict_full(self, m: int) -> "SignedColoredGraph":
         """(m, m)-restriction: also truncate signatures to length m - 1."""
@@ -221,7 +227,7 @@ class SignedColoredGraph:
     def component_vertices(self, start: str, colors) -> tuple[str, ...]:
         """The component of ``start`` under ``colors``, as its sorted vertex
         tuple."""
-        return self._id_tuple(next(self._walk((self._positions()[start],), colors)))
+        return self._id_tuple(next(self._walk((self.position(start),), colors)))
 
     def components(self, colors) -> list[tuple[str, ...]]:
         """Each component under ``colors`` as its sorted vertex tuple, in
@@ -235,10 +241,9 @@ class SignedColoredGraph:
         Pieces are not cut back to ``vertices``; callers pass a component
         of a larger color set, which holds each of its pieces whole.
         """
-        starts = sorted(map(self._positions().__getitem__, vertices))
+        starts = sorted(map(self.position, vertices))
         pieces = [self._id_tuple(p) for p in self._walk(starts, colors)]
         return pieces, {v: k for k, piece in enumerate(pieces) for v in piece}
-
     # -- generating functions -------------------------------------------------
 
     def full_window(self) -> Window:
@@ -338,11 +343,11 @@ def signature_bits(s: tuple) -> int:
     return bits
 
 
-def _insert_edges(adj: dict[int, dict[str, str]], partner, n: int, pos, triples) -> dict:
-    """Add (color, u, w) edges to the partner maps ``adj`` and to the
-    partner lists ``partner`` (vertex positions ``pos``), rejecting a color
-    outside 1 < c < n, a loop, an endpoint that is not a vertex and a second
-    edge of one color at a vertex; returns ``adj``."""
+def _insert_edges(partner, edge_order, n: int, pos, triples) -> None:
+    """Add (color, u, w) edges to the partner lists ``partner`` (vertex
+    positions ``pos``), each new edge's lesser end to ``edge_order``,
+    rejecting a color outside 1 < c < n, a loop, an endpoint that is not a
+    vertex and a second edge of one color at a vertex."""
     for c, u, w in triples:
         if not 1 < c < n:
             raise GraphFormatError(f"edge color {c} outside 1 < i < n = {n}")
@@ -354,25 +359,23 @@ def _insert_edges(adj: dict[int, dict[str, str]], partner, n: int, pos, triples)
         a = partner[c]
         if -1 != a[pu] != pw or -1 != a[pw] != pu:
             raise GraphFormatError(f"color {c} is not a matching at {u!r}/{w!r}")
-        a[pu], a[pw] = pw, pu
-        m = adj.setdefault(c, {})
-        m[u] = w
-        m[w] = u
-    return adj
+        if a[pu] < 0:
+            a[pu], a[pw] = pw, pu
+            edge_order[c].append(pu if pu < pw else pw)
 
 
-def _insert_maps(adj: dict[int, dict[str, str]], partner, n: int, pos, maps) -> dict:
+def _insert_maps(partner, edge_order, n: int, pos, maps) -> None:
     """Add the partner maps ``{color: {u: w}}`` by their pairs u <= w, as
     ``_insert_edges`` adds edges, and reject a map that is not an involution
-    (a vertex whose partner does not have it as partner); returns ``adj``."""
+    (a vertex whose partner does not have it as partner)."""
     for c, m in maps.items():
-        _insert_edges(adj, partner, n, pos, ((c, u, w) for u, w in m.items() if u <= w))
-        if adj.get(c, {}) != m:
-            # the pairs u <= w, inserted both ways, give m only if m is one
-            u, w = next((u, w) for u, w in m.items() if m.get(w) != u)
+        _insert_edges(partner, edge_order, n, pos, ((c, u, w) for u, w in m.items() if u <= w))
+        # the pairs u <= w, inserted both ways, give m only if m is one
+        bad = next(((u, w) for u, w in m.items() if m.get(w) != u), None)
+        if bad is not None:
+            u, w = bad
             back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
             raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
-    return adj
 
 
 def _dot_quote(text: str) -> str:
@@ -482,8 +485,7 @@ def seeded_isomorphism(
         colors = set(G.colors()) | set(H.colors())
     if positions is None:
         positions = range(1, min(G.N, H.N))
-    gpos, hpos = G._positions(), H._positions()
-    seeds = [(gpos[x], hpos[y]) for x, y in dict(seeds).items()]
+    seeds = [(G.position(x), H.position(y)) for x, y in dict(seeds).items()]
     pairs = _list_pairs(G, H, colors)
     found = _forced_extension(G.pbits, H.pbits, pairs, _position_mask(positions), seeds)
     return None if found is None else _id_map(G, H, found)
@@ -559,9 +561,14 @@ def find_isomorphism(
 
 def i_package(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
     """Component of v under all colors except i-2 .. i+2."""
+    return G._id_tuple(_package(G, G.position(v), i))
+
+
+def _package(G: SignedColoredGraph, p: int, i: int) -> list[int]:
+    """The positions of the i-package of position p, p first."""
     if not 1 < i < G.n:
         raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
-    return G.component_vertices(v, package_colors(G, i))
+    return next(G._walk((p,), package_colors(G, i)))
 
 
 def package_colors(G: SignedColoredGraph, i: int) -> frozenset[int]:

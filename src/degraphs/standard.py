@@ -35,9 +35,9 @@ def _standard_graph(lam: Partition) -> SignedColoredGraph:
 
 def build_standard_deg(lam: Partition) -> SignedColoredGraph:
     """The graph G_lam of type (n, n) on SYT(lam).  Each caller gets its own
-    unmarked graph sharing the built one's maps and signatures."""
+    unmarked graph sharing the built one's lists and signatures."""
     G = _standard_graph(lam)
-    return G._derive(G.n, G._adj, G.partner)
+    return G._derive(G.n, G.partner, G.edge_order)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def identify_component(
         raise ValueError(f"degree {m} outside 1..{G.n}")
     mask = (1 << (m - 1)) - 1
     bits = G.pbits
-    members = set(map(G._positions().__getitem__, vertices))
+    members = set(map(G.position, vertices))
     sigs = tuple(sorted(bits[p] & mask for p in members))
     anchor = min(members)
     for lam, count in _shapes(m):

@@ -9,10 +9,12 @@ rewiring also keeps the graph locally Schur positive.  The rewiring maps
 and the search over U_i live in ``transform``.
 
 Every chain grows from i-edges plus one walk along alternating (c-1, c)
-edges, ``extend_nonflat_chain``; a W-detour is that walk one color down.
-A flat chain's next i-edge starts at ``_flat_successor``, and
-``defect_sets`` reads C_i off one map of those successors.  Type W and
-flatness compare one bit of the signature bits ``G.bits``.
+edges, ``_grow``; a W-detour is that walk one color down.  A flat chain's
+next i-edge starts at ``_flat_successor``, and ``defect_sets`` reads C_i
+off one list of those successors.  The private functions, which
+``transform`` reads too, work on vertex positions and partner lists; type W
+and flatness compare one bit of ``G.pbits``.  The public ones take and
+return ids.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import Partition, dominance_ge
-from .graph import SignedColoredGraph, i_package
+from .graph import SignedColoredGraph, _package
 from .standard import identify_component
 
 
@@ -32,17 +34,18 @@ class StructureError(ValueError):
 # vertex types
 
 
+def _type_w(G: SignedColoredGraph, v: int, i: int) -> bool:
+    """``has_type_w`` at position v."""
+    if not 3 <= i < G.n:
+        return False
+    u = G.partner[i - 1][v]
+    return G.partner[i][v] >= 0 and u >= 0 and bool((G.pbits[v] ^ G.pbits[u]) >> (i - 1) & 1)
+
+
 def has_type_w(G: SignedColoredGraph, v: str, i: int) -> bool:
     """Type W at color i: an i-edge and an i-1-neighbor across which the
     sign at position i reverses."""
-    if i < 3 or i >= G.n:
-        return False
-    if G.neighbor(v, i) is None:
-        return False
-    u = G.neighbor(v, i - 1)
-    if u is None:
-        return False
-    return bool((G.bits[v] ^ G.bits[u]) >> (i - 1) & 1)
+    return _type_w(G, G.position(v), i)
 
 
 def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
@@ -52,26 +55,30 @@ def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
     i-1-neighbor relies on the i-2-neighbor having one (guaranteed by axiom
     3); if it does not, the input is off-spec and an error is raised.
     """
-    if G.neighbor(v, i) is None or i < 3:
+    p = G.position(v)
+    if not 3 <= i < G.n or G.partner[i][p] < 0:
         return "none"
-    if has_type_w(G, v, i):
+    if _type_w(G, p, i):
         return "W"
     if i < 4:
         return "none"
-    u2 = G.neighbor(v, i - 2)
-    if u2 is None:
+    u2, bits = G.partner[i - 2][p], G.pbits
+    if u2 < 0:
         return "A"
-    if G.neighbor(v, i - 1) is not None:
-        flip = G.sigma[v][i - 2] == -G.sigma[u2][i - 2]
-        return "B" if flip else "C"
-    u21 = G.neighbor(u2, i - 1)
-    if u21 is None:
+    if G.partner[i - 1][p] >= 0:
+        return "B" if (bits[p] ^ bits[u2]) >> (i - 2) & 1 else "C"
+    u21 = G.partner[i - 1][u2]
+    if u21 < 0:
         raise StructureError(
             f"vertex {v!r}: classifying color {i} needs an {i - 1}-edge at "
-            f"{u2!r} (axiom 3 violated)"
+            f"{G.ids[u2]!r} (axiom 3 violated)"
         )
-    flip = G.sigma[v][i - 1] == -G.sigma[u21][i - 1]
-    return "B" if flip else "C"
+    return "B" if (bits[p] ^ bits[u21]) >> (i - 1) & 1 else "C"
+
+
+def _flat(G: SignedColoredGraph, v: int, i: int) -> bool:
+    """``is_flat_edge`` at position v, which has an i-edge."""
+    return i < 3 or not (G.pbits[v] ^ G.pbits[G.partner[i][v]]) >> (i - 3) & 1
 
 
 def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
@@ -80,92 +87,112 @@ def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
     Flatness compares position i-2, which exists for i >= 3; 2-edges are
     flat by convention.
     """
-    w = G.neighbor(v, i)
-    if w is None:
+    p = G.position(v)
+    if i not in G.partner or G.partner[i][p] < 0:
         raise ValueError(f"vertex {v!r} has no {i}-edge")
-    if i < 3:
-        return True
-    return not (G.bits[v] ^ G.bits[w]) >> (i - 3) & 1
+    return _flat(G, p, i)
 
 
 # ---------------------------------------------------------------------------
 # chains
 
 
+def _grow(G: SignedColoredGraph, end: int, i: int, used: set[int]) -> list[int]:
+    """``extend_nonflat_chain`` on positions."""
+    down, up = G.partner.get(i - 1), G.partner.get(i)
+    grown: list[int] = []
+    if down is None or up is None:
+        return grown
+    while True:
+        nxt = down[end]
+        if nxt < 0 or nxt in used:
+            return grown
+        end = up[nxt]
+        if end < 0 or end in used:
+            return grown
+        grown += (nxt, end)
+        used.update((nxt, end))
+
+
 def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]) -> list[str]:
     """The vertices E_{i-1}(y), E_i E_{i-1}(y), ... met growing a non-flat
     chain one way from its end y; growth stops when a link is missing or
     would revisit a vertex.  ``used`` gains the new vertices."""
-    grown: list[str] = []
-    while True:
-        nxt = G.neighbor(end, i - 1)
-        if nxt is None or nxt in used:
-            return grown
-        end = G.neighbor(nxt, i)
-        if end is None or end in used:
-            return grown
-        grown.extend((nxt, end))
-        used.update((nxt, end))
+    grown = [G.ids[p] for p in _grow(G, G.position(end), i, set(map(G.position, used)))]
+    used.update(grown)
+    return grown
 
 
-def _w_detour(G: SignedColoredGraph, y: str, i: int) -> list[str] | None:
-    """The vertices E_{i-2}(y), E_{i-1}E_{i-2}(y), ... of the color-(i-1)
-    non-flat chain ahead of y, read pair by pair while y and then each
-    second vertex has type W one color down; None when the chain ends
+def _w_detour(G: SignedColoredGraph, y: int, i: int) -> list[int] | None:
+    """The positions E_{i-2}(y), E_{i-1}E_{i-2}(y), ... of the color-(i-1)
+    non-flat chain ahead of position y, read pair by pair while y and then
+    each second vertex has type W one color down; None when the chain ends
     first."""
-    if not has_type_w(G, y, i - 1):
+    if not _type_w(G, y, i - 1):
         return []
-    chain = extend_nonflat_chain(G, y, i - 1, {y})
+    chain = _grow(G, y, i - 1, {y})
     for k in range(1, len(chain), 2):
-        if not has_type_w(G, chain[k], i - 1):
+        if not _type_w(G, chain[k], i - 1):
             return chain[: k + 1]
     return None
+
+
+def _psi_path(G: SignedColoredGraph, x: int, i: int) -> tuple[int, ...] | None:
+    """``psi_target`` on positions."""
+    w = G.partner[i][x]
+    detour = None if w < 0 else _w_detour(G, w, i)
+    return None if detour is None else (x, w, *detour)
 
 
 def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
     """Path (x, E_i(x), ..., u) to the first vertex past x's i-edge clear of
     type W one color down; None when the walk dies."""
-    w = G.neighbor(x, i)
-    detour = None if w is None else _w_detour(G, w, i)
-    return None if detour is None else (x, w, *detour)
+    path = _psi_path(G, G.position(x), i) if i in G.partner else None
+    return None if path is None else tuple(map(G.ids.__getitem__, path))
 
 
-def _flat_successor(G: SignedColoredGraph, a: str, i: int) -> str | None:
+def _flat_successor(G: SignedColoredGraph, a: int, i: int) -> int:
     """The start of the flat chain's next i-edge after the oriented i-edge
     (a, E_i(a)): E_{i-2} of psi's partner, when that vertex, its i-partner
-    and the partner's i-2-partner exist; else None."""
-    path = psi_target(G, a, i)
-    nxt = None if path is None else G.neighbor(path[-1], i - 2)
-    pair = None if nxt is None else G.neighbor(nxt, i)
-    return nxt if pair is not None and G.neighbor(pair, i - 2) is not None else None
+    and the partner's i-2-partner exist; else -1."""
+    path = _psi_path(G, a, i)
+    low = G.partner[i - 2]
+    nxt = -1 if path is None else low[path[-1]]
+    pair = -1 if nxt < 0 else G.partner[i][nxt]
+    return nxt if pair >= 0 and low[pair] >= 0 else -1
+
+
+def _flat_chain(G: SignedColoredGraph, x1: int, x2: int, i: int) -> list[int]:
+    """``flat_chains_from`` on positions."""
+    chain, used, up = [x1, x2], {x1, x2}, G.partner[i]
+    nxt = _flat_successor(G, x1, i) if i >= 4 else -1  # no i-2-edges below 4
+    while nxt >= 0 and nxt not in used and (pair := up[nxt]) not in used:
+        chain += (nxt, pair)
+        used.update((nxt, pair))
+        nxt = _flat_successor(G, chain[-2], i)
+    return chain
 
 
 def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[str, ...]:
     """Grow a flat chain forward from the oriented starting i-edge (x1, x2),
     until the next i-edge is missing or would revisit a vertex."""
-    if G.neighbor(x2, i) != x1:
+    p1, p2 = G.position(x1), G.position(x2)
+    if i not in G.partner or G.partner[i][p2] != p1:
         raise ValueError("starting vertices are not an i-edge")
-    chain = [x1, x2]
-    used = {x1, x2}
-    while True:
-        nxt = _flat_successor(G, chain[-2], i)
-        if nxt is None or nxt in used or (pair := G.neighbor(nxt, i)) in used:
-            return tuple(chain)
-        chain.extend([nxt, pair])
-        used.update((nxt, pair))
+    return tuple(map(G.ids.__getitem__, _flat_chain(G, p1, p2, i)))
 
 
 def all_flat_chains(G: SignedColoredGraph, i: int) -> list[tuple[str, ...]]:
     """Chains grown from every oriented i-edge whose endpoints admit
     i-2-edges.  Every flat chain is a prefix of one of these."""
-    if i < 4:
+    if not 4 <= i < G.n:
         return []
-    out = []
-    for u, w in sorted(G.matching(i).items()):
-        if G.neighbor(u, i - 2) is None or G.neighbor(w, i - 2) is None:
-            continue
-        out.append(flat_chains_from(G, u, w, i))
-    return out
+    up, low, ids = G.partner[i], G.partner[i - 2], G.ids
+    return [
+        tuple(map(ids.__getitem__, _flat_chain(G, u, w, i)))
+        for u, w in enumerate(up)
+        if w >= 0 and low[u] >= 0 and low[w] >= 0
+    ]
 
 
 def maximal_flat_chains(G: SignedColoredGraph, i: int) -> list[tuple[str, ...]]:
@@ -206,17 +233,20 @@ class DefectSets:
         return not (self.W or self.C)
 
 
+def _package_flat(G: SignedColoredGraph, v: int, j: int) -> bool:
+    """``package_all_flat`` at position v."""
+    a = G.partner[j]
+    return all(a[u] >= 0 and _flat(G, u, j) for u in _package(G, v, j))
+
+
 def package_all_flat(G: SignedColoredGraph, v: str, j: int) -> bool:
     """Every vertex of the j-package of v admits a flat j-edge."""
-    for u in i_package(G, v, j):
-        if G.neighbor(u, j) is None or not is_flat_edge(G, u, j):
-            return False
-    return True
+    return _package_flat(G, G.position(v), j)
 
 
-def _flat_interiors(G: SignedColoredGraph, i: int) -> frozenset[str]:
-    """C_i: the vertices of ``all_flat_chains(G, i)`` two or more in from
-    either end, read off one flat-successor map.
+def _flat_interiors(G: SignedColoredGraph, i: int) -> set[int]:
+    """C_i: the positions of ``all_flat_chains(G, i)`` two or more in from
+    either end, read off one flat-successor list.
 
     Each i-matched vertex's successor (``_flat_successor``) is computed
     once, psi's partner inline where E_i(a) has no W-detour.  An i-edge is
@@ -225,49 +255,50 @@ def _flat_interiors(G: SignedColoredGraph, i: int) -> frozenset[str]:
     start itself: that chain has used only vertices the longer one has, so
     where the longer one goes on past the edge, it does too.
     """
-    up, mid, low, bits = G._partners(i), G._partners(i - 1), G._partners(i - 2), G.bits
-    succ = {}
-    for a, b in up.items():
-        u = low.get(b)
-        if b in mid and u is not None and (bits[b] ^ bits[u]) >> (i - 2) & 1:
-            nxt = _flat_successor(G, a, i)  # b has type W one color down
-        else:
-            nxt = None if u is None or (pair := up.get(u)) is None or pair not in low else u
-        if nxt is not None:
-            succ[a] = nxt
-    inner: set[str] = set()
-    for p, a in succ.items():
-        q = up[p]
-        if p not in low or q not in low or a in (p, q) or (c := succ.get(a)) is None:
+    up, mid, low, bits = G.partner[i], G.partner[i - 1], G.partner[i - 2], G.pbits
+    succ = [-1] * len(up)
+    for a, b in enumerate(up):
+        if b < 0:
             continue
-        b = up[a]
-        if c not in (p, q, a, b):
+        u = low[b]
+        if mid[b] >= 0 and u >= 0 and (bits[b] ^ bits[u]) >> (i - 2) & 1:
+            succ[a] = _flat_successor(G, a, i)  # b has type W one color down
+        elif u >= 0 and (pair := up[u]) >= 0 and low[pair] >= 0:
+            succ[a] = u
+    inner: set[int] = set()
+    for p, a in enumerate(succ):
+        if a < 0 or low[p] < 0 or low[q := up[p]] < 0 or a == p or a == q:
+            continue
+        c, b = succ[a], up[a]
+        if c >= 0 and c not in (p, q, a, b):
             inner.update((a, b))
-    return frozenset(inner)
+    return inner
 
 
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
-    # W_i: type W at color i (``has_type_w``), read off the two partner maps
-    # in one pass, without the double edges
-    W: frozenset[str] = frozenset()
+    # W_i: type W at color i (``has_type_w``), read off the two partner
+    # lists in one pass, without the double edges
+    W: list[int] = []
     if 3 <= i < G.n:
-        down, bits = G._partners(i - 1), G.bits
-        W = frozenset(
+        up, down, bits = G.partner[i], G.partner[i - 1], G.pbits
+        W = [
             v
-            for v, w in G._partners(i).items()
-            if (u := down.get(v)) is not None
+            for v, w in enumerate(up)
+            if w >= 0
+            and (u := down[v]) >= 0
             and u != w
             and (bits[v] ^ bits[u]) >> (i - 1) & 1
-        )
-    W0 = frozenset(w for w in W if package_all_flat(G, w, i - 1))
-    C = _flat_interiors(G, i) if 4 <= i < G.n else frozenset()
-    C0 = frozenset(
+        ]
+    W0 = [w for w in W if _package_flat(G, w, i - 1)]
+    C = _flat_interiors(G, i) if 4 <= i < G.n else ()
+    C0 = [
         x
         for x in C
-        if (path := psi_target(G, x, i)) is not None
-        and all(package_all_flat(G, v, i - 2) for v in path)
-    )
-    return DefectSets(W, W0, C, C0)
+        if (path := _psi_path(G, x, i)) is not None
+        and all(_package_flat(G, v, i - 2) for v in path)
+    ]
+    ids = G.ids.__getitem__
+    return DefectSets(*(frozenset(map(ids, s)) for s in (W, W0, C, C0)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ positive graph into a dual equivalence graph one color at a time.
 
 All four maps replace a single color class and leave vertices, signatures,
 and every other color untouched, so the quasisymmetric generating function is
-preserved exactly.  Every map builds its new color class one way, in
-``_rematch``: each i-matched vertex is given its new partner, and
-``with_color_matching`` is the one check that the result is again a matching
-on the same vertices.  The long phi variant and gamma's partner read the
-non-flat chain ahead of an i-edge, ``_chain_ahead``; the long psi variant
-reads the flat chain grown from the anchor's i-edge.
+preserved exactly.  The maps read the partner lists by vertex position and
+build their new color class one way, in ``_rematch``: each i-matched
+position is given its new partner, and the result must be a matching on the
+same vertices.  The long phi variant and gamma's partner read the non-flat
+chain ahead of an i-edge, ``_chain_ahead``; the long psi variant reads the
+flat chain grown from the anchor's i-edge.  Anchors are ids, looked up once.
 
 At color i the orchestrator drains the defect sets W_i and C_i, then splits
 covers with theta until axiom 6 holds at colors 2..i.  A drain step is the
@@ -39,7 +39,6 @@ from .graph import (
     GraphFormatError,
     SignedColoredGraph,
     _field,
-    _id_map,
     anchored_maps,
     package_colors,
     package_positions,
@@ -49,13 +48,13 @@ from .standard import identify_component
 from .structure import (
     DefectSets,
     StructureError,
+    _flat,
+    _flat_chain,
+    _grow,
+    _psi_path,
+    _type_w,
     defect_sets,
-    extend_nonflat_chain,
-    flat_chains_from,
-    has_type_w,
-    is_flat_edge,
     negatively_dominant,
-    psi_target,
 )
 from .symfunc import SchurExpansion, expand_in_schur
 
@@ -87,44 +86,52 @@ def package_isomorphism(
 
 
 def _rematch(G: SignedColoredGraph, i: int, target) -> SignedColoredGraph:
-    """G with its i-matching rebuilt: each i-matched vertex v, in id order,
-    is paired with ``target(v, E_i(v))``.  Every map builds its new matching
-    here, and ``with_color_matching`` is the one check that the result is a
-    matching on the same vertices."""
-    old = G._partners(i)
-    new = {v: target(v, old[v]) for v in sorted(old)}
-    missing = next((v for v, w in new.items() if w is None), None)
-    if missing is not None:
-        raise TransformError(f"rewiring finds no {i}-partner for {missing!r}")
-    try:
-        return G.with_color_matching(i, new)
-    except GraphFormatError as e:
-        raise TransformError(f"rewiring is not a matching: {e}") from None
+    """G with its i-matching rebuilt: each i-matched position v, ascending,
+    is paired with ``target(v, E_i(v))``, a position or -1 for none.  Every
+    map builds its new matching here; the result must be a matching on the
+    same vertices, worded as ``with_color_matching`` words it when not."""
+    old = G.partner[i]
+    new = [-1] * len(old)
+    for v, w in enumerate(old):
+        if w >= 0:
+            new[v] = t = target(v, w)
+            if t < 0:
+                raise TransformError(f"rewiring finds no {i}-partner for {G.ids[v]!r}")
+    if any(t == v or new[t] != v for v, t in enumerate(new) if t >= 0):
+        ids = G.ids
+        try:
+            G.with_color_matching(i, {ids[v]: ids[t] for v, t in enumerate(new) if t >= 0})
+        except GraphFormatError as e:
+            raise TransformError(f"rewiring is not a matching: {e}") from None
+    return G._with_partner(i, new, [v for v, t in enumerate(new) if v < t])
 
 
 def _rewire(
-    G: SignedColoredGraph, i: int, a: str, b: str, through_edge: bool
+    G: SignedColoredGraph, i: int, a: int, b: int, through_edge: bool
 ) -> SignedColoredGraph:
-    """Replace the i-matching using the isomorphism of the i-packages of a
-    and b, made an involution phi by adding its inverse unless the packages
-    overlap.
+    """Replace the i-matching using the isomorphism of the i-packages of the
+    positions a and b, made an involution phi by adding its inverse unless
+    the packages overlap.
 
     ``through_edge`` False pairs v with phi(v) on the packages (the phi/psi
     pattern); True pairs v with the old i-neighbor of phi(v) (the gamma
     pattern).  Off-package edges follow so the result stays a matching.
     """
-    phi = package_isomorphism(G, a, b, i)
-    if phi is None:
-        raise TransformError(f"packages of {a!r} and {b!r} are not isomorphic")
+    ids, pos = G.ids, G.pos
+    found = package_isomorphism(G, ids[a], ids[b], i)
+    if found is None:
+        raise TransformError(f"packages of {ids[a]!r} and {ids[b]!r} are not isomorphic")
+    phi = {pos[x]: pos[y] for x, y in found.items()}
     back = {v: k for k, v in phi.items()}
-    if not set(back) & set(phi):
+    if not back.keys() & phi.keys():
         phi.update(back)
+    old = G.partner[i]
 
-    def target(v: str, w: str) -> str | None:
+    def target(v: int, w: int) -> int:
         if v in phi:
-            return G.neighbor(phi[v], i) if through_edge else phi[v]
+            return old[phi[v]] if through_edge else phi[v]
         if w in phi:
-            return phi[w] if through_edge else G.neighbor(phi[w], i)
+            return phi[w] if through_edge else old[phi[w]]
         return w
 
     return _rematch(G, i, target)
@@ -140,19 +147,20 @@ def _check_anchor(G: SignedColoredGraph, v: str, i: int, r: int = 0):
     is checked here first."""
     if not 1 < i < G.n:
         raise TransformError(f"color {i} outside 1 < i < n = {G.n}")
-    if v not in G.sigma:
+    if v not in G.pos:
         raise TransformError(f"anchor {v!r} is not a vertex")
     if r < 0:
         raise TransformError(f"variant r={r} is negative")
 
 
-def _chain_ahead(G: SignedColoredGraph, w: str, i: int) -> list[str]:
-    """The non-flat chain grown ahead of w's own i-edge: E_{i-1}(w),
-    E_i E_{i-1}(w), ..., stopping before a vertex met already.  Gamma's
-    partner is an even entry.  The long phi variant r pairs w with entry 2r,
-    u = E_{i-1}(E_i E_{i-1})^r (w), and needs the entries before it in W_i0,
-    so a walk that wraps round a cyclic chain never gets that far."""
-    return extend_nonflat_chain(G, w, i, {w, G.neighbor(w, i)})
+def _chain_ahead(G: SignedColoredGraph, w: int, i: int) -> list[int]:
+    """The non-flat chain grown ahead of position w's own i-edge:
+    E_{i-1}(w), E_i E_{i-1}(w), ..., stopping before a vertex met already.
+    Gamma's partner is an even entry.  The long phi variant r pairs w with
+    entry 2r, u = E_{i-1}(E_i E_{i-1})^r (w), and needs the entries before
+    it in W_i0, so a walk that wraps round a cyclic chain never gets that
+    far."""
+    return _grow(G, w, i, {w, G.partner[i][w]})
 
 
 def apply_phi(G: SignedColoredGraph, w: str, i: int, r: int = 0) -> SignedColoredGraph:
@@ -168,14 +176,15 @@ def _phi(G: SignedColoredGraph, w: str, i: int, r: int, sets) -> SignedColoredGr
         if w in sets.W:
             raise TransformError(f"{w!r} is in W_{i} but fails the package filter")
         raise TransformError(f"{w!r} is not in W_{i}")
+    p = G.pos[w]
     if r == 0:
-        u = G.neighbor(w, i - 1)  # w has type W, so the edge exists
+        u = G.partner[i - 1][p]  # w has type W, so the edge exists
     else:
-        ahead = _chain_ahead(G, w, i)
-        if len(ahead) <= 2 * r or not set(ahead[: 2 * r]) <= sets.W0:
+        ahead = _chain_ahead(G, p, i)
+        if len(ahead) <= 2 * r or not {G.ids[v] for v in ahead[: 2 * r]} <= sets.W0:
             raise TransformError(f"long variant r={r} leaves the eligible chain")
         u = ahead[2 * r]
-    return _rewire(G, i, w, u, through_edge=False)
+    return _rewire(G, i, p, u, through_edge=False)
 
 
 def apply_psi(G: SignedColoredGraph, x: str, i: int, r: int = 0) -> SignedColoredGraph:
@@ -193,22 +202,21 @@ def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGr
         if x in sets.C:
             raise TransformError(f"{x!r} is in C_{i} but fails the package filter")
         raise TransformError(f"{x!r} is not in C_{i}")
-    base = x
+    base = p = G.pos[x]
     if r:
-        chain = flat_chains_from(G, x, G.neighbor(x, i), i)
+        chain = _flat_chain(G, p, G.partner[i][p], i)
         for k in range(4, 4 * r + 1, 4):
             if len(chain) <= k:
                 raise TransformError(f"long variant r={r} runs off the chain")
             base = chain[k]
-            if base not in sets.C0:
-                raise TransformError(f"long variant r={r} leaves C0 at {base!r}")
-    path = psi_target(G, base, i)
+            if G.ids[base] not in sets.C0:
+                raise TransformError(f"long variant r={r} leaves C0 at {G.ids[base]!r}")
+    path = _psi_path(G, base, i)
     if path is None:
-        raise TransformError(f"no eligible partner past {base!r}")
-    u = path[-1]
-    a = G.neighbor(x, i - 2)
-    b = G.neighbor(u, i - 2)
-    if a is None or b is None:
+        raise TransformError(f"no eligible partner past {G.ids[base]!r}")
+    low = G.partner[i - 2]
+    a, b = low[p], low[path[-1]]
+    if a < 0 or b < 0:
         raise TransformError("chain endpoints lack their lower edges")
     return _rewire(G, i, a, b, through_edge=False)
 
@@ -237,33 +245,35 @@ def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
                 yield v, kind, H
 
 
+def _gamma_partner(G: SignedColoredGraph, z: int, i: int) -> int:
+    """``gamma_partner`` on positions."""
+    w, low = G.partner[i][z], G.partner.get(i - 2)
+    ahead = _chain_ahead(G, w, i) if w >= 0 and low is not None else []
+    for y in ahead[::2]:
+        if not _type_w(G, y, i - 1) and low[y] >= 0 and _flat(G, y, i - 2):
+            return y
+    raise TransformError(f"no eligible partner on the walk from {G.ids[z]!r}")
+
+
 def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
     """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's qualifications: the
     first such even entry of the non-flat chain grown ahead of z's i-edge."""
-    w = G.neighbor(z, i)
-    ahead = _chain_ahead(G, w, i) if w is not None else []
-    for y in ahead[::2]:
-        if (
-            not has_type_w(G, y, i - 1)
-            and G.neighbor(y, i - 2) is not None
-            and is_flat_edge(G, y, i - 2)
-        ):
-            return y
-    raise TransformError(f"no eligible partner on the walk from {z!r}")
+    return G.ids[_gamma_partner(G, G.position(z), i)]
 
 
 def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
     """Exchange the subtrees hanging below z and its partner along the
     non-flat walk, unblocking the other two maps."""
     _check_anchor(G, z, i)
-    if G.neighbor(z, i) is None or is_flat_edge(G, z, i):
+    p, low = G.pos[z], G.partner.get(i - 2)
+    if G.partner[i][p] < 0 or _flat(G, p, i):
         raise TransformError(f"{z!r} lacks a non-flat {i}-edge")
-    if has_type_w(G, z, i - 1):
+    if _type_w(G, p, i - 1):
         raise TransformError(f"{z!r} has type W one color down")
-    if G.neighbor(z, i - 2) is None or not is_flat_edge(G, z, i - 2):
+    if low is None or low[p] < 0 or not _flat(G, p, i - 2):
         raise TransformError(f"{z!r} lacks a flat {i - 2}-edge")
-    u = gamma_partner(G, z, i)
-    return _rewire(G, i, G.neighbor(z, i - 2), G.neighbor(u, i - 2), through_edge=True)
+    u = _gamma_partner(G, p, i)
+    return _rewire(G, i, low[p], low[u], through_edge=True)
 
 
 def theta_pivot(G: SignedColoredGraph, i: int, H_vertices) -> tuple[str, ...]:
@@ -279,41 +289,43 @@ def apply_theta(G: SignedColoredGraph, pivot: str, i: int) -> SignedColoredGraph
     pivot's neighborhood closes up.  The pivot is the component under
     colors 2..i-1 of the vertex ``pivot``, which may be any of its vertices."""
     _check_anchor(G, pivot, i)
-    H = G.component_vertices(pivot, range(2, i + 1))
+    p = G.pos[pivot]
     lower = tuple(range(2, i))
-    comps, comp_of = G.refine(H, lower)
-    pivot_idx = comp_of[pivot]
+    H = next(G._walk((p,), range(2, i + 1)))
+    comps = [sorted(c) for c in G._walk(sorted(H), lower)]
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    pivot_idx = comp_of[p]
 
     # H is closed under color i, so the i-partner of a vertex of H is in H
-    old = G._partners(i)
-    adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}
+    old = G.partner[i]
+    adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if old[u] >= 0} - {pivot_idx}
     if not adjacent:
         raise TransformError("pivot component has no outgoing i-edges")
     ring = set().union(*(comps[k] for k in adjacent))
 
     # each other piece i-joined to the ring ("need") maps onto its unique
     # isomorphic twin adjacent to the pivot; ``image`` holds all those maps
-    need = {comp_of[old[u]] for u in ring if u in old} - adjacent - {pivot_idx}
-    image: dict[str, str] = {}
-    pos = G._positions()
+    need = {comp_of[old[u]] for u in ring if old[u] >= 0} - adjacent - {pivot_idx}
+    image: dict[int, int] = {}
+    bits = G.pbits
     for k in sorted(need):
         anchor = comps[k][0]
-        images = [pos[w] for t in sorted(adjacent) for w in comps[t] if G.bits[w] == G.bits[anchor]]
-        maps = anchored_maps(G, pos[anchor], G, images, lower, range(1, G.N))
-        found = [_id_map(G, G, m) for m in maps]
+        images = [w for t in sorted(adjacent) for w in comps[t] if bits[w] == bits[anchor]]
+        found = list(anchored_maps(G, anchor, G, images, lower, range(1, G.N)))
+        where = f"component at {G.ids[anchor]!r}"
         if not found:
-            raise TransformError(f"component at {anchor!r} matches nothing adjacent to the pivot")
+            raise TransformError(f"{where} matches nothing adjacent to the pivot")
         if len({comp_of[m[anchor]] for m in found}) > 1:
-            raise TransformError(f"component at {anchor!r} matches several adjacent components")
+            raise TransformError(f"{where} matches several adjacent components")
         if len(found) > 1:
-            raise TransformError(f"component at {anchor!r} has a non-unique isomorphism")
+            raise TransformError(f"{where} has a non-unique isomorphism")
         image.update(found[0])
 
-    def target(v: str, w: str) -> str | None:
+    def target(v: int, w: int) -> int:
         if v in ring and w in image:
             return image[w]
         if w in ring and v in image:
-            return G.neighbor(image[v], i)
+            return old[image[v]]
         return w
 
     return _rematch(G, i, target)
@@ -435,8 +447,8 @@ def replay(G: SignedColoredGraph, log: TransformLog) -> SignedColoredGraph:
 def _long_r(G: SignedColoredGraph, w: str, i: int, W0) -> int:
     """Largest r for the long rewiring anchored at w in W0: the chain ahead
     of w must stay inside W0 up to and including the partner."""
-    ahead = _chain_ahead(G, w, i)
-    if len(ahead) < 4 or not set(ahead[:-1]) <= W0:
+    ahead = _chain_ahead(G, G.pos[w], i)
+    if len(ahead) < 4 or not {G.ids[v] for v in ahead[:-1]} <= W0:
         return 0
     return len(ahead) // 2 - 1
 
@@ -453,8 +465,8 @@ class PipelineAbort(Exception):
         self.component = component
 
 
-def _state(G: SignedColoredGraph, i: int) -> frozenset:
-    """The color-i matching, which identifies a graph state among graphs
+def _state(G: SignedColoredGraph, i: int) -> tuple[int, ...]:
+    """The color-i partner list, which identifies a graph state among graphs
     that differ in color i only."""
     return tuple(G.partner[i])
 
@@ -601,8 +613,8 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
     no vertex of type W, the three-color ones no flat chain of three
     i-edges, and axiom 6 leaves nothing to split.  So the color loop is
     skipped and those checks are the certification.  Otherwise the steps
-    replace partner maps only, so the certification re-checks axioms 1, 2,
-    3 and 5 only at the colors whose partner map the run changed, and axioms
+    replace partner lists only, so the certification re-checks axioms 1, 2,
+    3 and 5 only at the colors whose partner list the run changed, and axioms
     4 and 6 on the whole result.  The identification of every component
     runs on the result either way.  ``stop_at``, in 1..n-1, ends the run
     after that color, uncertified unless it is the last."""

@@ -594,7 +594,8 @@ def package_swaps(shapes, count, rng):
         ]
         if partners:
             try:
-                out.append(transform._rewire(U, i, a, rng.choice(partners), through_edge=True))
+                b = rng.choice(partners)
+                out.append(transform._rewire(U, i, U.pos[a], U.pos[b], through_edge=True))
             except TransformError:
                 pass
     return out
@@ -867,7 +868,7 @@ def gamma_swaps(G, colors=None):
                 if G.sigma[a] != G.sigma[b]:
                     continue
                 try:
-                    H = transform._rewire(G, i, a, b, through_edge=True)
+                    H = transform._rewire(G, i, G.pos[a], G.pos[b], through_edge=True)
                 except TransformError:
                     continue
                 if H != G:
@@ -1168,13 +1169,15 @@ def reference_pair_loop(G, i, target, skip_paired=False):
     """The loop each map once ran to rebuild its i-matching: pair each
     matched vertex with its target both ways, rejecting a self-pair, a
     conflict and a change of the matched set.  Theta's loop skipped a vertex
-    already paired."""
+    already paired.  ``target`` reads and gives vertex positions, -1 for
+    none, as ``_rematch``'s does."""
     old = G.matching(i)
     new = {}
     for v in sorted(old):
         if skip_paired and v in new:
             continue
-        w = target(v, old[v])
+        t = target(G.pos[v], G.pos[old[v]])
+        w = None if t < 0 else G.ids[t]
         if w is None or w == v or new.get(v, w) != w or new.get(w, v) != v:
             raise TransformError(f"rewiring conflict at {v!r}/{w!r}")
         new[v] = w
@@ -1273,7 +1276,7 @@ def test_long_phi_partner_matches_the_walk(monkeypatch):
     848 probes the old code accepted 552, and 546 of those wrapped."""
 
     def partner(G, i, a, b, through_edge):
-        raise Partner(b)
+        raise Partner(G.ids[b])
 
     states = rewiring_states()  # the runs need the real rewiring
     monkeypatch.setattr(transform, "_rewire", partner)
@@ -1314,7 +1317,7 @@ def reference_long_psi_walk(G, x, i, r, C0):
 
 
 class Base(Exception):
-    """The base ``_psi`` hands to ``psi_target``."""
+    """The base ``_psi`` hands to ``_psi_path``."""
 
 
 def test_long_psi_base_matches_the_walk(monkeypatch):
@@ -1326,10 +1329,10 @@ def test_long_psi_base_matches_the_walk(monkeypatch):
     where the walk ran off at t3."""
 
     def base(G, x, i):
-        raise Base(x)
+        raise Base(G.ids[x])
 
     states = rewiring_states()  # the runs need the real rewiring
-    monkeypatch.setattr(transform, "psi_target", base)
+    monkeypatch.setattr(transform, "_psi_path", base)
     plain = Counter()
     for G, _ in states:
         for i in G.colors():
@@ -1451,7 +1454,9 @@ def test_w_detour_matches_the_walk():
         for i in G.colors():
             for y in G.vertices():
                 want = reference_w_detour(G, y, i)
-                assert structure._w_detour(G, y, i) == want, (G, y, i)
+                got = structure._w_detour(G, G.pos[y], i)
+                got = got if got is None else [G.ids[p] for p in got]
+                assert got == want, (G, y, i)
                 seen["none" if want is None else "walk" if want else "empty"] += 1
     assert seen["walk"] >= 32 and seen["empty"] and seen["none"], seen
 
@@ -1527,7 +1532,7 @@ def reference_axiom4_keyed(G):
         for i in range(first, G.n):
             lo = i - first + 1
             colors = range(lo + 1, i + 1)
-            partners = [G._partners(c) for c in colors]
+            partners = [G.matching(c) for c in colors]
             sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
             for comp in G.components(colors):
                 if reference_shape_key(sl, partners, comp) not in allowed:
@@ -1627,7 +1632,7 @@ def test_template_keys_match_keyed_templates():
                 sl = {v: s[lo - 1 : i] for v, s in G.sigma.items()}
                 for comp in G.components(colors):
                     want = lo >= 1 and reference_shape_key(
-                        sl, [G._partners(c) for c in colors], comp
+                        sl, [G.matching(c) for c in colors], comp
                     ) in reference_template_keys(templates)
                     got = _component_matches_template(G, comp, roles, (lo, i), templates)
                     assert got == want, (G, i, comp)
@@ -1711,7 +1716,8 @@ def reference_theta(G, pivot, i):
             return G.neighbor(image[v], i)
         return w
 
-    return twins, transform._rematch(G, i, target)
+    ids = G.ids
+    return twins, transform._rematch(G, i, lambda v, w: G.pos.get(target(ids[v], ids[w]), -1))
 
 
 def test_theta_twins_match_the_component_count(monkeypatch):
@@ -2076,7 +2082,7 @@ def reference_component_violation(G, vertices, window):
 
 
 def reference_forced_extension(G, H, seeds, colors, positions):
-    maps = [(G._partners(c), H._partners(c)) for c in sorted(set(colors))]
+    maps = [(G.matching(c), H.matching(c)) for c in sorted(set(colors))]
     cut = [p - 1 for p in sorted(set(positions))]
     mapping, used, queue = {}, {}, list(seeds.items())
     while queue:
@@ -2147,7 +2153,7 @@ def test_integer_checks_match_the_tuple_reads(seed):
             assert list(axioms._AXIOM_CHECKS[k](G, [i])) == list(reference(G, [i])), (k, i)
         scope = {}
         for i in G.colors():
-            m = G._partners(i)
+            m = G.matching(i)
             picked = {v for v in G.vertices() if rng.random() < 0.3}
             scope[i] = sorted(picked | {m[v] for v in picked if v in m})
         want = [
@@ -2268,9 +2274,9 @@ def reference_defect_sets(G, i):
     """``defect_sets`` as it grew a flat chain from every oriented i-edge."""
     W = frozenset()
     if 3 <= i < G.n:
-        down = G._partners(i - 1)
+        down = G.matching(i - 1)
         W = frozenset(
-            v for v, w in G._partners(i).items()
+            v for v, w in G.matching(i).items()
             if (u := down.get(v)) is not None and u != w
             and G.sigma[v][i - 1] == -G.sigma[u][i - 1]
         )

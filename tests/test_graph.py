@@ -14,8 +14,9 @@ from degraphs.graph import (
     find_isomorphism,
     i_package,
     seeded_isomorphism,
+    signature_bits,
 )
-from degraphs.standard import _standard_graph, build_standard_deg
+from degraphs.standard import _standard_graph, build_standard_deg, identify_component
 from degraphs.symfunc import expand_in_schur
 
 from conftest import corpus, relabel_random, unsorted_relabel
@@ -212,13 +213,14 @@ class TestPositionalIndex:
         "restrict", "subgraph", "relabel", "build_standard_deg", "fixture",
     ])
     def test_index_agrees_with_the_maps(self, how):
-        """Positions follow the sorted ids, the positional bits are ``bits``
-        and each color's partner list is ``matching(i)``; a derived graph
-        holds the same lists as its parent at every color it kept."""
+        """Positions follow the sorted ids, ``pos`` maps each id to its
+        position, the positional bits are each signature's bits and each
+        color's partner list is ``matching(i)``; a derived graph holds the
+        same lists as its parent at every color it kept."""
         G, parent, replaced = _made(how)
         assert G.vertices() == G.ids == tuple(sorted(G.sigma))
-        assert G._positions() == {v: p for p, v in enumerate(G.ids)}
-        assert G.pbits == [G.bits[v] for v in G.ids]
+        assert G.pos == {v: p for p, v in enumerate(G.ids)}
+        assert G.pbits == [signature_bits(G.sigma[v]) for v in G.ids]
         assert sorted(G.partner) == list(G.colors())
         for i in G.colors():
             part = G.partner[i]
@@ -226,9 +228,52 @@ class TestPositionalIndex:
             got = {G.ids[p]: G.ids[q] for p, q in enumerate(part) if q >= 0}
             assert got == G.matching(i), i
         if parent is not None:
-            assert G.ids is parent.ids and G.pbits is parent.pbits
+            assert G.ids is parent.ids and G.pos is parent.pos and G.pbits is parent.pbits
             for i in G.colors():
                 assert (G.partner[i] is parent.partner[i]) == (i not in replaced), i
+
+
+class TestOneStore:
+    def test_reversed_triples_give_an_equal_graph_with_its_own_text(self):
+        """Equality reads the partner lists; each graph writes its edges in
+        the order they were inserted, and reading its text back keeps it."""
+        G = fixture("fig8")
+        H = SignedColoredGraph(G.n, G.N, G.sigma, reversed(G.edge_triples()))
+        assert H == G and H.to_text() != G.to_text()
+        for K in (G, H):
+            assert SignedColoredGraph.from_text(K.to_text()).to_text() == K.to_text()
+        by_color = [[t for t in G.edge_triples() if t[0] == c] for c in G.colors()]
+        assert H.edge_triples() == [t for ts in by_color for t in reversed(ts)]
+
+    def test_with_color_matching_shares_every_unchanged_list(self):
+        """``axioms._changed_scope`` skips a color whose list object is the
+        base's, so a derived graph must share each list it kept."""
+        G = fixture("fig8")
+        for i in G.colors():
+            H = G.with_color_matching(i, G.matching(i))
+            assert H == G and H.partner[i] is not G.partner[i]
+            for c in G.colors():
+                if c != i:
+                    assert H.partner[c] is G.partner[c], (i, c)
+                    assert H.edge_order[c] is G.edge_order[c], (i, c)
+
+
+class TestUnknownVertex:
+    """A public entry point given an id that is not a vertex raises a
+    KeyError naming it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda G: G.component_vertices("zz", (2, 3)),
+        lambda G: i_package(G, "zz", 3),
+        lambda G: G.refine(["t3", "zz"], (2,)),
+        lambda G: seeded_isomorphism(G, G, {"t3": "zz"}),
+        lambda G: identify_component(G, ["t3", "zz"], G.n),
+    ], ids=["component_vertices", "i_package", "refine", "seeded_isomorphism",
+            "identify_component"])
+    def test_names_the_id(self, call):
+        with pytest.raises(KeyError) as e:
+            call(fixture("fig8"))
+        assert e.value.args == ("'zz' is not a vertex",)
 
 
 class TestComponents:

@@ -288,3 +288,46 @@ def test_bench_pairs_reads_the_results_digest(monkeypatch):
         done = subprocess.CompletedProcess([], 0, stdout=stdout, stderr="")
         monkeypatch.setattr(bp.subprocess, "run", lambda *args, **kwargs: done)
         assert bp.run_once(ROOT, "x", 2, 0.5, 1) == ({"graphs_per_s": 3.0}, digest)
+
+
+def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
+    """``--record`` writes, per workload, both commits (None outside git),
+    the seed, processor count and Python version, every run, each side's
+    median and quartile distance, wins, ties, the flags and the digests."""
+    import platform
+    import subprocess
+
+    bp = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = {ROOT.name: [1.0, 3.0, 4.0], "change": [2.0, 2.0, 8.0]}
+    served = {}
+
+    def run_once(checkout, workload, seed, seconds, default_seed):
+        key = (checkout.name, workload)
+        served[key] = served.get(key, -1) + 1
+        return dict.fromkeys(names, runs[checkout.name][served[key]]), f"{workload}-digest"
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    out = tmp_path / "BENCH_test.json"
+    argv = [str(ROOT), str(tmp_path / "change"), "--workload", "a", "--workload", "b",
+            "--seed", "5", "--pairs", "3", "--seconds", "0.5", "--record", str(out)]
+    assert bp.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert [w["workload"] for w in doc["workloads"]] == ["a", "b"]
+    a = doc["workloads"][0]
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True, text=True)
+    recorded = a["commits"]["parent"]
+    assert recorded is None if head.returncode else recorded.split("+")[0] == head.stdout.strip()
+    assert a["commits"]["change"] is None
+    assert (a["seed"], a["pairs"], a["seconds"]) == (5, 3, 0.5)
+    assert a["nproc"] >= 1 and a["python"] == platform.python_version()
+    parent = [run[names[0]] for run in a["runs"]["parent"]]
+    change = [run[names[0]] for run in a["runs"]["change"]]
+    assert parent == [1.0, 3.0, 4.0] and change == [2.0, 2.0, 8.0]
+    assert a["digests"] == {"parent": ["a-digest"] * 3, "change": ["a-digest"] * 3}
+    latency = a["metrics"]["latency_p50_ms"]
+    assert latency["parent_median"] == 3.0 and latency["change_median"] == 2.0
+    assert latency["parent_iqr"] == 1.5 and latency["change_iqr"] == 3.0
+    assert (latency["wins"], latency["ties"]) == (1, 0)
+    assert latency["worse"] is False and latency["unresolved"] is True
+    assert set(a["metrics"]) == set(names)
