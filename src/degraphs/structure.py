@@ -98,11 +98,8 @@ def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
 
 
 def _grow(G: SignedColoredGraph, end: int, i: int, used: set[int]) -> list[int]:
-    """``extend_nonflat_chain`` on positions."""
-    down, up = G.partner.get(i - 1), G.partner.get(i)
-    grown: list[int] = []
-    if down is None or up is None:
-        return grown
+    """``extend_nonflat_chain`` on positions; i - 1 and i must be colors."""
+    down, up, grown = G.partner[i - 1], G.partner[i], []
     while True:
         nxt = down[end]
         if nxt < 0 or nxt in used:
@@ -118,7 +115,10 @@ def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]
     """The vertices E_{i-1}(y), E_i E_{i-1}(y), ... met growing a non-flat
     chain one way from its end y; growth stops when a link is missing or
     would revisit a vertex.  ``used`` gains the new vertices."""
-    grown = [G.ids[p] for p in _grow(G, G.position(end), i, set(map(G.position, used)))]
+    p = G.position(end)
+    if not 3 <= i < G.n:  # i - 1 or i is no color: no link
+        return []
+    grown = [G.ids[q] for q in _grow(G, p, i, set(map(G.position, used)))]
     used.update(grown)
     return grown
 

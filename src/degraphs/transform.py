@@ -247,7 +247,7 @@ def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
 
 def _gamma_partner(G: SignedColoredGraph, z: int, i: int) -> int:
     """``gamma_partner`` on positions."""
-    w, low = G.partner[i][z], G.partner.get(i - 2)
+    w, low = G.partner[i][z] if i in G.partner else -1, G.partner.get(i - 2)
     ahead = _chain_ahead(G, w, i) if w >= 0 and low is not None else []
     for y in ahead[::2]:
         if not _type_w(G, y, i - 1) and low[y] >= 0 and _flat(G, y, i - 2):
