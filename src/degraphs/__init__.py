@@ -22,7 +22,7 @@ from .symfunc import (
     is_single_schur,
     schur_to_fundamental,
 )
-from .graph import SignedColoredGraph, find_isomorphism, i_package, seeded_isomorphism
+from .graph import SignedColoredGraph, find_isomorphism, seeded_isomorphism
 from .standard import (
     AugmentingTableau,
     build_augmented_deg,

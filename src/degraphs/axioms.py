@@ -650,17 +650,17 @@ def check_axiom4b(G: SignedColoredGraph) -> AxiomReport:
     """For x interior to an overlong flat chain and carrying type W one color
     up, some maximal flat chain through x must have all predecessors or all
     successors of x carrying that type."""
-    from .structure import defect_sets, has_type_w, maximal_flat_chains
+    from .structure import _type_w, defect_sets, maximal_flat_chains
 
     def one_sided(chain, x, i):
         j = chain.index(x)
         sides = (chain[:j], chain[j + 1 :])
-        return any(all(has_type_w(G, v, i + 1) for v in side) for side in sides)
+        return any(all(_type_w(G, G.pos[v], i + 1) for v in side) for side in sides)
 
     def witnesses():
         for i in range(4, G.n - 1):
             C = defect_sets(G, i).C
-            suspects = sorted(x for x in C if has_type_w(G, x, i + 1))
+            suspects = sorted(x for x in C if _type_w(G, G.pos[x], i + 1))
             if not suspects:
                 continue
             chains = maximal_flat_chains(G, i)

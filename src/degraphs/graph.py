@@ -169,14 +169,6 @@ class SignedColoredGraph:
             {c: o for c, o in self.edge_order.items() if c < m},
         )
 
-    def restrict_full(self, m: int) -> "SignedColoredGraph":
-        """(m, m)-restriction: also truncate signatures to length m - 1."""
-        if not 2 <= m <= self.n:
-            raise ValueError(f"restriction bound {m} outside 2..{self.n}")
-        sigma = {v: s[: m - 1] for v, s in self.sigma.items()}
-        triples = [(c, u, w) for c, u, w in self.edge_triples() if c < m]
-        return SignedColoredGraph(m, m, sigma, triples, self.stats)
-
     def subgraph(self, vertices) -> "SignedColoredGraph":
         keep = set(vertices)
         sigma = {v: s for v, s in self.sigma.items() if v in keep}
@@ -559,13 +551,9 @@ def find_isomorphism(
     return _id_map(G, H, mapping)
 
 
-def i_package(G: SignedColoredGraph, v: str, i: int) -> tuple[str, ...]:
-    """Component of v under all colors except i-2 .. i+2."""
-    return G._id_tuple(_package(G, G.position(v), i))
-
-
 def _package(G: SignedColoredGraph, p: int, i: int) -> list[int]:
-    """The positions of the i-package of position p, p first."""
+    """The positions of the i-package of position p, p first: its component
+    under all colors except i-2 .. i+2 (``package_colors``)."""
     if not 1 < i < G.n:
         raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
     return next(G._walk((p,), package_colors(G, i)))

@@ -13,8 +13,8 @@ edges, ``_grow``; a W-detour is that walk one color down.  A flat chain's
 next i-edge starts at ``_flat_successor``, and ``defect_sets`` reads C_i
 off one list of those successors.  The private functions, which
 ``transform`` reads too, work on vertex positions and partner lists; type W
-and flatness compare one bit of ``G.pbits``.  The public ones take and
-return ids.
+and flatness compare one bit of ``G.pbits``.  Ids appear only at the
+public boundary, which looks each id up once.
 """
 
 from __future__ import annotations
@@ -35,17 +35,12 @@ class StructureError(ValueError):
 
 
 def _type_w(G: SignedColoredGraph, v: int, i: int) -> bool:
-    """``has_type_w`` at position v."""
+    """Type W at color i: position v has an i-edge and an i-1-neighbor
+    across which the sign at position i reverses."""
     if not 3 <= i < G.n:
         return False
     u = G.partner[i - 1][v]
     return G.partner[i][v] >= 0 and u >= 0 and bool((G.pbits[v] ^ G.pbits[u]) >> (i - 1) & 1)
-
-
-def has_type_w(G: SignedColoredGraph, v: str, i: int) -> bool:
-    """Type W at color i: an i-edge and an i-1-neighbor across which the
-    sign at position i reverses."""
-    return _type_w(G, G.position(v), i)
 
 
 def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
@@ -98,7 +93,10 @@ def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
 
 
 def _grow(G: SignedColoredGraph, end: int, i: int, used: set[int]) -> list[int]:
-    """``extend_nonflat_chain`` on positions; i - 1 and i must be colors."""
+    """The positions E_{i-1}(y), E_i E_{i-1}(y), ... met growing a non-flat
+    chain one way from its end y, the position ``end``; growth stops when a
+    link is missing or would revisit a position.  ``used`` gains the new
+    positions.  i - 1 and i must be colors."""
     down, up, grown = G.partner[i - 1], G.partner[i], []
     while True:
         nxt = down[end]
@@ -109,18 +107,6 @@ def _grow(G: SignedColoredGraph, end: int, i: int, used: set[int]) -> list[int]:
             return grown
         grown += (nxt, end)
         used.update((nxt, end))
-
-
-def extend_nonflat_chain(G: SignedColoredGraph, end: str, i: int, used: set[str]) -> list[str]:
-    """The vertices E_{i-1}(y), E_i E_{i-1}(y), ... met growing a non-flat
-    chain one way from its end y; growth stops when a link is missing or
-    would revisit a vertex.  ``used`` gains the new vertices."""
-    p = G.position(end)
-    if not 3 <= i < G.n:  # i - 1 or i is no color: no link
-        return []
-    grown = [G.ids[q] for q in _grow(G, p, i, set(map(G.position, used)))]
-    used.update(grown)
-    return grown
 
 
 def _w_detour(G: SignedColoredGraph, y: int, i: int) -> list[int] | None:
@@ -138,17 +124,12 @@ def _w_detour(G: SignedColoredGraph, y: int, i: int) -> list[int] | None:
 
 
 def _psi_path(G: SignedColoredGraph, x: int, i: int) -> tuple[int, ...] | None:
-    """``psi_target`` on positions."""
+    """Path of positions (x, E_i(x), ..., u) to the first vertex past x's
+    i-edge clear of type W one color down; None when the walk dies.  i must
+    be a color."""
     w = G.partner[i][x]
     detour = None if w < 0 else _w_detour(G, w, i)
     return None if detour is None else (x, w, *detour)
-
-
-def psi_target(G: SignedColoredGraph, x: str, i: int) -> tuple[str, ...] | None:
-    """Path (x, E_i(x), ..., u) to the first vertex past x's i-edge clear of
-    type W one color down; None when the walk dies."""
-    path = _psi_path(G, G.position(x), i) if i in G.partner else None
-    return None if path is None else tuple(map(G.ids.__getitem__, path))
 
 
 def _flat_successor(G: SignedColoredGraph, a: int, i: int) -> int:
@@ -163,7 +144,9 @@ def _flat_successor(G: SignedColoredGraph, a: int, i: int) -> int:
 
 
 def _flat_chain(G: SignedColoredGraph, x1: int, x2: int, i: int) -> list[int]:
-    """``flat_chains_from`` on positions."""
+    """Grow a flat chain of positions forward from the oriented starting
+    i-edge (x1, x2), until the next i-edge is missing or would revisit a
+    vertex."""
     chain, used, up = [x1, x2], {x1, x2}, G.partner[i]
     nxt = _flat_successor(G, x1, i) if i >= 4 else -1  # no i-2-edges below 4
     while nxt >= 0 and nxt not in used and (pair := up[nxt]) not in used:
@@ -171,15 +154,6 @@ def _flat_chain(G: SignedColoredGraph, x1: int, x2: int, i: int) -> list[int]:
         used.update((nxt, pair))
         nxt = _flat_successor(G, chain[-2], i)
     return chain
-
-
-def flat_chains_from(G: SignedColoredGraph, x1: str, x2: str, i: int) -> tuple[str, ...]:
-    """Grow a flat chain forward from the oriented starting i-edge (x1, x2),
-    until the next i-edge is missing or would revisit a vertex."""
-    p1, p2 = G.position(x1), G.position(x2)
-    if i not in G.partner or G.partner[i][p2] != p1:
-        raise ValueError("starting vertices are not an i-edge")
-    return tuple(map(G.ids.__getitem__, _flat_chain(G, p1, p2, i)))
 
 
 def all_flat_chains(G: SignedColoredGraph, i: int) -> list[tuple[str, ...]]:
@@ -234,14 +208,9 @@ class DefectSets:
 
 
 def _package_flat(G: SignedColoredGraph, v: int, j: int) -> bool:
-    """``package_all_flat`` at position v."""
+    """Every vertex of the j-package of position v admits a flat j-edge."""
     a = G.partner[j]
     return all(a[u] >= 0 and _flat(G, u, j) for u in _package(G, v, j))
-
-
-def package_all_flat(G: SignedColoredGraph, v: str, j: int) -> bool:
-    """Every vertex of the j-package of v admits a flat j-edge."""
-    return _package_flat(G, G.position(v), j)
 
 
 def _flat_interiors(G: SignedColoredGraph, i: int) -> set[int]:
@@ -276,7 +245,7 @@ def _flat_interiors(G: SignedColoredGraph, i: int) -> set[int]:
 
 
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
-    # W_i: type W at color i (``has_type_w``), read off the two partner
+    # W_i: type W at color i (``_type_w``), read off the two partner
     # lists in one pass, without the double edges
     W: list[int] = []
     if 3 <= i < G.n:

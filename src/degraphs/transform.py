@@ -38,6 +38,7 @@ from .axioms import (
 from .graph import (
     GraphFormatError,
     SignedColoredGraph,
+    _excerpt,
     _field,
     anchored_maps,
     package_colors,
@@ -246,19 +247,15 @@ def eligible_rewirings(G: SignedColoredGraph, i: int, sets: DefectSets):
 
 
 def _gamma_partner(G: SignedColoredGraph, z: int, i: int) -> int:
-    """``gamma_partner`` on positions."""
+    """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing the qualifications of
+    position z: the first such even entry of the non-flat chain grown ahead
+    of z's i-edge, as a position."""
     w, low = G.partner[i][z] if i in G.partner else -1, G.partner.get(i - 2)
     ahead = _chain_ahead(G, w, i) if w >= 0 and low is not None else []
     for y in ahead[::2]:
         if not _type_w(G, y, i - 1) and low[y] >= 0 and _flat(G, y, i - 2):
             return y
     raise TransformError(f"no eligible partner on the walk from {G.ids[z]!r}")
-
-
-def gamma_partner(G: SignedColoredGraph, z: str, i: int) -> str:
-    """First u = (E_{i-1} E_i)^m (z), m >= 1, sharing z's qualifications: the
-    first such even entry of the non-flat chain grown ahead of z's i-edge."""
-    return G.ids[_gamma_partner(G, G.position(z), i)]
 
 
 def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
@@ -403,17 +400,23 @@ class TransformLog:
         except json.JSONDecodeError as e:
             raise LogFormatError(f"log is not valid JSON: {e}") from None
         steps = _field(doc, "steps", list, "log", LogFormatError)
-        checkpoints = []
-        if "checkpoints" in doc:
-            checkpoints = _field(doc, "checkpoints", list, "log", LogFormatError)
-        log = TransformLog(
+        for key, kind, what in (  # the optional fields, their JSON types and wording
+            ("checkpoints", list, "a list of strings"),
+            ("policy", str, "a string"),
+            ("aborted", bool, "a boolean"),
+            ("diagnostic", (str, type(None)), "a string or null"),
+        ):
+            value = doc.get(key)
+            if key in doc and not (isinstance(value, kind) and (
+                    kind is not list or all(type(c) is str for c in value))):
+                raise LogFormatError(f"log: field {key!r} must be {what}, got {_excerpt(value)}")
+        return TransformLog(
             steps=[_parse_step(d, f"log step {k}") for k, d in enumerate(steps)],
-            checkpoints=list(checkpoints),
+            checkpoints=list(doc.get("checkpoints", [])),
             policy=doc.get("policy", "default"),
             aborted=doc.get("aborted", False),
             diagnostic=doc.get("diagnostic"),
         )
-        return log
 
 
 def apply_step(G: SignedColoredGraph, step: TransformStep) -> SignedColoredGraph:

@@ -10,7 +10,7 @@ from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
-from degraphs.structure import extend_nonflat_chain
+from degraphs.structure import _grow
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -90,10 +90,11 @@ def nonflat_chain_through(G: SignedColoredGraph, v: str, i: int) -> tuple[str, .
     w = G.neighbor(v, i)
     if w is None:
         return ()
-    used = {v, w}
-    ahead = extend_nonflat_chain(G, w, i, used)
-    behind = extend_nonflat_chain(G, v, i, used)
-    chain = behind[::-1] + [v, w] + ahead
+    p, q = G.pos[v], G.pos[w]
+    used = {p, q}
+    ahead = _grow(G, q, i, used) if i >= 3 else []  # a 2-edge has no link
+    behind = _grow(G, p, i, used) if i >= 3 else []
+    chain = [G.ids[x] for x in behind[::-1] + [p, q] + ahead]
     if chain[-1] < chain[0]:
         chain.reverse()
     return tuple(chain)

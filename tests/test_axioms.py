@@ -155,7 +155,6 @@ class TestLocallySchurPositive:
             SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples()),
             SignedColoredGraph.from_text(G.to_text()),
             G.restrict(4),
-            G.restrict_full(4),
             G.relabel({v: v.upper() for v in G.vertices()}),
             G.subgraph(G.vertices()[:8]),
         ):

@@ -160,13 +160,15 @@ class TestReplayRejects:
              "error: log step 1: anchor 'zz' is not a vertex"),
             ('{"steps": [{"kind": "gamma", "color": 4, "anchor": "b1", "variant": 2}]}',
              "error: log step 0: gamma takes no variant, got 2"),
+            ('{"steps": [], "aborted": "yes"}',
+             "error: log: field 'aborted' must be a boolean, got \"yes\""),
         ],
         ids=[
             "top-level-list", "top-level-string", "steps-not-list", "step-not-object",
             "missing-color", "color-string", "anchor-integer", "missing-kind",
             "unknown-kind", "variant-boolean", "negative-variant", "unknown-anchor",
             "theta-color-too-high", "psi-color-negative", "bad-second-step",
-            "gamma-variant",
+            "gamma-variant", "aborted-string",
         ],
     )
     def test_bad_log(self, capsys, tmp_path, log, message):

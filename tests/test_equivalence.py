@@ -27,7 +27,7 @@ from degraphs import axioms, cli, structure, transform
 from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
-from degraphs.graph import SignedColoredGraph, find_isomorphism, i_package, seeded_isomorphism
+from degraphs.graph import SignedColoredGraph, find_isomorphism, package_colors, seeded_isomorphism
 from degraphs.combinatorics import count_syt, enumerate_partitions
 from degraphs.standard import (
     _standard_graph,
@@ -38,9 +38,8 @@ from degraphs.standard import (
     standard_automorphisms,
 )
 from degraphs.structure import (
+    _type_w,
     defect_sets,
-    flat_chains_from,
-    has_type_w,
     is_flat_edge,
     set_U,
 )
@@ -387,6 +386,24 @@ def test_lsp_witnesses_match_reference_cold_and_warm():
     assert cold == expected
     assert warm == expected
     assert axioms._window_violation.cache_info().hits > 0
+
+
+def test_restriction_keeps_the_lsp_witnesses_below_its_bound():
+    """``G.restrict(m)`` fails local Schur positivity exactly where G fails
+    it at colors below m: the same witnesses, in the same order, for every
+    graph of the LSP corpus and every 2 <= m < n.  An axiom-5 witness is
+    below m when both of its colors are, and a window witness when its top
+    color is.  So a restriction of a graph that passed passes too."""
+    pairs, kept = 0, Counter()
+    for graph in lsp_corpus():
+        G = SignedColoredGraph.from_text(graph.to_text())  # nothing verified yet
+        whole = is_locally_schur_positive(G).witnesses
+        for m in range(2, G.n):
+            below = [w for w in whole if w[1] < m and (w[0] != "axiom 5" or w[2] < m)]
+            assert is_locally_schur_positive(G.restrict(m)).witnesses == below, (G, m)
+            pairs += 1
+            kept[len(below) < len(whole)] += 1
+    assert pairs == 233 and kept[True] and kept[False]
 
 
 def reference_first_step(G, i):
@@ -829,7 +846,7 @@ def test_standalone_step_keeps_the_witnesses_below_its_color():
 
 def test_defect_set_w_matches_vertex_types():
     """W_i, read off the i- and i-1-partner maps, against its definition
-    by ``has_type_w`` at every color 1..n, including graphs with an empty
+    by ``_type_w`` at every color 1..n, including graphs with an empty
     color class."""
     base, copies, swapped = axiom4_inputs()
     graphs = [fixture(name) for name in fixture_names()] + base + copies + swapped
@@ -839,7 +856,7 @@ def test_defect_set_w_matches_vertex_types():
         for i in range(1, G.n + 1):
             want = {
                 v for v in G.vertices()
-                if has_type_w(G, v, i) and G.neighbor(v, i - 1) != G.neighbor(v, i)
+                if _type_w(G, G.pos[v], i) and G.neighbor(v, i - 1) != G.neighbor(v, i)
             }
             assert defect_sets(G, i).W == want, (G, i)
             sizes.add(len(want) > 0)
@@ -1098,7 +1115,7 @@ def test_package_isomorphism_covers_the_package():
                     for b in group[:3]:
                         m = transform.package_isomorphism(G, a, b, i)
                         if m is not None:
-                            assert set(m) == set(i_package(G, a, i))
+                            assert set(m) == set(G.component_vertices(a, package_colors(G, i)))
                             fits += a != b
     assert fits > 0
 
@@ -1346,13 +1363,14 @@ def test_long_psi_base_matches_the_walk(monkeypatch):
                 except Base as b:
                     got = b.args[0]
                 if len(set(walk)) == len(walk) and not any(
-                    has_type_w(G, y, i - 1) for y in walk[1::2]
+                    _type_w(G, G.pos[y], i - 1) for y in walk[1::2]
                 ):
                     assert got == want, (x, i, r)
                     plain[got is not None] += 1
     assert plain[True] and plain[False]
     fig8 = fixture("fig8")
-    assert flat_chains_from(fig8, "m4", "t4", 4) == ("m4", "t4", "t1", "m1", "m2", "t2")
+    chain = structure._flat_chain(fig8, fig8.pos["m4"], fig8.pos["t4"], 4)
+    assert [fig8.ids[p] for p in chain] == ["m4", "t4", "t1", "m1", "m2", "t2"]
     assert reference_long_psi_walk(fig8, "m4", 4, 1, defect_sets(fig8, 4).C0) == (
         ["m4", "t4", "t3"], None
     )
@@ -1381,7 +1399,7 @@ def reference_gamma_partner(G, z, i):
         visited.add(y)
         if (
             G.neighbor(y, i) is not None
-            and not has_type_w(G, y, i - 1)
+            and not _type_w(G, G.pos[y], i - 1)
             and G.neighbor(y, i - 2) is not None
             and is_flat_edge(G, y, i - 2)
         ):
@@ -1395,7 +1413,7 @@ def reference_w_detour(G, start, i):
     detour = []
     seen = {start}
     y = start
-    while has_type_w(G, y, i - 1):
+    while _type_w(G, G.pos[y], i - 1):
         y2 = G.neighbor(y, i - 2)
         if y2 is None:
             return None
@@ -1417,7 +1435,8 @@ def reference_flat_hop(G, v, i):
 
 
 def reference_flat_chain(G, x1, x2, i):
-    """``flat_chains_from`` as it was, stepping with ``reference_flat_hop``."""
+    """``structure._flat_chain`` as it was, on ids, stepping with
+    ``reference_flat_hop``."""
     chain = [x1, x2]
     used = {x1, x2}
     while True:
@@ -1462,7 +1481,7 @@ def test_w_detour_matches_the_walk():
 
 
 def test_flat_chains_match_the_flat_hop():
-    """From every oriented i-edge, ``flat_chains_from``, which takes psi's
+    """From every oriented i-edge, ``_flat_chain``, which takes psi's
     partner as its next edge, grows the chain the flat hop grew."""
     grown = 0
     for G in chain_states():
@@ -1470,14 +1489,15 @@ def test_flat_chains_match_the_flat_hop():
             if i < 4:
                 continue
             for x1, x2 in G.matching(i).items():
-                chain = flat_chains_from(G, x1, x2, i)
+                chain = structure._flat_chain(G, G.pos[x1], G.pos[x2], i)
+                chain = tuple(G.ids[p] for p in chain)
                 assert chain == reference_flat_chain(G, x1, x2, i), (G, x1, i)
                 grown += len(chain) > 2
     assert grown
 
 
 def test_gamma_partner_matches_the_walk():
-    """At every vertex and color, ``gamma_partner`` finds the partner the
+    """At every vertex and color, ``_gamma_partner`` finds the partner the
     hand walk found, or both raise."""
     found = Counter()
     for G in chain_states():
@@ -1488,7 +1508,7 @@ def test_gamma_partner_matches_the_walk():
                 except TransformError:
                     want = None
                 try:
-                    got = transform.gamma_partner(G, z, i)
+                    got = G.ids[transform._gamma_partner(G, G.pos[z], i)]
                 except TransformError:
                     got = None
                 assert got == want, (G, z, i)
@@ -1559,13 +1579,16 @@ def reference_count_component_isomorphisms(G, gverts, H, hverts, colors, positio
     return found
 
 
-def reference_identify_component(G, vertices):
-    """Every lam of n with the component's size and signature multiset, in
-    dominance-descending order, tried at every vertex of G_lam."""
-    if G.n != G.N:
-        raise ValueError("identification requires a type (n, n) graph")
-    n = G.n
-    sigs = sorted(G.sigma[v] for v in vertices)
+def reference_identify_component(G, vertices, n=None):
+    """Every lam of n with the component's size and signature multiset on
+    positions 1..n-1, in dominance-descending order, tried at every vertex
+    of G_lam.  n is G's own when not given, and G must then have type
+    (n, n)."""
+    if n is None:
+        if G.n != G.N:
+            raise ValueError("identification requires a type (n, n) graph")
+        n = G.n
+    sigs = sorted(G.sigma[v][: n - 1] for v in vertices)
     for lam in enumerate_partitions(n):
         if count_syt(lam) != len(vertices):
             continue
@@ -1642,28 +1665,21 @@ def test_template_keys_match_keyed_templates():
 
 def test_identification_matches_the_scan():
     """The same (lam, map), the map's order included, or None on both sides,
-    for every component of every type (n, n) graph above and of its
-    restrictions, which is where the pivot choice identifies.  A piece of
-    the (m, m)-restriction identifies on G itself at degree m exactly as on
-    the restricted copy."""
+    for every component of every type (n, n) graph above and every piece
+    under colors below m < n, identified on G itself at degree m, which is
+    where the pivot choice identifies."""
     seen, pieces = Counter(), Counter()
     for G in certification_graphs():
         if G.n != G.N:
             continue
-        for H in [G] + [G.restrict_full(m) for m in range(3, G.n)]:
-            for comp in H.components(H.colors()):
-                want = reference_identify_component(H, comp)
-                got = identify_component(H, comp, H.n)
-                assert got == want, (G, comp)
+        for m in range(3, G.n + 1):
+            for comp in G.components(range(2, m)):
+                want = reference_identify_component(G, comp, m)
+                got = identify_component(G, comp, m)
+                assert got == want, (G, m, comp)
                 if want is not None:
                     assert list(got[1].items()) == list(want[1].items())
-                seen[want is not None] += 1
-                if H is not G:
-                    direct = identify_component(G, comp, H.n)
-                    assert direct == got, (G, H.n, comp)
-                    if got is not None:
-                        assert list(direct[1].items()) == list(got[1].items())
-                    pieces[got is not None] += 1
+                (seen if m == G.n else pieces)[want is not None] += 1
     assert seen[True] and seen[False]
     assert pieces[True] and pieces[False]
 
@@ -2164,7 +2180,7 @@ def test_integer_checks_match_the_tuple_reads(seed):
         assert sorted(axioms._AXIOM_CHECKS[k](G, at)) == sorted(want), k
     for i in range(G.n + 1):
         for v in G.vertices():
-            assert has_type_w(G, v, i) == reference_has_type_w(G, v, i), (v, i)
+            assert _type_w(G, G.pos[v], i) == reference_has_type_w(G, v, i), (v, i)
             if 1 < i < G.n and G.neighbor(v, i) is not None:
                 assert is_flat_edge(G, v, i) == reference_is_flat_edge(G, v, i), (v, i)
         if 4 <= i < G.n:
@@ -2280,12 +2296,13 @@ def reference_defect_sets(G, i):
             if (u := down.get(v)) is not None and u != w
             and G.sigma[v][i - 1] == -G.sigma[u][i - 1]
         )
-    W0 = frozenset(w for w in W if structure.package_all_flat(G, w, i - 1))
+    pos = G.pos
+    W0 = frozenset(w for w in W if structure._package_flat(G, pos[w], i - 1))
     C = frozenset(v for chain in structure.all_flat_chains(G, i) for v in chain[2:-2])
     C0 = frozenset(
         x for x in C
-        if (path := structure.psi_target(G, x, i)) is not None
-        and all(structure.package_all_flat(G, v, i - 2) for v in path)
+        if (path := structure._psi_path(G, pos[x], i)) is not None
+        and all(structure._package_flat(G, p, i - 2) for p in path)
     )
     return structure.DefectSets(W, W0, C, C0)
 

@@ -11,8 +11,8 @@ from degraphs.fixtures import _built, fixture
 from degraphs.graph import (
     GraphFormatError,
     SignedColoredGraph,
+    _package,
     find_isomorphism,
-    i_package,
     seeded_isomorphism,
     signature_bits,
 )
@@ -95,12 +95,6 @@ class TestRestriction:
     def test_identity(self):
         G = build_standard_deg((3, 2))
         assert G.restrict(G.n) == G
-
-    def test_full_truncates(self):
-        G = build_standard_deg((3, 2))
-        R = G.restrict_full(4)
-        assert R.N == 4
-        assert all(len(s) == 3 for s in R.sigma.values())
 
     def test_fig6_restriction_covers_shapes(self):
         G = fixture("fig6")
@@ -264,12 +258,10 @@ class TestUnknownVertex:
 
     @pytest.mark.parametrize("call", [
         lambda G: G.component_vertices("zz", (2, 3)),
-        lambda G: i_package(G, "zz", 3),
         lambda G: G.refine(["t3", "zz"], (2,)),
         lambda G: seeded_isomorphism(G, G, {"t3": "zz"}),
         lambda G: identify_component(G, ["t3", "zz"], G.n),
-    ], ids=["component_vertices", "i_package", "refine", "seeded_isomorphism",
-            "identify_component"])
+    ], ids=["component_vertices", "refine", "seeded_isomorphism", "identify_component"])
     def test_names_the_id(self, call):
         with pytest.raises(KeyError) as e:
             call(fixture("fig8"))
@@ -370,13 +362,13 @@ class TestIsomorphism:
 class TestPackages:
     def test_boundary_colors(self):
         G = build_standard_deg((3, 2))
-        for v in G.vertices():
-            assert i_package(G, v, 4) == (v,)
+        for p in range(len(G.ids)):
+            assert _package(G, p, 4) == [p]
 
     def test_package_of_large_graph(self):
         G = fixture("fig6")  # n = 6: package colors for i = 5 are {2}
         v = "a3"
-        pkg = i_package(G, v, 5)
+        pkg = G._id_tuple(_package(G, G.pos[v], 5))
         expected = G.component_vertices(v, (2,))
         assert pkg == expected
 

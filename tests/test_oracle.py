@@ -15,9 +15,9 @@ nx = pytest.importorskip("networkx")
 
 from degraphs.combinatorics import count_syt, enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names
-from degraphs.graph import find_isomorphism, i_package, package_colors, package_positions
+from degraphs.graph import find_isomorphism, package_colors, package_positions
 from degraphs.standard import build_standard_deg, standard_automorphisms
-from degraphs.structure import defect_sets, psi_target
+from degraphs.structure import _psi_path, defect_sets
 from degraphs.transform import full_pipeline, package_isomorphism
 
 from conftest import relabel_random
@@ -130,14 +130,14 @@ def test_find_isomorphism_agrees_with_vf2():
 def anchor_pairs(G, i):
     """The package pairs (a, b) the rewiring maps at color i swap: (w,
     E_{i-1}(w)) for w in W_i, and (E_{i-2}(x), E_{i-2}(u)) for x in C_i
-    with u the end of ``psi_target``."""
+    with u the end of ``_psi_path``."""
     sets = defect_sets(G, i)
     for w in sorted(sets.W):
         yield w, G.neighbor(w, i - 1)
     for x in sorted(sets.C):
-        path = psi_target(G, x, i)
+        path = _psi_path(G, G.pos[x], i)
         a = G.neighbor(x, i - 2)
-        b = None if path is None else G.neighbor(path[-1], i - 2)
+        b = None if path is None else G.neighbor(G.ids[path[-1]], i - 2)
         if a is not None and b is not None:
             yield a, b
 
@@ -152,8 +152,8 @@ def test_package_isomorphism_agrees_with_vf2():
         for i in G.colors():
             colors, positions = package_colors(G, i), package_positions(G, i)
             for a, b in anchor_pairs(G, i):
-                A = i_package(G, a, i)
-                B = i_package(G, b, i)
+                A = G.component_vertices(a, colors)
+                B = G.component_vertices(b, colors)
                 want = vf2_isomorphic(
                     labelled(G, A, colors, positions, pin=a),
                     labelled(G, B, colors, positions, pin=b),

@@ -9,7 +9,7 @@ from degraphs.axioms import (
 )
 from degraphs.fixtures import fixture, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
-from degraphs.structure import defect_sets, has_type_w, is_flat_edge
+from degraphs.structure import _type_w, defect_sets, is_flat_edge
 from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step
 
 from conftest import corpus, nonflat_chain_through
@@ -62,7 +62,7 @@ class TestFlatnessEquivalences:
                         continue
                     if is_flat_edge(G, u, i):
                         assert not (
-                            has_type_w(G, u, i) and has_type_w(G, w, i)
+                            _type_w(G, G.pos[u], i) and _type_w(G, G.pos[w], i)
                         ), (name, i, u, w)
 
     def test_c_equals_c0_when_lower_templates_hold(self):

@@ -89,18 +89,16 @@ class TestAugmented:
         aug = single_cell_augmentation(lam, 0)  # cell with 5 at end of row 1
         G = build_augmented_deg(lam, aug)
         assert (G.n, G.N) == (4, 5)
-        R = G.restrict_full(4)
-        comp = R.components(range(2, 4))[0]
-        out = identify_component(R, comp, 4)
+        comp = G.components(range(2, 4))[0]
+        out = identify_component(G, comp, 4)
         assert out is not None and out[0] == lam
 
     def test_every_component_of_restriction_is_standard(self):
         for lam, row in [((2, 1), 0), ((2, 1), 1), ((3, 1), 1), ((2, 2), 0)]:
             n = sum(lam)
             G = build_augmented_deg(lam, single_cell_augmentation(lam, row))
-            R = G.restrict_full(n)
-            for comp in R.components(range(2, n)):
-                out = identify_component(R, comp, n)
+            for comp in G.components(range(2, n)):
+                out = identify_component(G, comp, n)
                 assert out is not None and out[0] == lam
 
     @pytest.mark.parametrize("row", [-1, -2, 3])

@@ -7,8 +7,8 @@ from degraphs.fixtures import fixture
 from degraphs.standard import build_standard_deg, single_cell_augmentation, build_augmented_deg
 from degraphs.structure import (
     StructureError,
+    _type_w,
     defect_sets,
-    has_type_w,
     i_type,
     is_flat_edge,
     maximal_flat_chains,
@@ -24,7 +24,7 @@ class TestTypes:
         G = fixture("fig8")
         assert i_type(G, "t3", 3) == "W"
         assert i_type(G, "t4", 4) == "W"
-        assert has_type_w(G, "t4", 4)
+        assert _type_w(G, G.pos["t4"], 4)
 
     def test_type_a_needs_no_lower_edges(self):
         G = fixture("fig12")
@@ -131,7 +131,7 @@ class TestDefectSets:
                 for v in W:
                     u = G.neighbor(v, i - 1)
                     assert u is not None
-                    assert has_type_w(G, u, i), (name, i, v)
+                    assert _type_w(G, G.pos[u], i), (name, i, v)
 
     def test_fig19_w5_filtered_out(self):
         G = fixture("fig19")

@@ -284,6 +284,13 @@ class TestLogging:
              "log step 0: field 'variant' must not be negative"),
             ('{"steps": [{"kind": "swap", "color": 3, "anchor": "b1"}]}',
              "log step 0: unknown kind 'swap'"),
+            ('{"steps": [], "aborted": "yes"}',
+             "log: field 'aborted' must be a boolean, got \"yes\""),
+            ('{"steps": [], "checkpoints": [1, 2]}',
+             r"log: field 'checkpoints' must be a list of strings, got \[1, 2\]"),
+            ('{"steps": [], "policy": 5}', "log: field 'policy' must be a string, got 5"),
+            ('{"steps": [], "diagnostic": []}',
+             r"log: field 'diagnostic' must be a string or null, got \[\]"),
         ],
     )
     def test_from_text_rejects(self, text, message):
