@@ -86,24 +86,34 @@ def bad_signature_character(draw, doc):
     entry["sigma"] = s[:k] + draw(st.sampled_from("x0 *,")) + s[k + 1 :]
 
 
-def edge_mutation(kind):
-    def mutate(draw, doc):
-        edges = doc["edges"]
-        if not edges:
-            doc["edges"] = [{"color": 2, "u": doc["vertices"][0]["id"], "v": "zz"}]
-            return
-        edge = edges[pick(draw, edges)]
-        if kind == "color":
-            edge["color"] = draw(st.sampled_from([-1, 0, 1, doc["n"], doc["n"] + 1]))
-        elif kind == "loop":
-            edge["v"] = edge["u"]
-        elif kind == "endpoint":
-            edge[draw(st.sampled_from("uv"))] = "zz"
-        else:  # a second edge of the edge's color at its end u
-            others = [v["id"] for v in doc["vertices"] if v["id"] not in (edge["u"], edge["v"])]
-            if others:
-                edges.append({"color": edge["color"], "u": edge["u"], "v": draw(st.sampled_from(others))})
-    return mutate
+def edge_of(draw, doc):
+    """One edge entry of the document, or None when it has no edges."""
+    edges = doc["edges"]
+    return edges[pick(draw, edges)] if edges else None
+
+
+def out_of_range_color(draw, doc):
+    if edge := edge_of(draw, doc):
+        edge["color"] = draw(st.sampled_from([-1, 0, 1, doc["n"], doc["n"] + 1]))
+
+
+def loop(draw, doc):
+    if edge := edge_of(draw, doc):
+        edge["v"] = edge["u"]
+
+
+def unknown_endpoint(draw, doc):
+    if edge := edge_of(draw, doc):
+        edge[draw(st.sampled_from("uv"))] = "zz"
+
+
+def second_edge_at_a_vertex(draw, doc):
+    """One more edge of an edge's color at its end u."""
+    if edge := edge_of(draw, doc):
+        others = [v["id"] for v in doc["vertices"] if v["id"] not in (edge["u"], edge["v"])]
+        if others:
+            w = draw(st.sampled_from(others))
+            doc["edges"].append({"color": edge["color"], "u": edge["u"], "v": w})
 
 
 GRAPH_MUTATIONS = {
@@ -112,10 +122,10 @@ GRAPH_MUTATIONS = {
     "duplicate an id": duplicate_id,
     "shorten a signature": shorten_signature,
     "bad signature character": bad_signature_character,
-    "out-of-range color": edge_mutation("color"),
-    "loop": edge_mutation("loop"),
-    "unknown endpoint": edge_mutation("endpoint"),
-    "second edge at a vertex": edge_mutation("second"),
+    "out-of-range color": out_of_range_color,
+    "loop": loop,
+    "unknown endpoint": unknown_endpoint,
+    "second edge at a vertex": second_edge_at_a_vertex,
 }
 
 
