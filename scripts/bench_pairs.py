@@ -22,7 +22,8 @@ each table it prints the ``results digest:`` line of the parent's runs and
 of the change's, and ``OUTPUT DIFFERS`` when they differ, so that a change
 claimed to leave every output unchanged is checked on the seed of the
 pairs too.  With ``--record BENCH_<label>.json`` it also writes, per
-workload, both checkouts' commits, the seed, the processor count, the
+workload, both checkouts' commits and the line counts of their
+``src/degraphs/*.py``, the seed, the processor count, the
 Python version, every run's metrics, each side's median and quartile
 distance per metric, the pairs won and tied, the WORSE and UNRESOLVED
 flags and both sides' digests.  Nothing under ``benchmarks/`` is written
@@ -151,12 +152,19 @@ def commit(checkout: Path) -> str | None:
     return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
+def src_lines(checkout: Path) -> int:
+    """The total line count of ``src/degraphs/*.py`` at ``checkout``, as
+    ``wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src/degraphs").glob("*.py"))
+
+
 def record(workload: str, args, seconds: float, runs: dict, digests: dict, rows) -> dict:
     """The record of one workload's pairs that ``--record`` writes; ``runs``
     and ``digests`` hold each side's runs, by side name."""
     return {
         "workload": workload,
         "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "seed": args.seed,
         "pairs": args.pairs,
         "seconds": seconds,

@@ -627,21 +627,20 @@ def classify_small_component(
 def check_axiom4a(G: SignedColoredGraph) -> AxiomReport:
     """For w on an overlong non-flat chain whose i-1-edge is not flat, the
     two-color components on either side must use the same degree-4
-    quasisymmetric functions (equal supports)."""
-    from .structure import defect_sets, is_flat_edge
+    quasisymmetric functions (equal supports): the 3-bit slices of ``G.pbits``
+    at positions i-3..i-1 on the (i-2, i-1) side and i-2..i on the other."""
+    from .structure import _flat, defect_sets
 
     def witnesses():
+        bits, pos = G.pbits, G.pos
         for i in range(4, G.n):
-            W = defect_sets(G, i).W
-            for w in sorted(W):
-                if is_flat_edge(G, w, i - 1):
+            for p in sorted(map(pos.__getitem__, defect_sets(G, i).W)):
+                if _flat(G, p, i - 1):
                     continue
-                left = G.component_vertices(w, (i - 2, i - 1))
-                right = G.component_vertices(w, (i - 1, i))
-                left_support = G.generating_function(left, (i - 3, i - 1)).support()
-                right_support = G.generating_function(right, (i - 2, i)).support()
-                if left_support != right_support:
-                    yield (i, w, "degree-4 supports differ across the colors")
+                left = {bits[q] >> (i - 4) & 7 for q in next(G._walk((p,), (i - 2, i - 1)))}
+                right = {bits[q] >> (i - 3) & 7 for q in next(G._walk((p,), (i - 1, i)))}
+                if left != right:
+                    yield (i, G.ids[p], "degree-4 supports differ across the colors")
 
     return AxiomReport.from_witnesses("4a", witnesses())
 

@@ -226,25 +226,12 @@ class SignedColoredGraph:
         least-vertex order."""
         return [self._id_tuple(comp) for comp in self._walk(range(len(self.ids)), colors)]
 
-    def refine(self, vertices, colors) -> tuple[list[tuple[str, ...]], dict[str, int]]:
-        """Split a vertex set into its components under ``colors``: the
-        pieces in min-vertex order, and each vertex's piece index.
-
-        Pieces are not cut back to ``vertices``; callers pass a component
-        of a larger color set, which holds each of its pieces whole.
-        """
-        starts = sorted(map(self.position, vertices))
-        pieces = [self._id_tuple(p) for p in self._walk(starts, colors)]
-        return pieces, {v: k for k, piece in enumerate(pieces) for v in piece}
     # -- generating functions -------------------------------------------------
-
-    def full_window(self) -> Window:
-        return (1, self.N - 1)
 
     def generating_function(self, vertices=None, window: Window | None = None) -> QSym:
         if vertices is None:
             vertices = self.vertices()
-        lo, hi = window if window is not None else self.full_window()
+        lo, hi = window if window is not None else (1, self.N - 1)
         if not (1 <= lo and hi <= self.N - 1 and lo <= hi + 1):
             raise ValueError(f"window {lo}..{hi} outside 1..{self.N - 1}")
         degree = hi - lo + 2
@@ -281,14 +268,16 @@ class SignedColoredGraph:
         N = _field(doc, "N", int, "top level")
         vertices = _field(doc, "vertices", list, "top level")
         edges = _field(doc, "edges", list, "top level")
-        # an entry failing a type test goes through _field, which raises naming
-        # the field (a duplicate id first)
+        _known_fields(doc, ("n", "N", "vertices", "edges"), "top level")
+        # an entry failing a type or length test goes through _field and
+        # _known_fields, which raise naming the field (a duplicate id first)
         sigma, stats = {}, {}
         for k, entry in enumerate(vertices):
             if not (type(entry) is dict and type(entry.get("id")) is str
-                    and type(entry.get("sigma")) is str):
+                    and type(entry.get("sigma")) is str and len(entry) == 2 + ("stat" in entry)):
                 if _field(entry, "id", str, f"vertex entry {k}") not in sigma:
                     _field(entry, "sigma", str, f"vertex entry {k}")
+                _known_fields(entry, ("id", "sigma", "stat"), f"vertex entry {k}")
             v = entry["id"]
             if v in sigma:
                 raise GraphFormatError(f"vertex entry {k}: duplicate vertex id {v!r}")
@@ -300,9 +289,11 @@ class SignedColoredGraph:
                 stats[v] = _field(entry, "stat", int, f"vertex entry {k}")
         for k, entry in enumerate(edges):
             if not (type(entry) is dict and type(entry.get("color")) is int
-                    and type(entry.get("u")) is str and type(entry.get("v")) is str):
+                    and type(entry.get("u")) is str and type(entry.get("v")) is str
+                    and len(entry) == 3):
                 for key, kind in (("color", int), ("u", str), ("v", str)):
                     _field(entry, key, kind, f"edge entry {k}")
+                _known_fields(entry, ("color", "u", "v"), f"edge entry {k}")
         triples = [(entry["color"], entry["u"], entry["v"]) for entry in edges]
         return SignedColoredGraph(n, N, sigma, triples, stats or None)
 
@@ -400,6 +391,13 @@ def _field(entry, key: str, kind: type, where: str, error: type = GraphFormatErr
             f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, got {_excerpt(value)}"
         )
     return value
+
+
+def _known_fields(entry: dict, keys, where: str, error: type = GraphFormatError) -> None:
+    """Raise ``error`` naming the first key of ``entry`` outside ``keys``."""
+    unknown = next((key for key in entry if key not in keys), None)
+    if unknown is not None:
+        raise error(f"{where}: unknown field {unknown!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -287,17 +287,17 @@ def set_U(G: SignedColoredGraph, i: int) -> list[tuple[str, str]]:
 # negatively dominant components
 
 
-def _component_sign(G: SignedColoredGraph, vertices, position: int) -> int:
-    """Constant sign of a position across a component; +1 when the position
-    is out of range (top color)."""
+def _component_sign(G: SignedColoredGraph, positions, position: int) -> int:
+    """Constant sign of a signature position across a component's vertex
+    positions, read off ``G.pbits``; +1 when it is out of range (top color)."""
     if position > G.N - 1:
         return 1
-    signs = {G.sigma[v][position - 1] for v in vertices}
+    signs = {G.pbits[p] >> (position - 1) & 1 for p in positions}
     if len(signs) != 1:
         raise StructureError(
-            f"position {position} not constant on component of {min(vertices)!r}"
+            f"position {position} not constant on component of {G.ids[min(positions)]!r}"
         )
-    return signs.pop()
+    return -1 if signs.pop() else 1
 
 
 def negatively_dominant(
@@ -306,15 +306,15 @@ def negatively_dominant(
     """Choose the rewiring pivot inside one component H of the colors-below-
     (i+1) restriction: a minus-signed restricted component of dominance-
     maximal shape, or the overall dominance maximum when every sign is plus.
-    Each restricted component is identified on G at degree i.
+    The pieces are walked from H's sorted positions and identified on G at degree i.
     """
-    pieces, _ = G.refine(H_vertices, range(2, i))
     labeled: list[tuple[tuple[str, ...], Partition, int]] = []
-    for piece in pieces:
+    for comp in G._walk(sorted(map(G.position, H_vertices)), range(2, i)):
+        piece = G._id_tuple(comp)
         ident = identify_component(G, piece, i)
         if ident is None:
             raise StructureError(f"restricted component at {piece[0]!r} is not standard")
-        labeled.append((piece, ident[0], _component_sign(G, piece, i + 1)))
+        labeled.append((piece, ident[0], _component_sign(G, comp, i + 1)))
     minus = [t for t in labeled if t[2] == -1]
     pool = minus if minus else labeled
     for piece, lam, _sign in pool:

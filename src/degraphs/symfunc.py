@@ -69,9 +69,6 @@ class QSym:
     def scale(self, k: int) -> "QSym":
         return QSym(self.degree, {s: k * c for s, c in self.coeffs.items()})
 
-    def support(self) -> frozenset[Signature]:
-        return frozenset(self.coeffs)
-
     def to_lines(self) -> str:
         items = sorted(self.coeffs.items())
         return "\n".join(f"{sig_str(s)} {c}" for s, c in items)

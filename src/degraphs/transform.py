@@ -36,10 +36,10 @@ from .axioms import (
     lsp_holds,
 )
 from .graph import (
-    GraphFormatError,
     SignedColoredGraph,
     _excerpt,
     _field,
+    _known_fields,
     anchored_maps,
     package_colors,
     package_positions,
@@ -90,7 +90,7 @@ def _rematch(G: SignedColoredGraph, i: int, target) -> SignedColoredGraph:
     """G with its i-matching rebuilt: each i-matched position v, ascending,
     is paired with ``target(v, E_i(v))``, a position or -1 for none.  Every
     map builds its new matching here; the result must be a matching on the
-    same vertices, worded as ``with_color_matching`` words it when not."""
+    same vertices, or the error names the least vertex that breaks it."""
     old = G.partner[i]
     new = [-1] * len(old)
     for v, w in enumerate(old):
@@ -98,12 +98,12 @@ def _rematch(G: SignedColoredGraph, i: int, target) -> SignedColoredGraph:
             new[v] = t = target(v, w)
             if t < 0:
                 raise TransformError(f"rewiring finds no {i}-partner for {G.ids[v]!r}")
-    if any(t == v or new[t] != v for v, t in enumerate(new) if t >= 0):
-        ids = G.ids
-        try:
-            G.with_color_matching(i, {ids[v]: ids[t] for v, t in enumerate(new) if t >= 0})
-        except GraphFormatError as e:
-            raise TransformError(f"rewiring is not a matching: {e}") from None
+    bad = next((v for v, t in enumerate(new) if t >= 0 and (t == v or new[t] != v)), None)
+    if bad is not None:
+        ids, t = G.ids, new[bad]
+        back = f"is paired with {ids[new[t]]!r}" if new[t] >= 0 else "has no partner"
+        why = "itself" if t == bad else f"{ids[t]!r}, but {ids[t]!r} {back}"
+        raise TransformError(f"rewiring is not a matching: {ids[bad]!r} is paired with {why}")
     return G._with_partner(i, new, [v for v, t in enumerate(new) if v < t])
 
 
@@ -349,6 +349,7 @@ class TransformStep:
 
 
 _STEP_KINDS = ("phi", "psi", "gamma", "theta")
+_LOG_FIELDS = ("steps", "checkpoints", "policy", "aborted", "diagnostic")
 
 
 class LogFormatError(ValueError):
@@ -365,6 +366,8 @@ def _parse_step(entry, where: str) -> TransformStep:
     variant = 0
     if "variant" in entry:
         variant = _field(entry, "variant", int, where, LogFormatError)
+    if len(entry) != 3 + ("variant" in entry):
+        _known_fields(entry, ("kind", "color", "anchor", "variant"), where, LogFormatError)
     if variant < 0:
         raise LogFormatError(f"{where}: field 'variant' must not be negative, got {variant}")
     return TransformStep(kind, color, anchor, variant)
@@ -400,6 +403,7 @@ class TransformLog:
         except json.JSONDecodeError as e:
             raise LogFormatError(f"log is not valid JSON: {e}") from None
         steps = _field(doc, "steps", list, "log", LogFormatError)
+        _known_fields(doc, _LOG_FIELDS, "log", LogFormatError)
         for key, kind, what in (  # the optional fields, their JSON types and wording
             ("checkpoints", list, "a list of strings"),
             ("policy", str, "a string"),

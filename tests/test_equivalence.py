@@ -732,7 +732,7 @@ def reference_axiom6_witnesses(G):
     out = []
     for i in G.colors():
         for comp in G.components(range(2, i + 1)):
-            sub, node_of = G.refine(comp, range(2, i))
+            sub, node_of = reference_refine(G, comp, range(2, i))
             adjacent = set()
             for u, w in G.matching(i).items():
                 if u in node_of and w in node_of:
@@ -979,8 +979,8 @@ def test_non_positive_base_takes_the_full_scan(monkeypatch):
 
 
 def test_component_walk_matches_stack_walk():
-    """``components``, ``component_vertices`` and ``refine`` over every
-    contiguous color range, including the empty one, against the stack walk."""
+    """``components`` and ``component_vertices`` over every contiguous color
+    range, including the empty one, against the stack walk."""
     base, copies, swapped = axiom4_inputs()
     for G in base + copies + swapped:
         for lo in range(2, G.n):
@@ -991,12 +991,6 @@ def test_component_walk_matches_stack_walk():
                 assert comps == want, (G, colors)
                 for piece in want:
                     assert G.component_vertices(piece[-1], colors) == piece
-                # each component under colors lo..hi, split by the colors
-                # below hi, and all vertices at once, handed over unsorted
-                inner = range(lo, hi)
-                for vertices in want + [G.vertices()]:
-                    got = G.refine(reversed(vertices), inner)
-                    assert got == reference_refine(G, vertices, inner), (G, colors)
 
 
 def reference_find_isomorphism(G, H, colors=None, positions=None):
@@ -1696,7 +1690,7 @@ def reference_theta(G, pivot, i):
     split graph, or the lists and the TransformError message."""
     H = G.component_vertices(pivot, range(2, i + 1))
     lower = tuple(range(2, i))
-    comps, comp_of = G.refine(H, lower)
+    comps, comp_of = reference_refine(G, H, lower)
     pivot_idx = comp_of[pivot]
     old = G.matching(i)
     adjacent = {comp_of[old[u]] for u in comps[pivot_idx] if u in old} - {pivot_idx}

@@ -6,21 +6,37 @@ back.  ``SignedColoredGraph.from_text`` either returns a graph or raises
 ``GraphFormatError``, and a graph it returns re-reads to an equal graph
 with the same text.  ``TransformLog.from_text`` either raises
 ``LogFormatError`` or returns a log whose fields have the format's types and
-whose text re-reads to the same text.  Every integer a mutation writes is
-at most 9, so no mutated graph asks for a large type.
+whose text re-reads to the same text.  A text either reader accepts holds
+only the format's fields.  The command line reads the same texts:
+``degraphs check -`` exits 2, with one ``error:`` line, exactly when
+``from_text`` rejects the graph, and ``transform G --replay LOG`` exits 0
+or 2, never 1.  Every integer a mutation writes is at most 9, so no
+mutated graph asks for a large type.
 """
 
+import contextlib
 import functools
+import io
 import json
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degraphs.cli import main
 from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import GraphFormatError, SignedColoredGraph
 from degraphs.standard import build_standard_deg
 from degraphs.transform import LogFormatError, TransformLog, TransformStep, full_pipeline
+
+GRAPH_FIELDS = {"n", "N", "vertices", "edges"}
+VERTEX_FIELDS = {"id", "sigma", "stat"}
+EDGE_FIELDS = {"color", "u", "v"}
+LOG_FIELDS = {"steps", "checkpoints", "policy", "aborted", "diagnostic"}
+STEP_FIELDS = {"kind", "color", "anchor", "variant"}
+# names no entry of either format has: near misses and a stray key
+UNKNOWN_FIELDS = ("stats", "edge", "varient", "abortd", "w")
 
 # one value of each JSON type: int, str, list, bool and null
 VALUES = st.one_of(
@@ -63,6 +79,11 @@ def change_type(draw, doc, lists):
     entry = draw(st.sampled_from(objects(doc, *lists)))
     if entry:
         entry[draw(st.sampled_from(sorted(entry)))] = draw(VALUES)
+
+
+def unknown_field(draw, doc, lists):
+    entry = draw(st.sampled_from(objects(doc, *lists)))
+    entry[draw(st.sampled_from(UNKNOWN_FIELDS))] = draw(VALUES)
 
 
 def duplicate_id(draw, doc):
@@ -119,6 +140,7 @@ def second_edge_at_a_vertex(draw, doc):
 GRAPH_MUTATIONS = {
     "drop a field": lambda draw, doc: drop_field(draw, doc, ("vertices", "edges")),
     "change a type": lambda draw, doc: change_type(draw, doc, ("vertices", "edges")),
+    "unknown field": lambda draw, doc: unknown_field(draw, doc, ("vertices", "edges")),
     "duplicate an id": duplicate_id,
     "shorten a signature": shorten_signature,
     "bad signature character": bad_signature_character,
@@ -146,18 +168,73 @@ def test_mutated_graph_text_is_read_or_rejected(text):
     again = SignedColoredGraph.from_text(G.to_text())
     assert again == G
     assert again.to_text() == G.to_text()
+    doc = json.loads(text)
+    assert set(doc) <= GRAPH_FIELDS
+    assert all(set(entry) <= VERTEX_FIELDS for entry in doc["vertices"])
+    assert all(set(entry) <= EDGE_FIELDS for entry in doc["edges"])
+
+
+def run_cli(argv, stdin=""):
+    """``degraphs`` run in-process on ``argv`` with ``stdin`` as standard
+    input: the exit code and what it wrote to standard error."""
+    err, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+def one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mutated_graph_texts())
+def test_check_exits_2_exactly_when_the_graph_text_is_rejected(text):
+    try:
+        SignedColoredGraph.from_text(text)
+        rejected = False
+    except GraphFormatError:
+        rejected = True
+    code, err = run_cli(["check", "-"], text)
+    if rejected:
+        assert code == 2 and one_error_line(err), err
+    else:
+        assert code in (0, 1), err
+
+
+def change_checkpoint(draw, doc):
+    if notes := doc["checkpoints"]:
+        notes[pick(draw, notes)] = draw(VALUES)
+
+
+LOG_MUTATIONS = {
+    "change a checkpoint": change_checkpoint,
+    "drop a field": lambda draw, doc: drop_field(draw, doc, ("steps",)),
+    "change a type": lambda draw, doc: change_type(draw, doc, ("steps",)),
+    "unknown field": lambda draw, doc: unknown_field(draw, doc, ("steps",)),
+}
+
+
+def mutate_log(draw, text):
+    doc = json.loads(text)
+    LOG_MUTATIONS[draw(st.sampled_from(sorted(LOG_MUTATIONS)))](draw, doc)
+    return json.dumps(doc)
 
 
 @st.composite
 def mutated_log_texts(draw):
-    doc = json.loads(draw(st.sampled_from(log_texts())))
-    if doc["checkpoints"] and draw(st.booleans()):
-        doc["checkpoints"][pick(draw, doc["checkpoints"])] = draw(VALUES)
-    elif draw(st.booleans()):
-        drop_field(draw, doc, ("steps",))
-    else:
-        change_type(draw, doc, ("steps",))
-    return json.dumps(doc)
+    return mutate_log(draw, draw(st.sampled_from(log_texts())))
+
+
+@st.composite
+def mutated_fixture_logs(draw):
+    """A fixture's name and its run's log text, mutated."""
+    k = pick(draw, fixture_names())
+    return fixture_names()[k], mutate_log(draw, log_texts()[k])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -172,6 +249,30 @@ def test_mutated_log_text_is_read_or_rejected(text):
     assert type(log.policy) is str and type(log.aborted) is bool
     assert log.diagnostic is None or type(log.diagnostic) is str
     assert TransformLog.from_text(log.to_text()).to_text() == log.to_text()
+    doc = json.loads(text)
+    assert set(doc) <= LOG_FIELDS
+    assert all(set(entry) <= STEP_FIELDS for entry in doc["steps"])
+
+
+def test_replay_of_a_mutated_log_exits_0_or_2(tmp_path):
+    """``transform G --replay LOG`` on a fixture and its run's mutated log
+    exits 0, or 2 with one ``error:`` line; never 1, and nothing escapes."""
+    for name in fixture_names():
+        (tmp_path / f"{name}.json").write_text(fixture(name).to_text())
+    log = tmp_path / "log.json"
+    codes = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(mutated_fixture_logs())
+    def replays(case):
+        name, text = case
+        log.write_text(text)
+        code, err = run_cli(["transform", str(tmp_path / f"{name}.json"), "--replay", str(log)])
+        assert code == 0 or code == 2 and one_error_line(err), (code, err)
+        codes.add(code)
+
+    replays()
+    assert codes == {0, 2}
 
 
 def test_every_mutation_is_drawn_and_some_texts_stay_valid():

@@ -258,10 +258,9 @@ class TestUnknownVertex:
 
     @pytest.mark.parametrize("call", [
         lambda G: G.component_vertices("zz", (2, 3)),
-        lambda G: G.refine(["t3", "zz"], (2,)),
         lambda G: seeded_isomorphism(G, G, {"t3": "zz"}),
         lambda G: identify_component(G, ["t3", "zz"], G.n),
-    ], ids=["component_vertices", "refine", "seeded_isomorphism", "identify_component"])
+    ], ids=["component_vertices", "seeded_isomorphism", "identify_component"])
     def test_names_the_id(self, call):
         with pytest.raises(KeyError) as e:
             call(fixture("fig8"))
@@ -449,6 +448,15 @@ class TestSerialization:
             (
                 {"vertices": [{"id": "a", "sigma": "+-"}, {"id": "b", "sigma": "+x"}]},
                 "vertex entry 1: bad signature character 'x' in '+x'",
+            ),
+            ({"edge": []}, "top level: unknown field 'edge'"),
+            (
+                {"vertices": [{"id": "a", "sigma": "+-"}, {"id": "b", "sigma": "-+", "stats": 5}]},
+                "vertex entry 1: unknown field 'stats'",
+            ),
+            (
+                {"edges": [{"color": 2, "u": "a", "v": "b", "w": "a"}]},
+                "edge entry 0: unknown field 'w'",
             ),
         ],
     )

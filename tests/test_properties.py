@@ -1,5 +1,7 @@
 """Cross-cutting invariants tying the modules together."""
 
+import random
+
 from degraphs.axioms import (
     _TWO_COLOR_TEMPLATES,
     check_axiom,
@@ -10,9 +12,9 @@ from degraphs.axioms import (
 from degraphs.fixtures import fixture, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
 from degraphs.structure import _type_w, defect_sets, is_flat_edge
-from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step
+from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step, replay
 
-from conftest import corpus, nonflat_chain_through
+from conftest import benchmark_corpus, corpus, nonflat_chain_through, relabel_random
 from test_axioms import _component_matches_template
 
 
@@ -117,3 +119,36 @@ class TestOneStepContract:
             for j in done:
                 if j >= 3:
                     assert defect_sets(G, j).all_empty(), (i, j)
+
+
+class TestRunInvariants:
+    """On scrambled unions of 2-3 standard graphs with n <= 6, each read
+    back from its text as a user's file is: replaying a certified run's log
+    on the input gives the run's graph, and the answer does not depend on
+    the vertex names."""
+
+    @staticmethod
+    def answer(G):
+        res = full_pipeline(G)
+        shapes = None if res.components is None else sorted(lam for lam, _ in res.components)
+        return res, (res.certified, res.log.aborted, res.expansion and res.expansion.to_string(),
+                     shapes)
+
+    def test_replay_and_relabelling_on_generated_unions(self):
+        bc = benchmark_corpus()
+        tally = {"replayed": 0, "aborted": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.choice((4, 5, 6))
+            shapes = [rng.choice(bc.edge_shapes(n)) for _ in range(rng.choice((2, 3)))]
+            G = SignedColoredGraph.from_text(bc.scramble(bc.union(shapes), rng).to_text())
+            res, want = self.answer(G)
+            if res.certified and res.log.steps:
+                assert replay(G, res.log).to_text() == res.graph.to_text(), seed
+                tally["replayed"] += 1
+            tally["aborted"] += res.log.aborted
+            for _ in range(2):
+                H = SignedColoredGraph.from_text(relabel_random(G, rng)[0].to_text())
+                assert self.answer(H)[1] == want, seed
+        # the draws reach both outcomes the invariants speak of
+        assert tally["replayed"] >= 150 and tally["aborted"] >= 1, tally

@@ -292,8 +292,9 @@ def test_bench_pairs_reads_the_results_digest(monkeypatch):
 
 def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
     """``--record`` writes, per workload, both commits (None outside git),
-    the seed, processor count and Python version, every run, each side's
-    median and quartile distance, wins, ties, the flags and the digests."""
+    both line counts of ``src/degraphs/*.py``, the seed, processor count and
+    Python version, every run, each side's median and quartile distance,
+    wins, ties, the flags and the digests."""
     import platform
     import subprocess
 
@@ -308,6 +309,11 @@ def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
         return dict.fromkeys(names, runs[checkout.name][served[key]]), f"{workload}-digest"
 
     monkeypatch.setattr(bp, "run_once", run_once)
+    package = tmp_path / "change" / "src" / "degraphs"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
     out = tmp_path / "BENCH_test.json"
     argv = [str(ROOT), str(tmp_path / "change"), "--workload", "a", "--workload", "b",
             "--seed", "5", "--pairs", "3", "--seconds", "0.5", "--record", str(out)]
@@ -319,6 +325,10 @@ def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
     recorded = a["commits"]["parent"]
     assert recorded is None if head.returncode else recorded.split("+")[0] == head.stdout.strip()
     assert a["commits"]["change"] is None
+    wc = subprocess.run(["wc", "-l", *map(str, sorted((ROOT / "src/degraphs").glob("*.py")))],
+                        capture_output=True, text=True)
+    total = int(wc.stdout.split()[-2])
+    assert a["src_lines"] == {"parent": total, "change": 3}
     assert (a["seed"], a["pairs"], a["seconds"]) == (5, 3, 0.5)
     assert a["nproc"] >= 1 and a["python"] == platform.python_version()
     parent = [run[names[0]] for run in a["runs"]["parent"]]

@@ -42,7 +42,8 @@ def preserved_apart_from_color(G, H, i):
 class TestRematch:
     """Every map rebuilds its color class through ``_rematch``; a target
     (on vertex positions, -1 for none) that is not a matching on the old
-    support is a ``TransformError``, so the search skips the candidate."""
+    support is a ``TransformError``, so the search skips the candidate.  It
+    names the least vertex that breaks the matching."""
 
     @pytest.mark.parametrize("kind", ["self-pair", "non-involution", "outside", "none"])
     def test_bad_target_is_a_transform_error(self, kind):
@@ -57,10 +58,20 @@ class TestRematch:
             "outside": lambda v, w: outside if v == a else w,
             "none": lambda v, w: -1 if v == a else w,
         }
+        ids, (m1, m2) = G.ids, matched[1:3]
+        messages = {
+            "self-pair": f"rewiring is not a matching: {ids[a]!r} is paired with itself",
+            "non-involution": f"rewiring is not a matching: {ids[a]!r} is paired with "
+            f"{ids[m1]!r}, but {ids[m1]!r} is paired with {ids[m2]!r}",
+            "outside": f"rewiring is not a matching: {ids[a]!r} is paired with "
+            f"{ids[outside]!r}, but {ids[outside]!r} has no partner",
+            "none": f"rewiring finds no 3-partner for {ids[a]!r}",
+        }
         # a GraphFormatError (not a TransformError) would escape the search
         assert not issubclass(GraphFormatError, TransformError)
-        with pytest.raises(TransformError):
+        with pytest.raises(TransformError) as e:
             _rematch(G, 3, targets[kind])
+        assert str(e.value) == messages[kind]
 
 
 class TestPackageIsomorphism:
@@ -291,6 +302,9 @@ class TestLogging:
             ('{"steps": [], "policy": 5}', "log: field 'policy' must be a string, got 5"),
             ('{"steps": [], "diagnostic": []}',
              r"log: field 'diagnostic' must be a string or null, got \[\]"),
+            ('{"steps": [{"kind": "phi", "color": 4, "anchor": "b1", "varient": 2}]}',
+             "log step 0: unknown field 'varient'"),
+            ('{"steps": [], "abortd": true}', "log: unknown field 'abortd'"),
         ],
     )
     def test_from_text_rejects(self, text, message):
