@@ -8,8 +8,9 @@ runs, and say whether a gain may be claimed and whether a metric regressed.
 Each pair runs ``benchmarks/run.py`` once in each checkout, with end-to-end
 metrics only (``--trace 0``), the first of the two alternating from pair to
 pair.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
-median and quartiles of each side and the pairs the change won (ties count
-for neither side).  The claim rule: the change wins at least nine tenths of
+median and quartiles of each side, the pairs the change won (ties count
+for neither side), and, first on the row, the median gap as a percent of
+the parent's median, positive where the change is better.  The claim rule: the change wins at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
 distance between the parent's quartiles.  A metric whose change median is
 worse than the parent's by more than its ``bound`` (a fraction of the
@@ -25,8 +26,9 @@ pairs too.  With ``--record BENCH_<label>.json`` it also writes, per
 workload, both checkouts' commits and the line counts of their
 ``src/degraphs/*.py``, the seed, the processor count, the
 Python version, every run's metrics, each side's median and quartile
-distance per metric, the pairs won and tied, the WORSE and UNRESOLVED
-flags and both sides' digests.  Nothing under ``benchmarks/`` is written
+distance per metric, the relative gap, the pairs won and tied, whether
+the claim rule holds, the WORSE and UNRESOLVED flags and both sides'
+digests.  Nothing under ``benchmarks/`` is written
 to; the run length defaults to the benchmark's own.
 """
 
@@ -55,8 +57,10 @@ def summarize(
 ) -> list[dict]:
     """One row per metric of ``better`` ({name: "higher" | "lower"}) from
     paired runs, ``parent[k]`` and ``change[k]`` being pair k's
-    {name: value}: each side's quartiles, the pairs won and tied, whether
-    the claim rule holds, whether the change median is worse than the
+    {name: value}: each side's quartiles, the pairs won and tied, the
+    median gap (positive where the change is better) and that gap as a
+    share of the parent's median (None for a zero median), whether the
+    claim rule holds, whether the change median is worse than the
     parent's by more than the metric's entry in ``bounds`` times the
     parent's median, and whether the metric is unresolved: the parent's
     quartile distance exceeds that bound times its median, and some run of
@@ -82,6 +86,7 @@ def summarize(
             "wins": wins,
             "ties": ties,
             "gap": gap,
+            "relative_gap": gap / abs(pq[1]) if pq[1] else None,
             "parent_iqr": spread,
             "claim": wins * 10 >= 9 * len(p) and gap > spread,
             "bound": bounds.get(name),
@@ -102,8 +107,9 @@ def format_rows(rows: list[dict]) -> str:
             worse = f"; WORSE than the parent by more than its bound of {r['bound']:.0%}"
         if r["unresolved"]:
             worse += f"; UNRESOLVED: the parent IQR is wider than {r['bound']:.0%} of its median"
+        share = "n/a" if r["relative_gap"] is None else f"{r['relative_gap']:+.1%}"
         lines.append(
-            f"{r['metric']}: parent {pm:.4g} ({p1:.4g}-{p3:.4g}) -> change {cm:.4g} "
+            f"{share:>7} {r['metric']}: parent {pm:.4g} ({p1:.4g}-{p3:.4g}) -> change {cm:.4g} "
             f"({c1:.4g}-{c3:.4g}); change better in {r['wins']}/{r['pairs']}{tied}; "
             f"median gap {r['gap']:+.4g} vs parent IQR {r['parent_iqr']:.4g}; "
             f"claim rule {'holds' if r['claim'] else 'does not hold'}{worse}"
@@ -178,8 +184,10 @@ def record(workload: str, args, seconds: float, runs: dict, digests: dict, rows)
                 "parent_iqr": r["parent_iqr"],
                 "change_median": r["change"][1],
                 "change_iqr": r["change"][2] - r["change"][0],
+                "relative_gap": r["relative_gap"],
                 "wins": r["wins"],
                 "ties": r["ties"],
+                "claim": r["claim"],
                 "worse": r["regressed"],
                 "unresolved": r["unresolved"],
             }

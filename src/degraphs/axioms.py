@@ -446,13 +446,16 @@ def _window_witnesses(G: SignedColoredGraph, m: int, violation, colors=None):
     degree-m window whose ``violation(G, positions, window)`` is not None,
     window by window and, within one, by least vertex.  With ``colors``, as
     in ``check_axiom``, only the components holding a vertex of the scope
-    at one of the window's colors are walked."""
+    at one of the window's colors are walked, and a window holding no color
+    of the scope is not walked at all."""
     if m not in (4, 5, 6):
         raise ValueError("degree must be 4, 5 or 6")
     scope = _scope(G, colors)
     for i in range(m - 1, G.n):
         window = range(i - (m - 3), i + 1)
         at = [scope[c] for c in window if c in scope]
+        if not at:
+            continue  # the scope misses every color of the window
         starts = range(len(G.ids)) if None in at else {p for ps in at for p in ps}
         failing = []
         for comp in G._walk(starts, window):
@@ -629,12 +632,12 @@ def check_axiom4a(G: SignedColoredGraph) -> AxiomReport:
     two-color components on either side must use the same degree-4
     quasisymmetric functions (equal supports): the 3-bit slices of ``G.pbits``
     at positions i-3..i-1 on the (i-2, i-1) side and i-2..i on the other."""
-    from .structure import _flat, defect_sets
+    from .structure import _flat, _w_positions
 
     def witnesses():
-        bits, pos = G.pbits, G.pos
+        bits = G.pbits
         for i in range(4, G.n):
-            for p in sorted(map(pos.__getitem__, defect_sets(G, i).W)):
+            for p in _w_positions(G, i):
                 if _flat(G, p, i - 1):
                     continue
                 left = {bits[q] >> (i - 4) & 7 for q in next(G._walk((p,), (i - 2, i - 1)))}

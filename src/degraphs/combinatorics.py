@@ -104,38 +104,26 @@ def is_standard(t: Tableau) -> bool:
     return True
 
 
-def _row_reading(t: Tableau) -> tuple[int, ...]:
-    seq: list[int] = []
-    for row in t:
-        seq.extend(row)
-    return tuple(seq)
-
-
 @lru_cache(maxsize=None)
 def enumerate_syt(shape: Partition) -> tuple[Tableau, ...]:
-    """All SYT of the given shape, sorted by bottom-up row reading."""
+    """All SYT of the given shape, sorted by bottom-up row reading, which
+    for tableaux of one shape is their order as tuples.  Each is a tableau
+    of the shape with one corner removed, n put in that corner: built on the
+    cached tableaux of the smaller shapes."""
     shape = check_partition(shape)
+    if not shape:
+        return ((),)
     n = sum(shape)
-    rows: list[list[int]] = [[] for _ in shape]
-
     results: list[Tableau] = []
-
-    def place(v: int):
-        if v > n:
-            results.append(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(shape)):
-            c = len(rows[r])
-            if c >= shape[r]:
-                continue
-            if r > 0 and len(rows[r - 1]) <= c:
-                continue
-            rows[r].append(v)
-            place(v + 1)
-            rows[r].pop()
-
-    place(1)
-    results.sort(key=_row_reading)
+    for r, p in enumerate(shape):
+        if r + 1 < len(shape) and shape[r + 1] == p:
+            continue  # the cell at the end of row r is not a corner
+        if p == 1:  # the top row is that cell alone
+            results += [t + ((n,),) for t in enumerate_syt(shape[:r])]
+        else:
+            inner = shape[:r] + (p - 1,) + shape[r + 1 :]
+            results += [t[:r] + (t[r] + (n,),) + t[r + 1 :] for t in enumerate_syt(inner)]
+    results.sort()
     return tuple(results)
 
 
@@ -150,7 +138,7 @@ def count_syt(shape: Partition) -> int:
 
 def tableau_id(t: Tableau) -> str:
     """Canonical serialization: rows bottom to top, '|' separated."""
-    return "|".join(",".join(str(v) for v in row) for row in t)
+    return "|".join([",".join(map(str, row)) for row in t])
 
 
 def tableau_from_id(text: str) -> Tableau:
@@ -206,28 +194,29 @@ def dual_equiv_involution(t: Tableau, i: int) -> Tableau:
     return swapped
 
 
-def tableau_moves(t: Tableau) -> tuple[tuple[int, ...], Signature, dict[int, int]]:
-    """One read of t: the row of each entry 1..n, the descent signature, and
-    for each color 1 < i < n that d_i does not fix, the entry d_i exchanges
-    with i.  Agrees with ``descent_signature`` and ``dual_equiv_involution``,
-    which stay the single-color definitions.
+def tableau_moves(t: Tableau) -> tuple[str, tuple[int, ...], Signature, dict[int, int]]:
+    """One read of t: its ``tableau_id``, its row word (the row of each
+    entry 1..n), its descent signature, and for each color 1 < i < n that
+    d_i does not fix, the entry d_i exchanges with i.  Agrees with
+    ``descent_signature`` and ``dual_equiv_involution``, which stay the
+    single-color definitions.
+
+    Everything is read off the row word: for a < b, a comes before b in
+    the reading word exactly when a sits weakly above b.  So with x, y, z
+    the rows of i-1, i, i+1, d_i moves i, which then does not lie between
+    the other two, exactly when (x >= y) != (y >= z), and exchanges it with
+    i-1, then the further of the two, exactly when (x >= z) == (x >= y).
     """
-    n = sum(map(len, t))
-    row = [0] * (n + 1)
-    pos = [0] * (n + 1)
-    k = 0
-    for r in range(len(t) - 1, -1, -1):
-        for v in t[r]:
-            row[v] = r
-            pos[v] = k
-            k += 1
-    sig = tuple([1 if row[i] >= row[i + 1] else -1 for i in range(1, n)])
+    rows = [0] * sum(map(len, t))
+    for r, entries in enumerate(t):
+        for v in entries:
+            rows[v - 1] = r
+    sig = tuple([1 if x >= y else -1 for x, y in zip(rows, rows[1:])])
     moves = {}
-    for i in range(2, n):
-        lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
-        if (lo < mid) != (mid < hi):
-            moves[i] = i - 1 if abs(mid - lo) > abs(mid - hi) else i + 1
-    return tuple(row[1:]), sig, moves
+    for i, (x, y, z) in enumerate(zip(rows, rows[1:], rows[2:]), 2):
+        if (x >= y) != (y >= z):
+            moves[i] = i - 1 if (x >= z) == (x >= y) else i + 1
+    return tableau_id(t), tuple(rows), sig, moves
 
 
 def superstandard_signature(lam: Partition) -> Signature:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 
 from .combinatorics import (
     Partition,
@@ -19,7 +20,6 @@ from .combinatorics import (
     count_syt,
     enumerate_partitions,
     enumerate_syt,
-    tableau_id,
     tableau_moves,
 )
 from .graph import SignedColoredGraph, _id_map, anchored_maps
@@ -103,9 +103,12 @@ def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
 def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColoredGraph:
     """Graph of type (n, N) on SYT of the outer shape restricting to aug.
 
-    Each embedded tableau is read once by ``tableau_moves`` and keyed by its
-    row word; an i-edge ends at the row word with the rows of i and its
-    partner swapped.  This is exact for i < n: d_i depends only on the order
+    Each tableau, with the cells of aug filled in when it has any, is read
+    once by ``tableau_moves`` and keyed by its row word packed into one
+    integer, whose digit k in base B, one more than the number of rows, is
+    the row of entry k + 1.  Where d_i exchanges i with j, sitting in rows
+    r_i and r_j, its image is keyed by that integer plus
+    (r_j - r_i)(B^(i-1) - B^(j-1)), one dict lookup.  This is exact for i < n: d_i depends only on the order
     of i-1, i, i+1 in the reading word, which the fixed cells keep.  Edges
     come in ``enumerate_syt`` order, then by color; ``edge_triples``,
     ``to_text`` and the benchmark's input digests depend on that order.
@@ -124,25 +127,22 @@ def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColored
                 rows[r].append(fixed[(r, c)])
         return tuple(tuple(r) for r in rows)
 
+    powers = [(len(aug.outer) + 1) ** k for k in range(N)]
     sigma: dict[str, tuple[int, ...]] = {}
-    ids: dict[tuple[int, ...], str] = {}
+    ids: dict[int, str] = {}
     reads = []
     for t in enumerate_syt(lam):
-        full = embed(t)
-        rows, sig, moves = tableau_moves(full)
-        ids[rows] = v = tableau_id(full)
-        sigma[v] = sig
-        reads.append((v, rows, moves))
+        v, rows, sig, moves = tableau_moves(embed(t) if fixed else t)
+        code = sum(map(mul, rows, powers))
+        sigma[v], ids[code] = sig, v
+        reads.append((v, code, rows, moves))
     triples = []
-    for v, rows, moves in reads:
+    for v, code, rows, moves in reads:
         for i, j in moves.items():
-            if i >= n:
-                continue
-            swapped = list(rows)
-            swapped[i - 1], swapped[j - 1] = rows[j - 1], rows[i - 1]
-            w = ids[tuple(swapped)]
-            if v < w:
-                triples.append((i, v, w))
+            if i < n:
+                w = ids[code + (rows[j - 1] - rows[i - 1]) * (powers[i - 1] - powers[j - 1])]
+                if v < w:
+                    triples.append((i, v, w))
     return SignedColoredGraph(n, N, sigma, triples)
 
 

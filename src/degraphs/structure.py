@@ -244,20 +244,24 @@ def _flat_interiors(G: SignedColoredGraph, i: int) -> set[int]:
     return inner
 
 
+def _w_positions(G: SignedColoredGraph, i: int) -> list[int]:
+    """W_i by position, ascending: type W at color i (``_type_w``), read
+    off the two partner lists in one pass, without the double edges."""
+    if not 3 <= i < G.n:
+        return []
+    up, down, bits = G.partner[i], G.partner[i - 1], G.pbits
+    return [
+        v
+        for v, w in enumerate(up)
+        if w >= 0
+        and (u := down[v]) >= 0
+        and u != w
+        and (bits[v] ^ bits[u]) >> (i - 1) & 1
+    ]
+
+
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
-    # W_i: type W at color i (``_type_w``), read off the two partner
-    # lists in one pass, without the double edges
-    W: list[int] = []
-    if 3 <= i < G.n:
-        up, down, bits = G.partner[i], G.partner[i - 1], G.pbits
-        W = [
-            v
-            for v, w in enumerate(up)
-            if w >= 0
-            and (u := down[v]) >= 0
-            and u != w
-            and (bits[v] ^ bits[u]) >> (i - 1) & 1
-        ]
+    W = _w_positions(G, i)
     W0 = [w for w in W if _package_flat(G, w, i - 1)]
     C = _flat_interiors(G, i) if 4 <= i < G.n else ()
     C0 = [

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from bisect import insort
+from operator import ge, sub
 
 from .combinatorics import (
     Partition,
     Signature,
     check_partition,
     descent_signature,
-    enumerate_partitions,
     enumerate_syt,
     partition_str,
     sig_str,
-    superstandard_signature,
 )
 
 
@@ -51,9 +51,6 @@ class QSym:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, sig: Signature) -> int:
-        return self.coeffs.get(sig, 0)
 
     def __add__(self, other: "QSym") -> "QSym":
         if self.degree != other.degree:
@@ -111,10 +108,15 @@ class SchurExpansion:
 
 
 @lru_cache(maxsize=None)
-def _elimination_order(n: int) -> tuple[tuple[Partition, Signature], ...]:
-    """Partitions of n in descending lex order, each with its superstandard
-    signature."""
-    return tuple((lam, superstandard_signature(lam)) for lam in enumerate_partitions(n))
+def _superstandard_shape(sig: Signature) -> Partition | None:
+    """The partition whose superstandard signature is ``sig``, or None: the
+    -1 positions of ``sig`` must be the partial row sums of weakly
+    decreasing rows.  Cached: expansions read the same few signatures over
+    and over."""
+    ends = [k for k, s in enumerate(sig, 1) if s < 0]
+    ends.append(len(sig) + 1)
+    lam = tuple(map(sub, ends, [0] + ends))
+    return lam if all(map(ge, lam, lam[1:])) else None
 
 
 def expand_in_schur(f: QSym) -> SchurExpansion:
@@ -122,16 +124,32 @@ def expand_in_schur(f: QSym) -> SchurExpansion:
 
     Partitions are eliminated in dominance-descending (descending lex) order
     by matching the coefficient of each superstandard signature; whatever is
-    left over lands in the residual.
+    left over lands in the residual.  Only the partitions whose
+    superstandard signature has a nonzero coefficient when reached are
+    visited: subtracting s_lam changes the superstandard coefficients only
+    of partitions that lam dominates, which come later, so the candidates
+    are those of the support, and those of each signature a subtraction
+    brings into it.
     """
-    remaining = f
+    remaining = dict(f.coeffs)
+    # (partition, superstandard signature) ascending: the last is the next
+    pending = sorted((lam, s) for s in remaining if (lam := _superstandard_shape(s)))
     coeffs: dict[Partition, int] = {}
-    for lam, key in _elimination_order(f.degree):
-        c = remaining.coefficient(key)
-        if c != 0:
-            coeffs[lam] = c
-            remaining = remaining - schur_to_fundamental(lam).scale(c)
-    return SchurExpansion(coeffs, remaining)
+    while pending:
+        lam, sig = pending.pop()
+        c = remaining.get(sig)
+        if not c:
+            continue
+        coeffs[lam] = c
+        for s, k in schur_to_fundamental(lam).coeffs.items():
+            left = remaining.get(s, 0) - c * k
+            if not left:
+                del remaining[s]
+                continue
+            if s not in remaining and (mu := _superstandard_shape(s)):
+                insort(pending, (mu, s))
+            remaining[s] = left
+    return SchurExpansion(coeffs, QSym(f.degree, remaining))
 
 
 @dataclass(frozen=True)

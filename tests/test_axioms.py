@@ -170,6 +170,29 @@ class TestLocallySchurPositive:
         assert all(r is not G for r in gc.get_referents(K))
         assert any(r is G for r in gc.get_referents(H))
 
+    def test_windows_missing_the_scope_are_not_walked(self, monkeypatch):
+        """Checked by difference, a graph with color 2 rewired walks the
+        windows holding color 2 and no other: on type (6, 6) those are
+        2-3 at degree 4, 2-4 at degree 5 and 2-5 at degree 6."""
+        G = fixture("fig6")
+        assert is_locally_schur_positive(G).holds
+        old = G.matching(2)
+        u = min(old)
+        H = G.with_color_matching(2, {a: b for a, b in old.items() if u not in (a, b)})
+        scope = axioms._changed_scope(H, G)
+        assert scope.keys() == {2}
+        walked = []
+        walk = SignedColoredGraph._walk
+
+        def spy(self, starts, colors):
+            walked.append(tuple(colors))
+            return walk(self, starts, colors)
+
+        monkeypatch.setattr(SignedColoredGraph, "_walk", spy)
+        for m in (4, 5, 6):
+            check_lsp(H, m, scope)
+        assert walked == [(2, 3), (2, 3, 4), (2, 3, 4, 5)]
+
 
 class TestClassification:
     @pytest.mark.parametrize(
@@ -232,6 +255,20 @@ class TestSupplementaryAxioms:
             G = build_standard_deg(lam)
             assert check_axiom4a(G).holds
             assert check_axiom4b(G).holds
+
+    def test_4a_reads_w_alone(self, monkeypatch):
+        """Axiom 4'a reads W_i and nothing else of the defect sets: it never
+        builds the flat chains' interiors C_i."""
+        from degraphs import structure
+
+        def interiors(G, i):
+            raise AssertionError(f"4'a built C_{i}")
+
+        monkeypatch.setattr(structure, "_flat_interiors", interiors)
+        assert not check_axiom4a(fixture("fig19")).holds
+        for name in ("fig8", "fig21"):
+            assert check_axiom4a(fixture(name)).holds
+        assert check_axiom4a(build_standard_deg((4, 3, 2, 1))).holds
 
 
 class TestAxiom4Lookup:

@@ -241,9 +241,11 @@ def swap_entries(t, i, j):
 
 
 def assert_read_matches_definitions(t):
-    """``tableau_moves`` against ``descent_signature`` and every d_i."""
-    rows, sig, moves = tableau_moves(t)
+    """``tableau_moves`` against ``tableau_id``, ``descent_signature`` and
+    every d_i."""
+    text, rows, sig, moves = tableau_moves(t)
     n = len(rows)
+    assert text == tableau_id(t)
     assert all(v in t[rows[v - 1]] for v in range(1, n + 1))
     assert sig == descent_signature(t)
     for i in range(2, n):
@@ -277,4 +279,4 @@ class TestTableauMoves:
                         full = tuple(tuple(row) for row in rows if row)
                         moves = assert_read_matches_definitions(full)
                         below = {i: j for i, j in moves.items() if i < n}
-                        assert below == tableau_moves(t)[2]
+                        assert below == tableau_moves(t)[3]

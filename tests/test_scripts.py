@@ -290,11 +290,12 @@ def test_bench_pairs_reads_the_results_digest(monkeypatch):
         assert bp.run_once(ROOT, "x", 2, 0.5, 1) == ({"graphs_per_s": 3.0}, digest)
 
 
-def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
+def test_bench_pairs_records_every_run(monkeypatch, tmp_path, capsys):
     """``--record`` writes, per workload, both commits (None outside git),
     both line counts of ``src/degraphs/*.py``, the seed, processor count and
     Python version, every run, each side's median and quartile distance,
-    wins, ties, the flags and the digests."""
+    the relative gap, wins, ties, the claim verdict, the flags and the
+    digests."""
     import platform
     import subprocess
 
@@ -340,4 +341,12 @@ def test_bench_pairs_records_every_run(monkeypatch, tmp_path):
     assert latency["parent_iqr"] == 1.5 and latency["change_iqr"] == 3.0
     assert (latency["wins"], latency["ties"]) == (1, 0)
     assert latency["worse"] is False and latency["unresolved"] is True
+    # the claim verdict, and the median gap as a share of the parent's
+    # median, positive where the change is better; the rows print it first
+    assert latency["claim"] is False and latency["relative_gap"] == 1 / 3
+    rate = a["metrics"]["graphs_per_s"]
+    assert rate["claim"] is False and rate["relative_gap"] == -1 / 3
+    printed = capsys.readouterr().out
+    assert " +33.3% latency_p50_ms: parent 3 (2-3.5) -> change 2 (2-5)" in printed
+    assert " -33.3% graphs_per_s: parent 3 (2-3.5) -> change 2 (2-5)" in printed
     assert set(a["metrics"]) == set(names)

@@ -145,6 +145,17 @@ class TestBuiltGraphs:
             "f6934285e8fb7cbd560b0219b5db779fbc4c5723a3bb6beccb993e71bcd7a198"
         )
 
+    def test_degree_10_text_is_pinned(self):
+        """The three G_lam of degree 10 that the benchmark's
+        ``standard_certify`` set-up builds: its two inputs of degree 10 and
+        the conjugate of (5, 3, 2), which has as many tableaux."""
+        digest = hashlib.sha256()
+        for lam in ((5, 3, 2), (4, 3, 2, 1), (3, 3, 2, 1, 1)):
+            digest.update(build_standard_deg(lam).to_text().encode())
+        assert digest.hexdigest() == (
+            "c3c459f79773e75a2c820411be1d6c42d53a1380344e8b94c33a1c70ae4b00b4"
+        )
+
 
 class TestIdentify:
     def test_standard_graphs_identify(self, rng):

@@ -27,7 +27,7 @@ def triangularity_holds(n: int) -> bool:
     for lam in enumerate_partitions(n):
         key = superstandard_signature(lam)
         for mu in enumerate_partitions(n):
-            if schur_to_fundamental(mu).coefficient(key) != 0 and not dominance_ge(mu, lam):
+            if schur_to_fundamental(mu).coeffs.get(key, 0) != 0 and not dominance_ge(mu, lam):
                 return False
     return True
 
@@ -122,6 +122,50 @@ class TestExpansion:
                 want[key] = want.get(key, 0) + c
         want = {k: c for k, c in want.items() if c}
         assert left.coeffs == want and left.residual.is_zero()
+
+    def test_any_function_matches_the_walk_over_every_partition(self):
+        """On integer combinations of arbitrary signatures, most of them not
+        symmetric, the coefficients and the residual are those of the solve
+        that reaches every partition of n in descending lex order."""
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            sigs = [tuple(rng.choice((1, -1)) for _ in range(n - 1)) for _ in range(6)]
+            f = QSym(n, {s: rng.randint(-3, 3) for s in sigs})
+            for lam in rng.sample(enumerate_partitions(n), k=min(2, len(enumerate_partitions(n)))):
+                f = f + schur_to_fundamental(lam).scale(rng.randint(1, 3))
+            remaining, coeffs = f, {}
+            for lam in enumerate_partitions(n):
+                c = remaining.coeffs.get(superstandard_signature(lam), 0)
+                if c:
+                    coeffs[lam] = c
+                    remaining = remaining - schur_to_fundamental(lam).scale(c)
+            exp = expand_in_schur(f)
+            assert exp.coeffs == coeffs and exp.residual == remaining
+
+    def test_degree_60_is_not_walked(self, monkeypatch):
+        """A one-vertex graph of type (1, 60), and the empty graph of type
+        (80, 80) through the pipeline, expand without listing the
+        partitions of their degree."""
+        import degraphs.combinatorics
+        import degraphs.symfunc
+        from degraphs.graph import SignedColoredGraph
+        from degraphs.transform import full_pipeline
+
+        listed = enumerate_partitions
+
+        def small_only(n):
+            if n > 30:
+                raise AssertionError(f"listed the partitions of {n}")
+            return listed(n)
+
+        monkeypatch.setattr(degraphs.combinatorics, "enumerate_partitions", small_only)
+        monkeypatch.setattr(degraphs.symfunc, "enumerate_partitions", small_only, raising=False)
+        for sig, text in (("+" * 59, "s[60]"), ("-" + "+" * 58, "RESIDUAL")):
+            G = SignedColoredGraph(1, 60, {"v": sig_from_str(sig)}, [])
+            assert expand_in_schur(G.generating_function()).to_string() == text
+        res = full_pipeline(SignedColoredGraph(80, 80, {}, []))
+        assert res.certified and res.expansion.to_string() == "0"
 
 
 class TestPositivity:
