@@ -108,10 +108,11 @@ def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColored
     integer, whose digit k in base B, one more than the number of rows, is
     the row of entry k + 1.  Where d_i exchanges i with j, sitting in rows
     r_i and r_j, its image is keyed by that integer plus
-    (r_j - r_i)(B^(i-1) - B^(j-1)), one dict lookup.  This is exact for i < n: d_i depends only on the order
-    of i-1, i, i+1 in the reading word, which the fixed cells keep.  Edges
-    come in ``enumerate_syt`` order, then by color; ``edge_triples``,
-    ``to_text`` and the benchmark's input digests depend on that order.
+    (r_j - r_i)(B^(i-1) - B^(j-1)), one dict lookup.  This is exact for
+    i < n: d_i depends only on the order of i-1, i, i+1 in the reading
+    word, which the fixed cells keep.  Edges come in ``enumerate_syt``
+    order, then by color; ``edge_triples``, ``to_text`` and the
+    benchmark's input digests depend on that order.
     """
     lam = check_partition(lam)
     if aug.inner != lam:
