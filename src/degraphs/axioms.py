@@ -9,20 +9,17 @@ witnesses, ordered by least vertex, and for axioms 2 and 3 in
 ``edge_triples`` order, which is read off ``G.edge_order`` only to word a
 failing edge.  Axioms 1, 2 and 3 take one mask test per vertex or edge and
 read the positions one by one only where it fails, to word the witness.
-Axiom 4 is checked by lookup: each vertex gets a local code at a window,
-its slice packed with its partners' slices.  A two- or three-color
-component is keyed by its sorted codes, and the key must be one of the
-allowed components' (templates', as listed or globally sign-flipped),
-coded the same way.  For n >= 5 the three-color components decide axiom 4:
-each two-color component lies inside the three-color component at window
-max(i, 4), and each three-color template restricts to allowed two-color
-components at both of its sub-windows (``tests/test_axioms.py``,
-``test_three_color_templates_hold_two_color_axiom4``), so the two-color
-pass runs only to word the witnesses.  This keeps the axiom checkers
-independent of the symmetric function code, so agreement between axiom
-4/6 and the multiplicity-free conditions is a genuine cross-check of two
-code paths.  The window positivity verdicts are cached by the integer
-slices.
+One walk, ``_window_witnesses``, visits the window components for axiom 4
+and for the local Schur positivity and multiplicity-free conditions, and
+keys each by the sorted tuple of its vertices' local codes.  For axiom 4 a
+code is the vertex's slice of the window packed with its partners' slices,
+and the key must be one of the allowed components' (templates', as listed
+or globally sign-flipped), coded the same way; for n >= 5 the three-color
+components decide it (``_check_axiom4``).  So axiom 4 never reads the
+symmetric function code, and agreement between axiom 4/6 and the
+multiplicity-free conditions is a genuine cross-check of two code paths.
+For LSP and LSF the code is the bare slice, so the key is the window
+function, and both verdicts are cached on it.
 
 ``axiom_holds`` stops at the first witness (for axiom 4 with n >= 5, the
 first three-color one); ``full_pipeline`` checks axioms 4 and 6 on its
@@ -147,10 +144,15 @@ def _scope(G: SignedColoredGraph, colors) -> dict:
     of G when ``colors`` is None, or each listed color whole.  A
     ``{color: set of positions}`` map, such as ``_changed_scope``, is taken
     as it is; its positions must hold both ends of each of their edges, as
-    the positions whose partner changed do."""
+    the positions whose partner changed do.  A ValueError for a color
+    outside 1 < i < n."""
     if colors is None:
-        colors = G.colors()
-    return colors if isinstance(colors, dict) else dict.fromkeys(colors)
+        return dict.fromkeys(G.colors())
+    scope = colors if isinstance(colors, dict) else dict.fromkeys(colors)
+    for i in scope:
+        if not 1 < i < G.n:
+            raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+    return scope
 
 
 def _check_axiom1(G: SignedColoredGraph, colors=None):
@@ -247,21 +249,48 @@ _AXIOM4_KINDS = {  # window width: templates, witness wording
 }
 
 
-def _axiom4_pass(G: SignedColoredGraph, width: int):
-    """The axiom-4 witnesses of one kind: the components at colors
-    i-width+2..i, each walked from its least vertex and looked up by the
-    key of its vertices' local codes at the window of ``width`` positions
-    ending at i."""
-    templates, what = _AXIOM4_KINDS[width]
-    allowed = _template_keys(templates)
-    order = range(len(G.ids))
+def _window_witnesses(G: SignedColoredGraph, width: int, verdict, colors=None, partners=False):
+    """(i, least vertex, reason) wherever ``verdict(width, key)`` is a
+    reason, by window and then by least vertex.  The window ending at i is
+    the ``width`` signature positions i-width+1..i (degree width + 1), over
+    colors i-width+2..i.  A component's key is its vertices' sorted slices,
+    or with ``partners`` their ``_window_codes``.  With ``colors``, as in
+    ``check_axiom``, only the components holding a vertex of the scope at
+    one of the window's colors are walked."""
+    if width not in (3, 4, 5):
+        raise ValueError("degree must be 4, 5 or 6")
+    scope = _scope(G, colors)
+    bits, mask = G.pbits, (1 << width) - 1
     for i in range(width, G.n):
         lo = i - width + 1
-        colors = range(lo + 1, i + 1)
-        code = _window_codes(G.pbits, [G.partner[c] for c in colors], lo, width)
-        for comp in G._walk(order, colors):
-            if _component_key(code, comp) not in allowed:
-                yield (i, G.ids[comp[0]], f"{what} component not allowed")
+        window = range(lo + 1, i + 1)
+        at = [scope[c] for c in window if c in scope]
+        if not at:
+            continue  # the scope misses every color of the window
+        starts = range(len(bits)) if None in at else {p for ps in at for p in ps}
+        if partners:
+            code = _window_codes(bits, [G.partner[c] for c in window], lo, width)
+        failing = []
+        for comp in G._walk(starts, window):
+            if partners:
+                key = tuple(sorted(map(code.__getitem__, comp)))  # _component_key
+            else:
+                key = tuple(sorted([bits[p] >> (lo - 1) & mask for p in comp]))
+            reason = verdict(width, key)
+            if reason is not None:
+                failing.append((min(comp), reason))
+        for p, reason in sorted(failing):
+            yield (i, G.ids[p], reason)
+
+
+def _axiom4_pass(G: SignedColoredGraph, width: int):
+    """The axiom-4 witnesses of one kind: each window component whose key
+    is not an allowed one's."""
+    templates, what = _AXIOM4_KINDS[width]
+    allowed, reason = _template_keys(templates), f"{what} component not allowed"
+    return _window_witnesses(
+        G, width, lambda _, key: None if key in allowed else reason, partners=True
+    )
 
 
 def _check_axiom4(G: SignedColoredGraph):
@@ -410,9 +439,13 @@ def axiom_holds(G: SignedColoredGraph, k: int) -> bool:
 
 def _changed_scope(G: SignedColoredGraph, base: SignedColoredGraph | None):
     """{color: the set of positions whose partner differs from ``base``'s},
-    at the colors where any does; None (the whole graph) for no base."""
+    at the colors where any does; None (the whole graph) for no base.  A
+    ValueError when ``base`` has other vertices or signatures: its partner
+    lists would then say nothing of G's."""
     if base is None:
         return None
+    if (base.ids, base.N, base.pbits) != (G.ids, G.N, G.pbits):  # shared: O(1)
+        raise ValueError("base has other vertices or signatures than the graph")
     scope = {}
     for i, a in G.partner.items():
         b = base.partner.get(i) or [-1] * len(a)
@@ -424,8 +457,9 @@ def _changed_scope(G: SignedColoredGraph, base: SignedColoredGraph | None):
 def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | None = None) -> bool:
     """Whether axioms 1 to 6 hold.
 
-    ``base``, when given, has G's vertices and signatures and satisfies
-    axioms 1, 2, 3 and 5.  Each of these reads, at a vertex or an edge, the
+    ``base``, when given, must have G's vertices and signatures (a
+    ValueError otherwise) and must satisfy axioms 1, 2, 3 and 5, which the
+    caller asserts.  Each of these reads, at a vertex or an edge, the
     signatures and that vertex's partners (axiom 5 also its partners'
     partners in the pair's other color), so it is checked only on the
     ``_changed_scope``.  Axioms 4 and 6 are checked on the whole graph
@@ -441,78 +475,42 @@ def is_dual_equivalence_graph(G: SignedColoredGraph, base: SignedColoredGraph | 
 # local Schur positivity
 
 
-def _window_witnesses(G: SignedColoredGraph, m: int, violation, colors=None):
-    """(i, least vertex, reason) for each component under the colors of a
-    degree-m window whose ``violation(G, positions, window)`` is not None,
-    window by window and, within one, by least vertex.  With ``colors``, as
-    in ``check_axiom``, only the components holding a vertex of the scope
-    at one of the window's colors are walked, and a window holding no color
-    of the scope is not walked at all."""
-    if m not in (4, 5, 6):
-        raise ValueError("degree must be 4, 5 or 6")
-    scope = _scope(G, colors)
-    for i in range(m - 1, G.n):
-        window = range(i - (m - 3), i + 1)
-        at = [scope[c] for c in window if c in scope]
-        if not at:
-            continue  # the scope misses every color of the window
-        starts = range(len(G.ids)) if None in at else {p for ps in at for p in ps}
-        failing = []
-        for comp in G._walk(starts, window):
-            reason = violation(G, comp, (i - (m - 2), i))
-            if reason is not None:
-                failing.append((min(comp), reason))
-        for p, reason in sorted(failing):
-            yield (i, G.ids[p], reason)
+def _window_function(width: int, slices) -> QSym:
+    """The window function of vertices with these signature slices, each
+    the window's ``width`` bits of ``G.pbits``."""
+    return QSym.from_signatures(
+        width + 1, (tuple(-1 if s >> p & 1 else 1 for p in range(width)) for s in slices)
+    )
 
 
-def _lsf_violation(G: SignedColoredGraph, positions, window) -> str | None:
-    """The Schur expansion of the window function of the vertices at
-    ``positions`` when it is not a single Schur function, or None when it
-    is."""
-    f = G.generating_function(map(G.ids.__getitem__, positions), window)
+@lru_cache(maxsize=None)
+def _lsf_violation(width: int, slices: tuple[int, ...]) -> str | None:
+    """The Schur expansion of the window function of these sorted slices
+    when it is not a single Schur function, or None when it is."""
+    f = _window_function(width, slices)
     return None if is_single_schur(f) is not None else expand_in_schur(f).to_string()
 
 
 def check_lsf(G: SignedColoredGraph, m: int) -> AxiomReport:
     """Schur multiplicity-free for degree m: every window component is a
     single Schur function."""
-    return AxiomReport.from_witnesses(f"LSF{m}", _window_witnesses(G, m, _lsf_violation))
+    return AxiomReport.from_witnesses(f"LSF{m}", _window_witnesses(G, m - 1, _lsf_violation))
 
 
 @lru_cache(maxsize=None)
-def _window_violation(degree: int, counts: tuple[tuple[int, int], ...]) -> str | None:
-    """Why the window function with these (signature slice, count) pairs is
-    not Schur positive, or None when it is; a slice is the window's
-    ``degree - 1`` signature bits, as in ``G.pbits``.
-
-    The pairs are the whole function, so the key is exact: two windows with
-    the same key have the same expansion, whatever graph they come from.
-    """
-    width = degree - 1
-    coeffs = {tuple(-1 if b >> p & 1 else 1 for p in range(width)): c for b, c in counts}
-    return is_schur_positive(QSym(degree, coeffs)).violation
-
-
-def _component_violation(G: SignedColoredGraph, positions, window) -> str | None:
-    """``_window_violation`` of the window function of the vertices at
-    ``positions``, keyed by the sorted (signature slice, count) pairs of
-    their signatures."""
-    lo, hi = window
-    low, mask = lo - 1, (1 << (hi - lo + 1)) - 1
-    bits = G.pbits
-    counts: dict[int, int] = {}
-    for p in positions:
-        s = bits[p] >> low & mask
-        counts[s] = counts.get(s, 0) + 1
-    return _window_violation(hi - lo + 2, tuple(sorted(counts.items())))
+def _window_violation(width: int, slices: tuple[int, ...]) -> str | None:
+    """Why the window function of these sorted slices is not Schur
+    positive, or None when it is.  The slices are the whole function, so
+    the key is exact: two windows with the same key have the same
+    expansion, whatever graph they come from."""
+    return is_schur_positive(_window_function(width, slices)).violation
 
 
 def check_lsp(G: SignedColoredGraph, m: int, colors=None) -> AxiomReport:
     """Schur positive for degree m.  With ``colors``, as in ``check_axiom``,
     only the windows' components at the scope are checked."""
     return AxiomReport.from_witnesses(
-        f"LSP{m}", _window_witnesses(G, m, _component_violation, colors)
+        f"LSP{m}", _window_witnesses(G, m - 1, _window_violation, colors)
     )
 
 
@@ -594,10 +592,7 @@ def classify_small_component(
     sub = G.subgraph(vertices)
     hypotheses = [check_axiom(sub, k) for k in (1, 2, 3, 5)]
     hypotheses.append(check_lsp(sub, degree))
-    if degree >= 5:
-        hypotheses.append(check_lsf(sub, 4))
-    if degree >= 6:
-        hypotheses.append(check_lsf(sub, 5))
+    hypotheses += [check_lsf(sub, m) for m in range(4, degree)]
     for rep in hypotheses:
         if not rep.holds:
             return SmallClassification(

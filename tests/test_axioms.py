@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from degraphs import axioms
+from degraphs import axioms, symfunc
 from degraphs.axioms import (
     check_axiom,
     check_axiom4a,
@@ -13,12 +13,13 @@ from degraphs.axioms import (
     check_lsf,
     check_lsp,
     classify_small_component,
+    is_dual_equivalence_graph,
     is_locally_schur_positive,
 )
 from degraphs.combinatorics import enumerate_partitions, sig_from_str
 from degraphs.fixtures import fixture
 from degraphs.graph import SignedColoredGraph
-from degraphs.standard import build_standard_deg
+from degraphs.standard import build_augmented_deg, build_standard_deg, single_cell_augmentation
 from degraphs.structure import defect_sets
 
 from conftest import corpus
@@ -103,6 +104,32 @@ class TestAxiomArguments:
             assert str(err.value) == f"unknown axiom {k}"
 
 
+    @pytest.mark.parametrize(
+        "check, k",
+        [(check_axiom, k) for k in (1, 2, 3, 5)] + [(check_lsp, m) for m in (4, 5, 6)],
+    )
+    @pytest.mark.parametrize("color", [1, "n", 99])
+    def test_colors_outside_the_graph(self, check, k, color):
+        G = fixture("fig8")
+        color = G.n if color == "n" else color
+        with pytest.raises(ValueError) as err:
+            check(G, k, [color])
+        assert str(err.value) == f"color {color} outside 1 < i < n = {G.n}"
+
+    def test_base_with_other_signatures_is_rejected(self):
+        lam = (3, 2)
+        B = build_augmented_deg(lam, single_cell_augmentation(lam, 0))
+        v = B.ids[0]
+        sigma = {**B.sigma, v: B.sigma[v][:-1] + (-B.sigma[v][-1],)}
+        G = SignedColoredGraph(B.n, B.N, sigma, B.edge_triples())
+        assert not check_axiom(G, 2).holds
+        assert not is_dual_equivalence_graph(G)
+        with pytest.raises(ValueError):
+            is_dual_equivalence_graph(G, B)
+        # an equal base that shares nothing with the graph is taken
+        assert is_dual_equivalence_graph(B, SignedColoredGraph.from_text(B.to_text()))
+
+
 class TestLSF:
     def test_g32_multiplicity_free(self):
         G = build_standard_deg((3, 2))
@@ -129,6 +156,21 @@ class TestLSF:
         G = SignedColoredGraph(6, 6, {"v": (1, 1, 1, 1, 1)}, [])
         for m in (4, 5, 6):
             assert check_lsp(G, m).holds and check_lsf(G, m).holds
+
+    def test_second_check_runs_no_schur_expansion(self, monkeypatch):
+        G = fixture("fig8")
+        first = check_lsf(G, 4)
+        expansions = []
+
+        def spy(f):
+            expansions.append(f)
+            return real(f)
+
+        real = symfunc.expand_in_schur
+        monkeypatch.setattr(symfunc, "expand_in_schur", spy)
+        monkeypatch.setattr(axioms, "expand_in_schur", spy)
+        assert check_lsf(G, 4) == first
+        assert expansions == []
 
 
 class TestLocallySchurPositive:

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degraphs import axioms, cli, structure, transform
-from degraphs.axioms import check_axiom, check_lsp, is_locally_schur_positive
+from degraphs.axioms import check_axiom, check_lsf, check_lsp, is_locally_schur_positive
 from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, find_isomorphism, package_colors, seeded_isomorphism
@@ -43,7 +43,7 @@ from degraphs.structure import (
     is_flat_edge,
     set_U,
 )
-from degraphs.symfunc import QSym, expand_in_schur, is_schur_positive
+from degraphs.symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 from degraphs.transform import (
     TransformError,
     TransformLog,
@@ -346,6 +346,20 @@ def reference_lsp_witnesses(G, m):
     return out
 
 
+def reference_lsf_witnesses(G, m):
+    """check_lsf without the memo or the shared walk: each window
+    component's generating function, then its Schur expansion."""
+    out = []
+    for i in range(m - 1, G.n):
+        colors = range(i - (m - 3), i + 1)
+        window = (i - (m - 2), i)
+        for comp in reference_components(G, colors):
+            f = G.generating_function(comp, window)
+            if is_single_schur(f) is None:
+                out.append((i, comp[0], expand_in_schur(f).to_string()))
+    return out
+
+
 def random_signed_graph(rng: random.Random, n: int, size: int) -> SignedColoredGraph:
     """Random signatures and random matchings, with no axiom enforced, so
     windows fail positivity in every way the checker can report."""
@@ -386,6 +400,18 @@ def test_lsp_witnesses_match_reference_cold_and_warm():
     assert cold == expected
     assert warm == expected
     assert axioms._window_violation.cache_info().hits > 0
+
+
+def test_lsf_witnesses_match_reference_cold_and_warm():
+    graphs = lsp_corpus()
+    expected = [[reference_lsf_witnesses(G, m) for m in (4, 5, 6)] for G in graphs]
+    assert any(ws for per_m in expected for ws in per_m)
+    axioms._lsf_violation.cache_clear()
+    cold = [[check_lsf(G, m).witnesses for m in (4, 5, 6)] for G in graphs]
+    warm = [[check_lsf(G, m).witnesses for m in (4, 5, 6)] for G in graphs]
+    assert cold == expected
+    assert warm == expected
+    assert axioms._lsf_violation.cache_info().hits > 0
 
 
 def test_restriction_keeps_the_lsp_witnesses_below_its_bound():
@@ -2184,7 +2210,8 @@ def test_integer_checks_match_the_tuple_reads(seed):
         for i in range(m - 1, G.n):
             window = (i - (m - 2), i)
             for comp in G.components(range(i - (m - 3), i + 1)):
-                got = axioms._component_violation(G, [G.ids.index(v) for v in comp], window)
+                slices = sorted(G.pbits[G.pos[v]] >> (window[0] - 1) & (1 << m - 1) - 1 for v in comp)
+                got = axioms._window_violation(m - 1, tuple(slices))
                 assert got == reference_component_violation(G, comp, window)
     vertices = G.vertices()
     for _ in range(5):
