@@ -103,7 +103,6 @@ class TestAxiomArguments:
                 call()
             assert str(err.value) == f"unknown axiom {k}"
 
-
     @pytest.mark.parametrize(
         "check, k",
         [(check_axiom, k) for k in (1, 2, 3, 5)] + [(check_lsp, m) for m in (4, 5, 6)],
@@ -160,13 +159,12 @@ class TestLSF:
     def test_second_check_runs_no_schur_expansion(self, monkeypatch):
         G = fixture("fig8")
         first = check_lsf(G, 4)
-        expansions = []
+        expansions, real = [], symfunc.expand_in_schur
 
         def spy(f):
             expansions.append(f)
             return real(f)
 
-        real = symfunc.expand_in_schur
         monkeypatch.setattr(symfunc, "expand_in_schur", spy)
         monkeypatch.setattr(axioms, "expand_in_schur", spy)
         assert check_lsf(G, 4) == first

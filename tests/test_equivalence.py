@@ -2210,8 +2210,9 @@ def test_integer_checks_match_the_tuple_reads(seed):
         for i in range(m - 1, G.n):
             window = (i - (m - 2), i)
             for comp in G.components(range(i - (m - 3), i + 1)):
-                slices = sorted(G.pbits[G.pos[v]] >> (window[0] - 1) & (1 << m - 1) - 1 for v in comp)
-                got = axioms._window_violation(m - 1, tuple(slices))
+                mask = (1 << m - 1) - 1
+                slices = tuple(sorted(G.pbits[G.pos[v]] >> (window[0] - 1) & mask for v in comp))
+                got = axioms._window_violation(m - 1, slices)
                 assert got == reference_component_violation(G, comp, window)
     vertices = G.vertices()
     for _ in range(5):
