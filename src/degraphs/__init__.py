@@ -45,7 +45,6 @@ from .structure import (
     DefectSets,
     defect_sets,
     i_type,
-    is_flat_edge,
     negatively_dominant,
     set_U,
 )
@@ -66,4 +65,8 @@ from .transform import (
 )
 from .fixtures import fixture, fixture_names, verify_fixture
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name imported above; the submodules are not part of the API
+__all__ = [
+    name for name, value in sorted(vars().items())
+    if not name.startswith("_") and type(value) is not type(graph)
+]

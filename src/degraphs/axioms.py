@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import Partition, sig_from_str
-from .graph import SignedColoredGraph, signature_bits
+from .graph import SignedColoredGraph, _check_color, signature_bits
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -150,8 +150,7 @@ def _scope(G: SignedColoredGraph, colors) -> dict:
         return dict.fromkeys(G.colors())
     scope = colors if isinstance(colors, dict) else dict.fromkeys(colors)
     for i in scope:
-        if not 1 < i < G.n:
-            raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+        _check_color(G, i)
     return scope
 
 
@@ -380,22 +379,13 @@ def _axiom6_at(G: SignedColoredGraph, i: int, piece: list[int]):
     return witnesses, list(map(root_of.get, piece, piece))
 
 
-def _axiom6_below(G: SignedColoredGraph, top: int):
-    """The axiom-6 witnesses at colors 2..top-1 and the pieces under those
-    colors, by one ascending sweep."""
-    witnesses, piece = [], list(range(len(G.ids)))
+def _axiom6_sweep(G: SignedColoredGraph, top: int):
+    """(the axiom-6 witnesses at color i, the pieces under colors 2..i) for
+    i = 2..top-1, by one ascending sweep."""
+    piece = list(range(len(G.ids)))
     for i in range(2, top):
         at_i, piece = _axiom6_at(G, i, piece)
-        witnesses += at_i
-    return witnesses, piece
-
-
-def _check_axiom6(G: SignedColoredGraph):
-    """The witnesses of ``_axiom6_below(G, G.n)``, one color at a time."""
-    piece = list(range(len(G.ids)))
-    for i in range(2, G.n):
-        at_i, piece = _axiom6_at(G, i, piece)
-        yield from at_i
+        yield at_i, piece
 
 
 _AXIOM_CHECKS = {
@@ -404,7 +394,7 @@ _AXIOM_CHECKS = {
     3: _check_axiom3,
     4: _check_axiom4,
     5: _check_axiom5,
-    6: _check_axiom6,
+    6: lambda G: (w for at_i, _ in _axiom6_sweep(G, G.n) for w in at_i),
 }
 
 
@@ -647,7 +637,7 @@ def check_axiom4b(G: SignedColoredGraph) -> AxiomReport:
     """For x interior to an overlong flat chain and carrying type W one color
     up, some maximal flat chain through x must have all predecessors or all
     successors of x carrying that type."""
-    from .structure import _type_w, defect_sets, maximal_flat_chains
+    from .structure import _flat_interiors, _type_w, maximal_flat_chains
 
     def one_sided(chain, x, i):
         j = chain.index(x)
@@ -656,12 +646,11 @@ def check_axiom4b(G: SignedColoredGraph) -> AxiomReport:
 
     def witnesses():
         for i in range(4, G.n - 1):
-            C = defect_sets(G, i).C
-            suspects = sorted(x for x in C if _type_w(G, G.pos[x], i + 1))
+            suspects = sorted(p for p in _flat_interiors(G, i) if _type_w(G, p, i + 1))
             if not suspects:
                 continue
             chains = maximal_flat_chains(G, i)
-            for x in suspects:
+            for x in map(G.ids.__getitem__, suspects):
                 if not any(x in chain and one_sided(chain, x, i) for chain in chains):
                     yield (i, x, "no one-sided maximal flat chain")
 

@@ -22,7 +22,7 @@ from .axioms import (
 )
 from .combinatorics import parse_partition, partition_str, sig_str
 from .fixtures import FIXTURES, fixture, fixture_names, verify_fixture
-from .graph import SignedColoredGraph, find_isomorphism
+from .graph import SignedColoredGraph, _check_color, find_isomorphism
 from .standard import build_standard_deg, identify_component
 from .structure import StructureError, defect_sets, i_type, maximal_flat_chains, set_U
 from .symfunc import expand_in_schur
@@ -167,8 +167,7 @@ def _cmd_analyze(args) -> int:
     if i is None:
         print("analyze requires --color", file=sys.stderr)
         return 2
-    if not 1 < i < G.n:
-        raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+    _check_color(G, i)
     print(f"color {i}")
     print("types:")
     for v in G.vertices():

@@ -23,8 +23,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .combinatorics import Signature, sig_from_str, sig_str
 from .symfunc import QSym
 
-Window = tuple[int, int]
-
 
 class GraphFormatError(ValueError):
     pass
@@ -45,7 +43,7 @@ class SignedColoredGraph:
         edges,
         stats: dict[str, int] | None = None,
     ):
-        """edges: iterable of (color, u, v) triples or a {color: {u: v}} map."""
+        """edges: iterable of (color, u, v) triples."""
         if not 1 <= n <= N:
             raise GraphFormatError(f"need 1 <= n <= N, got ({n},{N})")
         self.n = n
@@ -68,8 +66,7 @@ class SignedColoredGraph:
         self.pbits = list(map(bits.__getitem__, self.ids))
         self.partner = {c: [-1] * len(self.ids) for c in range(2, n)}
         self.edge_order = {c: [] for c in range(2, n)}
-        insert = _insert_maps if isinstance(edges, dict) else _insert_edges
-        insert(self.partner, self.edge_order, n, self.pos, edges)
+        _insert_edges(self.partner, self.edge_order, n, self.pos, edges)
         self.stats = dict(stats) if stats else None
         self._lsp_base: SignedColoredGraph | bool | None = None
 
@@ -142,10 +139,10 @@ class SignedColoredGraph:
 
     def with_color_matching(self, i: int, matching: dict[str, str]) -> "SignedColoredGraph":
         """New graph with color class i replaced.  Only the new class is
-        validated, as the constructor validates a partner map; every other
-        color's list is shared with this graph."""
+        validated, as the constructor validates edges, and it must be an
+        involution; every other color's list is shared with this graph."""
         a, order = [-1] * len(self.ids), []
-        _insert_maps({i: a}, {i: order}, self.n, self.pos, {i: matching})
+        _insert_map({i: a}, {i: order}, self.n, self.pos, i, matching)
         return self._with_partner(i, a, order)
 
     def _with_partner(self, i: int, a: list[int], order: list[int]) -> "SignedColoredGraph":
@@ -228,16 +225,10 @@ class SignedColoredGraph:
 
     # -- generating functions -------------------------------------------------
 
-    def generating_function(self, vertices=None, window: Window | None = None) -> QSym:
+    def generating_function(self, vertices=None) -> QSym:
         if vertices is None:
             vertices = self.vertices()
-        lo, hi = window if window is not None else (1, self.N - 1)
-        if not (1 <= lo and hi <= self.N - 1 and lo <= hi + 1):
-            raise ValueError(f"window {lo}..{hi} outside 1..{self.N - 1}")
-        degree = hi - lo + 2
-        return QSym.from_signatures(
-            degree, (self.sigma[v][lo - 1 : hi] for v in vertices)
-        )
+        return QSym.from_signatures(self.N, map(self.sigma.__getitem__, vertices))
 
     # -- serialization --------------------------------------------------------
 
@@ -347,18 +338,17 @@ def _insert_edges(partner, edge_order, n: int, pos, triples) -> None:
             edge_order[c].append(pu if pu < pw else pw)
 
 
-def _insert_maps(partner, edge_order, n: int, pos, maps) -> None:
-    """Add the partner maps ``{color: {u: w}}`` by their pairs u <= w, as
+def _insert_map(partner, edge_order, n: int, pos, c: int, m: dict) -> None:
+    """Add color c's partner map ``{u: w}`` by its pairs u <= w, as
     ``_insert_edges`` adds edges, and reject a map that is not an involution
     (a vertex whose partner does not have it as partner)."""
-    for c, m in maps.items():
-        _insert_edges(partner, edge_order, n, pos, ((c, u, w) for u, w in m.items() if u <= w))
-        # the pairs u <= w, inserted both ways, give m only if m is one
-        bad = next(((u, w) for u, w in m.items() if m.get(w) != u), None)
-        if bad is not None:
-            u, w = bad
-            back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
-            raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
+    _insert_edges(partner, edge_order, n, pos, ((c, u, w) for u, w in m.items() if u <= w))
+    # the pairs u <= w, inserted both ways, give m only if m is one
+    bad = next(((u, w) for u, w in m.items() if m.get(w) != u), None)
+    if bad is not None:
+        u, w = bad
+        back = "has no partner" if w not in m else f"is matched to {m[w]!r}"
+        raise GraphFormatError(f"color {c}: {u!r} is matched to {w!r}, but {w!r} {back}")
 
 
 def _dot_quote(text: str) -> str:
@@ -398,6 +388,12 @@ def _known_fields(entry: dict, keys, where: str, error: type = GraphFormatError)
     unknown = next((key for key in entry if key not in keys), None)
     if unknown is not None:
         raise error(f"{where}: unknown field {unknown!r}")
+
+
+def _check_color(G: SignedColoredGraph, i: int, error: type = ValueError) -> None:
+    """Raise ``error`` unless i is a color of G, 1 < i < n."""
+    if not 1 < i < G.n:
+        raise error(f"color {i} outside 1 < i < n = {G.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,31 +493,17 @@ def anchored_maps(
             yield m
 
 
-def find_isomorphism(
-    G: SignedColoredGraph,
-    H: SignedColoredGraph,
-    colors=None,
-    positions=None,
-) -> dict[str, str] | None:
+def find_isomorphism(G: SignedColoredGraph, H: SignedColoredGraph) -> dict[str, str] | None:
     """Unseeded isomorphism search over whole graphs.
 
     Seeds are chosen by signature-class refinement (rarest class first) and
     each component map is forced from its seed, so the search tries only the
     images in its seed's class, bucketed once from H.
     """
-    if colors is None:
-        if (G.n, G.N) != (H.n, H.N):
-            return None
-        colors = set(G.colors())
-    if positions is None:
-        positions = range(1, min(G.N, H.N))
-    colors = sorted(set(colors))
-    if len(G.ids) != len(H.ids):
+    if (G.n, G.N, len(G.ids)) != (H.n, H.N, len(H.ids)):
         return None
-
-    mask = _position_mask(positions)
-    gkey = [b & mask for b in G.pbits]
-    hkey = [b & mask for b in H.pbits]
+    colors, positions = G.colors(), range(1, G.N)
+    gkey, hkey = G.pbits, H.pbits
     if sorted(gkey) != sorted(hkey):
         return None
     candidates: dict[int, list[int]] = {}  # H's positions by key, ascending
@@ -552,8 +534,7 @@ def find_isomorphism(
 def _package(G: SignedColoredGraph, p: int, i: int) -> list[int]:
     """The positions of the i-package of position p, p first: its component
     under all colors except i-2 .. i+2 (``package_colors``)."""
-    if not 1 < i < G.n:
-        raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+    _check_color(G, i)
     return next(G._walk((p,), package_colors(G, i)))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import Partition, dominance_ge
-from .graph import SignedColoredGraph, _package
+from .graph import SignedColoredGraph, _check_color, _package
 from .standard import identify_component
 
 
@@ -72,20 +72,13 @@ def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
 
 
 def _flat(G: SignedColoredGraph, v: int, i: int) -> bool:
-    """``is_flat_edge`` at position v, which has an i-edge."""
-    return i < 3 or not (G.pbits[v] ^ G.pbits[G.partner[i][v]]) >> (i - 3) & 1
-
-
-def is_flat_edge(G: SignedColoredGraph, v: str, i: int) -> bool:
-    """True when the sign at position i-2 agrees across the i-edge.
+    """Whether the i-edge at position v, which has one, is flat: the sign at
+    position i-2 agrees across it.
 
     Flatness compares position i-2, which exists for i >= 3; 2-edges are
     flat by convention.
     """
-    p = G.position(v)
-    if i not in G.partner or G.partner[i][p] < 0:
-        raise ValueError(f"vertex {v!r} has no {i}-edge")
-    return _flat(G, p, i)
+    return i < 3 or not (G.pbits[v] ^ G.pbits[G.partner[i][v]]) >> (i - 3) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +254,12 @@ def _w_positions(G: SignedColoredGraph, i: int) -> list[int]:
 
 
 def defect_sets(G: SignedColoredGraph, i: int) -> DefectSets:
+    """W_i, W_i0, C_i and C_i0 as id sets; a ValueError for a color outside
+    1 < i < n."""
+    _check_color(G, i)
     W = _w_positions(G, i)
     W0 = [w for w in W if _package_flat(G, w, i - 1)]
-    C = _flat_interiors(G, i) if 4 <= i < G.n else ()
+    C = _flat_interiors(G, i) if i >= 4 else ()
     C0 = [
         x
         for x in C

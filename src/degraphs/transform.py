@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .axioms import (
     _axiom6_at,
-    _axiom6_below,
+    _axiom6_sweep,
     axiom_holds,
     check_axiom,
     is_dual_equivalence_graph,
@@ -37,6 +37,7 @@ from .axioms import (
 )
 from .graph import (
     SignedColoredGraph,
+    _check_color,
     _excerpt,
     _field,
     _known_fields,
@@ -75,8 +76,7 @@ def package_isomorphism(
     preserving package colors and the signature positions away from i.  The
     forced extension covers exactly a's i-package, the component of a under
     the package colors."""
-    if not 1 < i < G.n:
-        raise ValueError(f"color {i} outside 1 < i < n = {G.n}")
+    _check_color(G, i)
     return seeded_isomorphism(
         G,
         G,
@@ -146,8 +146,7 @@ def _check_anchor(G: SignedColoredGraph, v: str, i: int, r: int = 0):
     """Reject a color outside 1 < i < n, an anchor that is not a vertex and
     a negative variant, in that order: every map and every replayed step
     is checked here first."""
-    if not 1 < i < G.n:
-        raise TransformError(f"color {i} outside 1 < i < n = {G.n}")
+    _check_color(G, i, TransformError)
     if v not in G.pos:
         raise TransformError(f"anchor {v!r} is not a vertex")
     if r < 0:
@@ -543,25 +542,22 @@ def _resolve_defects(G, i, log, limit) -> SignedColoredGraph:
     return G
 
 
-def _resolve_axiom6(G, i, log, limit, below, piece):
-    """Split covers at color i until colors 2..i satisfy axiom 6, while the
-    log holds fewer than ``limit`` steps; returns the graph and its pieces
-    under colors 2..i.
+def _resolve_axiom6(G, i, log, limit, piece):
+    """Split covers at color i until axiom 6 holds at color i, while the log
+    holds fewer than ``limit`` steps; returns the graph and its pieces under
+    colors 2..i.
 
-    ``below`` holds the axiom-6 witnesses at colors 2..i-1 and ``piece``
-    the pieces under those colors (see ``axioms._axiom6_at``).  A split
-    rewires color i only, so both stay valid and only color i is checked
-    again.  Defects a split leaves at higher colors are drained when the
-    pipeline reaches them.
+    ``piece`` holds the pieces under colors 2..i-1 (see
+    ``axioms._axiom6_at``).  A split rewires color i only, so they stay
+    valid and only color i is checked again.  Defects a split leaves at
+    higher colors are drained when the pipeline reaches them.
     """
     while True:
         at_i, after = _axiom6_at(G, i, piece)
-        if not below and not at_i:
+        if not at_i:
             return G, after
         if len(log.steps) >= limit:
             raise PipelineAbort(f"step budget exhausted during splits at color {i}", G)
-        if not at_i:
-            raise PipelineAbort(f"axiom 6 fails below color {i}: {below[:2]}", G)
         H_comp = G.component_vertices(at_i[0][1], range(2, i + 1))
         try:
             pivot = theta_pivot(G, i, H_comp)[0]
@@ -576,23 +572,28 @@ def _resolve_axiom6(G, i, log, limit, below, piece):
 
 def one_step(G: SignedColoredGraph, i: int) -> tuple[SignedColoredGraph, TransformLog]:
     """Make the restriction to colors up to i a dual equivalence graph,
-    assuming the restriction one color lower already is one."""
-    if not 0 < i < G.n:
-        raise ValueError(f"color {i} outside 0 < i < n = {G.n}")
+    assuming the restriction one color lower already is one.  The step
+    aborts, once its splits are done, when axiom 6 fails below color i."""
+    _check_color(G, i)
     log = TransformLog()
-    G, _ = _one_step(G, i, *_axiom6_below(G, i), log)
+    below, piece = [], list(range(len(G.ids)))
+    for at_i, piece in _axiom6_sweep(G, i):
+        below += at_i
+    G, piece = _one_step(G, i, piece, log)
+    if below and piece is not None:
+        log.aborted, log.failure_graph = True, G
+        log.diagnostic = f"axiom 6 fails below color {i}: {below[:2]}"
     return G, log
 
 
-def _one_step(G, i, below, piece, log):
-    """``one_step`` given the axiom-6 witnesses at colors 2..i-1 and the
-    pieces under them, recording into ``log``; also returns the pieces under
-    colors 2..i, or None when the step aborts.  At most 4 V max(n, 2) steps
-    are logged at this color."""
+def _one_step(G, i, piece, log):
+    """``one_step`` given the pieces under colors 2..i-1, recording into
+    ``log``; also returns the pieces under colors 2..i, or None when the
+    step aborts.  At most 4 V max(n, 2) steps are logged at this color."""
     limit = len(log.steps) + 4 * len(G.sigma) * max(G.n, 2)
     try:
         G = _resolve_defects(G, i, log, limit)
-        return _resolve_axiom6(G, i, log, limit, below, piece)
+        return _resolve_axiom6(G, i, log, limit, piece)
     except PipelineAbort as e:
         log.aborted = True
         log.diagnostic = str(e)
@@ -643,7 +644,7 @@ def full_pipeline(G: SignedColoredGraph, *, stop_at: int | None = None) -> Pipel
         # and later steps rewire only higher colors, so its pieces carry over
         piece = list(range(len(G.ids)))
         for i in range(2, last + 1):
-            G, piece = _one_step(G, i, [], piece, log)
+            G, piece = _one_step(G, i, piece, log)
             if log.aborted:
                 return PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:

@@ -24,7 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degraphs import axioms, cli, structure, transform
-from degraphs.axioms import check_axiom, check_lsf, check_lsp, is_locally_schur_positive
+from degraphs.axioms import (
+    check_axiom,
+    check_axiom4b,
+    check_lsf,
+    check_lsp,
+    is_locally_schur_positive,
+)
 from degraphs.combinatorics import sig_from_str, sig_str
 from degraphs.fixtures import fixture, fixture_names
 from degraphs.graph import SignedColoredGraph, find_isomorphism, package_colors, seeded_isomorphism
@@ -38,9 +44,9 @@ from degraphs.standard import (
     standard_automorphisms,
 )
 from degraphs.structure import (
+    _flat,
     _type_w,
     defect_sets,
-    is_flat_edge,
     set_U,
 )
 from degraphs.symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
@@ -338,9 +344,10 @@ def reference_lsp_witnesses(G, m):
     out = []
     for i in range(m - 1, G.n):
         colors = range(i - (m - 3), i + 1)
-        window = (i - (m - 2), i)
+        lo, hi = i - (m - 2), i
         for comp in reference_components(G, colors):
-            rep = is_schur_positive(G.generating_function(comp, window))
+            f = QSym.from_signatures(hi - lo + 2, (G.sigma[v][lo - 1 : hi] for v in comp))
+            rep = is_schur_positive(f)
             if not rep.positive:
                 out.append((i, comp[0], rep.violation))
     return out
@@ -352,9 +359,9 @@ def reference_lsf_witnesses(G, m):
     out = []
     for i in range(m - 1, G.n):
         colors = range(i - (m - 3), i + 1)
-        window = (i - (m - 2), i)
+        lo, hi = i - (m - 2), i
         for comp in reference_components(G, colors):
-            f = G.generating_function(comp, window)
+            f = QSym.from_signatures(hi - lo + 2, (G.sigma[v][lo - 1 : hi] for v in comp))
             if is_single_schur(f) is None:
                 out.append((i, comp[0], expand_in_schur(f).to_string()))
     return out
@@ -669,6 +676,41 @@ def test_axiom4_witnesses_match_permutation_matcher():
     assert sum(failing[-len(swapped) :]) == 21
 
 
+def reference_axiom4b_witnesses(G):
+    """``check_axiom4b`` with C_i read off its definition, the interiors of
+    the grown flat chains, and type W by the tuple read."""
+    out = []
+    for i in range(4, G.n - 1):
+        C = {v for chain in structure.all_flat_chains(G, i) for v in chain[2:-2]}
+        chains = structure.maximal_flat_chains(G, i)
+        for x in sorted(v for v in C if reference_has_type_w(G, v, i + 1)):
+            def one_sided(chain):
+                j = chain.index(x)
+                return any(
+                    all(reference_has_type_w(G, v, i + 1) for v in side)
+                    for side in (chain[:j], chain[j + 1 :])
+                )
+
+            if not any(x in chain and one_sided(chain) for chain in chains):
+                out.append((i, x, "no one-sided maximal flat chain"))
+    return out
+
+
+def test_axiom4b_reads_the_flat_interiors_by_position():
+    """Axiom 4'b's suspects are read off ``_flat_interiors`` by position;
+    the witnesses are the definition's on the fixtures, the axiom-4 inputs
+    and the seed-1 ``scrambled`` inputs."""
+    base, copies, swapped = axiom4_inputs()
+    graphs = [fixture(name) for name in fixture_names()] + base + copies + swapped
+    graphs += [case.graph for case, _ in seed1_runs("scrambled")]
+    found = 0
+    for G in graphs:
+        want = reference_axiom4b_witnesses(G)
+        assert check_axiom4b(G).witnesses == want, G
+        found += len(want)
+    assert found == 10
+
+
 def test_derived_graphs_equal_constructor_built():
     """``with_color_matching`` and ``restrict`` share partner maps instead of
     rebuilding; the result is the graph the constructor builds.  ``to_text``
@@ -873,7 +915,8 @@ def test_standalone_step_keeps_the_witnesses_below_its_color():
 def test_defect_set_w_matches_vertex_types():
     """W_i, read off the i- and i-1-partner maps, against its definition
     by ``_type_w`` at every color 1..n, including graphs with an empty
-    color class."""
+    color class; ``defect_sets`` gives it at the colors 1 < i < n and
+    rejects colors 1 and n."""
     base, copies, swapped = axiom4_inputs()
     graphs = [fixture(name) for name in fixture_names()] + base + copies + swapped
     graphs += [G.with_color_matching(c, {}) for G in graphs[:14] for c in G.colors()]
@@ -884,7 +927,12 @@ def test_defect_set_w_matches_vertex_types():
                 v for v in G.vertices()
                 if _type_w(G, G.pos[v], i) and G.neighbor(v, i - 1) != G.neighbor(v, i)
             }
-            assert defect_sets(G, i).W == want, (G, i)
+            assert {G.ids[p] for p in structure._w_positions(G, i)} == want, (G, i)
+            if 1 < i < G.n:
+                assert defect_sets(G, i).W == want, (G, i)
+            else:
+                with pytest.raises(ValueError, match=f"color {i} outside 1 < i < n"):
+                    defect_sets(G, i)
             sizes.add(len(want) > 0)
     assert sizes == {True, False}
 
@@ -1019,21 +1067,14 @@ def test_component_walk_matches_stack_walk():
                     assert G.component_vertices(piece[-1], colors) == piece
 
 
-def reference_find_isomorphism(G, H, colors=None, positions=None):
+def reference_find_isomorphism(G, H):
     """``find_isomorphism`` as a backtracking search over the components of
     the stack walk: placed in size order, each by the first candidate whose
     forced extension covers it with untaken images, and undone when a later
     component cannot be placed."""
-    if colors is None:
-        if (G.n, G.N) != (H.n, H.N):
-            return None
-        colors = set(G.colors())
-    if positions is None:
-        positions = range(1, min(G.N, H.N))
-    colors = sorted(set(colors))
-    positions = sorted(set(positions))
-    if len(G.sigma) != len(H.sigma):
+    if (G.n, G.N) != (H.n, H.N) or len(G.sigma) != len(H.sigma):
         return None
+    colors, positions = list(G.colors()), range(1, G.N)
 
     def key(graph, v):
         return tuple(graph.sigma[v][p - 1] for p in positions)
@@ -1111,12 +1152,9 @@ def isomorphism_cases():
 def test_one_pass_isomorphism_matches_backtracking_search():
     found = []
     for G, H in isomorphism_cases():
-        subsets = [(None, None), ((2, 3), None), ((), range(1, 3)), ((3,), (2, 4))]
-        subsets.append((tuple(c for c in G.colors() if c != 3), range(1, G.N - 1)))
-        for colors, positions in subsets:
-            want = reference_find_isomorphism(G, H, colors, positions)
-            assert find_isomorphism(G, H, colors, positions) == want, (G, H, colors)
-            found.append(want is not None)
+        want = reference_find_isomorphism(G, H)
+        assert find_isomorphism(G, H) == want, (G, H)
+        found.append(want is not None)
     assert 0 < found.count(False) < len(found)
 
 
@@ -1421,7 +1459,7 @@ def reference_gamma_partner(G, z, i):
             G.neighbor(y, i) is not None
             and not _type_w(G, G.pos[y], i - 1)
             and G.neighbor(y, i - 2) is not None
-            and is_flat_edge(G, y, i - 2)
+            and _flat(G, G.pos[y], i - 2)
         ):
             return y
 
@@ -1889,8 +1927,8 @@ def test_pipeline_output_broken_where_rewired_is_not_certified(monkeypatch):
     run to enter the color loop."""
     real_step = transform._one_step
     for base, i, H, k in broken_rewirings():
-        def step(G, c, below, piece, log, H=H):
-            G, piece = real_step(G, c, below, piece, log)
+        def step(G, c, piece, log, H=H):
+            G, piece = real_step(G, c, piece, log)
             return (H if c == G.n - 1 else G), piece
 
         with monkeypatch.context() as m:
@@ -1984,7 +2022,7 @@ def reference_full_pipeline(G, *, stop_at=None):
     last = stop_at if stop_at is not None else G.n - 1
     piece = list(range(len(G.ids)))
     for i in range(2, last + 1):
-        G, piece = transform._one_step(G, i, [], piece, log)
+        G, piece = transform._one_step(G, i, piece, log)
         if log.aborted:
             return transform.PipelineResult(G, log, None, False)
     if stop_at is not None and stop_at < G.n - 1:
@@ -2202,7 +2240,7 @@ def test_integer_checks_match_the_tuple_reads(seed):
         for v in G.vertices():
             assert _type_w(G, G.pos[v], i) == reference_has_type_w(G, v, i), (v, i)
             if 1 < i < G.n and G.neighbor(v, i) is not None:
-                assert is_flat_edge(G, v, i) == reference_is_flat_edge(G, v, i), (v, i)
+                assert _flat(G, G.pos[v], i) == reference_is_flat_edge(G, v, i), (v, i)
         if 4 <= i < G.n:
             grown = structure.all_flat_chains(G, i)
             assert defect_sets(G, i).C == {v for chain in grown for v in chain[2:-2]}, i

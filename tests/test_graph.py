@@ -149,17 +149,7 @@ class TestDerivation:
         G = fixture("fig8")
         with pytest.raises(GraphFormatError) as derived:
             G.with_color_matching(3, matching)
-        maps = {c: G.matching(c) for c in G.colors()}
-        with pytest.raises(GraphFormatError) as built:
-            SignedColoredGraph(G.n, G.N, G.sigma, {**maps, 3: matching})
-        assert str(derived.value) == str(built.value) == message
-
-    def test_constructor_reads_a_map_as_with_color_matching(self):
-        G = fixture("fig8")
-        maps = {c: G.matching(c) for c in G.colors()}
-        assert SignedColoredGraph(G.n, G.N, G.sigma, maps).to_text() == G.to_text()
-        with pytest.raises(GraphFormatError, match="loop at 'b1' in color 3"):
-            SignedColoredGraph(G.n, G.N, G.sigma, {**maps, 3: {"b1": "b1"}})
+        assert str(derived.value) == message
 
     def test_parent_is_unchanged(self):
         G = fixture("fig8")
@@ -180,8 +170,6 @@ def _made(how):
     G = unsorted_relabel(fixture("fig8"), 5)
     if how == "triples":
         return SignedColoredGraph(G.n, G.N, G.sigma, reversed(G.edge_triples())), None, ()
-    if how == "maps":
-        return SignedColoredGraph(G.n, G.N, G.sigma, {c: G.matching(c) for c in G.colors()}), None, ()
     if how == "from_text":
         return SignedColoredGraph.from_text(G.to_text()), None, ()
     if how == "with_color_matching":
@@ -203,7 +191,7 @@ def _made(how):
 
 class TestPositionalIndex:
     @pytest.mark.parametrize("how", [
-        "triples", "maps", "from_text", "with_color_matching", "with_color_matching_empty",
+        "triples", "from_text", "with_color_matching", "with_color_matching_empty",
         "restrict", "subgraph", "relabel", "build_standard_deg", "fixture",
     ])
     def test_index_agrees_with_the_maps(self, how):
@@ -304,11 +292,6 @@ class TestGeneratingFunctions:
                 f = G.generating_function(comp)
                 acc = f if acc is None else acc + f
             assert acc == total
-
-    def test_window_slice(self):
-        G = SignedColoredGraph(5, 5, {"v": sig_from_str("+-+-")}, [])
-        f = G.generating_function(window=(2, 3))
-        assert list(f.coeffs) == [(-1, 1)]
 
     def test_fig4a_value(self):
         G = fixture("fig4a")

@@ -11,7 +11,7 @@ from degraphs.axioms import (
 )
 from degraphs.fixtures import fixture, signatures_from_structure
 from degraphs.graph import SignedColoredGraph
-from degraphs.structure import _type_w, defect_sets, is_flat_edge
+from degraphs.structure import _flat, _type_w, defect_sets
 from degraphs.transform import apply_phi, apply_step, full_pipeline, one_step, replay
 
 from conftest import benchmark_corpus, corpus, nonflat_chain_through, relabel_random
@@ -62,7 +62,7 @@ class TestFlatnessEquivalences:
                 for u, w in G.matching(i).items():
                     if u > w:
                         continue
-                    if is_flat_edge(G, u, i):
+                    if _flat(G, G.pos[u], i):
                         assert not (
                             _type_w(G, G.pos[u], i) and _type_w(G, G.pos[w], i)
                         ), (name, i, u, w)

@@ -7,10 +7,10 @@ from degraphs.fixtures import fixture
 from degraphs.standard import build_standard_deg, single_cell_augmentation, build_augmented_deg
 from degraphs.structure import (
     StructureError,
+    _flat,
     _type_w,
     defect_sets,
     i_type,
-    is_flat_edge,
     maximal_flat_chains,
     negatively_dominant,
     set_U,
@@ -54,19 +54,14 @@ class TestFlatEdges:
     def test_color_two_flat_by_convention(self):
         G = build_standard_deg((2, 2))
         v = G.vertices()[0]
-        assert is_flat_edge(G, v, 2)
+        assert _flat(G, G.pos[v], 2)
 
     def test_color_three_and_four_computed(self):
         G = build_standard_deg((3, 2))
         by_sig = {tuple(s): v for v, s in G.sigma.items()}
         e = by_sig[(1, 1, -1, 1)]  # double 3/4 edge endpoint
-        assert is_flat_edge(G, e, 3)  # position 1 agrees across it
-        assert not is_flat_edge(G, e, 4)  # position 2 differs: the root loop
-
-    def test_missing_edge_raises(self):
-        G = build_standard_deg((4,))
-        with pytest.raises(ValueError):
-            is_flat_edge(G, G.vertices()[0], 2)
+        assert _flat(G, G.pos[e], 3)  # position 1 agrees across it
+        assert not _flat(G, G.pos[e], 4)  # position 2 differs: the root loop
 
     def test_flat_iff_one_endpoint_has_lower_neighbor(self):
         # on graphs satisfying axioms 1, 2, 3, 5
@@ -75,7 +70,7 @@ class TestFlatEdges:
                 for u, w in G.matching(i).items():
                     if u > w:
                         continue
-                    flat = is_flat_edge(G, u, i)
+                    flat = _flat(G, G.pos[u], i)
                     lower = (G.neighbor(u, i - 1) is not None) + (
                         G.neighbor(w, i - 1) is not None
                     )
@@ -132,6 +127,15 @@ class TestDefectSets:
                     u = G.neighbor(v, i - 1)
                     assert u is not None
                     assert _type_w(G, G.pos[u], i), (name, i, v)
+
+    @pytest.mark.parametrize("color", [0, 1, 5, 99])
+    def test_color_outside_the_graph_is_rejected(self, color):
+        """A color outside 1 < i < n is an error, not an empty set."""
+        G = fixture("fig8")
+        assert G.n == 5
+        for query in (defect_sets, set_U):
+            with pytest.raises(ValueError, match=f"color {color} outside 1 < i < n = 5"):
+                query(G, color)
 
     def test_fig19_w5_filtered_out(self):
         G = fixture("fig19")

@@ -372,8 +372,8 @@ class TestOneStep:
 
     def test_color_outside_the_graph_is_rejected(self):
         G = build_standard_deg((3, 2, 1))
-        for i in (0, G.n):
-            with pytest.raises(ValueError, match=f"color {i} outside"):
+        for i in (0, 1, G.n):
+            with pytest.raises(ValueError, match=f"color {i} outside 1 < i < n = 6"):
                 one_step(G, i)
 
 
