@@ -61,7 +61,6 @@ from .transform import (
     one_step,
     package_isomorphism,
     replay,
-    theta_pivot,
 )
 from .fixtures import fixture, fixture_names, verify_fixture
 

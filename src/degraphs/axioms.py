@@ -38,6 +38,7 @@ from functools import lru_cache
 
 from .combinatorics import Partition, sig_from_str
 from .graph import SignedColoredGraph, _check_color, signature_bits
+from .structure import _flat, _flat_interiors, _type_w, _w_positions, maximal_flat_chains
 from .symfunc import QSym, expand_in_schur, is_schur_positive, is_single_schur
 
 
@@ -567,15 +568,14 @@ _MIXED_FORMS = {
 _PURE_FORMS = {4: ((2, 2), "k_s22"), 5: ((3, 1, 1), "k_s311"), 6: ((3, 2, 1), "k_s321")}
 
 
-def classify_small_component(
-    G: SignedColoredGraph, vertices, degree: int
-) -> SmallClassification:
-    """Sort a connected low-degree component of G, given by its vertices,
-    into its allowed generating function shape, or report that the
-    hypotheses are violated."""
+def classify_small_component(G: SignedColoredGraph, vertices) -> SmallClassification:
+    """Sort a connected component of G, given by its vertices, into its
+    allowed generating function shape at degree G.n, 4, 5 or 6, or report
+    that the hypotheses are violated."""
+    degree = G.n
     if degree not in (4, 5, 6):
         raise ValueError("degree must be 4, 5 or 6")
-    if (G.n, G.N) != (degree, degree):
+    if G.N != degree:
         return SmallClassification(
             degree, False, "error", detail=f"graph type {(G.n, G.N)} != ({degree},{degree})"
         )
@@ -617,8 +617,6 @@ def check_axiom4a(G: SignedColoredGraph) -> AxiomReport:
     two-color components on either side must use the same degree-4
     quasisymmetric functions (equal supports): the 3-bit slices of ``G.pbits``
     at positions i-3..i-1 on the (i-2, i-1) side and i-2..i on the other."""
-    from .structure import _flat, _w_positions
-
     def witnesses():
         bits = G.pbits
         for i in range(4, G.n):
@@ -637,8 +635,6 @@ def check_axiom4b(G: SignedColoredGraph) -> AxiomReport:
     """For x interior to an overlong flat chain and carrying type W one color
     up, some maximal flat chain through x must have all predecessors or all
     successors of x carrying that type."""
-    from .structure import _flat_interiors, _type_w, maximal_flat_chains
-
     def one_sided(chain, x, i):
         j = chain.index(x)
         sides = (chain[:j], chain[j + 1 :])

@@ -12,10 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .axioms import check_axiom
+from .axioms import (
+    check_axiom,
+    check_axiom4a,
+    check_axiom4b,
+    check_lsf,
+    check_lsp,
+    classify_small_component,
+    is_locally_schur_positive,
+)
 from .combinatorics import sig_from_str
 from .graph import SignedColoredGraph
 from .standard import build_standard_deg
+from .symfunc import expand_in_schur
 
 
 def _graph(n: int, N: int, sigma_text: dict[str, str], triples) -> SignedColoredGraph:
@@ -362,12 +371,12 @@ _register(
     axioms_pass=(1, 2, 3, 4, 5, 6),
     expansion="s[3,2]",
 )
-_register("fig4a", fig4a, expansion="s[3,1]+s[2,2]", classify=(4, "s31_plus_k_s22", 1))
-_register("fig4b", fig4b, expansion="s[2,2]+s[2,1,1]", classify=(4, "s211_plus_k_s22", 1))
-_register("fig4c", fig4c, expansion="2*s[2,2]", classify=(4, "k_s22", 2))
-_register("fig5a", fig5a, expansion="s[3,2]+s[3,1,1]", classify=(5, "s32_plus_k_s311", 1))
-_register("fig5b", fig5b, expansion="s[3,1,1]+s[2,2,1]", classify=(5, "s221_plus_k_s311", 1))
-_register("fig5c", fig5c, expansion="2*s[3,1,1]", classify=(5, "k_s311", 2))
+_register("fig4a", fig4a, expansion="s[3,1]+s[2,2]", classify=("s31_plus_k_s22", 1))
+_register("fig4b", fig4b, expansion="s[2,2]+s[2,1,1]", classify=("s211_plus_k_s22", 1))
+_register("fig4c", fig4c, expansion="2*s[2,2]", classify=("k_s22", 2))
+_register("fig5a", fig5a, expansion="s[3,2]+s[3,1,1]", classify=("s32_plus_k_s311", 1))
+_register("fig5b", fig5b, expansion="s[3,1,1]+s[2,2,1]", classify=("s221_plus_k_s311", 1))
+_register("fig5c", fig5c, expansion="2*s[3,1,1]", classify=("k_s311", 2))
 _register(
     "fig6",
     fig6,
@@ -375,7 +384,7 @@ _register(
     axioms_pass=(1, 2, 3, 4, 5),
     axioms_fail=(6,),
     expansion="2*s[3,2,1]",
-    classify=(6, "k_s321", 2),
+    classify=("k_s321", 2),
 )
 _register(
     "fig8",
@@ -432,17 +441,6 @@ def fixture_names(skip_large: bool = False) -> list[str]:
 
 def verify_fixture(name: str) -> list[str]:
     """Check one fixture's recorded expectations; returns failure messages."""
-    from .axioms import (
-        check_axiom,
-        check_axiom4a,
-        check_axiom4b,
-        check_lsf,
-        check_lsp,
-        classify_small_component,
-        is_locally_schur_positive,
-    )
-    from .symfunc import expand_in_schur
-
     entry = FIXTURES[name]
     G = fixture(name)
     problems: list[str] = []
@@ -468,9 +466,9 @@ def verify_fixture(name: str) -> list[str]:
     for m in exp.get("lsp_fail", ()):
         expect(not check_lsp(G, m).holds, f"LSP{m} should fail")
     if "classify" in exp:
-        degree, kind, k = exp["classify"]
+        kind, k = exp["classify"]
         comp = G.components(G.colors())[0]
-        got = classify_small_component(G, comp, degree)
+        got = classify_small_component(G, comp)
         expect(
             got.ok and got.kind == kind and got.k == k,
             f"classification {got} != ({kind}, k={k})",

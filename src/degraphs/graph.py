@@ -167,7 +167,8 @@ class SignedColoredGraph:
         )
 
     def subgraph(self, vertices) -> "SignedColoredGraph":
-        keep = set(vertices)
+        """The induced subgraph; a KeyError names an id that is not a vertex."""
+        keep = {self.ids[p] for p in map(self.position, vertices)}
         sigma = {v: s for v, s in self.sigma.items() if v in keep}
         triples = [
             (c, u, w) for c, u, w in self.edge_triples() if u in keep and w in keep
@@ -416,20 +417,15 @@ def _list_pairs(G: SignedColoredGraph, H: SignedColoredGraph, colors) -> list:
     return pairs
 
 
-def _forced_extension(gbits, hbits, pairs, mask: int, seeds) -> dict[int, int] | None:
-    """Grow a partial map of positions, from the (x, y) pairs ``seeds``,
-    across the partner lists ``pairs`` (``_list_pairs``); matchings make the
-    image forced.  Each pair must agree on the signature bits in ``mask``.
-    A vertex is mapped when first reached and compared when reached again,
-    so the map is grown breadth first from the seeds."""
-    image: dict[int, int] = {}
-    used: set[int] = set()
-    for x, y in seeds:
-        if y in used or (gbits[x] ^ hbits[y]) & mask:
-            return None
-        image[x] = y
-        used.add(y)
-    queue = list(image)
+def _forced_extension(gbits, hbits, pairs, mask: int, x: int, y: int) -> dict[int, int] | None:
+    """Grow a partial map of positions from the seed x -> y across the
+    partner lists ``pairs`` (``_list_pairs``); matchings make the image
+    forced.  Each pair must agree on the signature bits in ``mask``.  A
+    vertex is mapped when first reached and compared when reached again,
+    so the map is grown breadth first from the seed."""
+    if (gbits[x] ^ hbits[y]) & mask:
+        return None
+    image, used, queue = {x: y}, {y}, [x]
     for x in queue:
         y = image[x]
         for gm, hm in pairs:
@@ -456,24 +452,14 @@ def _id_map(G: SignedColoredGraph, H: SignedColoredGraph, mapping: dict[int, int
 
 
 def seeded_isomorphism(
-    G: SignedColoredGraph,
-    H: SignedColoredGraph,
-    seeds: list[tuple[str, str]] | dict[str, str],
-    colors=None,
-    positions=None,
+    G: SignedColoredGraph, H: SignedColoredGraph, a: str, b: str, colors, positions
 ) -> dict[str, str] | None:
-    """Bijection extending the seeds, preserving the stated signature
-    positions and every listed color; None if propagation fails.
+    """The map forced from a -> b that preserves the signature
+    ``positions`` and every color of ``colors``; None if propagation fails.
 
-    The map is defined on the union of the seed components (color-connected).
+    The map is defined on a's component under ``colors``.
     """
-    if colors is None:
-        colors = set(G.colors()) | set(H.colors())
-    if positions is None:
-        positions = range(1, min(G.N, H.N))
-    seeds = [(G.position(x), H.position(y)) for x, y in dict(seeds).items()]
-    pairs = _list_pairs(G, H, colors)
-    found = _forced_extension(G.pbits, H.pbits, pairs, _position_mask(positions), seeds)
+    found = next(anchored_maps(G, G.position(a), H, (H.position(b),), colors, positions), None)
     return None if found is None else _id_map(G, H, found)
 
 
@@ -488,7 +474,7 @@ def anchored_maps(
     pairs = _list_pairs(G, H, colors)
     mask = _position_mask(positions)
     for w in images:
-        m = _forced_extension(G.pbits, H.pbits, pairs, mask, ((anchor, w),))
+        m = _forced_extension(G.pbits, H.pbits, pairs, mask, anchor, w)
         if m is not None:
             yield m
 

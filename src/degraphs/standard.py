@@ -30,7 +30,7 @@ def _standard_graph(lam: Partition) -> SignedColoredGraph:
     """G_lam, built once per process and shared: callers only read it.  It
     is the graph augmented by nothing."""
     lam = check_partition(lam)
-    return build_augmented_deg(lam, AugmentingTableau(lam, lam, ()))
+    return build_augmented_deg(AugmentingTableau(lam, lam, ()))
 
 
 def build_standard_deg(lam: Partition) -> SignedColoredGraph:
@@ -100,7 +100,7 @@ def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
     return AugmentingTableau.from_dict(outer, lam, {(row, rows[row] - 1): n + 1})
 
 
-def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColoredGraph:
+def build_augmented_deg(aug: AugmentingTableau) -> SignedColoredGraph:
     """Graph of type (n, N) on SYT of the outer shape restricting to aug.
 
     Each tableau, with the cells of aug filled in when it has any, is read
@@ -114,9 +114,7 @@ def build_augmented_deg(lam: Partition, aug: AugmentingTableau) -> SignedColored
     order, then by color; ``edge_triples``, ``to_text`` and the
     benchmark's input digests depend on that order.
     """
-    lam = check_partition(lam)
-    if aug.inner != lam:
-        raise ValueError(f"augmentation inner shape {aug.inner} != {lam}")
+    lam = check_partition(aug.inner)
     aug.validate()
     n, N = sum(lam), sum(aug.outer)
     fixed = aug.cells()
@@ -202,11 +200,11 @@ def identify_component(
     return None
 
 
-def standard_automorphisms(lam: Partition, limit: int = 2) -> int:
-    """Number of self-isomorphisms of G_lam found, up to ``limit``: G_lam is
+def standard_automorphisms(lam: Partition) -> int:
+    """Number of self-isomorphisms of G_lam found, up to 2: G_lam is
     connected, so each is forced from its least vertex, tried against the
     vertices with that vertex's signature."""
     G = _standard_graph(lam)
     images = _targets(lam)[1][G.pbits[0]]
     maps = anchored_maps(G, 0, G, images, G.colors(), range(1, G.N))
-    return sum(1 for _ in islice(maps, limit))
+    return sum(1 for _ in islice(maps, 2))

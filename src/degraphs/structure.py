@@ -50,8 +50,9 @@ def i_type(G: SignedColoredGraph, v: str, i: int) -> str:
     i-1-neighbor relies on the i-2-neighbor having one (guaranteed by axiom
     3); if it does not, the input is off-spec and an error is raised.
     """
+    _check_color(G, i)
     p = G.position(v)
-    if not 3 <= i < G.n or G.partner[i][p] < 0:
+    if i < 3 or G.partner[i][p] < 0:
         return "none"
     if _type_w(G, p, i):
         return "W"
@@ -152,7 +153,8 @@ def _flat_chain(G: SignedColoredGraph, x1: int, x2: int, i: int) -> list[int]:
 def all_flat_chains(G: SignedColoredGraph, i: int) -> list[tuple[str, ...]]:
     """Chains grown from every oriented i-edge whose endpoints admit
     i-2-edges.  Every flat chain is a prefix of one of these."""
-    if not 4 <= i < G.n:
+    _check_color(G, i)
+    if i < 4:
         return []
     up, low, ids = G.partner[i], G.partner[i - 2], G.ids
     return [

@@ -77,13 +77,7 @@ def package_isomorphism(
     forced extension covers exactly a's i-package, the component of a under
     the package colors."""
     _check_color(G, i)
-    return seeded_isomorphism(
-        G,
-        G,
-        {a: b},
-        colors=package_colors(G, i),
-        positions=package_positions(G, i),
-    )
+    return seeded_isomorphism(G, G, a, b, package_colors(G, i), package_positions(G, i))
 
 
 def _rematch(G: SignedColoredGraph, i: int, target) -> SignedColoredGraph:
@@ -270,13 +264,6 @@ def apply_gamma(G: SignedColoredGraph, z: str, i: int) -> SignedColoredGraph:
         raise TransformError(f"{z!r} lacks a flat {i - 2}-edge")
     u = _gamma_partner(G, p, i)
     return _rewire(G, i, low[p], low[u], through_edge=True)
-
-
-def theta_pivot(G: SignedColoredGraph, i: int, H_vertices) -> tuple[str, ...]:
-    pivot = negatively_dominant(G, H_vertices, i)
-    if pivot is None:
-        raise TransformError("no negatively dominant restricted component")
-    return pivot
 
 
 def apply_theta(G: SignedColoredGraph, pivot: str, i: int) -> SignedColoredGraph:
@@ -560,7 +547,10 @@ def _resolve_axiom6(G, i, log, limit, piece):
             raise PipelineAbort(f"step budget exhausted during splits at color {i}", G)
         H_comp = G.component_vertices(at_i[0][1], range(2, i + 1))
         try:
-            pivot = theta_pivot(G, i, H_comp)[0]
+            dominant = negatively_dominant(G, H_comp, i)
+            if dominant is None:
+                raise TransformError("no negatively dominant restricted component")
+            pivot = dominant[0]
             H = apply_theta(G, pivot, i)
         except (TransformError, StructureError) as e:
             raise PipelineAbort(f"color {i}: split failed: {e}", G, H_comp) from None

@@ -22,7 +22,7 @@ from degraphs.axioms import (
 from degraphs.combinatorics import enumerate_partitions, sig_str
 from degraphs.fixtures import fixture
 from degraphs.standard import build_standard_deg, identify_component
-from degraphs.structure import defect_sets
+from degraphs.structure import defect_sets, negatively_dominant
 from degraphs.symfunc import (
     QSym,
     expand_in_schur,
@@ -37,7 +37,6 @@ from degraphs.transform import (
     apply_step,
     apply_theta,
     full_pipeline,
-    theta_pivot,
 )
 
 from conftest import corpus, gamma_instance, relabel_random
@@ -95,17 +94,17 @@ def test_criterion_2_fig1_reproduction():
 def test_criterion_3_classification():
     problems = []
     cases = [
-        ("fig4a", 4, "s31_plus_k_s22", 1),
-        ("fig4b", 4, "s211_plus_k_s22", 1),
-        ("fig4c", 4, "k_s22", 2),
-        ("fig5a", 5, "s32_plus_k_s311", 1),
-        ("fig5b", 5, "s221_plus_k_s311", 1),
-        ("fig5c", 5, "k_s311", 2),
+        ("fig4a", "s31_plus_k_s22", 1),
+        ("fig4b", "s211_plus_k_s22", 1),
+        ("fig4c", "k_s22", 2),
+        ("fig5a", "s32_plus_k_s311", 1),
+        ("fig5b", "s221_plus_k_s311", 1),
+        ("fig5c", "k_s311", 2),
     ]
-    for name, degree, kind, k in cases:
+    for name, kind, k in cases:
         G = fixture(name)
         comp = G.components(G.colors())[0]
-        got = classify_small_component(G, comp, degree)
+        got = classify_small_component(G, comp)
         if not (got.ok and got.kind == kind and got.k == k):
             problems.append(f"{name}: {got}")
     _report(3, "small-degree classification", problems)
@@ -123,7 +122,7 @@ def test_criterion_4_cover_counterexample():
     if exp.to_string() != "2*s[3,2,1]":
         problems.append(f"expansion {exp.to_string()}")
     H_comp = G.components(range(2, 6))[0]
-    pivot = theta_pivot(G, 5, H_comp)
+    pivot = negatively_dominant(G, H_comp, 5)
     H = apply_theta(G, pivot[0], 5)
     comps = H.components(range(2, 6))
     if len(comps) != 2:

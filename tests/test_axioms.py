@@ -117,7 +117,7 @@ class TestAxiomArguments:
 
     def test_base_with_other_signatures_is_rejected(self):
         lam = (3, 2)
-        B = build_augmented_deg(lam, single_cell_augmentation(lam, 0))
+        B = build_augmented_deg(single_cell_augmentation(lam, 0))
         v = B.ids[0]
         sigma = {**B.sigma, v: B.sigma[v][:-1] + (-B.sigma[v][-1],)}
         G = SignedColoredGraph(B.n, B.N, sigma, B.edge_triples())
@@ -250,13 +250,13 @@ class TestClassification:
     def test_fixture_forms(self, name, degree, kind, k):
         G = fixture(name)
         comp = G.components(G.colors())[0]
-        got = classify_small_component(G, comp, degree)
-        assert got.ok and got.kind == kind and got.k == k
+        got = classify_small_component(G, comp)
+        assert G.n == degree and got.ok and got.kind == kind and got.k == k
 
     def test_single_schur_component(self):
         G = build_standard_deg((3, 1))
         comp = G.components(G.colors())[0]
-        got = classify_small_component(G, comp, 4)
+        got = classify_small_component(G, comp)
         assert got.ok and got.kind == "single" and got.lam == (3, 1)
 
     def test_hypothesis_violation_reported(self):
@@ -265,7 +265,7 @@ class TestClassification:
             4, 4, {"a": (1, 1, -1), "b": (-1, -1, 1)}, [(3, "a", "b")]
         )
         comp = G.components(G.colors())[0]
-        got = classify_small_component(G, comp, 4)
+        got = classify_small_component(G, comp)
         assert not got.ok
 
     def test_degree6_props_on_corpus(self):
@@ -274,7 +274,7 @@ class TestClassification:
         for lam in enumerate_partitions(6):
             G = build_standard_deg(lam)
             comp = G.components(G.colors())[0]
-            got = classify_small_component(G, comp, 6)
+            got = classify_small_component(G, comp)
             assert got.ok and got.kind == "single" and got.lam == lam
 
 

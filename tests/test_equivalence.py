@@ -1097,7 +1097,7 @@ def reference_find_isomorphism(G, H):
         for w in H.vertices():
             if w in taken or key(H, w) != sig_key:
                 continue
-            local = seeded_isomorphism(G, H, {anchor: w}, colors, positions)
+            local = seeded_isomorphism(G, H, anchor, w, colors, positions)
             if local is None or set(local) != set(comp):
                 continue
             if any(img in taken for img in local.values()):
@@ -1628,7 +1628,7 @@ def reference_count_component_isomorphisms(G, gverts, H, hverts, colors, positio
     anchor = gverts[0]
     found = []
     for w in sorted(hverts):
-        m = seeded_isomorphism(G, H, {anchor: w}, colors, positions)
+        m = seeded_isomorphism(G, H, anchor, w, colors, positions)
         if m is None or set(m) != set(gverts) or set(m.values()) != hverts:
             continue
         found.append(m)
@@ -1836,11 +1836,10 @@ def test_automorphism_count_matches_the_component_count():
     for n in range(1, 8):
         for lam in enumerate_partitions(n):
             G = _standard_graph(lam)
-            for limit in (1, 2, 3):
-                want = reference_count_component_isomorphisms(
-                    G, G.vertices(), G, G.vertices(), G.colors(), range(1, G.N), limit
-                )
-                assert standard_automorphisms(lam, limit) == len(want), (lam, limit)
+            want = reference_count_component_isomorphisms(
+                G, G.vertices(), G, G.vertices(), G.colors(), range(1, G.N), 2
+            )
+            assert standard_automorphisms(lam) == len(want), lam
 
 
 # ---------------------------------------------------------------------------
@@ -1852,7 +1851,7 @@ def broken_rewirings():
     that identification does not run on it, and H is base with its color-i
     matching rebuilt, by one edge dropped or two edges crossed, so that of
     axioms 1, 2, 3 and 5 only axiom k fails; the first such H for each k."""
-    base = build_augmented_deg((3, 2, 1), single_cell_augmentation((3, 2, 1), 0))
+    base = build_augmented_deg(single_cell_augmentation((3, 2, 1), 0))
     found = {}
     for i in base.colors():
         old = base.matching(i)
@@ -2065,7 +2064,7 @@ def deg_inputs():
                     aug = single_cell_augmentation(lam, row)
                 except ValueError:
                     continue
-                graphs.append(build_augmented_deg(lam, aug))
+                graphs.append(build_augmented_deg(aug))
     graphs += [fixture(name) for name in fixture_names()]
     for workload in ("scrambled", "standard_certify"):
         graphs += [res.graph for _, res in seed1_runs(workload) if res.certified]
@@ -2198,7 +2197,7 @@ def perturbed_graph(seed):
     if rng.random() < 0.5:
         G = build_standard_deg(lam)
     else:
-        G = build_augmented_deg(lam, single_cell_augmentation(lam, 0))
+        G = build_augmented_deg(single_cell_augmentation(lam, 0))
     sigma = dict(G.sigma)
     for _ in range(rng.randrange(3)):
         v, p = rng.choice(sorted(sigma)), rng.randrange(G.N - 1)
@@ -2254,11 +2253,11 @@ def test_integer_checks_match_the_tuple_reads(seed):
                 assert got == reference_component_violation(G, comp, window)
     vertices = G.vertices()
     for _ in range(5):
-        seeds = {rng.choice(vertices): rng.choice(vertices)}
+        a, b = rng.choice(vertices), rng.choice(vertices)
         colors = [c for c in G.colors() if rng.random() < 0.7]
         positions = [p for p in range(1, G.N) if rng.random() < 0.7]
-        got = seeded_isomorphism(G, G, seeds, colors, positions)
-        assert got == reference_forced_extension(G, G, seeds, colors, positions)
+        got = seeded_isomorphism(G, G, a, b, colors, positions)
+        assert got == reference_forced_extension(G, G, {a: b}, colors, positions)
 
 
 # ---------------------------------------------------------------------------

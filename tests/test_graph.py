@@ -246,9 +246,10 @@ class TestUnknownVertex:
 
     @pytest.mark.parametrize("call", [
         lambda G: G.component_vertices("zz", (2, 3)),
-        lambda G: seeded_isomorphism(G, G, {"t3": "zz"}),
+        lambda G: seeded_isomorphism(G, G, "t3", "zz", G.colors(), range(1, G.N)),
         lambda G: identify_component(G, ["t3", "zz"], G.n),
-    ], ids=["component_vertices", "seeded_isomorphism", "identify_component"])
+        lambda G: G.subgraph(["t3", "zz"]),
+    ], ids=["component_vertices", "seeded_isomorphism", "identify_component", "subgraph"])
     def test_names_the_id(self, call):
         with pytest.raises(KeyError) as e:
             call(fixture("fig8"))
@@ -317,7 +318,7 @@ class TestIsomorphism:
     def test_identity_seed(self):
         G = build_standard_deg((3, 2))
         v = G.vertices()[0]
-        m = seeded_isomorphism(G, G, {v: v})
+        m = seeded_isomorphism(G, G, v, v, G.colors(), range(1, G.N))
         assert m == {x: x for x in G.vertices()}
 
     def test_relabeled_found(self, rng):
@@ -338,7 +339,7 @@ class TestIsomorphism:
     def test_seed_respects_positions(self):
         G = build_standard_deg((3, 2))
         a, b = "1,2,5|3,4", "1,3,5|2,4"
-        assert seeded_isomorphism(G, G, {a: b}) is None
+        assert seeded_isomorphism(G, G, a, b, G.colors(), range(1, G.N)) is None
 
 
 class TestPackages:

@@ -74,7 +74,7 @@ class TestStandardGraph:
 class TestAugmented:
     def test_single_cell_on_column(self):
         aug = single_cell_augmentation((2, 1), 2)
-        G = build_augmented_deg((2, 1), aug)
+        G = build_augmented_deg(aug)
         assert (G.n, G.N) == (3, 4)
         assert len(G.sigma) == 2
         assert all(len(s) == 3 for s in G.sigma.values())
@@ -82,12 +82,12 @@ class TestAugmented:
     def test_empty_augmentation_matches_standard(self):
         lam = (3, 2)
         aug = AugmentingTableau.from_dict(lam, lam, {})
-        assert build_augmented_deg(lam, aug) == build_standard_deg(lam)
+        assert build_augmented_deg(aug) == build_standard_deg(lam)
 
     def test_restriction_recovers_standard(self):
         lam = (2, 2)
         aug = single_cell_augmentation(lam, 0)  # cell with 5 at end of row 1
-        G = build_augmented_deg(lam, aug)
+        G = build_augmented_deg(aug)
         assert (G.n, G.N) == (4, 5)
         comp = G.components(range(2, 4))[0]
         out = identify_component(G, comp, 4)
@@ -96,7 +96,7 @@ class TestAugmented:
     def test_every_component_of_restriction_is_standard(self):
         for lam, row in [((2, 1), 0), ((2, 1), 1), ((3, 1), 1), ((2, 2), 0)]:
             n = sum(lam)
-            G = build_augmented_deg(lam, single_cell_augmentation(lam, row))
+            G = build_augmented_deg(single_cell_augmentation(lam, row))
             for comp in G.components(range(2, n)):
                 out = identify_component(G, comp, n)
                 assert out is not None and out[0] == lam
@@ -120,7 +120,7 @@ def pinned_graphs():
         for lam in enumerate_partitions(n):
             for row in range(len(lam) + 1):
                 if row == 0 or (lam + (0,))[row] < lam[row - 1]:
-                    yield build_augmented_deg(lam, single_cell_augmentation(lam, row))
+                    yield build_augmented_deg(single_cell_augmentation(lam, row))
 
 
 class TestBuiltGraphs:

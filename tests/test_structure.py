@@ -9,6 +9,7 @@ from degraphs.structure import (
     StructureError,
     _flat,
     _type_w,
+    all_flat_chains,
     defect_sets,
     i_type,
     maximal_flat_chains,
@@ -96,6 +97,11 @@ class TestChains:
                 for ch in maximal_flat_chains(G, i):
                     assert len(ch) <= 4
 
+    def test_low_colors_have_no_flat_chains(self):
+        G = fixture("fig8")
+        for i in (2, 3):
+            assert all_flat_chains(G, i) == maximal_flat_chains(G, i) == []
+
 
 class TestDefectSets:
     def test_standard_all_empty(self):
@@ -133,7 +139,8 @@ class TestDefectSets:
         """A color outside 1 < i < n is an error, not an empty set."""
         G = fixture("fig8")
         assert G.n == 5
-        for query in (defect_sets, set_U):
+        type_of_t3 = lambda G, i: i_type(G, "t3", i)
+        for query in (defect_sets, set_U, type_of_t3, all_flat_chains, maximal_flat_chains):
             with pytest.raises(ValueError, match=f"color {color} outside 1 < i < n = 5"):
                 query(G, color)
 
@@ -218,7 +225,7 @@ class TestNegativelyDominant:
     def test_augmented_mixed_signs(self):
         # type (4, 5): the sign at position 4 separates the restricted
         # components, so the minus branch must win over dominance
-        G = build_augmented_deg((3, 1), single_cell_augmentation((3, 1), 1))
+        G = build_augmented_deg(single_cell_augmentation((3, 1), 1))
         H = G.components(range(2, 4))[0]
         pivot = negatively_dominant(G, H, 3)
         assert pivot is not None
@@ -226,7 +233,7 @@ class TestNegativelyDominant:
         assert len(pivot) == 2  # the minus-signed pair, not the plus singleton
 
     def test_all_plus_branch_takes_dominance_maximum(self):
-        G = build_augmented_deg((3, 2), single_cell_augmentation((3, 2), 0))
+        G = build_augmented_deg(single_cell_augmentation((3, 2), 0))
         H = G.components(range(2, 5))[0]
         pivot = negatively_dominant(G, H, 4)
         assert pivot is not None

@@ -87,7 +87,6 @@ PUBLIC_API = {
     "loop-guard regressions among them",
     "package_isomorphism": "the i-package isomorphism that phi, psi and gamma swap along",
     "replay": "`degraphs transform --replay`",
-    "theta_pivot": "the split's pivot, with its error",
     # the paper's figures
     "fixture": "a figure of the paper by name",
     "fixture_names": "the figures",
@@ -115,22 +114,27 @@ def public_definitions():
                     yield f"{owner}.{m.name}" if owner else m.name, m.name
 
 
+def names_in(tree):
+    """Every name, attribute, imported name and identifier string under the
+    node ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name.split(".")[-1], node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
 def references(paths):
     """Every name, attribute, imported name and identifier string in the
     files."""
-    found = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.update(filter(None, (node.name.split(".")[-1], node.asname)))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    found.add(node.value)
-    return found
+    return set().union(*(names_in(ast.parse(path.read_text())) for path in paths))
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -164,3 +168,14 @@ def test_every_exported_name_is_read_outside_the_tests_or_kept():
     used = references(paths)
     kept = {name for name, why in PUBLIC_API.items() if why.startswith(KEPT)}
     assert {name for name in PUBLIC_API if name not in used} == kept
+
+
+def test_the_forced_extension_has_one_entry():
+    """``anchored_maps`` is the one seeded search: no other statement of the
+    library refers to ``_forced_extension``."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if "_forced_extension" in names_in(node):
+                readers.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert readers == {"graph.anchored_maps"}

@@ -8,7 +8,7 @@ from degraphs.axioms import check_axiom, classify_small_component
 from degraphs.fixtures import fixture
 from degraphs.graph import GraphFormatError
 from degraphs.standard import build_standard_deg, identify_component
-from degraphs.structure import defect_sets
+from degraphs.structure import defect_sets, negatively_dominant
 from degraphs.transform import (
     LogFormatError,
     TransformError,
@@ -24,7 +24,6 @@ from degraphs.transform import (
     one_step,
     package_isomorphism,
     replay,
-    theta_pivot,
 )
 
 from conftest import gamma_instance
@@ -205,7 +204,7 @@ class TestGamma:
             K = apply_phi(H, "a1", 4)
             comps = K.components((2, 3, 4))
             assert len(comps) == 2
-            got = {classify_small_component(K, c, 5).lam for c in comps}
+            got = {classify_small_component(K, c).lam for c in comps}
             assert got == {want}
 
     def test_precondition_flat_edge(self):
@@ -218,7 +217,7 @@ class TestTheta:
     def test_fig6_split(self):
         G = fixture("fig6")
         H_comp = G.components(range(2, 6))[0]
-        pivot = theta_pivot(G, 5, H_comp)
+        pivot = negatively_dominant(G, H_comp, 5)
         H = apply_theta(G, pivot[0], 5)
         preserved_apart_from_color(G, H, 5)
         comps = H.components(range(2, 6))
@@ -250,7 +249,7 @@ class TestTheta:
         GG = SignedColoredGraph(6, 6, double, triples)
         assert not check_axiom(GG, 6).holds
         H_comp = GG.components(range(2, 6))[0]
-        pivot = theta_pivot(GG, 5, H_comp)
+        pivot = negatively_dominant(GG, H_comp, 5)
         HH = apply_theta(GG, pivot[0], 5)
         comps = HH.components(range(2, 6))
         assert len(comps) == 2
