@@ -39,10 +39,11 @@ def signatures_from_structure(
 
     At each vertex the presence or absence of a c-edge fixes the relation
     between positions c-1 and c, so one free sign per component remains; the
-    component's least vertex is given a leading +.  Axiom 2 (sign reversal at
-    the two middle positions, preservation away from the edge) is then
-    checked across every edge; any contradiction means the edge list is
-    wrong.
+    component's least vertex is given a leading +, and each other vertex is
+    signed across the edge by which the walk first reaches it.  Axiom 2
+    (sign reversal at the two middle positions, preservation away from the
+    edge) is then checked across every edge, so an edge that contradicts
+    the first sign means the edge list is wrong.
     """
     if n != N:
         raise ValueError("structural reconstruction needs type (n, n)")
@@ -61,15 +62,9 @@ def signatures_from_structure(
         signs[comp[0]] = build(comp[0], 1)
         for v in comp:
             for k, w in enumerate(a[v] for a in lists):
-                if w < 0:
-                    continue
-                cand = build(w, 1)
-                if cand[k] != -signs[v][k]:
-                    cand = build(w, -1)
-                if signs[w] is None:
-                    signs[w] = cand
-                elif signs[w] != cand:
-                    raise ValueError(f"inconsistent signatures at {G.ids[w]!r}")
+                if w >= 0 and signs[w] is None:
+                    cand = build(w, 1)
+                    signs[w] = cand if cand[k] == -signs[v][k] else build(w, -1)
     sigma = dict(zip(G.ids, signs))
     report = check_axiom(SignedColoredGraph(n, N, sigma, triples), 2)
     if not report.holds:

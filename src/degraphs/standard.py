@@ -20,6 +20,7 @@ from .combinatorics import (
     count_syt,
     enumerate_partitions,
     enumerate_syt,
+    is_standard,
     tableau_moves,
 )
 from .graph import SignedColoredGraph, _id_map, anchored_maps
@@ -29,7 +30,6 @@ from .graph import SignedColoredGraph, _id_map, anchored_maps
 def _standard_graph(lam: Partition) -> SignedColoredGraph:
     """G_lam, built once per process and shared: callers only read it.  It
     is the graph augmented by nothing."""
-    lam = check_partition(lam)
     return build_augmented_deg(AugmentingTableau(lam, lam, ()))
 
 
@@ -42,50 +42,40 @@ def build_standard_deg(lam: Partition) -> SignedColoredGraph:
 
 @dataclass(frozen=True)
 class AugmentingTableau:
-    """Fixed filling of the cells of outer/inner by n+1 .. N.
+    """Standard filling of the cells of outer/inner by n+1 .. N, given as
+    (cell, value) pairs in any order and stored sorted.
 
     Cells are (row, col) pairs, rows counted from the bottom starting at 0.
+    It is checked when made: placed on the first SYT of inner, the filling
+    must give a standard tableau of shape outer, with one pair per cell.
     """
 
     outer: Partition
     inner: Partition
     filling: tuple[tuple[tuple[int, int], int], ...]
 
-    @staticmethod
-    def from_dict(outer, inner, cells: dict[tuple[int, int], int]) -> "AugmentingTableau":
-        return AugmentingTableau(
-            check_partition(outer),
-            check_partition(inner),
-            tuple(sorted(cells.items())),
-        )
+    def __post_init__(self):
+        outer, inner = check_partition(self.outer), check_partition(self.inner)
+        filling = tuple(sorted(self.filling))
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "filling", filling)
+        try:
+            t = self.embed(enumerate_syt(inner)[0])
+            ok = tuple(map(len, t)) == outer and is_standard(t)
+        except KeyError:  # a cell of outer/inner left empty
+            ok = False
+        if not ok or len(filling) != sum(outer) - sum(inner):
+            raise ValueError(f"{filling} is not a standard filling of {outer}/{inner}")
 
-    def cells(self) -> dict[tuple[int, int], int]:
-        return dict(self.filling)
-
-    def validate(self) -> None:
-        outer, inner = self.outer, self.inner
-        n, N = sum(inner), sum(outer)
-        rows_in = list(inner) + [0] * (len(outer) - len(inner))
-        if len(inner) > len(outer) or any(
-            rows_in[r] > outer[r] for r in range(len(outer))
-        ):
-            raise ValueError(f"inner {inner} not contained in outer {outer}")
-        skew = {
-            (r, c)
-            for r in range(len(outer))
-            for c in range(outer[r])
-            if c >= rows_in[r]
-        }
-        cells = self.cells()
-        if set(cells) != skew:
-            raise ValueError("filling does not cover exactly the skew cells")
-        if sorted(cells.values()) != list(range(n + 1, N + 1)):
-            raise ValueError(f"filling values must be {n + 1}..{N}")
-        for (r, c), v in cells.items():
-            if (r, c + 1) in cells and cells[(r, c + 1)] <= v:
-                raise ValueError("filling not increasing along a row")
-            if (r + 1, c) in cells and cells[(r + 1, c)] <= v:
-                raise ValueError("filling not increasing up a column")
+    def embed(self, t: Tableau) -> Tableau:
+        """The tableau t of shape inner with the cells of outer/inner filled."""
+        fixed = dict(self.filling)
+        rows = [list(r) for r in t] + [[] for _ in range(len(self.outer) - len(t))]
+        for r in range(len(self.outer)):
+            for c in range(len(rows[r]), self.outer[r]):
+                rows[r].append(fixed[(r, c)])
+        return tuple(tuple(r) for r in rows)
 
 
 def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
@@ -97,7 +87,7 @@ def single_cell_augmentation(lam: Partition, row: int) -> AugmentingTableau:
         raise ValueError(f"cannot add a cell in row {row} of {lam}")
     rows[row] += 1
     outer = tuple(p for p in rows if p)
-    return AugmentingTableau.from_dict(outer, lam, {(row, rows[row] - 1): n + 1})
+    return AugmentingTableau(outer, lam, (((row, rows[row] - 1), n + 1),))
 
 
 def build_augmented_deg(aug: AugmentingTableau) -> SignedColoredGraph:
@@ -114,24 +104,14 @@ def build_augmented_deg(aug: AugmentingTableau) -> SignedColoredGraph:
     order, then by color; ``edge_triples``, ``to_text`` and the
     benchmark's input digests depend on that order.
     """
-    lam = check_partition(aug.inner)
-    aug.validate()
+    lam = aug.inner
     n, N = sum(lam), sum(aug.outer)
-    fixed = aug.cells()
-
-    def embed(t: Tableau) -> Tableau:
-        rows = [list(r) for r in t] + [[] for _ in range(len(aug.outer) - len(t))]
-        for r in range(len(aug.outer)):
-            for c in range(len(rows[r]), aug.outer[r]):
-                rows[r].append(fixed[(r, c)])
-        return tuple(tuple(r) for r in rows)
-
     powers = [(len(aug.outer) + 1) ** k for k in range(N)]
     sigma: dict[str, tuple[int, ...]] = {}
     ids: dict[int, str] = {}
     reads = []
     for t in enumerate_syt(lam):
-        v, rows, sig, moves = tableau_moves(embed(t) if fixed else t)
+        v, rows, sig, moves = tableau_moves(aug.embed(t) if aug.filling else t)
         code = sum(map(mul, rows, powers))
         sigma[v], ids[code] = sig, v
         reads.append((v, code, rows, moves))

@@ -210,6 +210,15 @@ class TestLocallySchurPositive:
         assert all(r is not G for r in gc.get_referents(K))
         assert any(r is G for r in gc.get_referents(H))
 
+    def test_a_graph_checked_twice_reads_its_mark(self):
+        """The second call returns on the pass mark; scanning again would
+        ask ``_changed_scope`` for the difference against ``True``."""
+        G = fixture("fig8")
+        assert is_locally_schur_positive(G).holds and G._lsp_base is True
+        report = is_locally_schur_positive(G)
+        assert report.holds and report.witnesses == []
+        assert axioms.lsp_holds(G)
+
     def test_windows_missing_the_scope_are_not_walked(self, monkeypatch):
         """Checked by difference, a graph with color 2 rewired walks the
         windows holding color 2 and no other: on type (6, 6) those are

@@ -67,6 +67,20 @@ class TestCheck:
         assert code == 1
         assert "LSP4: PASS" in out and "LSP6: FAIL" in out and "4a: FAIL" in out
 
+    @pytest.mark.parametrize(
+        "name, option, code, head",
+        [
+            ("fig8", "--lsf 4", 1, ["LSF4: FAIL", "  witness: (3, 'b1', 's[3,1]+s[2,2]')"]),
+            ("fig8", "--lsp-all", 0, ["LSP: PASS"]),
+            ("fig21", "--axiom4b", 1,
+             ["4b: FAIL", "  witness: (4, 'f3', 'no one-sided maximal flat chain')"]),
+        ],
+    )
+    def test_single_check_flags(self, capsys, monkeypatch, name, option, code, head):
+        text = fixture(name).to_text()
+        got, out, _ = run(capsys, ["check", "-", *option.split()], text, monkeypatch)
+        assert got == code
+        assert out.splitlines()[: len(head)] == head
 
 class TestBadInput:
     """Malformed graph files are usage errors (exit 2) with a message naming
@@ -353,6 +367,14 @@ class TestTransform:
         assert "ABORT" in err
         bad = SignedColoredGraph.from_text((tmp_path / "result.json.failed.json").read_text())
         assert len(bad.sigma) > 0
+
+    def test_input_failing_an_axiom_aborts(self, capsys, monkeypatch):
+        G = fixture("fig8")
+        assert G.edge_triples()[0] == (2, "t1", "t2")
+        text = SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples()[1:]).to_text()
+        code, _, err = run(capsys, ["transform", "-"], text, monkeypatch)
+        assert code == 1
+        assert err.startswith("ABORT: input fails axiom 1")
 
 
 class TestAnalyze:

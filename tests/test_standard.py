@@ -81,7 +81,7 @@ class TestAugmented:
 
     def test_empty_augmentation_matches_standard(self):
         lam = (3, 2)
-        aug = AugmentingTableau.from_dict(lam, lam, {})
+        aug = AugmentingTableau(lam, lam, ())
         assert build_augmented_deg(aug) == build_standard_deg(lam)
 
     def test_restriction_recovers_standard(self):
@@ -106,9 +106,23 @@ class TestAugmented:
         with pytest.raises(ValueError, match=rf"^cannot add a cell in row {row} of \(2, 1\)$"):
             single_cell_augmentation((2, 1), row)
 
-    def test_invalid_filling_rejected(self):
+    @pytest.mark.parametrize(
+        "outer, inner, filling",
+        [
+            pytest.param((2, 3), (2,), (((1, 0), 3), ((1, 1), 4), ((1, 2), 5)),
+                         id="outer-not-a-partition"),
+            pytest.param((2,), (3,), (), id="inner-row-longer"),
+            pytest.param((2,), (1, 1), (((0, 1), 3),), id="inner-more-rows"),
+            pytest.param((2, 2), (2,), (((1, 0), 3),), id="cell-missing"),
+            pytest.param((2, 2), (2, 1), (((1, 1), 4), ((2, 0), 5)), id="cell-outside"),
+            pytest.param((2, 2), (2, 1), (((1, 1), 3),), id="wrong-value"),
+            pytest.param((3, 1), (1, 1), (((0, 1), 4), ((0, 2), 3)), id="row-decreasing"),
+            pytest.param((1, 1, 1), (1,), (((1, 0), 3), ((2, 0), 2)), id="column-decreasing"),
+        ],
+    )
+    def test_invalid_filling_rejected(self, outer, inner, filling):
         with pytest.raises(ValueError):
-            AugmentingTableau.from_dict((2, 2), (2, 1), {(1, 1): 3}).validate()
+            AugmentingTableau(outer, inner, filling)
 
 
 def pinned_graphs():

@@ -6,7 +6,7 @@ import pytest
 
 from degraphs.axioms import check_axiom, classify_small_component
 from degraphs.fixtures import fixture
-from degraphs.graph import GraphFormatError
+from degraphs.graph import GraphFormatError, SignedColoredGraph
 from degraphs.standard import build_standard_deg, identify_component
 from degraphs.structure import defect_sets, negatively_dominant
 from degraphs.transform import (
@@ -410,6 +410,18 @@ class TestPipeline:
         assert res.log.diagnostic
         assert res.log.failure_graph is not None
         assert res.expansion is None  # no certificate emitted
+
+    def test_input_failing_axiom_1_aborts_before_any_step(self):
+        G = fixture("fig8")
+        assert G.edge_triples()[0] == (2, "t1", "t2")
+        H = SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples()[1:])
+        res = full_pipeline(H)
+        assert res.log.aborted
+        assert res.log.diagnostic == (
+            "input fails axiom 1: [(2, 't1', 'edge missing'), (2, 't2', 'edge missing')]"
+        )
+        assert res.graph is H and res.log.failure_graph is H and not res.log.steps
+        assert not res.certified and res.expansion is None
 
     def test_intermediate_generating_functions_preserved(self):
         G = fixture("fig8")
