@@ -82,6 +82,7 @@ class TestCheck:
         assert got == code
         assert out.splitlines()[: len(head)] == head
 
+
 class TestBadInput:
     """Malformed graph files are usage errors (exit 2) with a message naming
     the field, never a traceback or a check verdict."""
