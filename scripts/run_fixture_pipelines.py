@@ -9,11 +9,9 @@ from degraphs.transform import full_pipeline
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--skip-large", action="store_true")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
-    for name in fixture_names(skip_large=args.skip_large):
+    for name in fixture_names():
         G = fixture(name)
         res = full_pipeline(G)
         steps = ", ".join(

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: check, expand, standard, transform, analyze, iso, export-dot,
-fixtures.  Every command reading a graph accepts ``-`` for stdin and every
-command writing one accepts ``-`` for stdout, so pipelines compose.  Exit
+fixtures (list, show, verify, conjecture-4prime), each taking only the
+arguments it reads.  Commands reading a graph accept ``-`` for stdin and
+commands writing one accept ``-`` for stdout, so pipelines compose.  Exit
 codes: 0 success, 1 failed check, 2 usage error.
 """
 
@@ -21,8 +22,8 @@ from .axioms import (
     is_locally_schur_positive,
 )
 from .combinatorics import parse_partition, partition_str, sig_str
-from .fixtures import FIXTURES, fixture, fixture_names, verify_fixture
-from .graph import SignedColoredGraph, _check_color, find_isomorphism
+from .fixtures import fixture, fixture_names, verify_fixture
+from .graph import SignedColoredGraph, find_isomorphism
 from .standard import build_standard_deg, identify_component
 from .structure import StructureError, defect_sets, i_type, maximal_flat_chains, set_U
 from .symfunc import expand_in_schur
@@ -113,10 +114,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    if not args.graph:
-        command = "replay" if args.replay else "transform"
-        print(f"{command} requires the input graph", file=sys.stderr)
-        return 2
     if args.replay:
         dropped = [opt for opt, value in (("--log", args.log), ("--stop-at", args.stop_at))
                    if value is not None]
@@ -150,24 +147,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.conjecture_4prime and args.color is not None:
-        raise ValueError("--conjecture-4prime takes no --color")
     G = _read_graph(args.graph)
-    if args.conjecture_4prime:
-        hits = []
-        for name in fixture_names():
-            F = fixture(name)
-            if check_lsp(F, 6).holds and not (
-                check_axiom4a(F).holds and check_axiom4b(F).holds
-            ):
-                hits.append(name)
-        print("fixtures with degree-6 positivity but failing 4'a/4'b:", hits or "none")
-        return 0
     i = args.color
-    if i is None:
-        print("analyze requires --color", file=sys.stderr)
-        return 2
-    _check_color(G, i)
+    sets = defect_sets(G, i)  # rejects a color outside 1 < i < n first
     print(f"color {i}")
     print("types:")
     for v in G.vertices():
@@ -177,7 +159,6 @@ def _cmd_analyze(args) -> int:
             kind = f"error ({e})"
         if kind != "none":
             print(f"  {v} [{sig_str(G.sigma[v])}]: {kind}")
-    sets = defect_sets(G, i)
     print(f"W  = {sorted(sets.W)}")
     print(f"W0 = {sorted(sets.W0)}")
     print(f"C  = {sorted(sets.C)}")
@@ -209,28 +190,33 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _cmd_fixtures(args) -> int:
-    if args.action == "list":
-        for name in fixture_names():
-            entry = FIXTURES[name]
-            size = len(fixture(name).sigma)
-            tag = " (large)" if entry.large else ""
-            print(f"{name}: {size} vertices{tag}")
-        return 0
-    if args.action == "show":
-        if not args.name:
-            print("fixtures show requires a name", file=sys.stderr)
-            return 2
-        _write(args.out, fixture(args.name).to_text())
-        return 0
-    # "verify": argparse admits no other action
-    failures = []
-    for name in fixture_names(skip_large=args.skip_large):
-        failures.extend(verify_fixture(name))
+def _cmd_fixtures_list(args) -> int:
+    for name in fixture_names():
+        print(f"{name}: {len(fixture(name).sigma)} vertices")
+    return 0
+
+
+def _cmd_fixtures_show(args) -> int:
+    _write(args.out, fixture(args.name).to_text())
+    return 0
+
+
+def _cmd_fixtures_verify(args) -> int:
+    failures = [f for name in fixture_names() for f in verify_fixture(name)]
     for f in failures:
         print(f)
     print("fixtures:", "all expectations hold" if not failures else f"{len(failures)} failures")
     return 0 if not failures else 1
+
+
+def _cmd_conjecture_4prime(args) -> int:
+    hits = []
+    for name in fixture_names():
+        F = fixture(name)
+        if check_lsp(F, 6).holds and not (check_axiom4a(F).holds and check_axiom4b(F).holds):
+            hits.append(name)
+    print("fixtures with degree-6 positivity but failing 4'a/4'b:", hits or "none")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_expand)
 
     sp = sub.add_parser("transform", help="run the rewiring pipeline")
-    sp.add_argument("graph", nargs="?")
+    sp.add_argument("graph")
     sp.add_argument("--out", default="-")
     sp.add_argument("--log")
     sp.add_argument("--stop-at", type=int, dest="stop_at")
@@ -270,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="types, chains, defect sets, U")
     sp.add_argument("graph")
-    sp.add_argument("--color", type=int)
-    sp.add_argument("--conjecture-4prime", action="store_true", dest="conjecture_4prime")
+    sp.add_argument("--color", type=int, required=True)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("iso", help="isomorphism between two graph files")
@@ -284,12 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=_cmd_export_dot)
 
-    sp = sub.add_parser("fixtures", help="list, show, or verify built-in graphs")
-    sp.add_argument("action", choices=("list", "show", "verify"))
-    sp.add_argument("name", nargs="?")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--skip-large", action="store_true", dest="skip_large")
-    sp.set_defaults(func=_cmd_fixtures)
+    sp = sub.add_parser("fixtures", help="the paper's figures as built-in graphs")
+    actions = sp.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="names and sizes").set_defaults(func=_cmd_fixtures_list)
+    ap = actions.add_parser("show", help="emit one fixture")
+    ap.add_argument("name")
+    ap.add_argument("--out", default="-")
+    ap.set_defaults(func=_cmd_fixtures_show)
+    ap = actions.add_parser("verify", help="check every fixture's recorded expectations")
+    ap.set_defaults(func=_cmd_fixtures_verify)
+    ap = actions.add_parser("conjecture-4prime", help="fixtures with LSP6 failing 4'a or 4'b")
+    ap.set_defaults(func=_cmd_conjecture_4prime)
 
     return p
 

@@ -1,7 +1,7 @@
 """Built-in example graphs.
 
-Small graphs are stored with explicit signatures.  The two large
-negative controls are stored as edge lists only: their signatures are forced
+Most fixtures are stored with explicit signatures.  The negative controls
+fig19 and fig21 are stored as edge lists only: their signatures are forced
 (up to one global flip per component) by the existence pattern of edges at
 each vertex together with the sign-reversal rule across edges, so they are
 reconstructed at build time and validated by the axiom checkers.
@@ -79,7 +79,7 @@ def _structural_graph(n: int, vertices, triples) -> SignedColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# small fixtures, signatures stored directly
+# fixtures with signatures stored directly
 
 
 def fig1() -> SignedColoredGraph:
@@ -349,15 +349,14 @@ def fig21() -> SignedColoredGraph:
 class FixtureEntry:
     name: str
     builder: object
-    large: bool = False
     expected: dict = field(default_factory=dict)
 
 
 FIXTURES: dict[str, FixtureEntry] = {}
 
 
-def _register(name: str, builder, large=False, **expected):
-    FIXTURES[name] = FixtureEntry(name, builder, large, expected)
+def _register(name: str, builder, **expected):
+    FIXTURES[name] = FixtureEntry(name, builder, expected)
 
 
 _register(
@@ -375,7 +374,6 @@ _register("fig5c", fig5c, expansion="2*s[3,1,1]", classify=("k_s311", 2))
 _register(
     "fig6",
     fig6,
-    large=True,
     axioms_pass=(1, 2, 3, 4, 5),
     axioms_fail=(6,),
     expansion="2*s[3,2,1]",
@@ -399,7 +397,6 @@ _register("fig13", fig13, axioms_pass=(1, 2, 3, 4, 5, 6), expansion="s[4,1]+s[3,
 _register(
     "fig19",
     fig19,
-    large=True,
     axioms_pass=(1, 2, 3, 5),
     lsp_pass=(4, 5),
     lsp_fail=(6,),
@@ -408,7 +405,6 @@ _register(
 _register(
     "fig21",
     fig21,
-    large=True,
     axioms_pass=(1, 2, 3, 5),
     lsp_fail=(6,),
     axiom4a=True,
@@ -430,8 +426,8 @@ def fixture(name: str) -> SignedColoredGraph:
     return G._derive(G.n, G.partner, G.edge_order)
 
 
-def fixture_names(skip_large: bool = False) -> list[str]:
-    return [n for n, e in sorted(FIXTURES.items()) if not (skip_large and e.large)]
+def fixture_names() -> list[str]:
+    return sorted(FIXTURES)
 
 
 def verify_fixture(name: str) -> list[str]:

@@ -519,8 +519,8 @@ def find_isomorphism(G: SignedColoredGraph, H: SignedColoredGraph) -> dict[str, 
 
 def _package(G: SignedColoredGraph, p: int, i: int) -> list[int]:
     """The positions of the i-package of position p, p first: its component
-    under all colors except i-2 .. i+2 (``package_colors``)."""
-    _check_color(G, i)
+    under all colors except i-2 .. i+2 (``package_colors``); i must be a
+    color."""
     return next(G._walk((p,), package_colors(G, i)))
 
 

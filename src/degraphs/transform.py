@@ -205,14 +205,10 @@ def _psi(G: SignedColoredGraph, x: str, i: int, r: int, sets) -> SignedColoredGr
             base = chain[k]
             if G.ids[base] not in sets.C0:
                 raise TransformError(f"long variant r={r} leaves C0 at {G.ids[base]!r}")
-    path = _psi_path(G, base, i)
-    if path is None:
-        raise TransformError(f"no eligible partner past {G.ids[base]!r}")
+    # x and base are in C_i0, so each has a psi path whose vertices are all
+    # package-flat at i-2, and so have their i-2-edges
     low = G.partner[i - 2]
-    a, b = low[p], low[path[-1]]
-    if a < 0 or b < 0:
-        raise TransformError("chain endpoints lack their lower edges")
-    return _rewire(G, i, a, b, through_edge=False)
+    return _rewire(G, i, low[p], low[_psi_path(G, base, i)[-1]], through_edge=False)
 
 
 def _gate(H: SignedColoredGraph) -> bool:

@@ -22,7 +22,7 @@ from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_augmented_deg, build_standard_deg, single_cell_augmentation
 from degraphs.structure import defect_sets
 
-from conftest import corpus
+from conftest import benchmark_corpus, corpus
 
 
 def _component_matches_template(G, vertices, color_roles, window, templates) -> bool:
@@ -276,6 +276,34 @@ class TestClassification:
         comp = G.components(G.colors())[0]
         got = classify_small_component(G, comp)
         assert not got.ok
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_degree_outside_four_to_six(self, n):
+        G = build_standard_deg((n - 1, 1))
+        for call in (lambda: classify_small_component(G, G.vertices()), lambda: check_lsf(G, n)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "degree must be 4, 5 or 6"
+
+    def test_type_other_than_degree(self):
+        G = SignedColoredGraph(4, 5, {"a": (1, 1, 1, 1)}, [])
+        got = classify_small_component(G, ["a"])
+        assert (got.ok, got.kind, got.detail) == (False, "error", "graph type (4, 5) != (4,4)")
+
+    def test_vertex_listed_twice_is_not_symmetric(self):
+        """The hypotheses read the induced subgraph, which has each vertex
+        once; the expansion reads the list, which counts 1,2,3|4 twice."""
+        G = build_standard_deg((3, 1))
+        got = classify_small_component(G, [*G.vertices(), "1,2,3|4"])
+        assert (got.ok, got.kind, got.detail) == (False, "error", "not symmetric")
+
+    def test_expansion_outside_the_allowed_forms(self):
+        """G_(3,1) and G_(2,1,1) taken together: each part passes every
+        hypothesis, but no degree-4 form is s[3,1]+s[2,1,1]."""
+        G = benchmark_corpus().union(((3, 1), (2, 1, 1)))
+        got = classify_small_component(G, G.vertices())
+        assert (got.ok, got.kind) == (False, "error")
+        assert got.detail == "unexpected expansion s[3,1]+s[2,1,1]"
 
     def test_degree6_props_on_corpus(self):
         # connected degree-6 graphs with LSF up through 5 classify as a single

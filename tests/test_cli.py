@@ -1,6 +1,9 @@
 """Command-line entry points, exercised in-process."""
 
+import dataclasses
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,15 +13,14 @@ from degraphs.cli import main
 from degraphs.fixtures import FIXTURES, fixture
 from degraphs.graph import SignedColoredGraph
 from degraphs.standard import build_standard_deg
+from degraphs.symfunc import expand_in_schur
+from degraphs.transform import PipelineResult, TransformLog
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     out = capsys.readouterr()
@@ -124,22 +126,6 @@ class TestBadInput:
             capsys, ["transform", str(graph_path), "--replay", str(tmp_path / "none.json")]
         )
         assert code == 2 and "error:" in err and "none.json" in err
-
-    @pytest.mark.parametrize(
-        "option, message",
-        [
-            (None, "transform requires the input graph"),
-            ("--log", "transform requires the input graph"),
-            ("--replay", "replay requires the input graph"),
-        ],
-    )
-    def test_transform_without_graph(self, capsys, tmp_path, option, message):
-        """Without a graph, transform once died on open(None) with a
-        traceback; it stops with one line and exit 2, writing nothing."""
-        argv = ["transform"] + ([option, str(tmp_path / "log.json")] if option else [])
-        assert run(capsys, argv) == (2, "", message + "\n")
-        assert not any(tmp_path.iterdir())
-
 
 class TestReplayRejects:
     @pytest.mark.parametrize(
@@ -252,6 +238,14 @@ class TestExpand:
             f"warning: component at {min(F.sigma)} is not a standard graph",
             "graded: q^2*s[3,2]",
         ]
+
+    def test_graded_output_warns_of_a_varying_statistic(self, capsys, monkeypatch):
+        G = fixture("fig1")
+        stats = {v: k for k, v in enumerate(G.vertices())}
+        G2 = SignedColoredGraph(G.n, G.N, G.sigma, G.edge_triples(), stats)
+        assert run(capsys, ["expand", "-"], G2.to_text(), monkeypatch) == (
+            0, f"s[3,2]\nwarning: statistic not constant on {G.vertices()[0]}\n", ""
+        )
 
     def test_nonsymmetric_reports_residual(self, capsys, monkeypatch):
         G = SignedColoredGraph(4, 4, {"a": (1, 1, -1)}, [])
@@ -369,6 +363,23 @@ class TestTransform:
         bad = SignedColoredGraph.from_text((tmp_path / "result.json.failed.json").read_text())
         assert len(bad.sigma) > 0
 
+    def test_uncertified_result_exits_1(self, capsys, monkeypatch, tmp_path):
+        """No input is known that the pipeline neither certifies nor aborts
+        on, so the pipeline is stubbed: the result is written, the verdict
+        printed, and the exit code is 1."""
+        G = fixture("fig8")
+        expansion = expand_in_schur(G.generating_function())
+        monkeypatch.setattr(
+            cli, "full_pipeline",
+            lambda H, stop_at: PipelineResult(H, TransformLog(), expansion, False),
+        )
+        graph_path, out_path = tmp_path / "in.json", tmp_path / "out.json"
+        graph_path.write_text(G.to_text())
+        assert run(capsys, ["transform", str(graph_path), "--out", str(out_path)]) == (
+            1, "", "certified: False; expansion: s[3,2]+s[3,1,1]+s[2,2,1]\n"
+        )
+        assert out_path.read_text() == G.to_text()
+
     def test_input_failing_an_axiom_aborts(self, capsys, monkeypatch):
         G = fixture("fig8")
         assert G.edge_triples()[0] == (2, "t1", "t2")
@@ -385,6 +396,23 @@ class TestAnalyze:
         assert code == 0
         assert "W  = ['b1', 'm1', 't3', 't4']" in out
 
+    def test_type_error_is_printed_in_place(self, capsys, monkeypatch):
+        """v has a 4-edge and a 2-edge to u, and neither has a 3-edge
+        (axiom 3 fails): v's line names the error, and the report goes on."""
+        G = SignedColoredGraph(
+            5, 5, {"v": (1, -1, 1, -1), "w": (1, -1, -1, 1), "u": (-1, 1, 1, -1)},
+            [(4, "v", "w"), (2, "v", "u")],
+        )
+        code, out, err = run(capsys, ["analyze", "-", "--color", "4"], G.to_text(), monkeypatch)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:4] == [
+            "color 4",
+            "types:",
+            "  v [+-+-]: error (vertex 'v': classifying color 4 needs an 3-edge at 'u' "
+            "(axiom 3 violated))",
+            "  w [+--+]: A",
+        ]
+
     @pytest.mark.parametrize("color", ["99", "-3", "1", "5"])
     def test_color_out_of_range(self, capsys, monkeypatch, color):
         text = fixture("fig8").to_text()
@@ -392,23 +420,18 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"error: color {color} outside 1 < i < n = 5\n"
 
-    def test_conjecture_probe(self, capsys, monkeypatch):
-        text = fixture("fig1").to_text()
-        code, out, _ = run(
-            capsys, ["analyze", "-", "--conjecture-4prime"], text, monkeypatch
-        )
-        assert code == 0
-        assert "none" in out
-
     @pytest.mark.parametrize("color", ["3", "99"])
     def test_conjecture_probe_rejects_color(self, capsys, monkeypatch, color):
-        """The probe reads the fixtures, not the graph, and once dropped
-        ``--color`` without a word."""
+        """The 4' probe is ``fixtures conjecture-4prime`` and reads no
+        graph; analyze rejects its old flag through argparse."""
         text = fixture("fig8").to_text()
-        argv = ["analyze", "-", "--color", color, "--conjecture-4prime"]
-        assert run(capsys, argv, text, monkeypatch) == (
-            2, "", "error: --conjecture-4prime takes no --color\n"
-        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "-", "--color", color, "--conjecture-4prime"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == EXTRA + "--conjecture-4prime"
 
 
 class TestIso:
@@ -441,15 +464,86 @@ class TestFixturesCommand:
         assert code == 0
         assert SignedColoredGraph.from_text(out) == fixture("fig4c")
 
+    def test_list_prints_each_size(self, capsys):
+        code, out, err = run(capsys, ["fixtures", "list"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == len(FIXTURES)
+        assert "fig6: 32 vertices" in lines and "fig19: 36 vertices" in lines
+
+    def test_show_writes_out(self, capsys, tmp_path):
+        out_path = tmp_path / "fig8.json"
+        assert run(capsys, ["fixtures", "show", "fig8", "--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_text() == fixture("fig8").to_text()
+
     def test_verify(self, capsys):
-        code, out, _ = run(capsys, ["fixtures", "verify", "--skip-large"])
-        assert code == 0 and "all expectations hold" in out
+        assert run(capsys, ["fixtures", "verify"]) == (0, "fixtures: all expectations hold\n", "")
+
+    def test_verify_reports_a_failed_expectation(self, capsys, monkeypatch):
+        entry = FIXTURES["fig4c"]
+        wrong = dataclasses.replace(entry, expected={**entry.expected, "expansion": "s[2,2]"})
+        monkeypatch.setitem(FIXTURES, "fig4c", wrong)
+        assert run(capsys, ["fixtures", "verify"]) == (
+            1, "fig4c: expansion 2*s[2,2] != s[2,2]\nfixtures: 1 failures\n", ""
+        )
+
+    def test_conjecture_probe(self, capsys):
+        """The 4' probe reads the fixtures only; none is degree-6 positive
+        while failing 4'a or 4'b."""
+        assert run(capsys, ["fixtures", "conjecture-4prime"]) == (
+            0, "fixtures with degree-6 positivity but failing 4'a/4'b: none\n", ""
+        )
 
     def test_show_unknown_name(self, capsys):
         """The message prints plain, not inside the quotes of str(KeyError)."""
         code, out, err = run(capsys, ["fixtures", "show", "nope"])
         assert (code, out) == (2, "")
         assert err == f"error: unknown fixture 'nope'; have {sorted(FIXTURES)}\n"
+
+
+REQUIRED = "error: the following arguments are required: "
+EXTRA = "degraphs: error: unrecognized arguments: "
+
+# each rejected command line and the last line argparse writes to stderr
+USAGE_ERRORS = {
+    "fixtures": "degraphs fixtures: " + REQUIRED + "action",
+    "fixtures list fig8": EXTRA + "fig8",
+    "fixtures list --out OUT": EXTRA + "--out OUT",
+    "fixtures verify fig8": EXTRA + "fig8",
+    "fixtures verify --out OUT": EXTRA + "--out OUT",
+    "fixtures verify --skip-large": EXTRA + "--skip-large",
+    "fixtures show": "degraphs fixtures show: " + REQUIRED + "name",
+    "fixtures show --out OUT": "degraphs fixtures show: " + REQUIRED + "name",
+    "fixtures conjecture-4prime GRAPH": EXTRA + "GRAPH",
+    "transform": "degraphs transform: " + REQUIRED + "graph",
+    "transform --out OUT": "degraphs transform: " + REQUIRED + "graph",
+    "transform --log OUT": "degraphs transform: " + REQUIRED + "graph",
+    "transform --replay LOG": "degraphs transform: " + REQUIRED + "graph",
+    "analyze GRAPH": "degraphs analyze: " + REQUIRED + "--color",
+    "analyze GRAPH --conjecture-4prime": "degraphs analyze: " + REQUIRED + "--color",
+}
+
+
+class TestUsageErrors:
+    """Each command takes exactly the arguments it reads: argparse rejects a
+    missing or extra one with exit 2, before any graph is read or file
+    written."""
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+    def test_rejected_by_argparse(self, capsys, tmp_path, argv):
+        graph = tmp_path / "g.json"
+        graph.write_text(fixture("fig8").to_text())
+        log = tmp_path / "log.json"
+        log.write_text('{"steps": []}')
+        names = {"GRAPH": str(graph), "LOG": str(log), "OUT": str(tmp_path / "out.json")}
+        last = " ".join(names.get(word, word) for word in USAGE_ERRORS[argv].split(" "))
+        with pytest.raises(SystemExit) as exit_info:
+            main([names.get(word, word) for word in argv.split()])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: degraphs")
+        assert err.splitlines()[-1] == last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "log.json"]
 
 
 class TestExport:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degraphs.combinatorics import (
+    check_partition,
     count_syt,
     descent_signature,
     dominance_ge,
@@ -14,6 +15,7 @@ from degraphs.combinatorics import (
     enumerate_partitions,
     enumerate_syt,
     is_standard,
+    parse_partition,
     reading_word,
     sig_from_str,
     sig_str,
@@ -71,6 +73,20 @@ class TestPartitions:
     def test_six_has_eleven(self):
         assert len(enumerate_partitions(6)) == 11
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_partition((2, 0)), "parts must be positive: (2, 0)"),
+            (lambda: parse_partition(" , "), "empty partition spec: ' , '"),
+            (lambda: enumerate_partitions(0), "n must be >= 1"),
+        ],
+        ids=["zero-part", "empty-spec", "n-zero"],
+    )
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
     def test_order_refines_dominance(self):
         for n in range(2, 8):
             parts = enumerate_partitions(n)
@@ -123,6 +139,11 @@ class TestSYT:
     def test_id_round_trip(self):
         for t in enumerate_syt((3, 2, 1)):
             assert tableau_from_id(tableau_id(t)) == t
+
+    def test_id_of_a_non_standard_filling_rejected(self):
+        with pytest.raises(ValueError) as err:
+            tableau_from_id("2,1|3")
+        assert str(err.value) == "not a standard tableau: '2,1|3'"
 
     def test_hook_length_count_matches_enumeration(self):
         assert count_syt(()) == len(enumerate_syt(())) == 1
@@ -187,6 +208,18 @@ class TestDualEquivalence:
     def test_fig1_edges(self):
         assert dual_equiv_involution(((1, 2, 5), (3, 4)), 2) == ((1, 3, 5), (2, 4))
         assert dual_equiv_involution(((1, 3, 5), (2, 4)), 4) == ((1, 3, 4), (2, 5))
+
+    @pytest.mark.parametrize("i", [1, 5, 0])
+    def test_color_outside_the_tableau_rejected(self, i):
+        with pytest.raises(ValueError) as err:
+            dual_equiv_involution(((1, 2, 5), (3, 4)), i)
+        assert str(err.value) == f"need 1 < i < n, got i={i}, n=5"
+
+    def test_descent_signature_needs_every_value(self):
+        """A filling missing a value of 1..n has no descent signature."""
+        with pytest.raises(ValueError) as err:
+            descent_signature(((1, 2), (4,)))
+        assert str(err.value) == "value 3 not in tableau"
 
     def test_one_row_fixed(self):
         t = ((1, 2, 3, 4, 5),)

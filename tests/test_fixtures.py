@@ -21,11 +21,6 @@ class TestRegistry:
             "fig6", "fig8", "fig9", "fig12", "fig13", "fig19", "fig21",
         }
 
-    def test_skip_large(self):
-        small = fixture_names(skip_large=True)
-        assert "fig6" not in small and "fig19" not in small and "fig21" not in small
-        assert "fig8" in small
-
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
             fixture("fig99")
@@ -62,6 +57,11 @@ class TestStructuralSignatures:
         triples = [(3, "a", "b"), (4, "b", "c"), (4, "a", "d"), (3, "d", "c")]
         with pytest.raises(ValueError):
             signatures_from_structure(5, 5, ["a", "b", "c", "d"], triples)
+
+    def test_needs_type_n_n(self):
+        with pytest.raises(ValueError) as err:
+            signatures_from_structure(3, 4, ["a", "b"], [(2, "a", "b")])
+        assert str(err.value) == "structural reconstruction needs type (n, n)"
 
     def test_reconstructed_fixtures_satisfy_reversal(self):
         for name in ("fig19", "fig21"):

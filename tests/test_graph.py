@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             SignedColoredGraph(3, 3, {"a": (1,)}, [])
 
+    @pytest.mark.parametrize("entry", [0, 2, [1]], ids=["zero", "two", "unhashable"])
+    def test_signature_entries(self, entry):
+        with pytest.raises(GraphFormatError) as err:
+            SignedColoredGraph(3, 3, {"a": (1, entry)}, [])
+        assert str(err.value) == "vertex 'a': signature entries must be +-1"
+
     def test_type_order(self):
         with pytest.raises(GraphFormatError):
             SignedColoredGraph(4, 3, {"a": (1, 1)}, [])
@@ -61,6 +67,12 @@ class TestConstruction:
         G = SignedColoredGraph(3, 3, {"a": (1, -1), "b": (-1, 1)}, [(2, "a", "b")])
         with pytest.raises(GraphFormatError, match="id must be a string"):
             G.relabel({"a": 1, "b": 2})
+
+    def test_relabel_must_be_injective(self):
+        G = SignedColoredGraph(3, 3, {"a": (1, -1), "b": (-1, 1)}, [(2, "a", "b")])
+        with pytest.raises(ValueError) as err:
+            G.relabel({"a": "x", "b": "x"})
+        assert str(err.value) == "relabeling is not injective"
 
     @pytest.mark.parametrize("n, N", [(0, 0), (-1, -1), (0, 3), (-2, 1)])
     def test_type_below_one(self, n, N):
@@ -95,6 +107,12 @@ class TestRestriction:
     def test_identity(self):
         G = build_standard_deg((3, 2))
         assert G.restrict(G.n) == G
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_bound_outside_the_colors(self, m):
+        with pytest.raises(ValueError) as err:
+            build_standard_deg((3, 2)).restrict(m)
+        assert str(err.value) == f"restriction bound {m} outside 2..5"
 
     def test_fig6_restriction_covers_shapes(self):
         G = fixture("fig6")
@@ -367,6 +385,11 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(GraphFormatError):
             SignedColoredGraph.from_text("{}")
+
+    def test_not_json(self):
+        with pytest.raises(GraphFormatError) as err:
+            SignedColoredGraph.from_text("n = 3")
+        assert str(err.value) == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -33,7 +33,7 @@ def run_script(*argv):
 @pytest.mark.parametrize(
     "argv, line, last",
     [
-        (("run_fixture_pipelines.py", "--skip-large"),
+        (("run_fixture_pipelines.py",),
          "  steps: phi_3@b1, phi_3@t3, phi_4@b3, phi_4@t2", None),
         (("survey_standard_graphs.py", "--max-n", "5"),
          "           3,2     5      ok       ok     none     ok      1 s[3,2]",
@@ -47,6 +47,12 @@ def test_script_runs(argv, line, last):
     lines = proc.stdout.splitlines()
     assert line in lines
     assert last is None or re.fullmatch(last, lines[-1]), lines[-1]
+
+
+def test_run_fixture_pipelines_takes_no_options():
+    proc = run_script("run_fixture_pipelines.py", "--skip-large")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1].endswith("error: unrecognized arguments: --skip-large")
 
 
 def test_module_entry_point_pipes(capsys, monkeypatch):
@@ -249,17 +255,19 @@ def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     calls = []
 
     def run_once(checkout, workload, seed, seconds, default_seed):
-        calls.append((checkout.name, workload, seed, seconds, default_seed))
-        value = 2.0 if checkout.name == "change" else 1.0
+        # the parent is ROOT; the change is any other path, whatever its name
+        side = "parent" if checkout == ROOT else "change"
+        calls.append((side, workload, seed, seconds, default_seed))
+        value = 2.0 if side == "change" else 1.0
         # the two sides print the same digest on workload a, not on b
-        digest = f"{workload}-{checkout.name if workload == 'b' else 'same'}"
+        digest = f"{workload}-{side if workload == 'b' else 'same'}"
         return dict.fromkeys(names, value), digest
 
     monkeypatch.setattr(bp, "run_once", run_once)
     argv = [str(ROOT), "change", "--workload", "a", "--workload", "b",
             "--seed", "5", "--pairs", "2", "--seconds", "0.5"]
     assert bp.main(argv) == 0
-    side = [(ROOT.name, "change"), ("change", ROOT.name)]
+    side = [("parent", "change"), ("change", "parent")]
     assert [c[:2] for c in calls] == [
         (name, w) for w in ("a", "b") for pair in side for name in pair
     ]
@@ -270,7 +278,7 @@ def test_bench_pairs_prints_one_table_per_workload(monkeypatch, capsys):
     # doubled latencies and memory are flagged, doubled throughput is not
     assert out.count("WORSE") == 2 * (len(names) - 1)
     assert "a results digest: parent a-same; change a-same\n" in out
-    assert f"b results digest: parent b-{ROOT.name}; change b-change; OUTPUT DIFFERS\n" in out
+    assert "b results digest: parent b-parent; change b-change; OUTPUT DIFFERS\n" in out
     assert out.count("OUTPUT DIFFERS") == 1
 
 
@@ -301,13 +309,13 @@ def test_bench_pairs_records_every_run(monkeypatch, tmp_path, capsys):
 
     bp = load_bench_pairs()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    runs = {ROOT.name: [1.0, 3.0, 4.0], "change": [2.0, 2.0, 8.0]}
+    runs = {"parent": [1.0, 3.0, 4.0], "change": [2.0, 2.0, 8.0]}
     served = {}
 
     def run_once(checkout, workload, seed, seconds, default_seed):
-        key = (checkout.name, workload)
+        key = ("parent" if checkout == ROOT else "change", workload)
         served[key] = served.get(key, -1) + 1
-        return dict.fromkeys(names, runs[checkout.name][served[key]]), f"{workload}-digest"
+        return dict.fromkeys(names, runs[key[0]][served[key]]), f"{workload}-digest"
 
     monkeypatch.setattr(bp, "run_once", run_once)
     package = tmp_path / "change" / "src" / "degraphs"

@@ -4,7 +4,13 @@ import pytest
 
 from degraphs.combinatorics import enumerate_partitions
 from degraphs.fixtures import fixture
-from degraphs.standard import build_standard_deg, single_cell_augmentation, build_augmented_deg
+from degraphs.graph import SignedColoredGraph
+from degraphs.standard import (
+    build_augmented_deg,
+    build_standard_deg,
+    identify_component,
+    single_cell_augmentation,
+)
 from degraphs.structure import (
     StructureError,
     _flat,
@@ -17,7 +23,16 @@ from degraphs.structure import (
     set_U,
 )
 
-from conftest import corpus, nonflat_chain_through
+from conftest import corpus, nonflat_chain_through, seed1_runs
+
+
+def off_axiom3():
+    """v has a 4-edge and a 2-edge to u but no 3-edge, and u has no 3-edge
+    either: axiom 3 fails, so v's type at color 4 is undecided."""
+    return SignedColoredGraph(
+        5, 5, {"v": (1, -1, 1, -1), "w": (1, -1, -1, 1), "u": (-1, 1, 1, -1)},
+        [(4, "v", "w"), (2, "v", "u")],
+    )
 
 
 class TestTypes:
@@ -43,6 +58,13 @@ class TestTypes:
             for i in (4, 5):
                 kind = i_type(G, v, i)
                 assert kind in ("none", "W", "A", "B", "C")
+
+    def test_type_needing_an_edge_axiom_3_supplies(self):
+        with pytest.raises(StructureError) as err:
+            i_type(off_axiom3(), "v", 4)
+        assert str(err.value) == (
+            "vertex 'v': classifying color 4 needs an 3-edge at 'u' (axiom 3 violated)"
+        )
 
     def test_type_partition_on_fig12(self):
         G = fixture("fig12")
@@ -241,6 +263,25 @@ class TestNegativelyDominant:
 
         lam, _ = identify_component(G, pivot, 4)
         assert lam == (3, 1)
+
+    def test_no_dominance_maximum(self):
+        """A component under colors 2..6 of the seed-1 input s034-n7k4 whose
+        pieces are all plus-signed at position 7 and include the
+        incomparable shapes (3,1,1,1) and (2,2,2), with nothing above both."""
+        G = next(case.graph for case, _ in seed1_runs("scrambled") if case.name == "s034-n7k4")
+        H = G.component_vertices("2:1,2,3|4|5|6|7", range(2, 7))
+        pieces = [piece for piece in G.components(range(2, 6)) if piece[0] in H]
+        shapes = sorted(identify_component(G, piece, 6)[0] for piece in pieces)
+        assert shapes == [(2, 1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2), (3, 1, 1, 1)]
+        assert negatively_dominant(G, H, 6) is None
+
+    def test_sign_varying_on_a_piece(self):
+        """The 2-edge a-b flips position 4 (axiom 2 fails), so the piece has
+        no one sign there."""
+        G = SignedColoredGraph(5, 5, {"a": (1, -1, 1, 1), "b": (-1, 1, 1, -1)}, [(2, "a", "b")])
+        with pytest.raises(StructureError) as err:
+            negatively_dominant(G, ["a", "b"], 3)
+        assert str(err.value) == "position 4 not constant on component of 'a'"
 
     def test_unidentifiable_raises(self):
         G = fixture("fig6")

@@ -60,8 +60,8 @@ PUBLIC_API = {
     # axioms
     "AxiomReport": "what every checker returns",
     "check_axiom": "axioms 1 to 6",
-    "check_axiom4a": "the supplementary axiom 4'a, `degraphs analyze --conjecture-4prime`",
-    "check_axiom4b": "the supplementary axiom 4'b, `degraphs analyze --conjecture-4prime`",
+    "check_axiom4a": "the supplementary axiom 4'a, `degraphs fixtures conjecture-4prime`",
+    "check_axiom4b": "the supplementary axiom 4'b, `degraphs fixtures conjecture-4prime`",
     "check_lsf": "local Schur multiplicity-freeness",
     "check_lsp": "local Schur positivity of one degree",
     "classify_small_component": "the small-degree classification the fixtures verify",

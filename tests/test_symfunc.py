@@ -48,6 +48,11 @@ class TestQSym:
         assert (a - a).is_zero()
         assert a.scale(3).coeffs == {(1, 1): 6}
 
+    def test_sum_of_two_degrees_rejected(self):
+        with pytest.raises(ValueError) as err:
+            QSym(3, {(1, 1): 1}) + QSym(4, {(1, 1, 1): 1})
+        assert str(err.value) == "degree mismatch"
+
     def test_to_lines(self):
         """One line per signature in order, as the CLI prints a residual."""
         f = QSym(4, {sig_from_str("+-+"): 2, sig_from_str("-+-"): -1})

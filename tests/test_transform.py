@@ -9,12 +9,16 @@ from degraphs.fixtures import fixture
 from degraphs.graph import GraphFormatError, SignedColoredGraph
 from degraphs.standard import build_standard_deg, identify_component
 from degraphs.structure import defect_sets, negatively_dominant
+from degraphs.axioms import _axiom6_sweep
 from degraphs.transform import (
     LogFormatError,
+    PipelineAbort,
     TransformError,
     TransformLog,
     TransformStep,
     _rematch,
+    _resolve_axiom6,
+    _resolve_defects,
     apply_gamma,
     apply_phi,
     apply_psi,
@@ -26,7 +30,18 @@ from degraphs.transform import (
     replay,
 )
 
-from conftest import gamma_instance
+from conftest import gamma_instance, seed1_runs
+
+
+def seed1_input(name):
+    """The input graph of the seed-1 ``scrambled`` benchmark case ``name``."""
+    return next(case.graph for case, _ in seed1_runs("scrambled") if case.name == name)
+
+
+def pieces_below(G, i):
+    """Each position's piece under colors 2..i-1, as the pipeline keeps it."""
+    *_, (_, piece) = _axiom6_sweep(G, i)
+    return piece
 
 
 def preserved_apart_from_color(G, H, i):
@@ -117,6 +132,12 @@ class TestPhi:
         with pytest.raises(TransformError):
             apply_phi(G, "t1", 3)
 
+    def test_w_vertex_failing_the_package_filter(self):
+        """C1 has type W at color 4 in fig12, but its 3-package is not flat."""
+        with pytest.raises(TransformError) as err:
+            apply_phi(fixture("fig12"), "C1", 4)
+        assert str(err.value) == "'C1' is in W_4 but fails the package filter"
+
     def test_precondition_double_edge(self):
         G = build_standard_deg((2, 2))
         v = G.vertices()[0]
@@ -169,6 +190,12 @@ class TestPsi:
         G = fixture("fig12")
         with pytest.raises(TransformError):
             apply_psi(G, "A0", 4)
+
+    def test_c_vertex_failing_the_package_filter(self):
+        x = "2:1,3,5|2|4|6"
+        with pytest.raises(TransformError) as err:
+            apply_psi(seed1_input("s114-n6k3"), x, 5)
+        assert str(err.value) == f"{x!r} is in C_5 but fails the package filter"
 
     def test_long_variant_guard(self):
         # the fig12 chain has length six, so the stride-one variant walks
@@ -257,6 +284,33 @@ class TestTheta:
             out = identify_component(HH, comp, HH.n)
             assert out is not None and out[0] == (3, 2, 1)
 
+    def test_pivot_without_i_edges(self):
+        """The pivot 1,2,3|4,5 of G_(3,2) has no 2-edge."""
+        with pytest.raises(TransformError) as err:
+            apply_theta(fixture("fig1"), "1,2,3|4,5", 2)
+        assert str(err.value) == "pivot component has no outgoing i-edges"
+
+    def test_piece_matching_two_adjacent_components(self):
+        """A pivot the pipeline would not choose: the piece at 1:1,2,4,6|3,5
+        is isomorphic to two pieces adjacent to the pivot."""
+        with pytest.raises(TransformError) as err:
+            apply_theta(seed1_input("s099-n6k4"), "2:1,2,5|3,4,6", 4)
+        assert str(err.value) == (
+            "component at '1:1,2,4,6|3,5' matches several adjacent components"
+        )
+
+    def test_piece_with_two_isomorphisms(self):
+        """Off-spec pieces a1-a2 and b1-b2, each a 2-edge between equal
+        signatures (axiom 2 fails): b1 maps onto a1 and onto a2."""
+        s = (1, -1, 1)
+        G = SignedColoredGraph(
+            4, 4, {"p": (-1, 1, -1), "a1": s, "a2": s, "b1": s, "b2": s},
+            [(2, "a1", "a2"), (2, "b1", "b2"), (3, "p", "a1"), (3, "a2", "b1")],
+        )
+        with pytest.raises(TransformError) as err:
+            apply_theta(G, "p", 3)
+        assert str(err.value) == "component at 'b1' has a non-unique isomorphism"
+
 
 class TestLogging:
     def test_replay_reproduces(self):
@@ -310,6 +364,11 @@ class TestLogging:
         with pytest.raises(LogFormatError, match=message):
             TransformLog.from_text(text)
 
+    def test_from_text_rejects_text_that_is_not_json(self):
+        with pytest.raises(LogFormatError) as err:
+            TransformLog.from_text("steps: []")
+        assert str(err.value) == "log is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+
     def test_from_text_variant_defaults_to_short(self):
         log = TransformLog.from_text('{"steps": [{"kind": "phi", "color": 3, "anchor": "b1"}]}')
         assert log.steps == [TransformStep("phi", 3, "b1", 0)]
@@ -347,6 +406,13 @@ class TestLogging:
                 apply_step(G, TransformStep(kind, color, anchor))
             assert str(replayed.value) == message
 
+    def test_apply_step_rejects_an_unknown_kind(self):
+        """``from_text`` rejects the kind first; a step made in code reaches
+        this check."""
+        with pytest.raises(ValueError) as err:
+            apply_step(fixture("fig8"), TransformStep("rho", 3, "b1"))
+        assert str(err.value) == "unknown step kind 'rho'"
+
     def test_apply_step_kinds(self):
         G = gamma_instance()
         step = TransformStep("gamma", 4, "a2")
@@ -374,6 +440,38 @@ class TestOneStep:
         for i in (0, 1, G.n):
             with pytest.raises(ValueError, match=f"color {i} outside 1 < i < n = 6"):
                 one_step(G, i)
+
+
+class TestStepBudget:
+    """A drain or a run of splits stops once the log holds ``limit`` steps."""
+
+    def test_drain(self):
+        log = TransformLog()
+        with pytest.raises(PipelineAbort) as err:
+            _resolve_defects(fixture("fig8"), 3, log, 0)
+        assert str(err.value) == "step budget exhausted at color 3"
+        assert not log.steps
+
+    def test_splits(self):
+        G = fixture("fig6")
+        with pytest.raises(PipelineAbort) as err:
+            _resolve_axiom6(G, 5, TransformLog(), 0, pieces_below(G, 5))
+        assert str(err.value) == "step budget exhausted during splits at color 5"
+
+
+class TestSplitFailure:
+    def test_no_negatively_dominant_piece(self):
+        """Axiom 6 fails at color 6 of the seed-1 input s034-n7k4 in a
+        component whose pieces, all plus-signed at position 7, have shapes
+        (3,1,1,1) and (2,2,2) with no dominance maximum.  The pipeline
+        rewires lower colors first and never splits it."""
+        G = seed1_input("s034-n7k4")
+        with pytest.raises(PipelineAbort) as err:
+            _resolve_axiom6(G, 6, TransformLog(), 1, pieces_below(G, 6))
+        assert str(err.value) == (
+            "color 6: split failed: no negatively dominant restricted component"
+        )
+        assert err.value.component == G.component_vertices("2:1,2,3|4|5|6|7", range(2, 7))
 
 
 class TestPipeline:
