@@ -43,6 +43,11 @@ def seed1_runs(workload: str):
     return tuple((case, full_pipeline(case.graph)) for case in cases)
 
 
+def seed1_input(name: str) -> SignedColoredGraph:
+    """The input graph of the seed-1 ``scrambled`` benchmark case ``name``."""
+    return next(case.graph for case, _ in seed1_runs("scrambled") if case.name == name)
+
+
 def corpus(max_n: int = 8):
     """Every standard graph up to max_n plus all fixtures."""
     graphs = []
@@ -115,6 +120,15 @@ def gamma_instance(flip: bool = False) -> SignedColoredGraph:
     if flip:
         sigma = {v: tuple(-x for x in s) for v, s in sigma.items()}
     return SignedColoredGraph(5, 5, sigma, triples)
+
+
+def off_axiom3() -> SignedColoredGraph:
+    """v has a 4-edge and a 2-edge to u but no 3-edge, and u has no 3-edge
+    either: axiom 3 fails, so v's type at color 4 is undecided."""
+    return SignedColoredGraph(
+        5, 5, {"v": (1, -1, 1, -1), "w": (1, -1, -1, 1), "u": (-1, 1, 1, -1)},
+        [(4, "v", "w"), (2, "v", "u")],
+    )
 
 
 @pytest.fixture

@@ -16,6 +16,8 @@ from degraphs.standard import build_standard_deg
 from degraphs.symfunc import expand_in_schur
 from degraphs.transform import PipelineResult, TransformLog
 
+from conftest import off_axiom3
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -397,13 +399,10 @@ class TestAnalyze:
         assert "W  = ['b1', 'm1', 't3', 't4']" in out
 
     def test_type_error_is_printed_in_place(self, capsys, monkeypatch):
-        """v has a 4-edge and a 2-edge to u, and neither has a 3-edge
-        (axiom 3 fails): v's line names the error, and the report goes on."""
-        G = SignedColoredGraph(
-            5, 5, {"v": (1, -1, 1, -1), "w": (1, -1, -1, 1), "u": (-1, 1, 1, -1)},
-            [(4, "v", "w"), (2, "v", "u")],
-        )
-        code, out, err = run(capsys, ["analyze", "-", "--color", "4"], G.to_text(), monkeypatch)
+        """v's type at color 4 is undecided (axiom 3 fails): its line names
+        the error, and the report goes on."""
+        text = off_axiom3().to_text()
+        code, out, err = run(capsys, ["analyze", "-", "--color", "4"], text, monkeypatch)
         assert (code, err) == (0, "")
         assert out.splitlines()[:4] == [
             "color 4",
@@ -421,11 +420,9 @@ class TestAnalyze:
         assert err == f"error: color {color} outside 1 < i < n = 5\n"
 
     @pytest.mark.parametrize("color", ["3", "99"])
-    def test_conjecture_probe_rejects_color(self, capsys, monkeypatch, color):
+    def test_conjecture_probe_rejects_color(self, capsys, color):
         """The 4' probe is ``fixtures conjecture-4prime`` and reads no
         graph; analyze rejects its old flag through argparse."""
-        text = fixture("fig8").to_text()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze", "-", "--color", color, "--conjecture-4prime"])
         assert exit_info.value.code == 2

@@ -23,16 +23,7 @@ from degraphs.structure import (
     set_U,
 )
 
-from conftest import corpus, nonflat_chain_through, seed1_runs
-
-
-def off_axiom3():
-    """v has a 4-edge and a 2-edge to u but no 3-edge, and u has no 3-edge
-    either: axiom 3 fails, so v's type at color 4 is undecided."""
-    return SignedColoredGraph(
-        5, 5, {"v": (1, -1, 1, -1), "w": (1, -1, -1, 1), "u": (-1, 1, 1, -1)},
-        [(4, "v", "w"), (2, "v", "u")],
-    )
+from conftest import corpus, nonflat_chain_through, off_axiom3, seed1_input
 
 
 class TestTypes:
@@ -268,7 +259,7 @@ class TestNegativelyDominant:
         """A component under colors 2..6 of the seed-1 input s034-n7k4 whose
         pieces are all plus-signed at position 7 and include the
         incomparable shapes (3,1,1,1) and (2,2,2), with nothing above both."""
-        G = next(case.graph for case, _ in seed1_runs("scrambled") if case.name == "s034-n7k4")
+        G = seed1_input("s034-n7k4")
         H = G.component_vertices("2:1,2,3|4|5|6|7", range(2, 7))
         pieces = [piece for piece in G.components(range(2, 6)) if piece[0] in H]
         shapes = sorted(identify_component(G, piece, 6)[0] for piece in pieces)

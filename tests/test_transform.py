@@ -30,12 +30,7 @@ from degraphs.transform import (
     replay,
 )
 
-from conftest import gamma_instance, seed1_runs
-
-
-def seed1_input(name):
-    """The input graph of the seed-1 ``scrambled`` benchmark case ``name``."""
-    return next(case.graph for case, _ in seed1_runs("scrambled") if case.name == name)
+from conftest import gamma_instance, seed1_input
 
 
 def pieces_below(G, i):
